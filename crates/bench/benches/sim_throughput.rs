@@ -1,5 +1,5 @@
-//! Simulator throughput: the cost of the fast-forward engine against the
-//! lock-step reference on a busy slice, an idle 480-core machine and a
+//! Simulator throughput: the cost of the one-thread windowed engine
+//! against the lock-step reference on a busy slice, an idle 480-core machine and a
 //! 10 %-active 480-core machine. Prints the simulated-cycles/s and
 //! simulated-MIPS table, then times each scenario × engine pair.
 
@@ -17,7 +17,7 @@ fn bench(c: &mut Criterion) {
         ("idle_480", (6, 5), 0),
         ("active10_480", (6, 5), 10),
     ] {
-        for engine in [EngineMode::LockStep, EngineMode::FastForward] {
+        for engine in [EngineMode::LockStep, EngineMode::default()] {
             g.bench_function(&format!("{scenario}_{engine:?}"), |b| {
                 b.iter(|| throughput::measure(scenario, engine, slices, stride, span))
             });

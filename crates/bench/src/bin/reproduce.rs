@@ -26,21 +26,22 @@
 //! overrides for one-off measurements:
 //!
 //! ```text
-//! reproduce throughput --engine parallel --threads 8 --grid 2x2
+//! reproduce throughput --threads 8 --grid 2x2
 //! reproduce throughput --engine lockstep --grid 1x1
 //! ```
 //!
-//! `--engine {lockstep,fastforward,parallel}` pins the engine (default:
-//! the full sweep over every engine), `--threads N` sets the parallel
-//! engine's host thread count (0 = one per host CPU), and `--grid WxH`
-//! sizes the measured machine in slices for the pinned-engine run.
+//! `--engine {lockstep,windowed}` pins the engine (default: the full
+//! sweep over both), `--threads N` pins the windowed engine at `N` host
+//! threads (0 = one per host CPU; without it `--engine windowed` runs one
+//! thread, and it cannot combine with `--engine lockstep`), and `--grid
+//! WxH` sizes the measured machine in slices for the pinned-engine run.
 //!
 //! The observability layer is exercised with `--trace` / `--metrics`,
 //! and deterministic faults are injected with `--faults`:
 //!
 //! ```text
 //! reproduce --trace out.json --metrics out.csv
-//! reproduce --trace out.json --engine parallel --threads 4
+//! reproduce --trace out.json --threads 4
 //! reproduce --faults "kill-link:0@2us, corrupt:8@5us+2us, brownout:600@12us+3us"
 //! ```
 //!
@@ -59,7 +60,7 @@
 //! ```text
 //! reproduce --snapshot-at 3000000 --snapshot-out warm.snap   # write at t = 3 µs
 //! reproduce --restore warm.snap                              # continue bit-identically
-//! reproduce --restore warm.snap --engine parallel --threads 4
+//! reproduce --restore warm.snap --threads 4
 //! ```
 //!
 //! `--snapshot-at <ps>` runs the instrumented pipeline to the given
@@ -103,7 +104,7 @@ const ALL: [&str; 17] = [
 struct EngineOverride {
     engine: Option<EngineMode>,
     /// Raw `--threads` value (also reused as the fleet's host threads).
-    threads: usize,
+    threads: Option<usize>,
     grid: (u16, u16),
     trace: Option<String>,
     metrics: Option<String>,
@@ -144,27 +145,32 @@ fn parse_engine_override(args: &mut Vec<String>) -> EngineOverride {
         }
         None
     };
-    let threads: usize = take("--threads")
-        .map(|t| {
-            t.parse()
-                .unwrap_or_else(|_| die("--threads wants a number"))
-        })
-        .unwrap_or(0);
-    let engine = take("--engine").map(|name| match name.as_str() {
-        "lockstep" => EngineMode::LockStep,
-        "fastforward" => EngineMode::FastForward,
-        "parallel" => EngineMode::Parallel { threads },
-        other => die(&format!(
-            "unknown engine `{other}`; known: lockstep fastforward parallel"
-        )),
+    let threads: Option<usize> = take("--threads").map(|t| {
+        t.parse()
+            .unwrap_or_else(|_| die("--threads wants a number"))
     });
+    let engine = match (take("--engine").as_deref(), threads) {
+        (None, None) => None,
+        (None | Some("windowed"), _) => Some(EngineMode::Windowed {
+            threads: threads.unwrap_or(1),
+        }),
+        (Some("lockstep"), None) => Some(EngineMode::LockStep),
+        (Some("lockstep"), Some(_)) => {
+            die("--threads selects the windowed engine and cannot combine with --engine lockstep")
+        }
+        (Some(other), _) => die(&format!(
+            "unknown engine `{other}`; known: lockstep windowed"
+        )),
+    };
     let grid = take("--grid")
         .map(|g| {
             let parse = || -> Option<(u16, u16)> {
                 let (w, h) = g.split_once('x')?;
                 Some((w.parse().ok()?, h.parse().ok()?))
             };
-            parse().unwrap_or_else(|| die("--grid wants WxH, e.g. 2x2"))
+            parse()
+                .filter(|&(w, h)| w > 0 && h > 0)
+                .unwrap_or_else(|| die("--grid wants WxH with both sides at least 1, e.g. 2x2"))
         })
         .unwrap_or((1, 1));
     let trace = take("--trace");
@@ -235,7 +241,7 @@ fn run_observability(overrides: &EngineOverride) {
             system
         }
         None => {
-            let engine = overrides.engine.unwrap_or(EngineMode::FastForward);
+            let engine = overrides.engine.unwrap_or_default();
             let (w, h) = overrides.grid;
             let mut builder = SystemBuilder::new().slices(w, h).engine(engine).metrics();
             if overrides.trace.is_some() {
@@ -414,9 +420,9 @@ fn main() {
                         let (w, h) = overrides.grid;
                         let scenario: &'static str =
                             Box::leak(format!("busy-{w}x{h}").into_boxed_str());
-                        throughput::Throughput {
-                            rows: vec![throughput::measure(scenario, engine, (w, h), 1, span)],
-                        }
+                        let row = throughput::measure(scenario, engine, (w, h), 1, span)
+                            .unwrap_or_else(|e| die(&e.to_string()));
+                        throughput::Throughput { rows: vec![row] }
                     }
                     None => throughput::run(span),
                 };
@@ -440,11 +446,10 @@ fn main() {
                     work: 8,
                     arrivals: overrides.arrivals,
                     seed: overrides.seed,
-                    threads: if overrides.threads == 0 {
-                        throughput::host_parallelism()
-                    } else {
-                        overrides.threads
-                    },
+                    threads: overrides
+                        .threads
+                        .filter(|&t| t > 0)
+                        .unwrap_or_else(throughput::host_parallelism),
                     drain: TimeDelta::from_ms(1),
                     metrics: true,
                     ..FleetSpec::default()

@@ -81,25 +81,6 @@ pub struct ResilienceRow {
     pub conservation_rel: f64,
 }
 
-impl ResilienceRow {
-    /// Stable engine name for tables and JSON.
-    pub fn engine_name(&self) -> &'static str {
-        match self.engine {
-            EngineMode::LockStep => "lockstep",
-            EngineMode::FastForward => "fastforward",
-            EngineMode::Parallel { .. } => "parallel",
-        }
-    }
-
-    /// Host worker threads (0 for the serial engines).
-    pub fn threads(&self) -> usize {
-        match self.engine {
-            EngineMode::Parallel { threads } => threads,
-            _ => 0,
-        }
-    }
-}
-
 /// The whole experiment: one row per injected fault count.
 #[derive(Clone, Debug)]
 pub struct Resilience {
@@ -129,8 +110,8 @@ impl Resilience {
                 r.fault_events,
                 r.scheduled,
                 r.seed,
-                r.engine_name(),
-                r.threads(),
+                r.engine.name(),
+                r.engine.threads(),
                 r.completed,
                 r.delivered_tokens,
                 r.dropped_tokens,
@@ -314,7 +295,7 @@ pub fn run_with(
     Resilience { rows }
 }
 
-/// The default sweep: fast-forward engine over [`DEFAULT_EVENT_COUNTS`]
+/// The default sweep: the default engine over [`DEFAULT_EVENT_COUNTS`]
 /// (quick mode trims the tail), budgeting 300 µs per run so hung rows
 /// terminate promptly.
 pub fn run(quick: bool) -> Resilience {
@@ -324,7 +305,7 @@ pub fn run(quick: bool) -> Resilience {
         &DEFAULT_EVENT_COUNTS
     };
     run_with(
-        EngineMode::FastForward,
+        EngineMode::default(),
         counts,
         DEFAULT_SEED,
         TimeDelta::from_us(300),
@@ -338,7 +319,7 @@ mod tests {
     #[test]
     fn baseline_and_faulted_rows_are_well_formed() {
         let r = run_with(
-            EngineMode::FastForward,
+            EngineMode::default(),
             &[0, 4],
             DEFAULT_SEED,
             TimeDelta::from_us(120),
@@ -367,7 +348,7 @@ mod tests {
     #[test]
     fn json_has_every_row_and_field() {
         let r = run_with(
-            EngineMode::FastForward,
+            EngineMode::default(),
             &[0, 2],
             DEFAULT_SEED,
             TimeDelta::from_us(120),
@@ -376,8 +357,8 @@ mod tests {
         assert_eq!(json.matches("\"fault_events\"").count(), r.rows.len());
         for field in [
             "\"experiment\": \"resilience\"",
-            "\"engine\": \"fastforward\"",
-            "\"threads\": 0",
+            "\"engine\": \"windowed\"",
+            "\"threads\": 1",
             "\"completed\":",
             "\"delivered_tokens\":",
             "\"dropped_tokens\":",

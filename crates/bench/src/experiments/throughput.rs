@@ -4,19 +4,18 @@
 //! scenarios bracket the workload spectrum:
 //!
 //! * **busy slice** — 16 cores all running the calibrated heavy mix; the
-//!   fast-forward engine finds activity at every tick and must degrade
-//!   to lock-step speed (the acceptance bound is ≤5 % regression), while
-//!   the parallel engine shards the compute-bound cores across host
-//!   threads and scales with the host's core count.
+//!   windowed engine runs the compute-bound cores through negotiated
+//!   windows, sharded across host threads, and must not fall below
+//!   lock-step speed at one thread.
 //! * **idle 480** — a full 6×5-slice machine with nothing loaded; every
-//!   core tick is provably idle, so fast-forward jumps monitor window to
-//!   monitor window and charges the energy analytically (the parallel
-//!   engine detects the idle machine and takes the same path).
-//! * **10 % active 480** — 48 of 480 cores run the heavy mix; the busy
-//!   cores bound each jump to one base period, but the idle 90 % of the
-//!   machine is still skipped analytically inside each step.
+//!   core tick is provably idle, so the windowed engine's fast-forward
+//!   steps jump monitor window to monitor window and charge the energy
+//!   analytically.
+//! * **10 % active 480** — 48 of 480 cores run the heavy mix; windows
+//!   let each busy core run ahead while the idle 90 % of the machine is
+//!   skipped analytically.
 //!
-//! Reported per engine (and per thread count for the parallel engine):
+//! Reported per engine (and per thread count for the windowed engine):
 //! host wall-clock, simulated core-cycles per host second, and simulated
 //! MIPS (retired instructions per host second). The busy-slice scenario
 //! is additionally measured with the predecoded-instruction cache off
@@ -26,11 +25,11 @@
 
 use std::fmt;
 use std::time::Instant;
-use swallow::{EngineMode, NodeId, SystemBuilder, TimeDelta};
+use swallow::{BuildError, EngineMode, NodeId, SystemBuilder, TimeDelta};
 
 use super::heavy_mix_program;
 
-/// Thread counts the default sweep measures the parallel engine at.
+/// Thread counts the default sweep measures the windowed engine at.
 pub const DEFAULT_THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// One scenario × engine measurement.
@@ -40,11 +39,6 @@ pub struct ThroughputRow {
     pub scenario: &'static str,
     /// Which engine ran it.
     pub engine: EngineMode,
-    /// Epoch-synchronisation strategy the run used: `"negotiated"` or
-    /// `"global"` for the parallel engine, `"-"` for the serial engines.
-    /// Recorded so a JSON row is interpretable without knowing the
-    /// producing build's `SWALLOW_EPOCH_MODE`.
-    pub epoch_mode: &'static str,
     /// Whether the predecoded-instruction cache was on.
     pub decode_cache: bool,
     /// Host wall-clock for the run (milliseconds).
@@ -53,25 +47,6 @@ pub struct ThroughputRow {
     pub sim_cycles_per_sec: f64,
     /// Simulated MIPS: retired instructions per host second / 1e6.
     pub mips: f64,
-}
-
-impl ThroughputRow {
-    /// Stable engine name for tables and JSON.
-    pub fn engine_name(&self) -> &'static str {
-        match self.engine {
-            EngineMode::LockStep => "lockstep",
-            EngineMode::FastForward => "fastforward",
-            EngineMode::Parallel { .. } => "parallel",
-        }
-    }
-
-    /// Host worker threads (0 for the serial engines).
-    pub fn threads(&self) -> usize {
-        match self.engine {
-            EngineMode::Parallel { threads } => threads,
-            _ => 0,
-        }
-    }
 }
 
 /// The whole experiment: each scenario under every engine.
@@ -88,24 +63,23 @@ impl Throughput {
             .find(|r| r.scenario == scenario && r.engine == engine)
     }
 
-    /// Fast-forward speedup over lock-step (host time ratio).
+    /// One-thread windowed speedup over lock-step (host time ratio).
     pub fn speedup(&self, scenario: &str) -> Option<f64> {
         let ls = self.find(scenario, EngineMode::LockStep)?;
-        let ff = self.find(scenario, EngineMode::FastForward)?;
-        Some(ls.host_ms / ff.host_ms)
+        let one = self.find(scenario, EngineMode::Windowed { threads: 1 })?;
+        Some(ls.host_ms / one.host_ms)
     }
 
-    /// Parallel speedup over fast-forward (host time ratio) at one
-    /// thread count.
+    /// Windowed speedup at `threads` over one thread (host time ratio).
     pub fn parallel_speedup(&self, scenario: &str, threads: usize) -> Option<f64> {
-        let ff = self.find(scenario, EngineMode::FastForward)?;
-        let par = self.find(scenario, EngineMode::Parallel { threads })?;
-        Some(ff.host_ms / par.host_ms)
+        let one = self.find(scenario, EngineMode::Windowed { threads: 1 })?;
+        let par = self.find(scenario, EngineMode::Windowed { threads })?;
+        Some(one.host_ms / par.host_ms)
     }
 
     /// Serialises the rows as the `BENCH_throughput.json` schema:
     /// `{"experiment": "throughput", "host_parallelism": N, "rows":
-    /// [{scenario, engine, threads, epoch_mode, decode_cache, host_ms,
+    /// [{scenario, engine, threads, decode_cache, host_ms,
     /// sim_cycles_per_sec, mips}, ...]}`. `host_parallelism` is the
     /// producing host's `std::thread::available_parallelism` — without it
     /// a flat thread-scaling curve is indistinguishable from a scaling
@@ -120,12 +94,11 @@ impl Throughput {
             let sep = if i + 1 < self.rows.len() { "," } else { "" };
             out.push_str(&format!(
                 "    {{\"scenario\": \"{}\", \"engine\": \"{}\", \"threads\": {}, \
-                 \"epoch_mode\": \"{}\", \"decode_cache\": {}, \"host_ms\": {:.6}, \
+                 \"decode_cache\": {}, \"host_ms\": {:.6}, \
                  \"sim_cycles_per_sec\": {:.3}, \"mips\": {:.6}}}{sep}\n",
                 r.scenario,
-                r.engine_name(),
-                r.threads(),
-                r.epoch_mode,
+                r.engine.name(),
+                r.engine.threads(),
                 r.decode_cache,
                 r.host_ms,
                 r.sim_cycles_per_sec,
@@ -155,17 +128,16 @@ impl fmt::Display for Throughput {
         )?;
         writeln!(
             f,
-            "  {:<16} {:<12} {:>8} {:>11} {:>6} {:>10} {:>16} {:>10}",
-            "scenario", "engine", "threads", "sync", "cache", "host ms", "sim cycles/s", "sim MIPS"
+            "  {:<16} {:<12} {:>8} {:>6} {:>10} {:>16} {:>10}",
+            "scenario", "engine", "threads", "cache", "host ms", "sim cycles/s", "sim MIPS"
         )?;
         for r in &self.rows {
             writeln!(
                 f,
-                "  {:<16} {:<12} {:>8} {:>11} {:>6} {:>10.2} {:>16.3e} {:>10.1}",
+                "  {:<16} {:<12} {:>8} {:>6} {:>10.2} {:>16.3e} {:>10.1}",
                 r.scenario,
-                r.engine_name(),
-                r.threads(),
-                r.epoch_mode,
+                r.engine.name(),
+                r.engine.threads(),
                 if r.decode_cache { "on" } else { "off" },
                 r.host_ms,
                 r.sim_cycles_per_sec,
@@ -174,13 +146,16 @@ impl fmt::Display for Throughput {
         }
         for scenario in ["busy-slice", "idle-480", "active10-480"] {
             if let Some(s) = self.speedup(scenario) {
-                writeln!(f, "  fast-forward speedup, {scenario}: {s:.1}x")?;
+                writeln!(
+                    f,
+                    "  windowed(1) speedup over lock-step, {scenario}: {s:.1}x"
+                )?;
             }
-            for threads in DEFAULT_THREAD_COUNTS {
+            for threads in DEFAULT_THREAD_COUNTS.into_iter().filter(|&t| t > 1) {
                 if let Some(s) = self.parallel_speedup(scenario, threads) {
                     writeln!(
                         f,
-                        "  parallel({threads}) vs fast-forward, {scenario}: {s:.1}x"
+                        "  windowed({threads}) vs windowed(1), {scenario}: {s:.1}x"
                     )?;
                 }
             }
@@ -203,13 +178,12 @@ fn build(
     slices: (u16, u16),
     stride: usize,
     decode_cache: bool,
-) -> swallow::SwallowSystem {
+) -> Result<swallow::SwallowSystem, BuildError> {
     let mut system = SystemBuilder::new()
         .slices(slices.0, slices.1)
         .engine(engine)
         .decode_cache(decode_cache)
-        .build()
-        .expect("builds");
+        .build()?;
     if stride > 0 {
         let program = heavy_mix_program(4);
         let nodes: Vec<NodeId> = system.nodes().step_by(stride).collect();
@@ -217,26 +191,34 @@ fn build(
             system.load_program(node, &program).expect("fits");
         }
     }
-    system
+    Ok(system)
 }
 
 /// Runs one scenario under one engine for `span` of simulated time,
 /// with the predecoded cache at the process-wide default
 /// (`SWALLOW_DECODE_CACHE` — the CI smoke leg compares on vs off
 /// through this knob).
+///
+/// # Errors
+///
+/// The [`BuildError`] of a machine the builder rejects (an empty grid).
 pub fn measure(
     scenario: &'static str,
     engine: EngineMode,
     slices: (u16, u16),
     stride: usize,
     span: TimeDelta,
-) -> ThroughputRow {
+) -> Result<ThroughputRow, BuildError> {
     let cache = swallow::xcore::decode_cache_default();
     measure_with_cache(scenario, engine, slices, stride, span, cache)
 }
 
 /// [`measure`] with an explicit predecoded-cache setting (the cache-off
 /// rows quantify what decode-once buys).
+///
+/// # Errors
+///
+/// The [`BuildError`] of a machine the builder rejects (an empty grid).
 pub fn measure_with_cache(
     scenario: &'static str,
     engine: EngineMode,
@@ -244,33 +226,26 @@ pub fn measure_with_cache(
     stride: usize,
     span: TimeDelta,
     decode_cache: bool,
-) -> ThroughputRow {
-    let mut system = build(engine, slices, stride, decode_cache);
+) -> Result<ThroughputRow, BuildError> {
+    let mut system = build(engine, slices, stride, decode_cache)?;
     let t0 = Instant::now();
     system.run_for(span);
     let host = t0.elapsed().as_secs_f64().max(1e-9);
     let machine = system.machine();
     let cycles: u64 = machine.nodes().map(|n| machine.core(n).cycles()).sum();
-    let epoch_mode = match engine {
-        EngineMode::Parallel { .. } => match machine.epoch_mode() {
-            swallow::EpochMode::Negotiated => "negotiated",
-            swallow::EpochMode::Global => "global",
-        },
-        _ => "-",
-    };
-    ThroughputRow {
+    Ok(ThroughputRow {
         scenario,
         engine,
-        epoch_mode,
         decode_cache,
         host_ms: host * 1e3,
         sim_cycles_per_sec: cycles as f64 / host,
         mips: machine.total_instret() as f64 / host / 1e6,
-    }
+    })
 }
 
-/// Runs all three scenarios under every engine, sweeping the parallel
-/// engine over `thread_counts`.
+/// Runs all three scenarios under lock-step and under the windowed engine
+/// at each of `thread_counts`. Every grid here is non-empty, so the
+/// builds cannot fail.
 ///
 /// `span` is the simulated time per busy run; the idle 480-core scenario
 /// runs the same span (its lock-step cost dominates the experiment).
@@ -281,27 +256,20 @@ pub fn run_with(span: TimeDelta, thread_counts: &[usize]) -> Throughput {
         ("idle-480", (6, 5), 0),
         ("active10-480", (6, 5), 10),
     ] {
-        for engine in [EngineMode::LockStep, EngineMode::FastForward] {
-            rows.push(measure(scenario, engine, slices, stride, span));
-        }
-        for &threads in thread_counts {
-            let engine = EngineMode::Parallel { threads };
-            rows.push(measure(scenario, engine, slices, stride, span));
+        let windowed = thread_counts
+            .iter()
+            .map(|&threads| EngineMode::Windowed { threads });
+        for engine in std::iter::once(EngineMode::LockStep).chain(windowed) {
+            rows.push(measure(scenario, engine, slices, stride, span).expect("builds"));
         }
     }
     // Cache-off reference rows on the decode-bound scenario: the
     // busy-slice delta quantifies what the predecoded-instruction cache
     // buys (results are bit-identical either way; see the differential
     // suites).
-    for engine in [EngineMode::LockStep, EngineMode::FastForward] {
-        rows.push(measure_with_cache(
-            "busy-slice-nocache",
-            engine,
-            (1, 1),
-            1,
-            span,
-            false,
-        ));
+    for engine in [EngineMode::LockStep, EngineMode::Windowed { threads: 1 }] {
+        let row = measure_with_cache("busy-slice-nocache", engine, (1, 1), 1, span, false);
+        rows.push(row.expect("builds"));
     }
     Throughput { rows }
 }
@@ -317,7 +285,7 @@ mod tests {
 
     #[test]
     fn rows_and_speedups_are_well_formed() {
-        let t = run_with(TimeDelta::from_us(2), &[2]);
+        let t = run_with(TimeDelta::from_us(2), &[1, 2]);
         assert_eq!(t.rows.len(), 11);
         for r in &t.rows {
             assert!(r.host_ms > 0.0);
@@ -332,32 +300,36 @@ mod tests {
         let rendered = t.to_string();
         assert!(rendered.contains("busy-slice"));
         assert!(rendered.contains("speedup"));
-        assert!(rendered.contains("parallel(2)"));
+        assert!(rendered.contains("windowed(2)"));
     }
 
-    /// Guards the busy-slice inversion fixed in this PR: fast-forward
-    /// must not regress materially below lock-step on a machine where
-    /// every tick has activity (the dense-mode hint makes its advance
-    /// identical to a lock-step edge). Min-of-3 on both sides and a
+    /// The default engine must keep up with the reference on a machine
+    /// where every tick has activity: one-thread windows (and the
+    /// dense-mode hint of their fast-forward fallback) must not be
+    /// slower than lock-step. Min-of-3 host time on both sides and a
     /// lenient 1.3x bound keep this stable on noisy CI hosts.
     #[test]
-    fn fastforward_keeps_up_with_lockstep_when_busy() {
+    fn windowed_one_thread_keeps_up_with_lockstep_when_busy() {
         let span = TimeDelta::from_us(4);
         let best = |engine: EngineMode| {
             (0..3)
-                .map(|_| measure("busy-slice", engine, (1, 1), 1, span).host_ms)
+                .map(|_| {
+                    measure("busy-slice", engine, (1, 1), 1, span)
+                        .expect("builds")
+                        .host_ms
+                })
                 .fold(f64::INFINITY, f64::min)
         };
         let ls = best(EngineMode::LockStep);
-        let ff = best(EngineMode::FastForward);
+        let one = best(EngineMode::Windowed { threads: 1 });
         assert!(
-            ff <= ls * 1.3,
-            "fast-forward ({ff:.2} ms) regressed past lock-step ({ls:.2} ms) on a busy machine"
+            one <= ls * 1.3,
+            "windowed(1) ({one:.2} ms) regressed past lock-step ({ls:.2} ms) on a busy machine"
         );
     }
 
-    /// Guards the tentpole of the negotiated-window PR: on a busy slice
-    /// the parallel engine at 4 threads must not be slower than at 1
+    /// Guards the negotiated windows' thread scaling: on a busy slice
+    /// the windowed engine at 4 threads must not be slower than at 1
     /// (monotone thread scaling — the minimum the lock-free negotiation
     /// guarantees). Min-of-3 MIPS on both sides absorbs host noise; a
     /// host without 4 CPUs cannot exercise real parallelism, so the test
@@ -377,11 +349,12 @@ mod tests {
                 .map(|_| {
                     measure(
                         "busy-slice",
-                        EngineMode::Parallel { threads },
+                        EngineMode::Windowed { threads },
                         (1, 1),
                         1,
                         span,
                     )
+                    .expect("builds")
                     .mips
                 })
                 .fold(0.0f64, f64::max)
@@ -390,7 +363,7 @@ mod tests {
         let four = best(4);
         assert!(
             four >= one,
-            "parallel/4 ({four:.1} MIPS) regressed below parallel/1 ({one:.1} MIPS) on a busy slice"
+            "windowed(4) ({four:.1} MIPS) regressed below windowed(1) ({one:.1} MIPS) on a busy slice"
         );
     }
 
@@ -399,21 +372,13 @@ mod tests {
         let t = run_with(TimeDelta::from_us(1), &[2]);
         let json = t.to_json();
         assert_eq!(json.matches("\"scenario\"").count(), t.rows.len());
-        // Parallel rows carry the process-default sync strategy (the CI
-        // global-mode leg flips it via SWALLOW_EPOCH_MODE).
-        let par_mode = match swallow::board::epoch_mode_default() {
-            swallow::EpochMode::Negotiated => "\"epoch_mode\": \"negotiated\"",
-            swallow::EpochMode::Global => "\"epoch_mode\": \"global\"",
-        };
         for field in [
             "\"experiment\": \"throughput\"",
             "\"host_parallelism\":",
             "\"engine\": \"lockstep\"",
-            "\"engine\": \"fastforward\"",
-            "\"engine\": \"parallel\"",
+            "\"engine\": \"windowed\"",
+            "\"threads\": 0",
             "\"threads\": 2",
-            par_mode,
-            "\"epoch_mode\": \"-\"",
             "\"host_ms\":",
             "\"sim_cycles_per_sec\":",
             "\"mips\":",

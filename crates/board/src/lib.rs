@@ -10,10 +10,10 @@
 //! * [`ethernet`] — the 80 Mbit/s Ethernet bridge node (§V.E),
 //! * [`power`] — the five-SMPS power tree with shunt measurement points,
 //!   ADC daughter-boards and the probe feedback loop (§II),
-//! * [`machine`] — [`Machine`]: everything assembled and clocked in
-//!   lock-step,
+//! * [`machine`] — [`Machine`]: everything assembled and clocked, under
+//!   the lock-step reference engine or the windowed engine,
 //! * [`shard`] — the chip-granular shard plan and host thread pool
-//!   behind the parallel conservative-epoch engine,
+//!   behind the windowed engine,
 //! * [`metrics`] — [`MetricsHub`]: per-supply energy time series sampled
 //!   on the power-monitor cadence (the observability layer's numbers),
 //! * `resilience` — the scheduled-fault cursor and recovery bookkeeping
@@ -39,7 +39,7 @@ mod snapshot;
 pub mod topology;
 
 pub use ethernet::{BridgeFrame, BridgeStats, EthernetBridge};
-pub use machine::{epoch_mode_default, EngineMode, EpochMode, Machine, MachineConfig, RouterKind};
+pub use machine::{EngineMode, Machine, MachineConfig, RouterKind};
 pub use metrics::{MetricsHub, SupplyRow};
 pub use power::PowerMonitor;
 pub use shard::{EpochPool, NegotiationOutcome, NegotiationParams, ShardPlan};

@@ -5,27 +5,27 @@
 //! rules. It is the engine under the public `swallow` crate's
 //! `SwallowSystem` facade.
 //!
-//! Three engines advance the machine (see [`EngineMode`]):
+//! Two engines advance the machine (see [`EngineMode`]):
 //!
 //! * **Lock-step**: one base clock period per [`Machine::step`], every
-//!   subsystem visited every step — the reference semantics.
-//! * **Fast-forward** (default): between steps the machine computes the
-//!   next instant anything can happen — a runnable core's clock edge, a
-//!   timer/divider/event wake, a token arrival on a wire, pending core or
-//!   bridge output, the power monitor's cadence — and jumps `now`
-//!   straight there, charging the skipped idle energy analytically. All
-//!   processing still occurs on the base-clock grid, so results are
-//!   identical to lock-step (energy within f64 rounding); only instants
-//!   where provably nothing happens are elided.
-//! * **Parallel**: conservative-epoch execution. Cores are sharded
+//!   subsystem visited every step — the reference semantics and the
+//!   single oracle every other configuration is tested against.
+//! * **Windowed** (default, one thread): cores are sharded
 //!   (chip-granular, see [`crate::shard`]) across a fixed pool of host
-//!   threads; each epoch every shard advances independently up to a
-//!   horizon no token emitted inside the epoch could beat (the fabric's
-//!   minimum cross-shard token latency, §V.C). A core that *emits*
-//!   stops at that instant and a deterministic serial reconciliation
-//!   replays the affected grid instants exactly as lock-step would, so
-//!   results are bit-identical run to run and equal to lock-step within
-//!   f64 association error. See DESIGN.md §3.8.
+//!   threads, and each shard advances independently through a window
+//!   that ends at the next instant the machine must process serially
+//!   (power monitor, deadline, scheduled fault). Shards negotiate their
+//!   horizons pairwise from the routed shard-to-shard token latency
+//!   (DESIGN.md §3.12), so no core runs past an instant a token could
+//!   have reached it. A core that *emits* stops the window and a serial
+//!   reconciliation replays the affected grid instants exactly as
+//!   lock-step would. When a window cannot open — tokens in flight,
+//!   pending output, bridge backlog, fewer than two runnable cores — the
+//!   engine takes one serial fast-forward step instead: it jumps `now`
+//!   to the next instant anything can happen and charges the skipped
+//!   idle energy analytically. All processing stays on the base-clock
+//!   grid, so results are bit-identical run to run and equal to
+//!   lock-step within f64 association error. See DESIGN.md §3.7, §3.8.
 
 use crate::ethernet::EthernetBridge;
 use crate::metrics::MetricsHub;
@@ -58,48 +58,47 @@ pub enum RouterKind {
 }
 
 /// Simulation engine selection.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineMode {
-    /// Event-driven fast-forward: skip over spans where provably nothing
-    /// happens. Cycle-exact with respect to lock-step.
-    #[default]
-    FastForward,
     /// Advance one base clock period at a time, visiting every subsystem
     /// every step. The reference engine, kept for differential testing.
     LockStep,
-    /// Conservative-epoch parallel execution: shard the cores
-    /// chip-granularly across `threads` host threads and advance each
-    /// shard independently in epochs bounded by the fabric's minimum
-    /// cross-shard token latency. `threads == 0` means one thread per
-    /// available host CPU. Deterministic and cycle-exact with respect to
-    /// lock-step (energy within f64 association error).
-    Parallel {
+    /// Negotiated-window execution: shard the cores chip-granularly
+    /// across `threads` host threads and advance each shard through
+    /// windows bounded by the routed shard-to-shard token latency,
+    /// falling back to serial fast-forward steps whenever a window cannot
+    /// open. `threads == 0` means one thread per available host CPU; one
+    /// thread runs entirely on the calling thread. Deterministic and
+    /// cycle-exact with respect to lock-step (energy within f64
+    /// association error).
+    Windowed {
         /// Host worker threads (0 = available parallelism).
         threads: usize,
     },
 }
 
-/// Epoch-synchronisation strategy of the parallel engine.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EpochMode {
-    /// Pairwise watermark negotiation with per-shard-pair lookahead
-    /// derived from routed distances (DESIGN.md §3.12): shards advance
-    /// through a whole serial window in lock-free rounds and the pool
-    /// barrier is paid once per window instead of once per 32 ns epoch.
-    #[default]
-    Negotiated,
-    /// One global conservative epoch per pool dispatch (the PR 2
-    /// behaviour) — the bisection escape hatch, also selected by
-    /// `SWALLOW_EPOCH_MODE=global`.
-    Global,
+impl Default for EngineMode {
+    /// One-thread windows: the fastest serial configuration.
+    fn default() -> Self {
+        EngineMode::Windowed { threads: 1 }
+    }
 }
 
-/// The build-time default epoch mode: [`EpochMode::Negotiated`] unless
-/// the `SWALLOW_EPOCH_MODE=global` escape hatch is set.
-pub fn epoch_mode_default() -> EpochMode {
-    match std::env::var("SWALLOW_EPOCH_MODE") {
-        Ok(v) if v.eq_ignore_ascii_case("global") => EpochMode::Global,
-        _ => EpochMode::Negotiated,
+impl EngineMode {
+    /// Stable lower-case name for tables, JSON and the command line.
+    pub fn name(self) -> &'static str {
+        match self {
+            EngineMode::LockStep => "lockstep",
+            EngineMode::Windowed { .. } => "windowed",
+        }
+    }
+
+    /// Host worker threads of the windowed engine (0 under lock-step).
+    pub fn threads(self) -> usize {
+        match self {
+            EngineMode::LockStep => 0,
+            EngineMode::Windowed { threads } => threads,
+        }
     }
 }
 
@@ -135,9 +134,6 @@ pub struct MachineConfig {
     /// Per-core predecoded-instruction cache (architecturally invisible;
     /// defaults to on unless `SWALLOW_DECODE_CACHE=off`).
     pub decode_cache: bool,
-    /// Parallel-engine epoch synchronisation (architecturally invisible;
-    /// defaults to negotiated unless `SWALLOW_EPOCH_MODE=global`).
-    pub epoch_mode: EpochMode,
 }
 
 impl MachineConfig {
@@ -157,7 +153,6 @@ impl MachineConfig {
             metrics: false,
             faults: FaultPlan::new(),
             decode_cache: swallow_xcore::decode_cache_default(),
-            epoch_mode: epoch_mode_default(),
         }
     }
 
@@ -181,11 +176,11 @@ struct Endpoints {
     /// Injection gate: a core whose local clock is *past* this instant
     /// keeps its pending output invisible to the fabric. The machine sets
     /// the gate to the step instant before every `Fabric::step`, so a
-    /// core that ran ahead under the parallel engine and emitted at a
+    /// core that ran ahead under the windowed engine and emitted at a
     /// *later* instant cannot have that token injected early — the
     /// replay visits its emission instant separately, exactly as
-    /// lock-step would. Serial engines keep every core at `now`, so the
-    /// gate never hides anything there.
+    /// lock-step would. Lock-step and fast-forward steps keep every core
+    /// at `now`, so the gate never hides anything there.
     tx_gate_ps: u64,
 }
 
@@ -276,18 +271,13 @@ impl CoreEndpoints for Endpoints {
     }
 }
 
-/// Lazily built state of the parallel engine: the shard plan, the worker
-/// pool and the per-shard energy bookkeeping.
+/// Lazily built state of the windowed engine: the shard plan, the worker
+/// pool and the negotiation's lookahead matrix.
 struct ParState {
     /// The thread count the plan was built for (to detect engine swaps).
     threads: usize,
     plan: ShardPlan,
     pool: EpochPool,
-    /// Energy accrued by each shard's cores, merged in shard order.
-    shard_energy: Vec<EnergyLedger>,
-    /// Per-core ledger snapshot at the last settlement, used to compute
-    /// epoch deltas without touching the cores' own accounting.
-    last_core_ledger: Vec<EnergyLedger>,
     /// `shards × shards` minimum routed pair latency in ps (row-major by
     /// source shard): the negotiation's lookahead matrix. Rebuilt lazily
     /// whenever routes change (see `Machine::refresh_pair_latency`).
@@ -326,11 +316,6 @@ pub struct Machine {
     /// necessarily answer `immediate` and fast-forward degenerates to
     /// lock-step (see `ff_advance`).
     dense: bool,
-    /// Conservative lookahead: the fabric's minimum cross-shard token
-    /// latency (None on a fabric with no links).
-    lookahead: Option<TimeDelta>,
-    /// Parallel-engine epoch synchronisation strategy.
-    epoch_mode: EpochMode,
     par: Option<ParState>,
     metrics: MetricsHub,
     /// Link descriptions as built — the basis for recomputing routes
@@ -400,7 +385,6 @@ impl Machine {
             })
             .collect();
         let base_period = config.frequency.period();
-        let lookahead = fabric.min_cross_shard_latency();
         let mut machine = Machine {
             config: saved_config,
             spec: config.grid,
@@ -417,8 +401,6 @@ impl Machine {
             faulted_cables: topo.faulted_cables,
             engine: config.engine,
             dense: false,
-            lookahead,
-            epoch_mode: config.epoch_mode,
             par: None,
             metrics: MetricsHub::new(config.grid, config.metrics),
             descs,
@@ -550,9 +532,9 @@ impl Machine {
         self.engine
     }
 
-    /// Switches the simulation engine. Safe at any instant: every engine
-    /// processes the same grid instants; fast-forward merely skips the
-    /// empty ones and the parallel engine batches them into epochs.
+    /// Switches the simulation engine. Safe at any instant: both engines
+    /// process the same grid instants; the windowed engine merely skips
+    /// the empty ones and batches independent spans into windows.
     pub fn set_engine(&mut self, engine: EngineMode) {
         self.engine = engine;
     }
@@ -598,7 +580,7 @@ impl Machine {
             || self.eps.cores.iter().any(|c| c.has_tx_pending())
         {
             // Gate injections at the edge instant: a core that ran ahead
-            // under the parallel engine and emitted later must not have
+            // under the windowed engine and emitted later must not have
             // its token picked up now (see `Endpoints::tx_gate_ps`).
             self.eps.tx_gate_ps = self.now.as_ps();
             self.fabric.step(self.now, &mut self.eps);
@@ -687,7 +669,8 @@ impl Machine {
 
     /// Fast-forward by one event: jump to the next grid instant where
     /// anything can happen (capped at `deadline`), analytically skipping
-    /// the idle span for every core, then process that edge.
+    /// the idle span for every core, then process that edge. This is the
+    /// serial step the windowed engine takes when a window cannot open.
     fn ff_advance(&mut self, deadline: Time) {
         // Busy machines tick on every edge: when the dense hint is set,
         // the scan below would answer `immediate`, so this advance is
@@ -709,10 +692,10 @@ impl Machine {
         self.process_edge();
     }
 
-    // --- parallel engine -----------------------------------------------------
+    // --- windowed engine -----------------------------------------------------
 
-    /// Builds (or rebuilds, after a thread-count change) the shard plan,
-    /// worker pool and per-shard energy bookkeeping.
+    /// Builds (or rebuilds, after a thread-count change) the shard plan
+    /// and worker pool.
     fn ensure_par(&mut self, threads: usize) {
         let rebuild = match &self.par {
             Some(st) => st.threads != threads,
@@ -726,16 +709,10 @@ impl Machine {
         // pair-latency matrix sparse (long horizons between shards).
         let plan = ShardPlan::affinity(self.spec, threads);
         let pool = EpochPool::new(&plan);
-        let shard_energy = vec![EnergyLedger::new(); plan.shard_count()];
-        // Seed the snapshots from the cores' current ledgers so shard
-        // deltas start at zero even when the engine is enabled mid-run.
-        let last_core_ledger = self.eps.cores.iter().map(|c| *c.ledger()).collect();
         self.par = Some(ParState {
             threads,
             plan,
             pool,
-            shard_energy,
-            last_core_ledger,
             pair_latency_ps: Vec::new(),
             pair_latency_dirty: true,
             windows: 0,
@@ -782,20 +759,8 @@ impl Machine {
         st.pair_latency_dirty = false;
     }
 
-    /// The parallel engine's epoch-synchronisation strategy.
-    pub fn epoch_mode(&self) -> EpochMode {
-        self.epoch_mode
-    }
-
-    /// Switches the epoch-synchronisation strategy (safe at any instant:
-    /// both modes commit only instants every engine processes).
-    pub fn set_epoch_mode(&mut self, mode: EpochMode) {
-        self.epoch_mode = mode;
-    }
-
     /// Negotiation observability: `(windows, rounds)` — pairwise windows
-    /// run and watermark rounds summed over shards. Zero under
-    /// [`EpochMode::Global`] or the serial engines.
+    /// run and watermark rounds summed over shards. Zero under lock-step.
     pub fn negotiation_stats(&self) -> (u64, u64) {
         self.par
             .as_ref()
@@ -803,49 +768,13 @@ impl Machine {
             .unwrap_or((0, 0))
     }
 
-    /// Energy accrued by each shard's cores since the parallel engine was
-    /// enabled, in shard order. Empty before the first parallel advance.
-    pub fn shard_ledgers(&self) -> Vec<EnergyLedger> {
-        self.par
-            .as_ref()
-            .map(|st| st.shard_energy.clone())
-            .unwrap_or_default()
-    }
-
-    /// Folds each core's ledger growth since the last settlement into its
-    /// shard's ledger. Shards are visited in shard order and cores in node
-    /// order, so the f64 association is fixed and the merged totals are
-    /// bit-identical run to run. Allocation-free: ledgers are fixed-size
-    /// arrays and the snapshot vector is reused in place.
-    fn settle_shard_energy(&mut self) {
-        let (par, eps) = (&mut self.par, &self.eps);
-        let st = par.as_mut().expect("parallel state initialised");
-        for (shard, acc) in st.shard_energy.iter_mut().enumerate() {
-            for &(lo, hi) in st.plan.runs(shard) {
-                for i in lo..hi {
-                    let cur = *eps.cores[i].ledger();
-                    acc.merge(&cur.delta_since(&st.last_core_ledger[i]));
-                    st.last_core_ledger[i] = cur;
-                }
-            }
-        }
-    }
-
-    /// One parallel advance, dispatched by [`EpochMode`].
-    fn par_advance(&mut self, deadline: Time) {
-        match self.epoch_mode {
-            EpochMode::Negotiated => self.negotiated_advance(deadline),
-            EpochMode::Global => self.global_epoch_advance(deadline),
-        }
-    }
-
-    /// One pairwise-negotiated advance (DESIGN.md §3.12): pick the next
-    /// instant that *must* be processed serially — the power monitor's
-    /// cadence, the run deadline, or the edge before a scheduled fault —
-    /// and let the shards negotiate their way to it in lock-free
-    /// watermark rounds ([`EpochPool::run_negotiated`]). The pool
-    /// condvar is paid once per window instead of once per 32 ns epoch,
-    /// which is what makes busy-machine scaling monotone in threads.
+    /// One windowed advance (DESIGN.md §3.12): pick the next instant that
+    /// *must* be processed serially — the power monitor's cadence, the
+    /// run deadline, or the edge before a scheduled fault — and let the
+    /// shards negotiate their way to it in lock-free watermark rounds
+    /// ([`EpochPool::run_negotiated`]). The pool condvar is paid once per
+    /// window, which is what makes busy-machine scaling monotone in
+    /// threads.
     ///
     /// Falls back to [`Self::ff_advance`] whenever the window could not
     /// pay for a dispatch or the quiet-machine preconditions fail:
@@ -859,8 +788,21 @@ impl Machine {
     /// an emission stops the window for everyone within one round), so
     /// each shard's cores run with lock-step-identical results up to the
     /// committed target; an emission is then replayed serially by
-    /// [`Self::reconcile`] exactly as the global-epoch engine does.
-    fn negotiated_advance(&mut self, deadline: Time) {
+    /// [`Self::reconcile`].
+    fn windowed_advance(&mut self, deadline: Time) {
+        // The O(1) preconditions first: communicating machines have
+        // tokens in flight most of the time, and then the core scan below
+        // would be wasted work on every fast-forward step.
+        let bridge_pending = self
+            .eps
+            .bridge
+            .as_ref()
+            .map(|b| b.tx_backlog() > 0)
+            .unwrap_or(false);
+        if bridge_pending || !self.fabric.is_idle() {
+            self.ff_advance(deadline);
+            return;
+        }
         let immediate = self.now + self.base_period;
         let mut runnable = 0usize;
         let mut any_tx = false;
@@ -873,15 +815,8 @@ impl Machine {
                 runnable += 1;
             }
         }
-        let bridge_pending = self
-            .eps
-            .bridge
-            .as_ref()
-            .map(|b| b.tx_backlog() > 0)
-            .unwrap_or(false);
-        if any_tx || runnable < 2 || bridge_pending || !self.fabric.is_idle() {
+        if any_tx || runnable < 2 {
             self.ff_advance(deadline);
-            self.settle_shard_energy();
             return;
         }
         let mut serial_bound = self.grid_align(self.monitor.next_update().min(deadline));
@@ -895,7 +830,6 @@ impl Machine {
         }
         if serial_bound <= immediate {
             self.ff_advance(deadline);
-            self.settle_shard_energy();
             return;
         }
         self.refresh_pair_latency();
@@ -948,127 +882,11 @@ impl Machine {
             }
         }
         self.process_edge();
-        self.settle_shard_energy();
     }
 
-    /// One global-epoch parallel advance ([`EpochMode::Global`]): pick a
-    /// conservative epoch horizon, run every shard up to it concurrently,
-    /// reconcile any core that emitted, then process the horizon edge
-    /// serially. Falls back to [`Self::ff_advance`] whenever an epoch
-    /// cannot pay for its dispatch (pending output, immediate events, or
-    /// fewer than two runnable cores).
-    ///
-    /// Correctness: the horizon `target` is chosen so that no token can be
-    /// *delivered* anywhere strictly before it —
-    ///
-    /// * tokens already in the network bound it via the fabric's next
-    ///   event (aligned up to the grid like every processed instant);
-    /// * a token *emitted* during the epoch is sent no earlier than the
-    ///   earliest core wake `wake_min`, and needs at least the fabric's
-    ///   minimum cross-shard latency `L` (§V.C: 3·Ts + Tt per hop) to
-    ///   reach any other core, so `wake_min + L` — aligned *down*, so the
-    ///   cap itself cannot admit an in-epoch arrival — also bounds it;
-    /// * loopback (below `L`) only returns to the *sending* core, which
-    ///   stopped at its emission instant and is replayed by reconcile.
-    ///
-    /// Within the epoch cores interact with nothing, so each one can run
-    /// on its shard thread with lock-step-identical results.
-    fn global_epoch_advance(&mut self, deadline: Time) {
-        let immediate = self.now + self.base_period;
-        let mut runnable = 0usize;
-        let mut any_tx = false;
-        let mut wake_min: Option<Time> = None;
-        for core in &self.eps.cores {
-            if core.has_tx_pending() {
-                any_tx = true;
-                break;
-            }
-            if core.ready_threads() > 0 {
-                runnable += 1;
-            }
-            if let Some(at) = core.next_interesting_at() {
-                wake_min = Some(wake_min.map_or(at, |w| w.min(at)));
-            }
-        }
-        let Some(lookahead) = self.lookahead else {
-            self.ff_advance(deadline);
-            self.settle_shard_energy();
-            return;
-        };
-        if any_tx || runnable < 2 {
-            // Undelivered output must be injected on the very next grid
-            // instant (as lock-step would), and a mostly-idle machine is
-            // faster on the serial fast-forward path than paying a pool
-            // dispatch per epoch.
-            self.ff_advance(deadline);
-            self.settle_shard_energy();
-            return;
-        }
-        let mut bound = self.monitor.next_update().min(deadline);
-        if let Some(at) = self.fabric.next_event_at(self.now) {
-            bound = bound.min(at);
-        }
-        if let Some(bridge) = self.eps.bridge.as_ref() {
-            if bridge.tx_backlog() > 0 {
-                bound = bound.min(bridge.next_tx_at());
-            }
-        }
-        let mut target = self.grid_align(bound);
-        if let Some(w) = wake_min {
-            target = target.min((w + lookahead).align_down_to(self.now, self.base_period));
-        }
-        if let Some(at) = self.faults.next_at() {
-            // A fault due at or before the horizon must be applied
-            // serially before any core crosses its instant; the
-            // fast-forward path lands exactly on the fault's grid edge.
-            if self.grid_align(at) <= target {
-                self.ff_advance(deadline);
-                self.settle_shard_energy();
-                return;
-            }
-        }
-        if target <= immediate {
-            self.ff_advance(deadline);
-            self.settle_shard_energy();
-            return;
-        }
-        {
-            let st = self.par.as_ref().expect("parallel state initialised");
-            st.pool.run_epoch(&mut self.eps.cores, target);
-        }
-        let emitted = self.eps.cores.iter().any(|c| c.has_tx_pending());
-        if emitted {
-            self.reconcile(target);
-        } else if self.eps.cores.iter().all(|c| c.watermark_ps() == u64::MAX) {
-            // The machine drained inside the epoch (every core halted or
-            // blocked on external input, nothing emitted, fabric idle on
-            // entry): commit the last transition edge — where lock-step
-            // detects quiescence — rather than the epoch horizon.
-            let last = self
-                .eps
-                .cores
-                .iter()
-                .map(|c| c.local_now())
-                .max()
-                .unwrap_or(self.now);
-            target = self.grid_align(last).min(target);
-        }
-        self.now = target;
-        // Externally-blocked cores freeze inside `run_epoch` (so the
-        // quiescence instant stays observable); charge their idle span up
-        // to the horizon here, exactly where the epoch would have.
-        for core in &mut self.eps.cores {
-            if !core.has_tx_pending() {
-                core.skip_idle_until(self.now);
-            }
-        }
-        self.process_edge();
-        self.settle_shard_energy();
-    }
-
-    /// Serial replay of the grid instants inside an epoch where a core
+    /// Serial replay of the grid instants inside a window where a core
     /// emitted: injects and delivers exactly as lock-step would, on the
-    /// same instants, while cores that stayed silent keep their epoch
+    /// same instants, while cores that stayed silent keep their window
     /// results untouched. The cursor advances at least one base period per
     /// injection attempt, mirroring lock-step's per-instant retry of
     /// tokens the fabric reports busy.
@@ -1092,7 +910,7 @@ impl Machine {
             }
             let Some(at) = pending else {
                 // Nothing due below the horizon: cores interrupted by the
-                // replay resume their isolated epoch run (stopping again
+                // replay resume their isolated window run (stopping again
                 // on a fresh emission).
                 let mut stopped = false;
                 for core in &mut self.eps.cores {
@@ -1109,7 +927,7 @@ impl Machine {
             let t = self.grid_align(at).max(cursor + self.base_period);
             if t >= target {
                 // Remaining work lands on the horizon edge itself, which
-                // `par_advance` processes next.
+                // `windowed_advance` processes next.
                 return;
             }
             for core in &mut self.eps.cores {
@@ -1139,15 +957,10 @@ impl Machine {
                     self.step();
                 }
             }
-            EngineMode::FastForward => {
-                while self.now < deadline {
-                    self.ff_advance(deadline);
-                }
-            }
-            EngineMode::Parallel { threads } => {
+            EngineMode::Windowed { threads } => {
                 self.ensure_par(threads);
                 while self.now < deadline {
-                    self.par_advance(deadline);
+                    self.windowed_advance(deadline);
                 }
             }
         }
@@ -1156,12 +969,11 @@ impl Machine {
     /// Runs until every core is quiescent and the network has drained, or
     /// the budget expires. Returns true when quiescent.
     ///
-    /// With the fast-forward engine this performs no heap allocation per
-    /// step: quiescence is a scan of per-core counters, idle spans are
-    /// skipped analytically, and the fabric reuses its injection buffer.
+    /// Quiescence is a scan of per-core counters, idle spans are skipped
+    /// analytically, and the fabric reuses its injection buffer.
     pub fn run_until_quiescent(&mut self, budget: TimeDelta) -> bool {
         let deadline = self.now + budget;
-        if let EngineMode::Parallel { threads } = self.engine {
+        if let EngineMode::Windowed { threads } = self.engine {
             self.ensure_par(threads);
         }
         while self.now < deadline {
@@ -1170,8 +982,7 @@ impl Machine {
             }
             match self.engine {
                 EngineMode::LockStep => self.step(),
-                EngineMode::FastForward => self.ff_advance(deadline),
-                EngineMode::Parallel { .. } => self.par_advance(deadline),
+                EngineMode::Windowed { .. } => self.windowed_advance(deadline),
             }
         }
         self.is_quiescent()
@@ -1452,11 +1263,10 @@ impl Machine {
 
     /// Attaches a trace ring of `capacity` records to every core, the
     /// fabric and the power monitor. Each component owns its sink, so
-    /// under the parallel engine a core's tracer travels with it onto its
+    /// under the windowed engine a core's tracer travels with it onto its
     /// shard thread and per-component record order stays deterministic —
     /// the rings are merged in fixed component order by
-    /// [`Machine::collect_trace`], mirroring how shard `EnergyLedger`
-    /// deltas are settled in fixed shard order.
+    /// [`Machine::collect_trace`].
     pub fn set_tracing(&mut self, capacity: usize) {
         for core in &mut self.eps.cores {
             core.set_tracer(Tracer::ring_with_capacity(capacity));
@@ -1573,24 +1383,7 @@ impl Machine {
         w.begin_section(*b"MACH");
         snapshot::write_time(&mut w, self.now);
         w.u64(self.faulted_cables as u64);
-        match self.engine {
-            EngineMode::FastForward => {
-                w.u8(0);
-                w.u64(0);
-            }
-            EngineMode::LockStep => {
-                w.u8(1);
-                w.u64(0);
-            }
-            EngineMode::Parallel { threads } => {
-                w.u8(2);
-                w.u64(threads as u64);
-            }
-        }
-        w.u8(match self.epoch_mode {
-            EpochMode::Negotiated => 0,
-            EpochMode::Global => 1,
-        });
+        write_engine(&mut w, self.engine);
         w.end_section();
         for core in &self.eps.cores {
             w.begin_section(*b"CORE");
@@ -1652,22 +1445,7 @@ impl Machine {
         if mach.u64()? != machine.faulted_cables as u64 {
             return Err(CodecError::Invalid("assembly-fault cable count mismatch"));
         }
-        let engine_tag = mach.u8()?;
-        let threads = mach.u64()?;
-        machine.engine = match engine_tag {
-            0 => EngineMode::FastForward,
-            1 => EngineMode::LockStep,
-            2 => EngineMode::Parallel {
-                threads: usize::try_from(threads)
-                    .map_err(|_| CodecError::Invalid("thread count out of range"))?,
-            },
-            _ => return Err(CodecError::Invalid("unknown engine tag")),
-        };
-        machine.epoch_mode = match mach.u8()? {
-            0 => EpochMode::Negotiated,
-            1 => EpochMode::Global,
-            _ => return Err(CodecError::Invalid("unknown epoch-mode tag")),
-        };
+        machine.engine = read_engine(&mut mach)?;
         mach.expect_end()?;
         for core in &mut machine.eps.cores {
             let mut sec = r.section(*b"CORE")?;
@@ -1731,7 +1509,29 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SWLWSNAP";
 /// Format version written (and the only one accepted) by this build.
 /// Version 2 extended the BRDG section with the bridge's machine tag,
 /// ingress capacity, traffic counters and reassembled frame queue.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// Version 3 dropped the epoch-mode byte from CONF and MACH and re-tagged
+/// the engine as 0 = lock-step, 1 = windowed.
+pub const SNAPSHOT_VERSION: u32 = 3;
+
+/// Engine tag plus the windowed engine's thread count (0 for lock-step).
+fn write_engine(w: &mut ByteWriter, engine: EngineMode) {
+    w.u8(match engine {
+        EngineMode::LockStep => 0,
+        EngineMode::Windowed { .. } => 1,
+    });
+    w.u64(engine.threads() as u64);
+}
+
+fn read_engine(r: &mut ByteReader<'_>) -> Result<EngineMode, CodecError> {
+    let tag = r.u8()?;
+    let threads =
+        usize::try_from(r.u64()?).map_err(|_| CodecError::Invalid("thread count out of range"))?;
+    match (tag, threads) {
+        (0, 0) => Ok(EngineMode::LockStep),
+        (1, threads) => Ok(EngineMode::Windowed { threads }),
+        _ => Err(CodecError::Invalid("unknown engine tag")),
+    }
+}
 
 fn write_fault_kind(w: &mut ByteWriter, kind: FaultKind) {
     match kind {
@@ -1814,20 +1614,7 @@ fn write_config(w: &mut ByteWriter, c: &MachineConfig) {
     w.f64_bits(c.ffc_fault_rate);
     w.u64(c.fault_seed);
     snapshot::write_delta(w, c.monitor_window);
-    match c.engine {
-        EngineMode::FastForward => {
-            w.u8(0);
-            w.u64(0);
-        }
-        EngineMode::LockStep => {
-            w.u8(1);
-            w.u64(0);
-        }
-        EngineMode::Parallel { threads } => {
-            w.u8(2);
-            w.u64(threads as u64);
-        }
-    }
+    write_engine(w, c.engine);
     match c.trace_capacity {
         None => w.u8(0),
         Some(n) => {
@@ -1837,10 +1624,6 @@ fn write_config(w: &mut ByteWriter, c: &MachineConfig) {
     }
     w.bool(c.metrics);
     w.bool(c.decode_cache);
-    w.u8(match c.epoch_mode {
-        EpochMode::Negotiated => 0,
-        EpochMode::Global => 1,
-    });
     w.u64(c.faults.len() as u64);
     for ev in c.faults.events() {
         snapshot::write_time(w, ev.at);
@@ -1878,17 +1661,7 @@ fn read_config(r: &mut ByteReader<'_>) -> Result<MachineConfig, CodecError> {
     if monitor_window.as_ps() == 0 {
         return Err(CodecError::Invalid("zero monitor window"));
     }
-    let engine_tag = r.u8()?;
-    let threads = r.u64()?;
-    let engine = match engine_tag {
-        0 => EngineMode::FastForward,
-        1 => EngineMode::LockStep,
-        2 => EngineMode::Parallel {
-            threads: usize::try_from(threads)
-                .map_err(|_| CodecError::Invalid("thread count out of range"))?,
-        },
-        _ => return Err(CodecError::Invalid("unknown engine tag")),
-    };
+    let engine = read_engine(r)?;
     let trace_capacity = match r.u8()? {
         0 => None,
         1 => {
@@ -1902,11 +1675,6 @@ fn read_config(r: &mut ByteReader<'_>) -> Result<MachineConfig, CodecError> {
     };
     let metrics = r.bool()?;
     let decode_cache = r.bool()?;
-    let epoch_mode = match r.u8()? {
-        0 => EpochMode::Negotiated,
-        1 => EpochMode::Global,
-        _ => return Err(CodecError::Invalid("unknown epoch-mode tag")),
-    };
     let mut faults = FaultPlan::new();
     for _ in 0..r.len_prefixed(13)? {
         let at = snapshot::read_time(r)?;
@@ -1927,7 +1695,6 @@ fn read_config(r: &mut ByteReader<'_>) -> Result<MachineConfig, CodecError> {
         metrics,
         faults,
         decode_cache,
-        epoch_mode,
     })
 }
 

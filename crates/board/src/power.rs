@@ -53,7 +53,7 @@ pub struct PowerMonitor {
     smps_io: Smps,
     /// Reusable window scratch: fresh on-chip link energy per source node.
     /// `update` is on every engine's hot path (it runs once per monitor
-    /// window, and the parallel engine bounds every epoch by it), so all
+    /// window, and the windowed engine bounds every window by it), so all
     /// three scratch buffers are sized once at construction and only ever
     /// `fill`ed — the update itself performs no heap allocation.
     scratch_internal_by_node: Vec<Energy>,

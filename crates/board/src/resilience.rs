@@ -12,8 +12,8 @@
 //! Determinism: faults are applied serially at the top of the machine's
 //! edge processing, at the first base-clock grid instant at or after
 //! their scheduled time. Every engine stops on those instants (the
-//! fault cursor feeds `next_activity_at`, and the parallel engine
-//! refuses to open an epoch across one), so the observable fault
+//! fault cursor feeds `next_activity_at`, and the windowed engine
+//! refuses to open a window across one), so the observable fault
 //! timeline is engine-invariant. See DESIGN.md §3.10.
 
 use crate::snapshot;
@@ -79,7 +79,7 @@ impl FaultEngine {
     /// The next instant the fault subsystem needs the machine to stop
     /// on: the next scheduled event or the end of an active brownout.
     /// Feeds `next_activity_at`, so fast-forward cannot jump a fault and
-    /// the parallel engine will not open an epoch across one.
+    /// the windowed engine will not open a window across one.
     pub(crate) fn next_at(&self) -> Option<Time> {
         let ev = self.plan.events().get(self.cursor).map(|e| e.at);
         let restore = if self.derated {

@@ -1,33 +1,32 @@
-//! Sharding and the host thread pool of the parallel engine.
+//! Sharding and the host thread pool of the windowed engine.
 //!
-//! The conservative-epoch engine (see `machine.rs` and DESIGN.md §3.8,
-//! §3.12) splits the machine's cores into *shards* and advances each
-//! shard on a host worker thread. Three pieces live here:
+//! The windowed engine (see `machine.rs` and DESIGN.md §3.8, §3.12)
+//! splits the machine's cores into *shards* and advances each shard on a
+//! host worker thread. Three pieces live here:
 //!
 //! * [`ShardPlan`] — the topology→shard mapping. Shards are always
 //!   **chip-granular**: the two cores of an XS1-L2A package (nodes `2p`
 //!   and `2p+1`) are never split across shards, so a package's internal
-//!   links join cores whose epochs are planned together. The
+//!   links join cores whose windows are planned together. The
 //!   [`ShardPlan::affinity`] constructor additionally deals packages in
 //!   *slice-major* order, so each shard's packages sit inside as few
 //!   slices as possible and shard boundaries land on the slow
 //!   inter-slice FFC cables — which is what makes the pairwise lookahead
 //!   matrix sparse and the negotiated horizons long.
 //! * [`EpochPool`] — a persistent pool of worker threads. Spawning
-//!   threads per epoch would cost more than a short epoch simulates, so
-//!   workers park on a condvar between jobs.
+//!   threads per window would cost more than a short window simulates,
+//!   so workers park on a condvar between jobs.
 //! * The **pairwise watermark negotiation** ([`EpochPool::run_negotiated`])
-//!   — the null-message-style protocol that replaced the barrier-per-epoch
-//!   global clock. Instead of waking the pool for every 32 ns epoch, the
-//!   control thread publishes *one* job covering a whole serial window
-//!   (typically the 1 µs power-monitor cadence), and the shards advance
-//!   through it in lock-free *rounds*: each round a shard reads the
-//!   watermarks its peers published for the previous round, computes its
-//!   private horizon `min over peers p of (W_p + L(p, s))` from the
-//!   routed pair-latency matrix `L`, runs its own cores one epoch to that
+//!   — a null-message-style protocol. Instead of a global barrier per
+//!   short epoch, the control thread publishes *one* job covering a whole
+//!   serial window (typically the 1 µs power-monitor cadence), and the
+//!   shards advance through it in lock-free *rounds*: each round a shard
+//!   reads the watermarks its peers published for the previous round,
+//!   computes its private horizon `min over peers p of (W_p + L(p, s))`
+//!   from the routed pair-latency matrix `L`, runs its own cores to that
 //!   horizon, and publishes its new watermark. Workers stay hot (spin,
 //!   then yield) and only park once per window; the condvar is paid once
-//!   per window instead of once per epoch.
+//!   per window instead of once per round.
 //!
 //! # Why the protocol is deterministic
 //!
@@ -58,9 +57,9 @@
 //!
 //! Each core owns its `Tracer` (see `swallow_sim::trace`), so a core's
 //! trace ring travels with the core onto whatever shard thread runs its
-//! epoch — no shared sink, no lock, no cross-thread ordering to get
+//! window — no shared sink, no lock, no cross-thread ordering to get
 //! wrong. Per-core insertion order is deterministic because each core's
-//! evolution inside an epoch is; `Machine::collect_trace` then merges
+//! evolution inside a window is; `Machine::collect_trace` then merges
 //! rings in fixed node order and stable-sorts by time, so the merged log
 //! is bit-identical run after run at every thread count (pinned by
 //! `tests/differential_trace.rs`).
@@ -235,22 +234,12 @@ impl NegJob {
     }
 }
 
-/// One job's work order.
-#[derive(Clone, Copy)]
-enum JobKind {
-    /// One global conservative epoch to a fixed target (the PR 2
-    /// barrier engine, kept as the `SWALLOW_EPOCH_MODE=global` escape
-    /// hatch and for differential bisection).
-    Epoch(Time),
-    /// One pairwise-negotiated window (see module docs).
-    Negotiate(NegJob),
-}
-
+/// One pairwise-negotiated window (see module docs) over the core array.
 #[derive(Clone, Copy)]
 struct Job {
     cores: CoresPtr,
     len: usize,
-    kind: JobKind,
+    neg: NegJob,
 }
 
 struct Ctrl {
@@ -404,7 +393,7 @@ pub struct NegotiationParams<'a> {
     pub pair_latency_ps: &'a [u64],
 }
 
-/// A persistent pool of epoch workers. Shard 0 always runs inline on the
+/// A persistent pool of window workers. Shard 0 always runs inline on the
 /// control thread — it is idle while the workers run anyway, and on a
 /// single shard this makes the engine entirely thread-free — so the pool
 /// spawns `shards - 1` workers for shards `1..shards`.
@@ -438,7 +427,7 @@ impl EpochPool {
                 std::thread::Builder::new()
                     .name(format!("swallow-shard-{s}"))
                     .spawn(move || worker(&shared, s, &runs))
-                    .expect("spawn epoch worker")
+                    .expect("spawn window worker")
             })
             .collect();
         EpochPool {
@@ -450,7 +439,7 @@ impl EpochPool {
     }
 
     /// Publishes a job and wakes the workers. No-op for a single shard.
-    fn dispatch(&self, cores: &mut [Core], kind: JobKind) {
+    fn dispatch(&self, cores: &mut [Core], neg: NegJob) {
         if self.shards == 1 {
             return;
         }
@@ -458,7 +447,7 @@ impl EpochPool {
         g.job = Some(Job {
             cores: CoresPtr(cores.as_mut_ptr()),
             len: cores.len(),
-            kind,
+            neg,
         });
         g.remaining = self.shards - 1;
         g.seq += 1;
@@ -490,26 +479,6 @@ impl EpochPool {
         }
     }
 
-    /// Advances every core one global epoch, sharded across the workers:
-    /// each core runs [`Core::run_epoch`]`(target)` on its shard's thread
-    /// (shard 0 on the calling thread). Blocks until all shards report
-    /// done. On return every core has either reached `target` or stopped
-    /// early with output pending (the caller reconciles those — see
-    /// `Machine`).
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a worker panic on the calling thread, naming the shard.
-    pub fn run_epoch(&self, cores: &mut [Core], target: Time) {
-        self.dispatch(cores, JobKind::Epoch(target));
-        for &(lo, hi) in &self.inline_runs {
-            for core in &mut cores[lo..hi] {
-                let _ = core.run_epoch(target);
-            }
-        }
-        self.join();
-    }
-
     /// Runs one pairwise-negotiated window over all shards (see module
     /// docs for the protocol) and reports how far it safely committed.
     /// On return every core has run to its shard's last horizon (all of
@@ -538,7 +507,7 @@ impl EpochPool {
             latency: LatencyPtr(params.pair_latency_ps.as_ptr()),
             shards: self.shards,
         };
-        self.dispatch(cores, JobKind::Negotiate(job));
+        self.dispatch(cores, job);
         // SAFETY: shard 0's runs are disjoint from every worker's.
         unsafe {
             negotiate_shard(
@@ -709,23 +678,8 @@ fn worker(shared: &Shared, shard: usize, runs: &[(usize, usize)]) {
         };
         // SAFETY: `runs` is this worker's disjoint node set; the control
         // thread is blocked until `remaining` hits zero.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match job.kind {
-            JobKind::Epoch(target) => {
-                for &(lo, hi) in runs {
-                    debug_assert!(hi <= job.len, "shard run outside the core array");
-                    for i in lo..hi.min(job.len) {
-                        let core = unsafe { &mut *job.cores.0.add(i) };
-                        // The return value is intentionally unused: the
-                        // control thread detects early-stopped cores by
-                        // their pending output, which avoids sharing a
-                        // result buffer.
-                        let _ = core.run_epoch(target);
-                    }
-                }
-            }
-            JobKind::Negotiate(neg) => unsafe {
-                negotiate_shard(&neg, job.cores, job.len, shard, runs, &shared.board);
-            },
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
+            negotiate_shard(&job.neg, job.cores, job.len, shard, runs, &shared.board);
         }));
         let mut g = shared.ctrl.lock().expect("pool lock");
         if let Err(payload) = outcome {
@@ -735,17 +689,15 @@ fn worker(shared: &Shared, shard: usize, runs: &[(usize, usize)]) {
             // A panicked negotiation may leave peers waiting on this
             // shard's next slot forever: publish stop flags so every
             // waiter unblocks before the control thread re-raises.
-            if let JobKind::Negotiate(_) = job.kind {
-                for round in 0..=MAX_ROUNDS {
-                    let slot = shared.board.slot(shard, round);
-                    if slot.load(Ordering::Relaxed) & SLOT_PUBLISHED == 0 {
-                        shared.board.publish(shard, round, 0, true);
-                    }
+            for round in 0..=MAX_ROUNDS {
+                let slot = shared.board.slot(shard, round);
+                if slot.load(Ordering::Relaxed) & SLOT_PUBLISHED == 0 {
+                    shared.board.publish(shard, round, 0, true);
                 }
-                shared
-                    .board
-                    .set_result(shard, u64::MAX, 0, false, MAX_ROUNDS);
             }
+            shared
+                .board
+                .set_result(shard, u64::MAX, 0, false, MAX_ROUNDS);
         }
         g.remaining -= 1;
         if g.remaining == 0 {
@@ -831,6 +783,26 @@ mod tests {
         }
     }
 
+    /// Runs one window from time zero to `bound` with every shard pair
+    /// (and every shard to itself) `latency` apart.
+    fn window(
+        pool: &EpochPool,
+        cores: &mut [Core],
+        bound: Time,
+        latency: TimeDelta,
+    ) -> NegotiationOutcome {
+        let matrix = vec![latency.as_ps(); pool.shards * pool.shards];
+        pool.run_negotiated(
+            cores,
+            &NegotiationParams {
+                serial_bound: bound,
+                anchor: Time::ZERO,
+                period: TimeDelta::from_ps(2000),
+                pair_latency_ps: &matrix,
+            },
+        )
+    }
+
     #[test]
     fn pool_advances_busy_cores_and_freezes_blocked_ones() {
         let busy = swallow_isa::Assembler::new()
@@ -844,27 +816,34 @@ mod tests {
         }
         let plan = ShardPlan::new(cores.len(), 3);
         let pool = EpochPool::new(&plan);
-        let target = Time::ZERO + TimeDelta::from_us(1);
-        pool.run_epoch(&mut cores, target);
+        let bound = Time::ZERO + TimeDelta::from_us(1);
+        let outcome = window(&pool, &mut cores, bound, TimeDelta::from_ns(32));
+        assert!(!outcome.emitted);
         for core in &cores[..4] {
-            // Busy cores run to their halt edge inside the epoch.
+            // Busy cores run to their halt edge inside the window.
             assert!(core.local_now() > Time::ZERO);
-            assert!(core.local_now() <= target);
+            assert!(core.local_now() <= bound);
             assert!(core.is_quiescent());
             assert!(core.ledger().total().as_joules() > 0.0);
         }
         for core in &cores[4..] {
-            // Unprogrammed cores are blocked on external input: the epoch
+            // Unprogrammed cores are blocked on external input: the window
             // freezes them at their transition edge (here, time zero) so
             // the engine can observe the machine's quiescence instant.
             // The machine charges their idle span when it commits.
             assert_eq!(core.local_now(), Time::ZERO);
             assert_eq!(core.ledger().total().as_joules(), 0.0);
         }
-        // A second epoch reuses the same workers and is a clean no-op on
+        // A second window reuses the same workers and is a clean no-op on
         // the drained machine.
-        pool.run_epoch(&mut cores, target + TimeDelta::from_us(1));
-        assert!(cores.iter().all(|c| c.local_now() <= target));
+        let outcome = window(
+            &pool,
+            &mut cores,
+            bound + TimeDelta::from_us(1),
+            TimeDelta::from_ns(32),
+        );
+        assert!(outcome.drained);
+        assert!(cores.iter().all(|c| c.local_now() <= bound));
     }
 
     #[test]
@@ -880,17 +859,8 @@ mod tests {
         let plan = ShardPlan::new(cores.len(), 4);
         let pool = EpochPool::new(&plan);
         let shards = plan.shard_count();
-        let matrix = vec![TimeDelta::from_ns(32).as_ps(); shards * shards];
         let bound = Time::ZERO + TimeDelta::from_us(1);
-        let outcome = pool.run_negotiated(
-            &mut cores,
-            &NegotiationParams {
-                serial_bound: bound,
-                anchor: Time::ZERO,
-                period: TimeDelta::from_ps(2000),
-                pair_latency_ps: &matrix,
-            },
-        );
+        let outcome = window(&pool, &mut cores, bound, TimeDelta::from_ns(32));
         assert_eq!(outcome.target, bound);
         assert!(!outcome.emitted);
         assert!(outcome.drained, "all-blocked machine must report drained");
@@ -900,15 +870,7 @@ mod tests {
         }
         // Back-to-back windows reuse the board (slots were reset).
         let bound2 = Time::ZERO + TimeDelta::from_us(2);
-        let outcome2 = pool.run_negotiated(
-            &mut cores,
-            &NegotiationParams {
-                serial_bound: bound2,
-                anchor: Time::ZERO,
-                period: TimeDelta::from_ps(2000),
-                pair_latency_ps: &matrix,
-            },
-        );
+        let outcome2 = window(&pool, &mut cores, bound2, TimeDelta::from_ns(32));
         assert_eq!(outcome2.target, bound2);
         assert!(outcome2.drained);
     }
@@ -925,7 +887,12 @@ mod tests {
             .map(|n| Core::new(CoreConfig::swallow(swallow_isa::NodeId(n))))
             .collect();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run_epoch(&mut cores, Time::ZERO + TimeDelta::from_ns(50));
+            window(
+                &pool,
+                &mut cores,
+                Time::ZERO + TimeDelta::from_ns(50),
+                TimeDelta::from_ns(32),
+            );
         }));
         let payload = result.expect_err("worker bounds assert must re-raise");
         let msg = payload

@@ -114,7 +114,7 @@ impl GridSpec {
     /// grid; dealing shards from this order instead keeps each shard's
     /// packages inside as few slices as possible, so shard boundaries
     /// land on the slow inter-slice FFC cables (4× the on-chip token
-    /// time, Table I) and the parallel engine's pairwise lookahead
+    /// time, Table I) and the windowed engine's pairwise lookahead
     /// matrix gets long horizons between shards. Identical to `0..n` on
     /// a single-slice machine.
     pub fn packages_slice_major(&self) -> Vec<usize> {

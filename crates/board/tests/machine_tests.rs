@@ -2,7 +2,7 @@
 //! across the lattice through the token-level fabric, with the power tree
 //! watching.
 
-use swallow_board::{EngineMode, EpochMode, Machine, MachineConfig, RouterKind};
+use swallow_board::{EngineMode, Machine, MachineConfig, RouterKind};
 use swallow_isa::{Assembler, NodeId, Program};
 use swallow_sim::{Frequency, TimeDelta};
 
@@ -343,11 +343,10 @@ fn machine_ledger_collects_all_categories() {
 
 #[test]
 fn parallel_engine_delivers_across_the_slice() {
-    // Communication forces the conservative engine through its early-stop
-    // and reconcile paths; the message must still land, and the shard
-    // ledgers must account for every core joule.
+    // Communication forces the windowed engine through its early-stop
+    // and reconcile paths; the message must still land.
     let mut machine = Machine::new(MachineConfig {
-        engine: EngineMode::Parallel { threads: 4 },
+        engine: EngineMode::Windowed { threads: 4 },
         ..MachineConfig::one_slice()
     });
     machine
@@ -356,24 +355,13 @@ fn parallel_engine_delivers_across_the_slice() {
     machine.load_program(NodeId(14), &receiver()).expect("fits");
     assert!(machine.run_until_quiescent(TimeDelta::from_us(50)));
     assert_eq!(machine.core(NodeId(14)).output(), "4242\n");
-    let shards = machine.shard_ledgers();
-    assert!(!shards.is_empty());
-    let shard_total: f64 = shards.iter().map(|l| l.total().as_joules()).sum();
-    let core_total: f64 = machine
-        .nodes()
-        .map(|n| machine.core(n).ledger().total().as_joules())
-        .sum();
-    assert!(
-        (shard_total - core_total).abs() <= 1e-9 * core_total.max(f64::MIN_POSITIVE),
-        "shard ledgers ({shard_total} J) must add up to the core ledgers ({core_total} J)"
-    );
 }
 
 #[test]
 fn parallel_engine_is_deterministic_across_runs_and_thread_counts() {
     let run = |threads: usize| {
         let mut machine = Machine::new(MachineConfig {
-            engine: EngineMode::Parallel { threads },
+            engine: EngineMode::Windowed { threads },
             ..MachineConfig::one_slice()
         });
         for n in 0..8u16 {
@@ -413,15 +401,15 @@ fn parallel_engine_is_deterministic_across_runs_and_thread_counts() {
 }
 
 #[test]
-fn negotiated_and_global_epoch_modes_agree_and_negotiation_engages() {
+fn windowed_engine_negotiates_and_lands_on_lockstep_quiescence() {
     // A compute-bound machine (every core spinning, no communication)
     // is exactly the shape the pairwise negotiation exists for: the
-    // negotiated engine must actually run windows (not fall back to
-    // fast-forward), and its results must match the global-epoch escape
-    // hatch bit-for-bit in time/instret/output and to 1e-9 in energy.
-    // Every core halts on the same edge, so both parallel modes must
-    // also land `run_until_quiescent` on the exact quiescence instant
-    // lock-step reports — the drained-window commit rule.
+    // windowed engine must actually run windows (not fall back to
+    // fast-forward steps), and its results must match lock-step
+    // bit-for-bit in time/instret/output and to 1e-9 in energy. Every
+    // core halts on the same edge, so `run_until_quiescent` must land on
+    // the exact quiescence instant lock-step reports — the drained-window
+    // commit rule.
     let busy = asm("
             ldc   r0, 0
             ldc   r1, 200
@@ -431,10 +419,9 @@ fn negotiated_and_global_epoch_modes_agree_and_negotiation_engages() {
             print r0
             freet
     ");
-    let run = |engine: EngineMode, mode: EpochMode| {
+    let run = |engine: EngineMode| {
         let mut machine = Machine::new(MachineConfig {
             engine,
-            epoch_mode: mode,
             ..MachineConfig::one_slice()
         });
         machine.load_program_all(&busy).expect("fits");
@@ -451,36 +438,33 @@ fn negotiated_and_global_epoch_modes_agree_and_negotiation_engages() {
             machine.negotiation_stats(),
         )
     };
-    let parallel = EngineMode::Parallel { threads: 4 };
-    let reference = run(EngineMode::LockStep, EpochMode::Negotiated);
-    let neg = run(parallel, EpochMode::Negotiated);
-    let glob = run(parallel, EpochMode::Global);
-    let (windows, rounds) = neg.4;
+    let windowed = EngineMode::Windowed { threads: 4 };
+    let reference = run(EngineMode::LockStep);
+    let win = run(windowed);
+    let (windows, rounds) = win.4;
     assert!(windows > 0, "negotiation must engage on busy cores");
     assert!(rounds >= windows, "each window runs at least one round");
-    assert_eq!(glob.4, (0, 0), "global mode must not negotiate");
-    assert_eq!(neg.0, glob.0, "final time differs between epoch modes");
-    assert_eq!(neg.1, glob.1, "instret differs between epoch modes");
-    assert_eq!(neg.2, glob.2, "outputs differ between epoch modes");
-    assert!((neg.3 - glob.3).abs() <= 1e-9 * glob.3.max(f64::MIN_POSITIVE));
-    assert_eq!(neg.0, reference.0, "parallel must stop at lock-step's t_q");
-    assert_eq!(neg.1, reference.1, "instret differs from lock-step");
-    assert_eq!(neg.2, reference.2, "outputs differ from lock-step");
-    assert!((neg.3 - reference.3).abs() <= 1e-9 * reference.3.max(f64::MIN_POSITIVE));
-    // Determinism: repeat runs of the negotiated mode are bit-identical,
-    // energy included.
-    let again = run(parallel, EpochMode::Negotiated);
-    assert_eq!(neg, again, "negotiated runs must be bit-identical");
+    assert_eq!(reference.4, (0, 0), "lock-step must not negotiate");
+    assert_eq!(win.0, reference.0, "windowed must stop at lock-step's t_q");
+    assert_eq!(win.1, reference.1, "instret differs from lock-step");
+    assert_eq!(win.2, reference.2, "outputs differ from lock-step");
+    assert!((win.3 - reference.3).abs() <= 1e-9 * reference.3.max(f64::MIN_POSITIVE));
+    // Determinism: repeat runs are bit-identical, energy included.
+    let again = run(windowed);
+    assert_eq!(win, again, "windowed runs must be bit-identical");
 }
 
 #[test]
 fn engine_can_switch_to_parallel_mid_run() {
-    let mut machine = Machine::new(MachineConfig::one_slice());
+    let mut machine = Machine::new(MachineConfig {
+        engine: EngineMode::LockStep,
+        ..MachineConfig::one_slice()
+    });
     machine
         .load_program_all(&asm("ldc r0, 7\n print r0\n freet"))
         .expect("fits");
     machine.run_for(TimeDelta::from_ns(100));
-    machine.set_engine(EngineMode::Parallel { threads: 2 });
+    machine.set_engine(EngineMode::Windowed { threads: 2 });
     assert!(machine.run_until_quiescent(TimeDelta::from_us(10)));
     for node in machine.nodes().collect::<Vec<_>>() {
         assert_eq!(machine.core(node).output(), "7\n");
@@ -553,8 +537,8 @@ fn snapshot_restores_under_every_engine() {
     assert!(original.run_until_quiescent(TimeDelta::from_ms(2)));
     for engine in [
         EngineMode::LockStep,
-        EngineMode::FastForward,
-        EngineMode::Parallel { threads: 4 },
+        EngineMode::Windowed { threads: 1 },
+        EngineMode::Windowed { threads: 4 },
     ] {
         let mut restored = Machine::restore(&image).expect("valid image");
         restored.set_engine(engine);

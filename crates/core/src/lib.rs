@@ -62,8 +62,7 @@ pub use swallow_xcore as xcore;
 
 // The handful of names almost every user touches.
 pub use swallow_board::{
-    BridgeFrame, BridgeStats, EngineMode, EpochMode, GridSpec, Machine, MachineConfig, RouterKind,
-    SupplyRow,
+    BridgeFrame, BridgeStats, EngineMode, GridSpec, Machine, MachineConfig, RouterKind, SupplyRow,
 };
 pub use swallow_energy::{Energy, Power};
 pub use swallow_faults::{FaultCounters, FaultEvent, FaultKind, FaultPlan, RandomFaults};

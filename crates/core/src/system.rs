@@ -100,30 +100,21 @@ impl SystemBuilder {
         self
     }
 
-    /// Simulation engine (default: event-driven fast-forward). The
-    /// lock-step engine is the cycle-by-cycle reference used by the
-    /// differential test suite.
+    /// Simulation engine (default: one-thread windows). The lock-step
+    /// engine is the cycle-by-cycle reference used by the differential
+    /// test suite.
     pub fn engine(mut self, engine: swallow_board::EngineMode) -> Self {
         self.config.engine = engine;
         self
     }
 
-    /// Use the parallel conservative-epoch engine with `threads` host
-    /// worker threads (0 = one per available host CPU). Shorthand for
-    /// [`engine`](Self::engine) with [`EngineMode::Parallel`].
+    /// Use the windowed engine with `threads` host worker threads (0 =
+    /// one per available host CPU). Shorthand for
+    /// [`engine`](Self::engine) with [`EngineMode::Windowed`].
     ///
-    /// [`EngineMode::Parallel`]: swallow_board::EngineMode::Parallel
+    /// [`EngineMode::Windowed`]: swallow_board::EngineMode::Windowed
     pub fn parallel(self, threads: usize) -> Self {
-        self.engine(swallow_board::EngineMode::Parallel { threads })
-    }
-
-    /// Selects the parallel engine's epoch-synchronisation strategy:
-    /// pairwise watermark negotiation (the default) or the global
-    /// barrier-per-epoch escape hatch. Also settable machine-wide via
-    /// `SWALLOW_EPOCH_MODE=global`.
-    pub fn epoch_mode(mut self, mode: swallow_board::EpochMode) -> Self {
-        self.config.epoch_mode = mode;
-        self
+        self.engine(swallow_board::EngineMode::Windowed { threads })
     }
 
     /// Attaches typed trace rings (default capacity) to every core, the

@@ -119,19 +119,6 @@ impl EnergyLedger {
         NodeCategory::ALL.into_iter().map(|c| (c, self.get(c)))
     }
 
-    /// Merges another ledger into this one, category-wise.
-    ///
-    /// This is the shard-merge primitive of the parallel engine: shard
-    /// ledgers are merged in a fixed (shard-id) order, so the f64
-    /// association — and therefore the result — is bit-identical from run
-    /// to run regardless of host-thread scheduling. The accumulation is
-    /// allocation-free: a ledger is a fixed five-entry array.
-    pub fn merge(&mut self, other: &EnergyLedger) {
-        for i in 0..self.entries.len() {
-            self.entries[i] += other.entries[i];
-        }
-    }
-
     /// The raw `f64` bit patterns of every category, in Fig. 2 order —
     /// the snapshot codec's view. Round-trips through
     /// [`EnergyLedger::from_entry_bits`] bit-identically, which `as_joules`
@@ -149,18 +136,6 @@ impl EnergyLedger {
         let mut out = EnergyLedger::new();
         for (slot, b) in out.entries.iter_mut().zip(bits) {
             *slot = Energy::from_joules(f64::from_bits(b));
-        }
-        out
-    }
-
-    /// The category-wise difference `self - earlier`: the energy accrued
-    /// since the `earlier` snapshot was taken. Used to turn per-core
-    /// ledgers into per-shard epoch deltas.
-    pub fn delta_since(&self, earlier: &EnergyLedger) -> EnergyLedger {
-        let mut out = EnergyLedger::new();
-        for i in 0..self.entries.len() {
-            out.entries[i] =
-                Energy::from_joules(self.entries[i].as_joules() - earlier.entries[i].as_joules());
         }
         out
     }
@@ -236,23 +211,6 @@ mod tests {
         assert!((merged.get(NodeCategory::Compute).as_joules() - 3.0).abs() < 1e-12);
         assert!((merged.get(NodeCategory::Network).as_joules() - 4.0).abs() < 1e-12);
         assert!((merged.total().as_joules() - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_and_delta_are_inverse() {
-        let mut base = EnergyLedger::new();
-        base.charge(NodeCategory::Compute, Energy::from_nanojoules(5.0));
-        base.charge(NodeCategory::Static, Energy::from_nanojoules(7.0));
-        let snapshot = base;
-        base.charge(NodeCategory::Compute, Energy::from_nanojoules(2.0));
-        base.charge(NodeCategory::Network, Energy::from_nanojoules(3.0));
-        let delta = base.delta_since(&snapshot);
-        assert!((delta.get(NodeCategory::Compute).as_nanojoules() - 2.0).abs() < 1e-12);
-        assert!((delta.get(NodeCategory::Network).as_nanojoules() - 3.0).abs() < 1e-12);
-        assert_eq!(delta.get(NodeCategory::Static), Energy::ZERO);
-        let mut rebuilt = snapshot;
-        rebuilt.merge(&delta);
-        assert!((rebuilt.total().as_joules() - base.total().as_joules()).abs() < 1e-24);
     }
 
     #[test]

@@ -109,7 +109,7 @@ impl Default for FleetSpec {
             ingress_capacity: None,
             drain: TimeDelta::from_us(300),
             warm_start: false,
-            engine: EngineMode::FastForward,
+            engine: EngineMode::default(),
             metrics: false,
         }
     }

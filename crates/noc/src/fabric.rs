@@ -302,7 +302,7 @@ pub struct Fabric {
     tx_scratch: Vec<u8>,
     /// Trace sink for [`TraceEvent::LinkTransit`] records. The fabric is
     /// only stepped from the control thread (serially, even under the
-    /// parallel engine), so one sink covers every link deterministically.
+    /// windowed engine), so one sink covers every link deterministically.
     tracer: Tracer,
     /// Links whose retry streak crossed [`MAX_LINK_RETRIES`] and were
     /// declared down; drained by the board layer, which reroutes around
@@ -350,35 +350,17 @@ impl Fabric {
         self.in_network
     }
 
-    /// The conservative-PDES lookahead of this fabric: the minimum time a
-    /// token injected at any switch needs before it can land at *another*
-    /// node. A token's wire time is `3·Ts + Tt` link-clock cycles per hop
-    /// (§V.C), so this is the fastest link's token time — any event one
-    /// node causes at another is at least this far in its future, which is
-    /// what lets the parallel engine advance disjoint shards independently
-    /// for an epoch of this length.
-    ///
-    /// The core-local loopback path (≈6 ns) is deliberately excluded: a
-    /// loopback token can only reach the node that sent it, so it never
-    /// crosses a shard boundary (shards are whole nodes or coarser). The
-    /// engine handles it by reconciling the sending core itself.
-    ///
-    /// Returns `None` for a fabric with no links (single isolated node).
-    pub fn min_cross_shard_latency(&self) -> Option<TimeDelta> {
-        self.links.iter().map(|l| l.params.token_time).min()
-    }
-
     /// All-pairs minimum routed token latency between switches, in
     /// picoseconds: entry `i * node_count + j` is the smallest sum of
     /// per-hop token times over any path of *live* (not-down) links from
     /// `i` to `j`, `0` on the diagonal and `u64::MAX` when no live path
-    /// exists. This refines [`Fabric::min_cross_shard_latency`] per pair:
-    /// a token leaving `i` cannot land at `j` earlier than `dist(i, j)`
-    /// after its emission, whatever route the router picks, because every
-    /// hop costs at least its link's token time and forwarding only adds
-    /// delay. Off-board FFC hops (4× the on-chip token time, Table I)
-    /// therefore give distant pairs far longer conservative horizons than
-    /// the single global minimum.
+    /// exists. A token leaving `i` cannot land at `j` earlier than
+    /// `dist(i, j)` after its emission, whatever route the router picks,
+    /// because every hop costs at least its link's token time (`3·Ts + Tt`
+    /// link-clock cycles, §V.C) and forwarding only adds delay — the
+    /// windowed engine's lookahead. Off-board FFC hops (4× the on-chip
+    /// token time, Table I) therefore give distant pairs far longer
+    /// conservative horizons than near ones.
     ///
     /// The matrix is a property of the live topology only — it must be
     /// recomputed whenever a link goes down or comes back up (fault
@@ -389,7 +371,7 @@ impl Fabric {
     ///
     /// Cost: one Dijkstra per source over the live adjacency, so roughly
     /// `O(nodes · links · log nodes)`; intended for topology-change
-    /// cadence, not per-epoch use.
+    /// cadence, not per-window use.
     pub fn min_latency_matrix_ps(&self) -> Vec<u64> {
         let n = self.nodes;
         // Live adjacency, cheapest parallel link per (from, to) pair.

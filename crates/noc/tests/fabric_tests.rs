@@ -66,18 +66,16 @@ fn single_word_crosses_one_link() {
 }
 
 #[test]
-fn min_cross_shard_latency_is_the_token_time() {
-    // The parallel engine's lookahead: a token needs 3·Ts + Tt = 8
+fn min_latency_matrix_is_the_token_time() {
+    // The windowed engine's lookahead: a token needs 3·Ts + Tt = 8
     // link-clock cycles per hop (§V.C) — 32 ns on the 250 MHz on-chip
-    // class, the fastest wire in the machine. Loopback is core-local and
-    // deliberately excluded.
+    // class, the fastest wire in the machine. A node reaches itself at
+    // zero cost.
     let (fabric, _) = two_nodes(2);
-    assert_eq!(
-        fabric.min_cross_shard_latency(),
-        Some(TimeDelta::from_ns(32))
-    );
+    let hop = TimeDelta::from_ns(32).as_ps();
+    assert_eq!(fabric.min_latency_matrix_ps(), vec![0, hop, hop, 0]);
     let empty = FabricBuilder::new(1).build(Box::new(TableRouter::shortest_paths(1, &[])));
-    assert_eq!(empty.min_cross_shard_latency(), None);
+    assert_eq!(empty.min_latency_matrix_ps(), vec![0]);
 }
 
 #[test]

@@ -99,9 +99,9 @@ impl Time {
     }
 
     /// Last instant of the form `anchor + k·period` (integer `k ≥ 0`) at
-    /// or before `self`; `anchor` itself when `self` precedes it. The
-    /// conservative-epoch engine uses this to cap an epoch strictly below
-    /// a lookahead horizon without leaving the clock grid.
+    /// or before `self`; `anchor` itself when `self` precedes it — the
+    /// way to cap an instant strictly below a lookahead horizon without
+    /// leaving the clock grid.
     ///
     /// # Panics
     ///

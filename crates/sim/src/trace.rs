@@ -13,7 +13,7 @@
 //! and a ring preserves *insertion* order, so merging the per-component
 //! rings of a run in a fixed component order (then stable-sorting by
 //! time) yields the same [`TraceLog`] run after run — including under the
-//! parallel engine, where each core's ring travels with the core onto its
+//! windowed engine, where each core's ring travels with the core onto its
 //! shard thread and per-core insertion order is itself deterministic.
 
 use crate::time::{Time, TimeDelta};

@@ -371,7 +371,7 @@ impl Core {
     }
 
     /// Replaces this core's trace sink. The tracer is owned by the core,
-    /// so under the parallel engine it travels with the core onto its
+    /// so under the windowed engine it travels with the core onto its
     /// shard thread and records stay in deterministic per-core order.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
@@ -645,7 +645,7 @@ impl Core {
 
     /// The instant this core has been simulated to (its local clock). All
     /// cores agree with the machine clock under the serial engines; under
-    /// the parallel engine a core may be ahead of the machine clock (up to
+    /// the windowed engine a core may be ahead of the machine clock (up to
     /// one conservative epoch) or behind it (stopped early on output).
     pub fn local_now(&self) -> Time {
         self.now

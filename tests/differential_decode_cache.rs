@@ -10,15 +10,16 @@
 //! way these tests can fail is a stale entry surviving a code store —
 //! which the self-modifying scenario below constructs deliberately.
 //!
-//! Set `SWALLOW_ENGINE` (`lockstep` | `fastforward` | `parallel`, with
-//! `SWALLOW_THREADS`) to pin the suite to one engine; the CI decode-cache
-//! leg additionally runs the whole workspace with
-//! `SWALLOW_DECODE_CACHE=off`.
+//! Set `SWALLOW_THREADS` to pin the windowed engine to one thread count
+//! (see `common`); the CI decode-cache leg additionally runs the whole
+//! workspace with `SWALLOW_DECODE_CACHE=off`.
+
+mod common;
+
+use common::every_engine;
 
 use swallow_repro::swallow::energy::NodeCategory;
-use swallow_repro::swallow::{
-    Assembler, EngineMode, NodeId, SwallowSystem, SystemBuilder, TimeDelta,
-};
+use swallow_repro::swallow::{Assembler, NodeId, SwallowSystem, SystemBuilder, TimeDelta};
 use swallow_repro::swallow_workloads::{farm, pipeline};
 
 /// Relative energy tolerance (f64 association only; see module doc).
@@ -51,29 +52,6 @@ fn fingerprint(system: &SwallowSystem, quiescent: bool) -> Fingerprint {
     }
 }
 
-/// The engines the cache toggle is exercised under. `SWALLOW_ENGINE` /
-/// `SWALLOW_THREADS` pin the list to one engine for the CI matrix.
-fn engines_under_test() -> Vec<EngineMode> {
-    if let Ok(name) = std::env::var("SWALLOW_ENGINE") {
-        let threads: usize = std::env::var("SWALLOW_THREADS")
-            .ok()
-            .and_then(|t| t.parse().ok())
-            .unwrap_or(0);
-        return vec![match name.as_str() {
-            "lockstep" => EngineMode::LockStep,
-            "fastforward" => EngineMode::FastForward,
-            "parallel" => EngineMode::Parallel { threads },
-            other => panic!("unknown SWALLOW_ENGINE {other:?}"),
-        }];
-    }
-    vec![
-        EngineMode::LockStep,
-        EngineMode::FastForward,
-        EngineMode::Parallel { threads: 1 },
-        EngineMode::Parallel { threads: 4 },
-    ]
-}
-
 /// Runs the same setup with the cache on and off under every engine and
 /// asserts the fingerprints agree. Returns the cache-on fingerprint of
 /// the first engine (for scenario-level output checks).
@@ -82,7 +60,7 @@ fn run_cache_differential(
     mut setup: impl FnMut(&mut SwallowSystem),
 ) -> Fingerprint {
     let mut first = None;
-    for engine in engines_under_test() {
+    for engine in every_engine() {
         let mut run = |cache: bool| {
             let mut system = SystemBuilder::new()
                 .engine(engine)

@@ -1,23 +1,26 @@
-//! Differential tests: the event-driven fast-forward engine and the
-//! parallel conservative-epoch engine must both be observationally
-//! identical to the cycle-by-cycle lock-step reference.
+//! Differential tests: the windowed engine must be observationally
+//! identical to the cycle-by-cycle lock-step reference at every thread
+//! count.
 //!
-//! Every engine processes exactly the same grid-aligned instants at which
+//! Both engines process exactly the same grid-aligned instants at which
 //! anything can happen (core ticks, wake-ups, fabric hops, bridge pacing,
-//! monitor updates); fast-forward merely skips the provably idle instants
-//! in between and charges their energy analytically, and the parallel
-//! engine additionally batches independent spans onto host threads. These
-//! tests pin that equivalence down for representative workloads:
-//! identical retired instruction counts, identical final simulated time,
-//! identical program outputs, and energy ledgers equal to within
-//! floating-point association error (the only permitted difference: `n`
-//! idle-tick charges summed one by one versus multiplied out in one shot,
-//! or grouped per shard). The parallel engine is additionally required to
-//! be *bit-identical* across repeated runs at every tested thread count.
+//! monitor updates); the windowed engine's fast-forward steps merely skip
+//! the provably idle instants in between and charge their energy
+//! analytically, and its windows batch independent spans onto host
+//! threads. These tests pin that equivalence down for representative
+//! workloads: identical retired instruction counts, identical final
+//! simulated time, identical program outputs, and energy ledgers equal to
+//! within floating-point association error (the only permitted
+//! difference: `n` idle-tick charges summed one by one versus multiplied
+//! out in one shot). The windowed engine is additionally required to be
+//! *bit-identical* across repeated runs at every tested thread count.
 //!
-//! Set `SWALLOW_ENGINE` (`lockstep` | `fastforward` | `parallel`, with
-//! `SWALLOW_THREADS` for the latter) to pin the suite to one engine — the
-//! CI matrix uses this to get a dedicated parallel leg.
+//! Set `SWALLOW_THREADS` to pin the suite to one thread count (see
+//! `common`).
+
+mod common;
+
+use common::engines_under_test;
 
 use swallow_repro::swallow::energy::NodeCategory;
 use swallow_repro::swallow::{
@@ -28,11 +31,6 @@ use swallow_testkit::proptest::prelude::*;
 
 /// Relative energy tolerance between the engines (f64 association only).
 const ENERGY_RTOL: f64 = 1e-9;
-
-/// Thread counts every scenario is exercised at under the parallel
-/// engine: degenerate (1), even splits (2, 4) and an uneven split (7)
-/// that leaves shards of different sizes on a 16-core slice.
-const PARALLEL_THREADS: [usize; 4] = [1, 2, 4, 7];
 
 /// Everything observable about a finished run. `PartialEq` compares
 /// energy bit-for-bit — used for the repeated-run determinism check,
@@ -90,28 +88,8 @@ fn assert_equivalent(engine: EngineMode, got: &Fingerprint, ls: &Fingerprint) {
     }
 }
 
-/// The engines every scenario runs under (and compares with lock-step).
-/// `SWALLOW_ENGINE` / `SWALLOW_THREADS` pin the list to one engine.
-fn engines_under_test() -> Vec<EngineMode> {
-    if let Ok(name) = std::env::var("SWALLOW_ENGINE") {
-        let threads: usize = std::env::var("SWALLOW_THREADS")
-            .ok()
-            .and_then(|t| t.parse().ok())
-            .unwrap_or(0);
-        return vec![match name.as_str() {
-            "lockstep" => EngineMode::LockStep,
-            "fastforward" => EngineMode::FastForward,
-            "parallel" => EngineMode::Parallel { threads },
-            other => panic!("unknown SWALLOW_ENGINE {other:?}"),
-        }];
-    }
-    let mut engines = vec![EngineMode::FastForward];
-    engines.extend(PARALLEL_THREADS.map(|threads| EngineMode::Parallel { threads }));
-    engines
-}
-
 /// Runs the same setup under lock-step and every engine under test,
-/// checking each fingerprint against the reference. Parallel engines run
+/// checking each fingerprint against the reference. Each engine runs
 /// twice and must be bit-identical across runs. Returns the first
 /// engine's fingerprint and the lock-step one.
 fn run_differential_with(
@@ -130,10 +108,8 @@ fn run_differential_with(
     for engine in engines_under_test() {
         let fp = run(engine);
         assert_equivalent(engine, &fp, &ls);
-        if matches!(engine, EngineMode::Parallel { .. }) {
-            let again = run(engine);
-            assert_eq!(fp, again, "{engine:?}: repeated runs must be bit-identical");
-        }
+        let again = run(engine);
+        assert_eq!(fp, again, "{engine:?}: repeated runs must be bit-identical");
         first.get_or_insert(fp);
     }
     (first.expect("at least one engine under test"), ls)

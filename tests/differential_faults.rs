@@ -1,14 +1,18 @@
 //! Differential tests for the fault-injection subsystem: a scheduled
 //! fault plan must produce the *same* fault timeline, program outputs,
-//! resilience counters and (within f64 association) energy under every
-//! engine — lock-step, fast-forward and parallel at several thread
-//! counts — and an empty plan must perturb nothing at all.
+//! resilience counters and (within f64 association) energy under both
+//! engines — lock-step and windowed at several thread counts — and an
+//! empty plan must perturb nothing at all.
 //!
 //! Faults are applied serially at grid instants before any core runs
 //! (DESIGN.md §3.10); these tests pin that engine-invariance down, plus
 //! the recovery behaviours: retry under corruption, reroute + sticky
 //! rebind around a dead link, quarantine of partitioned cores, and
 //! energy conservation with retransmit energy included.
+
+mod common;
+
+use common::{engines_under_test, every_engine};
 
 use swallow_repro::swallow::energy::NodeCategory;
 use swallow_repro::swallow::noc::{Direction, LinkId};
@@ -19,9 +23,6 @@ use swallow_repro::swallow_workloads::pipeline;
 
 /// Relative energy tolerance between the engines (f64 association only).
 const ENERGY_RTOL: f64 = 1e-9;
-
-/// Thread counts for the parallel engine: degenerate, even and uneven.
-const PARALLEL_THREADS: [usize; 3] = [1, 2, 4];
 
 /// Everything observable about a finished faulted run, fault counters
 /// included. `PartialEq` compares energy bit-for-bit (used for the
@@ -85,28 +86,8 @@ fn assert_equivalent(engine: EngineMode, got: &Fingerprint, ls: &Fingerprint) {
     }
 }
 
-/// Engines under test, honouring the CI matrix's `SWALLOW_ENGINE` /
-/// `SWALLOW_THREADS` pinning.
-fn engines_under_test() -> Vec<EngineMode> {
-    if let Ok(name) = std::env::var("SWALLOW_ENGINE") {
-        let threads: usize = std::env::var("SWALLOW_THREADS")
-            .ok()
-            .and_then(|t| t.parse().ok())
-            .unwrap_or(0);
-        return vec![match name.as_str() {
-            "lockstep" => EngineMode::LockStep,
-            "fastforward" => EngineMode::FastForward,
-            "parallel" => EngineMode::Parallel { threads },
-            other => panic!("unknown SWALLOW_ENGINE {other:?}"),
-        }];
-    }
-    let mut engines = vec![EngineMode::FastForward];
-    engines.extend(PARALLEL_THREADS.map(|threads| EngineMode::Parallel { threads }));
-    engines
-}
-
 /// Runs the same faulted setup under lock-step and every engine under
-/// test; parallel engines run twice and must be bit-identical.
+/// test; each engine runs twice and must be bit-identical.
 fn run_differential(
     budget: TimeDelta,
     builder: impl Fn() -> SystemBuilder,
@@ -123,10 +104,8 @@ fn run_differential(
     for engine in engines_under_test() {
         let fp = run(engine);
         assert_equivalent(engine, &fp, &ls);
-        if matches!(engine, EngineMode::Parallel { .. }) {
-            let again = run(engine);
-            assert_eq!(fp, again, "{engine:?}: repeated runs must be bit-identical");
-        }
+        let again = run(engine);
+        assert_eq!(fp, again, "{engine:?}: repeated runs must be bit-identical");
         first.get_or_insert(fp);
     }
     (first.expect("at least one engine under test"), ls)
@@ -320,7 +299,7 @@ fn interslice_cable_fault_reroutes_identically_on_a_grid() {
     // A 2×1-slice machine: pipeline stages 0..6 span both slices, so
     // stage traffic rides an inter-slice FFC cable. Killing one cable
     // mid-run forces a route recompute — and, under the negotiated
-    // parallel engine, a refresh of the shard-pair lookahead matrix —
+    // windowed engine, a refresh of the shard-pair lookahead matrix —
     // while cross-slice traffic is in flight; restoring the cable
     // recomputes both again. Every engine must agree on the timeline.
     let probe = SystemBuilder::new().slices(2, 1).build().expect("builds");
@@ -360,9 +339,7 @@ fn energy_conservation_holds_with_faults_under_every_engine() {
         .link_down(t(2), hop01)
         .corrupt_window(t(5), hop23, TimeDelta::from_us(2))
         .brownout(t(12), 600, TimeDelta::from_us(3));
-    let mut engines = vec![EngineMode::LockStep];
-    engines.extend(engines_under_test());
-    for engine in engines {
+    for engine in every_engine() {
         let mut system = SystemBuilder::new()
             .faults(plan.clone())
             .metrics()

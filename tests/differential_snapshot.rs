@@ -14,15 +14,19 @@
 //! the fault engine's cursor, the derated frequencies and the fabric's
 //! per-link fault windows all have to survive the round trip.
 //!
-//! `SWALLOW_ENGINE` / `SWALLOW_THREADS` pin the restore targets to one
-//! engine, matching the CI matrix legs.
+//! Checkpoints are restored under lock-step and under the windowed engine
+//! at each thread count `common` selects (`SWALLOW_THREADS` pins one).
+
+mod common;
 
 use std::sync::OnceLock;
 
+use common::every_engine;
+use swallow_repro::swallow::board::machine::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use swallow_repro::swallow::energy::NodeCategory;
 use swallow_repro::swallow::noc::{Direction, LinkId};
 use swallow_repro::swallow::{
-    Assembler, EngineMode, EpochMode, FaultCounters, FaultPlan, NodeId, SwallowSystem,
+    Assembler, CodecError, EngineMode, FaultCounters, FaultPlan, NodeId, SwallowSystem,
     SystemBuilder, Time, TimeDelta,
 };
 use swallow_repro::swallow_workloads::{farm, pipeline};
@@ -62,14 +66,8 @@ fn fingerprint(system: &SwallowSystem, quiescent: bool) -> Fingerprint {
     }
 }
 
-fn assert_continuation(
-    at_us: u64,
-    engine: EngineMode,
-    epoch: Option<EpochMode>,
-    got: &Fingerprint,
-    reference: &Fingerprint,
-) {
-    let who = format!("restore@{at_us}µs under {engine:?}/{epoch:?}");
+fn assert_continuation(at_us: u64, engine: EngineMode, got: &Fingerprint, reference: &Fingerprint) {
+    let who = format!("restore@{at_us}µs under {engine:?}");
     assert_eq!(
         got.quiescent, reference.quiescent,
         "{who}: quiescence verdicts differ"
@@ -96,55 +94,10 @@ fn assert_continuation(
     }
 }
 
-/// The engines (and, for the parallel engine, epoch modes) every
-/// checkpoint is restored under. `SWALLOW_ENGINE` / `SWALLOW_THREADS`
-/// pin the list to one engine for the CI matrix legs.
-fn restore_targets() -> Vec<(EngineMode, Option<EpochMode>)> {
-    if let Ok(name) = std::env::var("SWALLOW_ENGINE") {
-        let threads: usize = std::env::var("SWALLOW_THREADS")
-            .ok()
-            .and_then(|t| t.parse().ok())
-            .unwrap_or(0);
-        return match name.as_str() {
-            "lockstep" => vec![(EngineMode::LockStep, None)],
-            "fastforward" => vec![(EngineMode::FastForward, None)],
-            "parallel" => vec![
-                (
-                    EngineMode::Parallel { threads },
-                    Some(EpochMode::Negotiated),
-                ),
-                (EngineMode::Parallel { threads }, Some(EpochMode::Global)),
-            ],
-            other => panic!("unknown SWALLOW_ENGINE {other:?}"),
-        };
-    }
-    vec![
-        (EngineMode::LockStep, None),
-        (EngineMode::FastForward, None),
-        (
-            EngineMode::Parallel { threads: 1 },
-            Some(EpochMode::Negotiated),
-        ),
-        (
-            EngineMode::Parallel { threads: 4 },
-            Some(EpochMode::Negotiated),
-        ),
-        (EngineMode::Parallel { threads: 4 }, Some(EpochMode::Global)),
-    ]
-}
-
 /// Restores `bytes`, re-targets the engine, and runs to quiescence.
-fn continue_after_restore(
-    bytes: &[u8],
-    engine: EngineMode,
-    epoch: Option<EpochMode>,
-    budget: TimeDelta,
-) -> Fingerprint {
+fn continue_after_restore(bytes: &[u8], engine: EngineMode, budget: TimeDelta) -> Fingerprint {
     let mut system = SwallowSystem::restore(bytes).expect("snapshot restores");
     system.machine_mut().set_engine(engine);
-    if let Some(mode) = epoch {
-        system.machine_mut().set_epoch_mode(mode);
-    }
     let quiescent = system.run_until_quiescent(budget);
     fingerprint(&system, quiescent)
 }
@@ -173,9 +126,9 @@ fn differential_snapshot(
         );
         let quiescent = original.run_until_quiescent(budget);
         let reference = fingerprint(&original, quiescent);
-        for (engine, epoch) in restore_targets() {
-            let got = continue_after_restore(&bytes, engine, epoch, budget);
-            assert_continuation(us, engine, epoch, &got, &reference);
+        for engine in every_engine() {
+            let got = continue_after_restore(&bytes, engine, budget);
+            assert_continuation(us, engine, &got, &reference);
         }
         last = Some(reference);
     }
@@ -391,7 +344,7 @@ proptest! {
         let budget = TimeDelta::from_ms(10);
         let quiescent = system.run_until_quiescent(budget);
         let reference = fingerprint(&system, quiescent);
-        let got = continue_after_restore(&bytes, EngineMode::FastForward, None, budget);
+        let got = continue_after_restore(&bytes, EngineMode::default(), budget);
         prop_assert_eq!(&got.outputs, &reference.outputs);
         prop_assert_eq!(got.now_ps, reference.now_ps);
         prop_assert_eq!(got.instret, reference.instret);
@@ -435,4 +388,18 @@ proptest! {
             keep
         );
     }
+}
+
+#[test]
+fn older_format_versions_are_rejected_by_version() {
+    // A version-2 image (the format before the engine collapse) must be
+    // refused by its header alone, with the version it carries.
+    let mut bytes = busy_snapshot().to_vec();
+    let at = SNAPSHOT_MAGIC.len();
+    assert_eq!(bytes[at..at + 4], SNAPSHOT_VERSION.to_le_bytes());
+    bytes[at..at + 4].copy_from_slice(&2u32.to_le_bytes());
+    assert_eq!(
+        SwallowSystem::restore(&bytes).err(),
+        Some(CodecError::BadVersion { found: 2 })
+    );
 }

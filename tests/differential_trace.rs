@@ -8,16 +8,15 @@
 //! counters the power monitor already maintains, so instrumented runs
 //! measure the machine, not the measurement.
 //!
-//! Set `SWALLOW_ENGINE` (`lockstep` | `fastforward` | `parallel`, with
-//! `SWALLOW_THREADS`) to pin the suite to one engine, as the CI matrix
-//! does for its dedicated parallel leg.
+//! Set `SWALLOW_THREADS` to pin the windowed engine to one thread count
+//! (see `common`), as the CI thread-count legs do.
 
+mod common;
+
+use common::every_engine;
 use swallow_repro::swallow::energy::NodeCategory;
-use swallow_repro::swallow::{EngineMode, SwallowSystem, SystemBuilder, TimeDelta};
+use swallow_repro::swallow::{SwallowSystem, SystemBuilder, TimeDelta};
 use swallow_repro::swallow_workloads::{client_server, farm, pipeline};
-
-/// Thread counts exercised under the parallel engine.
-const PARALLEL_THREADS: [usize; 2] = [1, 4];
 
 /// Everything observable about a finished run. Energy compares
 /// *bit-for-bit*: same engine, same schedule, so even float association
@@ -49,30 +48,11 @@ fn fingerprint(system: &SwallowSystem, quiescent: bool) -> Fingerprint {
     }
 }
 
-/// Engines the on/off comparison runs under (`SWALLOW_ENGINE` pins one).
-fn engines_under_test() -> Vec<EngineMode> {
-    if let Ok(name) = std::env::var("SWALLOW_ENGINE") {
-        let threads: usize = std::env::var("SWALLOW_THREADS")
-            .ok()
-            .and_then(|t| t.parse().ok())
-            .unwrap_or(0);
-        return vec![match name.as_str() {
-            "lockstep" => EngineMode::LockStep,
-            "fastforward" => EngineMode::FastForward,
-            "parallel" => EngineMode::Parallel { threads },
-            other => panic!("unknown SWALLOW_ENGINE {other:?}"),
-        }];
-    }
-    let mut engines = vec![EngineMode::LockStep, EngineMode::FastForward];
-    engines.extend(PARALLEL_THREADS.map(|threads| EngineMode::Parallel { threads }));
-    engines
-}
-
 /// Runs the same setup twice per engine — observability off, then
 /// tracing + metrics on — and requires identical fingerprints. Also
 /// checks the instrumented run actually captured something.
 fn assert_observability_is_free(budget: TimeDelta, mut setup: impl FnMut(&mut SwallowSystem)) {
-    for engine in engines_under_test() {
+    for engine in every_engine() {
         let mut run = |instrumented: bool| {
             let mut builder = SystemBuilder::new().engine(engine);
             if instrumented {
@@ -153,7 +133,7 @@ fn ping_pong_is_unperturbed_by_observability() {
 #[test]
 fn parallel_instrumented_runs_are_bit_identical() {
     // Determinism of the *observability* output itself: under the
-    // parallel engine the merged trace and the metrics rows must come out
+    // windowed engine the merged trace and the metrics rows must come out
     // identical run after run (rings travel with cores across host
     // threads; the merge is order-fixed).
     let spec = pipeline::PipelineSpec {

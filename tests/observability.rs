@@ -223,9 +223,8 @@ fn metrics_conserve_energy_under_every_engine() {
     };
     for engine in [
         EngineMode::LockStep,
-        EngineMode::FastForward,
-        EngineMode::Parallel { threads: 1 },
-        EngineMode::Parallel { threads: 4 },
+        EngineMode::Windowed { threads: 1 },
+        EngineMode::Windowed { threads: 4 },
     ] {
         let mut system = SystemBuilder::new()
             .engine(engine)
