@@ -14,6 +14,10 @@
 //! * **10 % active 480** — 48 of 480 cores run the heavy mix; windows
 //!   let each busy core run ahead while the idle 90 % of the machine is
 //!   skipped analytically.
+//! * **pipeline 480** — a 480-stage pipeline over all 30 slices, 16
+//!   items: tokens are in flight on almost every edge, so windows rarely
+//!   open and the serial fabric step sets the pace. Its cost follows the
+//!   traffic, not the machine's 2.8k links.
 //!
 //! Reported per engine (and per thread count for the windowed engine):
 //! host wall-clock, simulated core-cycles per host second, and simulated
@@ -25,7 +29,8 @@
 
 use std::fmt;
 use std::time::Instant;
-use swallow::{BuildError, EngineMode, NodeId, SystemBuilder, TimeDelta};
+use swallow::{BuildError, EngineMode, NodeId, SwallowSystem, SystemBuilder, TimeDelta};
+use swallow_workloads::pipeline::{self, PipelineSpec};
 
 use super::heavy_mix_program;
 
@@ -144,7 +149,7 @@ impl fmt::Display for Throughput {
                 r.mips
             )?;
         }
-        for scenario in ["busy-slice", "idle-480", "active10-480"] {
+        for scenario in ["busy-slice", "idle-480", "active10-480", PIPELINE_480] {
             if let Some(s) = self.speedup(scenario) {
                 writeln!(
                     f,
@@ -227,41 +232,86 @@ pub fn measure_with_cache(
     span: TimeDelta,
     decode_cache: bool,
 ) -> Result<ThroughputRow, BuildError> {
-    let mut system = build(engine, slices, stride, decode_cache)?;
+    let system = build(engine, slices, stride, decode_cache)?;
+    Ok(timed_row(scenario, engine, decode_cache, system, span))
+}
+
+/// Scenario label of the communicating row.
+pub const PIPELINE_480: &str = "pipeline-480";
+
+/// The communicating scenario: 480 stages over the full 6×5-slice
+/// machine, each item squared once per stage.
+const PIPELINE: PipelineSpec = PipelineSpec {
+    stages: 480,
+    items: 16,
+    work_per_item: 1,
+};
+
+/// Runs the 480-stage pipeline under `engine` for `span` of simulated
+/// time from boot (the first stages fill while the source streams its
+/// items, so the fabric carries traffic on nearly every edge).
+pub fn measure_pipeline(engine: EngineMode, span: TimeDelta) -> ThroughputRow {
+    let mut system = SystemBuilder::new()
+        .slices(6, 5)
+        .engine(engine)
+        .build()
+        .expect("the 6x5 grid builds");
+    pipeline::generate(&PIPELINE, system.machine().spec())
+        .expect("480 stages fit 480 cores")
+        .apply(&mut system)
+        .expect("stage programs load");
+    let cache = swallow::xcore::decode_cache_default();
+    timed_row(PIPELINE_480, engine, cache, system, span)
+}
+
+/// Times `run_for(span)` on a built system and derives the row's rates.
+fn timed_row(
+    scenario: &'static str,
+    engine: EngineMode,
+    decode_cache: bool,
+    mut system: SwallowSystem,
+    span: TimeDelta,
+) -> ThroughputRow {
     let t0 = Instant::now();
     system.run_for(span);
     let host = t0.elapsed().as_secs_f64().max(1e-9);
     let machine = system.machine();
     let cycles: u64 = machine.nodes().map(|n| machine.core(n).cycles()).sum();
-    Ok(ThroughputRow {
+    ThroughputRow {
         scenario,
         engine,
         decode_cache,
         host_ms: host * 1e3,
         sim_cycles_per_sec: cycles as f64 / host,
         mips: machine.total_instret() as f64 / host / 1e6,
-    })
+    }
 }
 
-/// Runs all three scenarios under lock-step and under the windowed engine
-/// at each of `thread_counts`. Every grid here is non-empty, so the
-/// builds cannot fail.
+/// Runs every scenario under lock-step and under the windowed engine at
+/// each of `thread_counts`. Every grid here is non-empty, so the builds
+/// cannot fail.
 ///
 /// `span` is the simulated time per busy run; the idle 480-core scenario
 /// runs the same span (its lock-step cost dominates the experiment).
 pub fn run_with(span: TimeDelta, thread_counts: &[usize]) -> Throughput {
     let mut rows = Vec::new();
+    let engines = || {
+        let windowed = thread_counts
+            .iter()
+            .map(|&threads| EngineMode::Windowed { threads });
+        std::iter::once(EngineMode::LockStep).chain(windowed)
+    };
     for (scenario, slices, stride) in [
         ("busy-slice", (1u16, 1u16), 1usize),
         ("idle-480", (6, 5), 0),
         ("active10-480", (6, 5), 10),
     ] {
-        let windowed = thread_counts
-            .iter()
-            .map(|&threads| EngineMode::Windowed { threads });
-        for engine in std::iter::once(EngineMode::LockStep).chain(windowed) {
+        for engine in engines() {
             rows.push(measure(scenario, engine, slices, stride, span).expect("builds"));
         }
+    }
+    for engine in engines() {
+        rows.push(measure_pipeline(engine, span));
     }
     // Cache-off reference rows on the decode-bound scenario: the
     // busy-slice delta quantifies what the predecoded-instruction cache
@@ -286,12 +336,13 @@ mod tests {
     #[test]
     fn rows_and_speedups_are_well_formed() {
         let t = run_with(TimeDelta::from_us(2), &[1, 2]);
-        assert_eq!(t.rows.len(), 11);
+        assert_eq!(t.rows.len(), 14);
         for r in &t.rows {
             assert!(r.host_ms > 0.0);
             assert!(r.sim_cycles_per_sec > 0.0, "{r:?}");
         }
         assert!(t.speedup("idle-480").expect("measured") > 0.0);
+        assert!(t.speedup(PIPELINE_480).expect("measured") > 0.0);
         assert!(t.parallel_speedup("busy-slice", 2).expect("measured") > 0.0);
         assert!(t
             .rows

@@ -182,6 +182,12 @@ struct Endpoints {
     /// lock-step would. Lock-step and fast-forward steps keep every core
     /// at `now`, so the gate never hides anything there.
     tx_gate_ps: u64,
+    /// Core nodes with pending output, ascending, collected by the core
+    /// pass that runs right before every `Fabric::step` (a fabric step
+    /// never gives a core new output). `for_each_tx_node` re-checks each
+    /// against the gate, so the fabric injects from exactly the nodes a
+    /// full scan would find — without the scan.
+    tx_nodes: Vec<NodeId>,
 }
 
 impl Endpoints {
@@ -208,6 +214,20 @@ impl CoreEndpoints for Endpoints {
             .map(|core| core.has_tx_pending())
             .unwrap_or(false)
             && self.tx_visible(node)
+    }
+
+    fn for_each_tx_node(&self, _nodes: usize, visit: &mut dyn FnMut(NodeId)) {
+        for &node in &self.tx_nodes {
+            if self.has_tx_pending(node) {
+                visit(node);
+            }
+        }
+        // The bridge is the highest node id, so it comes last.
+        if let Some(bridge) = self.bridge_node {
+            if self.has_tx_pending(bridge) {
+                visit(bridge);
+            }
+        }
     }
 
     fn for_each_tx_pending(&self, node: NodeId, visit: &mut dyn FnMut(u8)) {
@@ -393,6 +413,7 @@ impl Machine {
                 bridge: bridge_node.map(EthernetBridge::new),
                 bridge_node,
                 tx_gate_ps: u64::MAX,
+                tx_nodes: Vec::new(),
             },
             fabric,
             monitor: PowerMonitor::new(config.grid, config.monitor_window),
@@ -557,11 +578,15 @@ impl Machine {
         if self.faults.pending(self.now) {
             self.apply_due_faults();
         }
-        for core in &mut self.eps.cores {
+        self.eps.tx_nodes.clear();
+        for (i, core) in self.eps.cores.iter_mut().enumerate() {
             // Cores may run slower than the base clock; tick on their
             // edges only. `run_until` also stops if the core halts
             // mid-span rather than spinning on a dead core.
             core.run_until(self.now);
+            if core.has_tx_pending() {
+                self.eps.tx_nodes.push(NodeId(i as u16));
+            }
         }
         if let Some(bridge) = self.eps.bridge.as_mut() {
             bridge.set_now(self.now);
@@ -575,10 +600,7 @@ impl Machine {
             .as_ref()
             .map(|b| b.tx_backlog() > 0)
             .unwrap_or(false);
-        if !self.fabric.is_idle()
-            || bridge_pending
-            || self.eps.cores.iter().any(|c| c.has_tx_pending())
-        {
+        if !self.fabric.is_idle() || bridge_pending || !self.eps.tx_nodes.is_empty() {
             // Gate injections at the edge instant: a core that ran ahead
             // under the windowed engine and emitted later must not have
             // its token picked up now (see `Endpoints::tx_gate_ps`).
@@ -593,10 +615,11 @@ impl Machine {
         if self.now >= self.monitor.next_update() {
             self.monitor
                 .update(self.now, &mut self.eps.cores, &self.fabric);
-            let fc = self.fault_counters();
             self.metrics
                 .sample(self.now, &self.eps.cores, &self.fabric, &self.monitor);
-            self.metrics.record_faults(fc);
+            if self.metrics.is_enabled() {
+                self.metrics.record_faults(self.fault_counters());
+            }
         }
         // Refresh the dense-mode hint: a ready thread due at the very
         // next grid instant pins the next activity to `immediate`, so
@@ -626,6 +649,14 @@ impl Machine {
             }
             earliest = earliest.min(at);
         }
+        // The fabric before the cores: its query is O(active links), so
+        // a token due now skips the O(cores) scan below.
+        if let Some(at) = self.fabric.next_event_at(self.now) {
+            if at <= immediate {
+                return immediate;
+            }
+            earliest = earliest.min(at);
+        }
         for core in &self.eps.cores {
             if core.has_tx_pending() {
                 return immediate;
@@ -636,12 +667,6 @@ impl Machine {
                 }
                 earliest = earliest.min(at);
             }
-        }
-        if let Some(at) = self.fabric.next_event_at(self.now) {
-            if at <= immediate {
-                return immediate;
-            }
-            earliest = earliest.min(at);
         }
         if let Some(bridge) = self.eps.bridge.as_ref() {
             if bridge.tx_backlog() > 0 {
@@ -930,9 +955,13 @@ impl Machine {
                 // `windowed_advance` processes next.
                 return;
             }
-            for core in &mut self.eps.cores {
+            self.eps.tx_nodes.clear();
+            for (i, core) in self.eps.cores.iter_mut().enumerate() {
                 if core.local_now() < t {
                     core.run_until(t);
+                }
+                if core.has_tx_pending() {
+                    self.eps.tx_nodes.push(NodeId(i as u16));
                 }
             }
             if let Some(bridge) = self.eps.bridge.as_mut() {

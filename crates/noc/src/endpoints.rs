@@ -13,9 +13,23 @@ use swallow_isa::{NodeId, ResourceId, Token};
 /// per-core index.
 pub trait CoreEndpoints {
     /// True when any chanend on `node` has tokens waiting to transmit.
-    /// Must be O(1)-cheap: the fabric calls it per node per step to skip
-    /// the injection scan.
+    /// Should be O(1)-cheap: the default [`Self::for_each_tx_node`] calls
+    /// it for every node on every step.
     fn has_tx_pending(&self, node: NodeId) -> bool;
+
+    /// Visits every node of `0..nodes` for which [`Self::has_tx_pending`]
+    /// holds, in ascending node order — the nodes the fabric injects from
+    /// this step. The default scans all `nodes`; an implementation that
+    /// already knows which nodes have output (the board collects them
+    /// while running its cores) visits only those, and must still apply
+    /// the same test to each, so the visited set is identical.
+    fn for_each_tx_node(&self, nodes: usize, visit: &mut dyn FnMut(NodeId)) {
+        for node in (0..nodes).map(|n| NodeId(n as u16)) {
+            if self.has_tx_pending(node) {
+                visit(node);
+            }
+        }
+    }
 
     /// Visits every chanend index on `node` with tokens waiting to
     /// transmit, in ascending index order. Allocation-free by design

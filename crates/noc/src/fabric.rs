@@ -21,10 +21,21 @@
 //! The fabric is advanced by [`Fabric::step`], typically once per core
 //! clock; token rates are enforced by per-link `busy_until` timestamps, so
 //! the step cadence only bounds reaction latency, not bandwidth.
+//!
+//! A step costs O(active links + injecting nodes), not O(machine): three
+//! worklists track the links with tokens on the wire,
+//! the links with tokens queued at their receiving switch (kept in the
+//! switches' service order, node-major then input port), and the nodes
+//! with non-empty loopback queues, and the [`CoreEndpoints`] name the
+//! nodes that want to inject. Every push and pop maintains them, so
+//! [`Fabric::next_event_at`] and each phase of the step visit exactly the
+//! queues a whole-machine scan would have found non-empty, in the same
+//! order — results are bit-identical to the scan they replace.
 
 use crate::endpoints::CoreEndpoints;
 use crate::link::{Direction, LinkId, LinkParams, HEADER_TOKENS};
 use crate::routing::{LinkDesc, Router};
+use crate::worklist::IndexSet;
 use std::collections::{HashMap, VecDeque};
 use swallow_energy::Energy;
 use swallow_isa::{ControlToken, NodeId, ResType, ResourceId, Token};
@@ -247,27 +258,40 @@ impl FabricBuilder {
 
     /// Finalises the fabric with a routing strategy.
     pub fn build(self, router: Box<dyn Router>) -> Fabric {
-        let mut incoming = vec![Vec::new(); self.nodes];
         let mut outgoing = vec![Vec::new(); self.nodes];
         for d in &self.descs {
             outgoing[d.from.raw() as usize].push(d.id);
-            incoming[d.to.raw() as usize].push(d.id);
+        }
+        // Forward order: each switch serves its input ports in link-id
+        // order, switches in node order.
+        let mut fwd_links: Vec<LinkId> = self.descs.iter().map(|d| d.id).collect();
+        fwd_links.sort_by_key(|&id| (self.descs[id.0 as usize].to, id));
+        let mut fwd_pos = vec![0; fwd_links.len()];
+        for (pos, lid) in fwd_links.iter().enumerate() {
+            fwd_pos[lid.0 as usize] = pos as u32;
         }
         Fabric {
             nodes: self.nodes,
+            rx_ready: IndexSet::new(self.links.len()),
             links: self.links,
-            incoming,
             outgoing,
+            fwd_links,
+            fwd_pos,
+            on_wire: Vec::new(),
             router,
             loopback: (0..self.nodes).map(|_| VecDeque::new()).collect(),
+            loopback_ready: IndexSet::new(self.nodes),
             dest_owner: HashMap::new(),
             sticky: HashMap::new(),
             unroutable: 0,
             in_network: 0,
             tx_scratch: Vec::new(),
+            tx_nodes: Vec::new(),
             tracer: Tracer::Off,
             escalated: Vec::new(),
             delivered_data: 0,
+            retransmits: 0,
+            dropped_tokens: 0,
         }
     }
 }
@@ -276,11 +300,23 @@ impl FabricBuilder {
 pub struct Fabric {
     nodes: usize,
     links: Vec<Link>,
-    incoming: Vec<Vec<LinkId>>,
     outgoing: Vec<Vec<LinkId>>,
+    /// Every link in forward order: node-major by receiving switch, then
+    /// link id — the order in which switches serve their input ports.
+    fwd_links: Vec<LinkId>,
+    /// Inverse of `fwd_links`: each link's forward position.
+    fwd_pos: Vec<u32>,
+    /// Worklist: forward positions of the links whose receive queue is
+    /// non-empty.
+    rx_ready: IndexSet,
+    /// Worklist: the links with tokens on the wire, unordered (landing is
+    /// per-link independent).
+    on_wire: Vec<LinkId>,
     router: Box<dyn Router>,
     /// Core-local deliveries in flight: (arrival, dest chanend, token, flow).
     loopback: Vec<VecDeque<(Time, u8, Token, u32)>>,
+    /// Worklist: nodes whose loopback queue is non-empty.
+    loopback_ready: IndexSet,
     /// Per destination chanend: the flow whose packet currently owns
     /// delivery (wormhole ownership of the final hop). Key: node<<8 | ch.
     dest_owner: HashMap<u32, u32>,
@@ -297,9 +333,11 @@ pub struct Fabric {
     /// idleness checks and the fast-forward event query are O(1) when
     /// the network is empty.
     in_network: usize,
-    /// Reusable buffer for the per-node injection scan (avoids a heap
+    /// Reusable buffers for the injection pass: one node's pending
+    /// chanends, and the nodes the endpoints name as injecting (no heap
     /// allocation per step).
     tx_scratch: Vec<u8>,
+    tx_nodes: Vec<NodeId>,
     /// Trace sink for [`TraceEvent::LinkTransit`] records. The fabric is
     /// only stepped from the control thread (serially, even under the
     /// windowed engine), so one sink covers every link deterministically.
@@ -311,6 +349,24 @@ pub struct Fabric {
     /// Data tokens delivered into a destination chanend (loopback and
     /// link paths alike) — the numerator of the delivered-token rate.
     delivered_data: u64,
+    /// Running totals of every link's `retransmits` and `dropped_tokens`,
+    /// so the fault counters cost O(1).
+    retransmits: u64,
+    dropped_tokens: u64,
+}
+
+/// The fabric's derived bookkeeping: the in-network counter, the fault
+/// totals and the worklists (as sorted member lists). [`Fabric::rescan`]
+/// recomputes it from the queues; restore rebuilds from that and debug
+/// builds check the incremental copies against it.
+#[derive(Debug, PartialEq)]
+struct Derived {
+    in_network: usize,
+    retransmits: u64,
+    dropped_tokens: u64,
+    rx_ready: Vec<usize>,
+    on_wire: Vec<LinkId>,
+    loopback_ready: Vec<usize>,
 }
 
 impl Fabric {
@@ -334,15 +390,49 @@ impl Fabric {
     /// loopback queue. O(1): the population is counted incrementally.
     pub fn is_idle(&self) -> bool {
         debug_assert_eq!(
-            self.in_network,
-            self.links
+            self.incremental(),
+            self.rescan(),
+            "fabric counters or worklists out of sync"
+        );
+        self.in_network == 0
+    }
+
+    /// The derived bookkeeping as maintained incrementally.
+    fn incremental(&self) -> Derived {
+        let mut on_wire = self.on_wire.clone();
+        on_wire.sort_unstable();
+        Derived {
+            in_network: self.in_network,
+            retransmits: self.retransmits,
+            dropped_tokens: self.dropped_tokens,
+            rx_ready: self.rx_ready.iter().collect(),
+            on_wire,
+            loopback_ready: self.loopback_ready.iter().collect(),
+        }
+    }
+
+    /// The derived bookkeeping recomputed by a full scan of the queues.
+    fn rescan(&self) -> Derived {
+        Derived {
+            in_network: self
+                .links
                 .iter()
                 .map(|l| l.in_flight.len() + l.rx.len())
                 .sum::<usize>()
                 + self.loopback.iter().map(|q| q.len()).sum::<usize>(),
-            "in-network token counter out of sync"
-        );
-        self.in_network == 0
+            retransmits: self.links.iter().map(|l| l.retransmits).sum(),
+            dropped_tokens: self.links.iter().map(|l| l.dropped_tokens).sum(),
+            rx_ready: (0..self.fwd_links.len())
+                .filter(|&pos| !self.links[self.fwd_links[pos].0 as usize].rx.is_empty())
+                .collect(),
+            on_wire: (0..self.links.len())
+                .filter(|&i| !self.links[i].in_flight.is_empty())
+                .map(|i| LinkId(i as u32))
+                .collect(),
+            loopback_ready: (0..self.nodes)
+                .filter(|&node| !self.loopback[node].is_empty())
+                .collect(),
+        }
     }
 
     /// Number of tokens currently inside the network. O(1).
@@ -419,31 +509,32 @@ impl Fabric {
     /// This is the network half of the fast-forward contract: strictly
     /// before the returned instant, [`Fabric::step`] without new core
     /// traffic is a no-op.
+    ///
+    /// O(1) when a token is queued at a switch, otherwise O(links on the
+    /// wire + non-empty loopback queues).
     pub fn next_event_at(&self, now: Time) -> Option<Time> {
         if self.in_network == 0 {
             return None;
         }
+        if !self.rx_ready.is_empty() {
+            // Queued at a switch: forwarding/delivery can progress (or is
+            // head-of-line blocked and must be retried) now.
+            return Some(now);
+        }
+        let wire = self
+            .on_wire
+            .iter()
+            .filter_map(|lid| self.links[lid.0 as usize].in_flight.front().map(|e| e.0));
+        let loopback = self
+            .loopback_ready
+            .iter()
+            .filter_map(|node| self.loopback[node].front().map(|e| e.0));
         let mut earliest: Option<Time> = None;
-        for link in &self.links {
-            if !link.rx.is_empty() {
-                // Queued at the switch: forwarding/delivery can progress
-                // (or is head-of-line blocked and must be retried) now.
+        for arrival in wire.chain(loopback) {
+            if arrival <= now {
                 return Some(now);
             }
-            if let Some(&(arrival, ..)) = link.in_flight.front() {
-                if arrival <= now {
-                    return Some(now);
-                }
-                earliest = Some(earliest.map_or(arrival, |e: Time| e.min(arrival)));
-            }
-        }
-        for queue in &self.loopback {
-            if let Some(&(arrival, ..)) = queue.front() {
-                if arrival <= now {
-                    return Some(now);
-                }
-                earliest = Some(earliest.map_or(arrival, |e: Time| e.min(arrival)));
-            }
+            earliest = Some(earliest.map_or(arrival, |e: Time| e.min(arrival)));
         }
         earliest
     }
@@ -549,14 +640,14 @@ impl Fabric {
         out.append(&mut self.escalated);
     }
 
-    /// Total tokens retransmitted after detected corruptions.
+    /// Total tokens retransmitted after detected corruptions. O(1).
     pub fn total_retransmits(&self) -> u64 {
-        self.links.iter().map(|l| l.retransmits).sum()
+        self.retransmits
     }
 
-    /// Total data tokens lost in drop windows.
+    /// Total data tokens lost in drop windows. O(1).
     pub fn total_dropped_tokens(&self) -> u64 {
-        self.links.iter().map(|l| l.dropped_tokens).sum()
+        self.dropped_tokens
     }
 
     /// Total data tokens delivered into destination chanends.
@@ -590,20 +681,30 @@ impl Fabric {
     }
 
     fn land_arrivals(&mut self, now: Time) {
-        for link in &mut self.links {
+        let mut i = 0;
+        while i < self.on_wire.len() {
+            let lid = self.on_wire[i];
+            let link = &mut self.links[lid.0 as usize];
             while let Some(&(arrival, token, flow, dest)) = link.in_flight.front() {
                 if arrival <= now && link.rx.len() < RX_CAPACITY {
                     link.rx.push_back((token, flow, dest));
                     link.in_flight.pop_front();
+                    self.rx_ready.insert(self.fwd_pos[lid.0 as usize] as usize);
                 } else {
                     break;
                 }
+            }
+            if link.in_flight.is_empty() {
+                self.on_wire.swap_remove(i);
+            } else {
+                i += 1;
             }
         }
     }
 
     fn deliver_loopback<E: CoreEndpoints>(&mut self, now: Time, cores: &mut E) {
-        for node in 0..self.nodes {
+        let mut next = self.loopback_ready.next_from(0);
+        while let Some(node) = next {
             while let Some(&(arrival, chanend, token, flow)) = self.loopback[node].front() {
                 if arrival <= now
                     && Self::try_deliver(
@@ -624,6 +725,10 @@ impl Fabric {
                     break;
                 }
             }
+            if self.loopback[node].is_empty() {
+                self.loopback_ready.remove(node);
+            }
+            next = self.loopback_ready.next_from(node + 1);
         }
     }
 
@@ -657,54 +762,62 @@ impl Fabric {
         true
     }
 
+    /// Serves the switches' receive queues in forward order. Only pops
+    /// happen here (landing ran before), so walking the worklist while
+    /// removing drained positions visits exactly the non-empty queues of
+    /// a full node-by-node, port-by-port scan.
     fn forward_rx<E: CoreEndpoints>(&mut self, now: Time, cores: &mut E) {
-        for node in 0..self.nodes {
-            for i in 0..self.incoming[node].len() {
-                let lid = self.incoming[node][i];
-                while let Some(&(token, flow, dest)) = self.links[lid.0 as usize].rx.front() {
-                    if dest.node().raw() as usize == node {
-                        if Self::try_deliver(
-                            &mut self.dest_owner,
-                            cores,
-                            dest.node(),
-                            dest.index(),
-                            token,
-                            flow,
-                        ) {
-                            self.links[lid.0 as usize].rx.pop_front();
-                            self.in_network -= 1;
-                            if matches!(token, Token::Data(_)) {
-                                self.delivered_data += 1;
-                            }
-                        } else {
-                            break; // head-of-line blocked on the core
+        let mut next = self.rx_ready.next_from(0);
+        while let Some(pos) = next {
+            let lid = self.fwd_links[pos];
+            let node = self.links[lid.0 as usize].to;
+            while let Some(&(token, flow, dest)) = self.links[lid.0 as usize].rx.front() {
+                if dest.node() == node {
+                    if Self::try_deliver(
+                        &mut self.dest_owner,
+                        cores,
+                        dest.node(),
+                        dest.index(),
+                        token,
+                        flow,
+                    ) {
+                        self.links[lid.0 as usize].rx.pop_front();
+                        self.in_network -= 1;
+                        if matches!(token, Token::Data(_)) {
+                            self.delivered_data += 1;
                         }
                     } else {
-                        match self.try_transmit(now, NodeId(node as u16), token, flow, dest) {
-                            TxResult::Started | TxResult::Dropped => {
-                                self.links[lid.0 as usize].rx.pop_front();
-                                self.in_network -= 1;
-                            }
-                            TxResult::Busy => break,
-                            TxResult::Unroutable => {
-                                self.links[lid.0 as usize].rx.pop_front();
-                                self.in_network -= 1;
-                                self.unroutable += 1;
-                            }
+                        break; // head-of-line blocked on the core
+                    }
+                } else {
+                    match self.try_transmit(now, node, token, flow, dest) {
+                        TxResult::Started | TxResult::Dropped => {
+                            self.links[lid.0 as usize].rx.pop_front();
+                            self.in_network -= 1;
+                        }
+                        TxResult::Busy => break,
+                        TxResult::Unroutable => {
+                            self.links[lid.0 as usize].rx.pop_front();
+                            self.in_network -= 1;
+                            self.unroutable += 1;
                         }
                     }
                 }
             }
+            if self.links[lid.0 as usize].rx.is_empty() {
+                self.rx_ready.remove(pos);
+            }
+            next = self.rx_ready.next_from(pos + 1);
         }
     }
 
     fn inject_from_cores<E: CoreEndpoints>(&mut self, now: Time, cores: &mut E) {
+        let mut nodes = std::mem::take(&mut self.tx_nodes);
+        nodes.clear();
+        cores.for_each_tx_node(self.nodes, &mut |node| nodes.push(node));
         let mut pending = std::mem::take(&mut self.tx_scratch);
-        for node in 0..self.nodes {
-            let node_id = NodeId(node as u16);
-            if !cores.has_tx_pending(node_id) {
-                continue;
-            }
+        for &node_id in &nodes {
+            let node = node_id.raw() as usize;
             pending.clear();
             cores.for_each_tx_pending(node_id, &mut |ch| pending.push(ch));
             for &chanend in &pending {
@@ -720,6 +833,7 @@ impl Fabric {
                                 token,
                                 flow,
                             ));
+                            self.loopback_ready.insert(node);
                             self.in_network += 1;
                         } else {
                             break;
@@ -740,6 +854,7 @@ impl Fabric {
             }
         }
         self.tx_scratch = pending;
+        self.tx_nodes = nodes;
     }
 
     fn try_transmit(
@@ -819,6 +934,7 @@ impl Fabric {
             // which is retried rather than lost so routes still close
             // (a lost END would wedge the wormhole forever).
             link.retransmits += 1;
+            self.retransmits += 1;
             link.retry_streak += 1;
             link.energy += link.params.token_energy();
             link.busy_time += link.params.token_time;
@@ -898,7 +1014,14 @@ impl Fabric {
             LaunchGate::Drop => {
                 let link = &mut self.links[lid.0 as usize];
                 link.in_flight.pop_back();
+                if link.in_flight.is_empty() {
+                    // `launch` listed the link when this token put it on
+                    // the wire, so it is the worklist's last entry.
+                    debug_assert_eq!(self.on_wire.last(), Some(&lid));
+                    self.on_wire.pop();
+                }
                 link.dropped_tokens += 1;
+                self.dropped_tokens += 1;
                 self.in_network -= 1;
                 if self.tracer.is_enabled() {
                     let at = self.links[lid.0 as usize].busy_until;
@@ -934,6 +1057,9 @@ impl Fabric {
             link.busy_time += header_time;
         }
         let arrival = start + link.params.token_time;
+        if link.in_flight.is_empty() {
+            self.on_wire.push(lid);
+        }
         link.in_flight.push_back((arrival, token, flow, dest));
         self.in_network += 1;
         let link = &mut self.links[lid.0 as usize];
@@ -972,7 +1098,8 @@ impl Fabric {
     /// machine configuration on restore — and neither are the derived
     /// in-network counter, scratch buffers, tracer or undrained
     /// escalations (snapshots are taken at step boundaries, where the
-    /// escalation queue is empty).
+    /// escalation queue is empty), and neither are the worklists or fault
+    /// totals, which restore recomputes from the queues.
     pub fn encode_state(&self, w: &mut ByteWriter) {
         debug_assert!(
             self.escalated.is_empty(),
@@ -1048,8 +1175,9 @@ impl Fabric {
 
     /// Overlays the state written by [`Fabric::encode_state`] onto this
     /// fabric, which must have been rebuilt from the same topology (the
-    /// link and node counts are validated). The in-network token counter
-    /// is recomputed from the restored queues.
+    /// link and node counts are validated). The in-network token counter,
+    /// the fault totals and the worklists are recomputed from the restored
+    /// queues.
     pub fn restore_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         let links = r.len_prefixed(1)?;
         if links != self.links.len() {
@@ -1140,12 +1268,19 @@ impl Fabric {
         }
         self.unroutable = r.u64()?;
         self.delivered_data = r.u64()?;
-        self.in_network = self
-            .links
-            .iter()
-            .map(|l| l.in_flight.len() + l.rx.len())
-            .sum::<usize>()
-            + self.loopback.iter().map(|q| q.len()).sum::<usize>();
+        let derived = self.rescan();
+        self.in_network = derived.in_network;
+        self.retransmits = derived.retransmits;
+        self.dropped_tokens = derived.dropped_tokens;
+        self.rx_ready.clear();
+        for pos in derived.rx_ready {
+            self.rx_ready.insert(pos);
+        }
+        self.on_wire = derived.on_wire;
+        self.loopback_ready.clear();
+        for node in derived.loopback_ready {
+            self.loopback_ready.insert(node);
+        }
         self.escalated.clear();
         Ok(())
     }

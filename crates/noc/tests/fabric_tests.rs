@@ -355,3 +355,41 @@ fn vertical_first_router_on_a_package_pair_reaches_everything() {
         }
     }
 }
+
+/// A switch serves its input ports in link-id order: when two packets
+/// land at node 2 in the same step and both need its one link to node 3,
+/// the packet on the lower-numbered input link takes it first, whatever
+/// the sending nodes' order.
+#[test]
+fn switch_serves_input_ports_in_link_id_order() {
+    let on_chip = LinkParams::from_class(WireClass::OnChip);
+    let mut b = FabricBuilder::new(4);
+    b.link_one_way(NodeId(1), NodeId(2), Direction::East, on_chip);
+    b.link_one_way(NodeId(0), NodeId(2), Direction::East, on_chip);
+    b.link_one_way(NodeId(2), NodeId(3), Direction::East, on_chip);
+    let router = TableRouter::shortest_paths(4, b.link_descs());
+    let mut fabric = b.build(Box::new(router));
+    let mut eps = TestEndpoints::new(4);
+    for src in [0u16, 1] {
+        eps.queue_token(NodeId(src), 0, chan(3, src as u8), Token::Data(src as u8));
+        eps.queue_token(
+            NodeId(src),
+            0,
+            chan(3, src as u8),
+            Token::Ctrl(ControlToken::END),
+        );
+    }
+    let mut now = Time::ZERO;
+    while eps.received(NodeId(3), 0).is_empty() && eps.received(NodeId(3), 1).is_empty() {
+        now += TimeDelta::from_ns(2);
+        assert!(
+            now < Time::ZERO + TimeDelta::from_us(10),
+            "nothing delivered"
+        );
+        fabric.step(now, &mut eps);
+    }
+    assert_eq!(eps.received(NodeId(3), 1), [Token::Data(1)]);
+    assert!(eps.received(NodeId(3), 0).is_empty());
+    run(&mut fabric, &mut eps, 100_000);
+    assert_eq!(eps.received(NodeId(3), 0).len(), 2);
+}
