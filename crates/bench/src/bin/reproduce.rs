@@ -335,6 +335,21 @@ fn die(msg: &str) -> ! {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let overrides = parse_engine_override(&mut args);
+    // Every value flag was taken above: what is left must be `--quick`
+    // or an experiment name, checked before anything runs.
+    let mut quick = false;
+    let mut selected: Vec<&str> = Vec::new();
+    for arg in &args {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            flag if flag.starts_with('-') => die(&format!("unknown flag `{flag}`")),
+            name if ALL.contains(&name) => selected.push(name),
+            name => die(&format!(
+                "unknown experiment `{name}`; known: {}",
+                ALL.join(" ")
+            )),
+        }
+    }
     if overrides.trace.is_some()
         || overrides.metrics.is_some()
         || overrides.faults.is_some()
@@ -344,12 +359,6 @@ fn main() {
         run_observability(&overrides);
         return;
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    let selected: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .collect();
     let wanted = |name: &str| {
         if selected.is_empty() {
             // system480 is expensive; only on request or with everything
@@ -476,10 +485,7 @@ fn main() {
                     Err(e) => eprintln!("  could not write {}: {e}", path.display()),
                 }
             }
-            other => {
-                eprintln!("unknown experiment `{other}`; known: {ALL:?}");
-                std::process::exit(2);
-            }
+            other => unreachable!("`{other}` is in ALL but has no runner"),
         }
         println!("[{name} took {:.2?}]", t0.elapsed());
     }

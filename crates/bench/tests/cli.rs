@@ -1,6 +1,7 @@
 //! Hostile command lines: every malformed flag the `reproduce` binary
-//! accepts must end in a one-line error and a non-zero exit, never a
-//! panic.
+//! accepts, and every flag or experiment name it does not know, must end
+//! in a one-line error and a non-zero exit before any experiment runs,
+//! never a panic.
 
 use std::process::Command;
 
@@ -14,6 +15,12 @@ const HOSTILE: &[&[&str]] = &[
     &["--threads", "x"],
     &["--threads", "2", "--engine", "lockstep"],
     &["--restore", "/dev/null"],
+    &["--bogus"],
+    &["fleet", "--quick", "--thread", "2"],
+    &["throughputt"],
+    &["--faults", "bogus"],
+    &["--faults", "brownout:0@1us+1us"],
+    &["fleet", "--quick", "--arrivals", "bursty:0"],
 ];
 
 #[test]
@@ -25,11 +32,14 @@ fn hostile_flags_exit_non_zero_without_panicking() {
             .output()
             .expect("reproduce runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
+        let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(!out.status.success(), "{args:?} was accepted");
         assert!(
             !stderr.contains("panicked at"),
             "{args:?} panicked: {stderr}"
         );
-        assert!(!stderr.trim().is_empty(), "{args:?} failed silently");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(stderr.trim().lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?} ran something first: {stdout}");
     }
 }

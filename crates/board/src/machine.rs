@@ -26,6 +26,19 @@
 //!   idle energy analytically. All processing stays on the base-clock
 //!   grid, so results are bit-identical run to run and equal to
 //!   lock-step within f64 association error. See DESIGN.md §3.7, §3.8.
+//!
+//! Inside an advance the per-edge passes visit only *awake* cores. A core
+//! parks when an edge leaves it quiescent (halted, or every thread
+//! blocked on input) with no pending output; until a token arrives it can
+//! only tick idle, so the core pass, the dense hint, the activity scan,
+//! the window preconditions and `is_quiescent` skip it. Wherever anything
+//! other than an idle tick touches a parked core — a delivery, a fault,
+//! a quarantine, the power monitor, a fast-forward jump, a window — it is
+//! first caught up with `Core::idle_until`, which performs the very f64
+//! additions the skipped `run_until` calls would have, in the same order.
+//! Every public advance ends with all cores caught up and awake, so
+//! lock-step still runs every core on every edge and nothing outside an
+//! advance can tell.
 
 use crate::ethernet::EthernetBridge;
 use crate::metrics::MetricsHub;
@@ -40,7 +53,7 @@ use swallow_faults::{FaultCounters, FaultKind, FaultPlan};
 use swallow_isa::{NodeId, Program, ResourceId, Token};
 use swallow_noc::{CoreEndpoints, Fabric, LinkDesc, LinkId, TableRouter};
 use swallow_sim::{
-    ByteReader, ByteWriter, CodecError, Frequency, Time, TimeDelta, TraceEvent, TraceLog,
+    ByteReader, ByteWriter, CodecError, Frequency, IndexSet, Time, TimeDelta, TraceEvent, TraceLog,
     TraceSink, Tracer,
 };
 use swallow_xcore::{Core, CoreConfig, LoadError};
@@ -188,9 +201,52 @@ struct Endpoints {
     /// against the gate, so the fabric injects from exactly the nodes a
     /// full scan would find — without the scan.
     tx_nodes: Vec<NodeId>,
+    /// Cores the per-edge passes visit (DESIGN.md §3.7). A core *parks*
+    /// — leaves the set — when the core pass leaves it quiescent with no
+    /// pending output: until a token arrives it can only tick idle, has
+    /// nothing to inject and no interesting instant, so skipping it is
+    /// invisible to every pass. A parked core's clock lags; it is caught
+    /// up with [`Core::idle_until`] (bit-identical to the ticks it
+    /// missed) wherever anything but an idle tick touches it.
+    awake: IndexSet,
 }
 
 impl Endpoints {
+    /// Catches every parked core up to `until` (they stay parked), four
+    /// at a time so their idle-energy chains overlap.
+    fn catch_up(&mut self, until: Time) {
+        let mut lanes = [0usize; 4];
+        let mut n = 0;
+        for i in (0..self.cores.len()).filter(|&i| !self.awake.contains(i)) {
+            lanes[n] = i;
+            n += 1;
+            if n == lanes.len() {
+                let cores = self.cores.get_disjoint_mut(lanes).expect("distinct cores");
+                Core::idle_until_each(cores, until);
+                n = 0;
+            }
+        }
+        for &i in &lanes[..n] {
+            self.cores[i].idle_until(until);
+        }
+    }
+
+    /// Debug-build invariant, checked at every catch-up point: a parked
+    /// core is quiescent, has no pending output and has not run past
+    /// `edge`, the grid instant being processed.
+    fn check_parked(&self, edge: Time) {
+        if cfg!(debug_assertions) {
+            for (i, core) in self.cores.iter().enumerate() {
+                if !self.awake.contains(i) {
+                    assert!(
+                        core.is_quiescent() && !core.has_tx_pending() && core.local_now() <= edge,
+                        "parked core {i} is not idle at or before {edge:?}"
+                    );
+                }
+            }
+        }
+    }
+
     /// True when `node`'s pending output is visible at the current gate.
     fn tx_visible(&self, node: NodeId) -> bool {
         self.cores
@@ -284,8 +340,20 @@ impl CoreEndpoints for Endpoints {
             }
             return false;
         }
-        match self.cores.get_mut(node.raw() as usize) {
-            Some(core) => core.deliver(chanend, token).is_ok(),
+        let i = node.raw() as usize;
+        match self.cores.get_mut(i) {
+            Some(core) => {
+                // The fabric steps at the gate instant, where the core
+                // pass left every awake core: a parked core joins them
+                // before the token can wake a thread.
+                if !self.awake.contains(i) {
+                    let gate = Time::from_ps(self.tx_gate_ps);
+                    debug_assert!(core.is_quiescent() && core.local_now() <= gate);
+                    core.idle_until(gate);
+                    self.awake.insert(i);
+                }
+                core.deliver(chanend, token).is_ok()
+            }
             None => false,
         }
     }
@@ -405,6 +473,8 @@ impl Machine {
             })
             .collect();
         let base_period = config.frequency.period();
+        let mut awake = IndexSet::new(cores.len());
+        awake.fill();
         let mut machine = Machine {
             config: saved_config,
             spec: config.grid,
@@ -414,6 +484,7 @@ impl Machine {
                 bridge_node,
                 tx_gate_ps: u64::MAX,
                 tx_nodes: Vec::new(),
+                awake,
             },
             fabric,
             monitor: PowerMonitor::new(config.grid, config.monitor_window),
@@ -562,32 +633,70 @@ impl Machine {
 
     /// Advances the whole machine by one base clock period (the lock-step
     /// primitive; both engines funnel through the same edge processing).
+    /// Every core is visited on every step.
     pub fn step(&mut self) {
-        self.now += self.base_period;
-        self.process_edge();
+        // Every core is awake between public advances, and this edge
+        // parks none, so every core runs on every lock-step edge.
+        self.edge_step(false);
+        debug_assert_eq!(self.eps.awake.len(), self.core_count());
     }
 
-    /// Processes the clock edge at `self.now`: runs every core up to
-    /// `now`, advances the bridge and fabric, and fires the power monitor
-    /// when due.
-    fn process_edge(&mut self) {
+    /// One base-clock edge; `park` lets it park the cores it leaves
+    /// quiescent.
+    fn edge_step(&mut self, park: bool) {
+        let prev = self.now;
+        self.now += self.base_period;
+        self.process_edge(prev, park);
+    }
+
+    /// Catches the parked cores up to `until` (they stay parked), after
+    /// checking the parked-core invariant against the current edge.
+    fn catch_up(&mut self, until: Time) {
+        self.eps.check_parked(self.now);
+        self.eps.catch_up(until);
+    }
+
+    /// Catches the parked cores up to `until` and wakes every core.
+    fn wake_all(&mut self, until: Time) {
+        self.catch_up(until);
+        self.eps.awake.fill();
+    }
+
+    /// Processes the clock edge at `self.now` (`prev` is the edge
+    /// processed before it): runs every awake core up to `now`, parks the
+    /// ones it leaves quiescent when `park` is set, advances the bridge
+    /// and fabric, and fires the power monitor when due.
+    fn process_edge(&mut self, prev: Time, park: bool) {
         // Scheduled faults land first, serially, on the grid instant —
         // before any core runs or token moves — so every engine sees an
         // identical fault timeline (see DESIGN.md §3.10). One branch
-        // when the plan is empty.
+        // when the plan is empty. A fault may re-clock, stall or kill any
+        // core, so every core first stands where lock-step has it.
         if self.faults.pending(self.now) {
+            self.wake_all(prev);
             self.apply_due_faults();
         }
-        self.eps.tx_nodes.clear();
-        for (i, core) in self.eps.cores.iter_mut().enumerate() {
+        let now = self.now;
+        let Endpoints {
+            cores,
+            awake,
+            tx_nodes,
+            ..
+        } = &mut self.eps;
+        tx_nodes.clear();
+        awake.retain_in(cores, |i, core| {
             // Cores may run slower than the base clock; tick on their
             // edges only. `run_until` also stops if the core halts
             // mid-span rather than spinning on a dead core.
-            core.run_until(self.now);
+            core.run_until(now);
             if core.has_tx_pending() {
-                self.eps.tx_nodes.push(NodeId(i as u16));
+                tx_nodes.push(NodeId(i as u16));
+                return true;
             }
-        }
+            // A quiescent core only wakes on a token: park it until one
+            // arrives.
+            !park || !core.is_quiescent()
+        });
         if let Some(bridge) = self.eps.bridge.as_mut() {
             bridge.set_now(self.now);
         }
@@ -613,6 +722,8 @@ impl Machine {
             }
         }
         if self.now >= self.monitor.next_update() {
+            // The monitor reads every ledger at `now`.
+            self.catch_up(self.now);
             self.monitor
                 .update(self.now, &mut self.eps.cores, &self.fabric);
             self.metrics
@@ -626,11 +737,12 @@ impl Machine {
         // fast-forward can skip its scan. Early-exits at the first busy
         // core, and goes false the moment the machine drains.
         let immediate = self.now + self.base_period;
+        let cores = &self.eps.cores;
         self.dense = self
             .eps
-            .cores
+            .awake
             .iter()
-            .any(|c| c.ready_threads() > 0 && c.next_tick_at() <= immediate);
+            .any(|i| cores[i].ready_threads() > 0 && cores[i].next_tick_at() <= immediate);
     }
 
     /// The earliest instant at or after `now` when anything can happen:
@@ -657,7 +769,8 @@ impl Machine {
             }
             earliest = earliest.min(at);
         }
-        for core in &self.eps.cores {
+        for i in self.eps.awake.iter() {
+            let core = &self.eps.cores[i];
             if core.has_tx_pending() {
                 return immediate;
             }
@@ -704,17 +817,21 @@ impl Machine {
         // cost one extra edge, never correctness — and `process_edge`
         // clears it the moment the machine drains.
         if self.dense {
-            self.step();
+            self.edge_step(true);
             return;
         }
         let target = self.grid_align(self.next_activity_at().min(deadline));
         if target > self.now + self.base_period {
+            // The skip charges the jumped edges analytically from where
+            // lock-step has every core: parked ones join the others first.
+            self.catch_up(self.now);
             for core in &mut self.eps.cores {
                 core.skip_idle_until(target);
             }
         }
+        let prev = self.now;
         self.now = target;
-        self.process_edge();
+        self.process_edge(prev, true);
     }
 
     // --- windowed engine -----------------------------------------------------
@@ -831,7 +948,8 @@ impl Machine {
         let immediate = self.now + self.base_period;
         let mut runnable = 0usize;
         let mut any_tx = false;
-        for core in &self.eps.cores {
+        for i in self.eps.awake.iter() {
+            let core = &self.eps.cores[i];
             if core.has_tx_pending() {
                 any_tx = true;
                 break;
@@ -857,6 +975,9 @@ impl Machine {
             self.ff_advance(deadline);
             return;
         }
+        // Windows open on caught-up cores, every one of them awake: the
+        // window and its replay visit the whole machine.
+        self.wake_all(self.now);
         self.refresh_pair_latency();
         let outcome = {
             let st = self.par.as_mut().expect("parallel state initialised");
@@ -895,6 +1016,7 @@ impl Machine {
         if outcome.emitted {
             self.reconcile(target);
         }
+        let prev = self.now;
         self.now = target;
         // Cores frozen below the commit (externally blocked, or idle the
         // whole window) catch up analytically before the edge runs; the
@@ -906,7 +1028,7 @@ impl Machine {
                 core.skip_idle_until(self.now);
             }
         }
-        self.process_edge();
+        self.process_edge(prev, true);
     }
 
     /// Serial replay of the grid instants inside a window where a core
@@ -991,6 +1113,10 @@ impl Machine {
                 while self.now < deadline {
                     self.windowed_advance(deadline);
                 }
+                // A public advance ends with every core at `now` and
+                // awake: accessors, snapshots and whatever the caller does
+                // to cores before the next advance see eager state.
+                self.wake_all(self.now);
             }
         }
     }
@@ -1005,20 +1131,19 @@ impl Machine {
         if let EngineMode::Windowed { threads } = self.engine {
             self.ensure_par(threads);
         }
-        while self.now < deadline {
-            if self.is_quiescent() {
-                return true;
-            }
+        while self.now < deadline && !self.is_quiescent() {
             match self.engine {
                 EngineMode::LockStep => self.step(),
                 EngineMode::Windowed { .. } => self.windowed_advance(deadline),
             }
         }
+        self.wake_all(self.now);
         self.is_quiescent()
     }
 
     /// True when no core can make progress and no token is in flight.
-    /// O(cores): every per-core check is a cached counter.
+    /// O(awake cores): every per-core check is a cached counter, and a
+    /// parked core is quiescent by construction.
     pub fn is_quiescent(&self) -> bool {
         self.fabric.is_idle()
             && self
@@ -1027,11 +1152,10 @@ impl Machine {
                 .as_ref()
                 .map(|b| b.tx_backlog() == 0)
                 .unwrap_or(true)
-            && self
-                .eps
-                .cores
-                .iter()
-                .all(|c| c.is_quiescent() && !c.has_tx_pending())
+            && self.eps.awake.iter().all(|i| {
+                let core = &self.eps.cores[i];
+                core.is_quiescent() && !core.has_tx_pending()
+            })
     }
 
     // --- faults & resilience -------------------------------------------------
@@ -1195,6 +1319,8 @@ impl Machine {
             );
         }
         self.escalated_scratch = escalated;
+        // Quarantine may kill a parked core: it must have run to `now`.
+        self.catch_up(self.now);
         self.reroute_and_quarantine();
     }
 

@@ -89,6 +89,37 @@ impl EnergyLedger {
         self.entries[category as usize] += energy;
     }
 
+    /// Charges `a[i]` to `ca` then `b[i]` to `cb` on `ledgers[i]`, `n`
+    /// times over, for every `i`: bit-identical to `n` pairs of
+    /// [`charge`](Self::charge) calls on each ledger (the same f64
+    /// additions in the same order). The running totals stay in registers
+    /// and the ledgers' independent chains overlap in the pipeline — the
+    /// cost of a long run of idle clock edges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ca == cb` (the interleaving would reorder additions).
+    pub fn charge_repeated<const N: usize>(
+        ledgers: [&mut EnergyLedger; N],
+        (ca, a): (NodeCategory, [Energy; N]),
+        (cb, b): (NodeCategory, [Energy; N]),
+        n: u64,
+    ) {
+        assert_ne!(ca, cb, "repeated charges need two categories");
+        let mut x = ledgers.each_ref().map(|l| l.get(ca));
+        let mut y = ledgers.each_ref().map(|l| l.get(cb));
+        for _ in 0..n {
+            for i in 0..N {
+                x[i] += a[i];
+                y[i] += b[i];
+            }
+        }
+        for (i, ledger) in ledgers.into_iter().enumerate() {
+            ledger.entries[ca as usize] = x[i];
+            ledger.entries[cb as usize] = y[i];
+        }
+    }
+
     /// Energy accumulated in one category.
     pub fn get(&self, category: NodeCategory) -> Energy {
         self.entries[category as usize]
@@ -182,6 +213,37 @@ impl fmt::Display for EnergyLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn repeated_charges_equal_the_charge_loop_bit_for_bit() {
+        let a = [0.1, 0.7].map(Energy::from_nanojoules);
+        let b = [1.0 / 3.0, 2.0 / 7.0].map(Energy::from_nanojoules);
+        let mut looped = [EnergyLedger::new(); 2];
+        looped[0].charge(NodeCategory::Static, Energy::from_nanojoules(7.0));
+        looped[1].charge(NodeCategory::Network, Energy::from_nanojoules(3.0));
+        let mut batched = looped;
+        for _ in 0..1000 {
+            for (i, ledger) in looped.iter_mut().enumerate() {
+                ledger.charge(NodeCategory::Static, a[i]);
+                ledger.charge(NodeCategory::Network, b[i]);
+            }
+        }
+        let [l0, l1] = &mut batched;
+        EnergyLedger::charge_repeated(
+            [l0, l1],
+            (NodeCategory::Static, a),
+            (NodeCategory::Network, b),
+            1000,
+        );
+        for (l, b) in looped.iter().zip(&batched) {
+            for c in NodeCategory::ALL {
+                assert_eq!(
+                    l.get(c).as_joules().to_bits(),
+                    b.get(c).as_joules().to_bits()
+                );
+            }
+        }
+    }
 
     #[test]
     fn fractions_sum_to_one() {

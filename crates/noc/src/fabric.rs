@@ -35,12 +35,11 @@
 use crate::endpoints::CoreEndpoints;
 use crate::link::{Direction, LinkId, LinkParams, HEADER_TOKENS};
 use crate::routing::{LinkDesc, Router};
-use crate::worklist::IndexSet;
 use std::collections::{HashMap, VecDeque};
 use swallow_energy::Energy;
 use swallow_isa::{ControlToken, NodeId, ResType, ResourceId, Token};
 use swallow_sim::{
-    ByteReader, ByteWriter, CodecError, Time, TimeDelta, TraceEvent, TraceSink, Tracer,
+    ByteReader, ByteWriter, CodecError, IndexSet, Time, TimeDelta, TraceEvent, TraceSink, Tracer,
 };
 
 /// Receive-buffer capacity per link input port (the credit window).

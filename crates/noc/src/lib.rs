@@ -22,15 +22,14 @@
 //!   processor cores (implemented by `swallow-board` for real cores and
 //!   by in-crate test doubles here).
 //!
-//! A private `worklist` module keeps the per-step cost proportional to the
-//! traffic: the fabric visits only the links, loopback queues and nodes
-//! that have work.
+//! Worklists (`swallow_sim::IndexSet`) keep the per-step cost
+//! proportional to the traffic: the fabric visits only the links,
+//! loopback queues and nodes that have work.
 
 pub mod endpoints;
 pub mod fabric;
 pub mod link;
 pub mod routing;
-mod worklist;
 
 pub use endpoints::CoreEndpoints;
 pub use fabric::{Fabric, FabricBuilder, LinkStats, MAX_LINK_RETRIES};

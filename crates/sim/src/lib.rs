@@ -7,6 +7,8 @@
 //! * [`Time`], [`TimeDelta`] — picosecond-resolution simulated time,
 //! * [`Frequency`] — clock rates and cycle/time conversion,
 //! * [`EventQueue`] — a deterministic time-ordered event queue,
+//! * [`IndexSet`] — the bitset worklist that keeps per-step costs
+//!   proportional to activity (fabric links, awake cores),
 //! * [`DetRng`] — a seedable, reproducible random number generator,
 //! * [`codec`] — bounds-checked binary readers/writers ([`ByteWriter`],
 //!   [`ByteReader`], [`CodecError`]) underpinning machine snapshots,
@@ -30,6 +32,7 @@
 //! ```
 
 pub mod codec;
+pub mod index_set;
 pub mod merge;
 pub mod queue;
 pub mod rng;
@@ -38,6 +41,7 @@ pub mod time;
 pub mod trace;
 
 pub use codec::{ByteReader, ByteWriter, CodecError};
+pub use index_set::IndexSet;
 pub use merge::kway_merge_by;
 pub use queue::EventQueue;
 pub use rng::DetRng;

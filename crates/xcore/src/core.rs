@@ -643,6 +643,81 @@ impl Core {
         }
     }
 
+    /// [`Core::run_until`] for a core blocked on external input: state
+    /// afterwards is bit-identical, energy included, but the idle edges
+    /// cost one pair of additions each. Such a core has no ready thread
+    /// and no sleeper, so each of the `k` edges due at or before `until`
+    /// only charges `static_cycle` and `clk_net` and turns the clocks;
+    /// the k additions run in one tight loop and `now`, `cycle` and the
+    /// issue wheel advance by `k` at once. A core with a ready thread or
+    /// a sleeper takes `run_until` itself; a halted core does nothing.
+    ///
+    /// The machine uses this to catch up cores it stopped visiting while
+    /// they waited for a token (DESIGN.md §3.7).
+    pub fn idle_until(&mut self, until: Time) {
+        match self.batchable_edges(until) {
+            0 => self.run_until(until),
+            edges => Self::idle_edges([self], edges),
+        }
+    }
+
+    /// Idle edges due at or before `until` that [`Core::idle_until`]
+    /// batches: none for a caught-up or halted core, or one with a ready
+    /// thread or a sleeper (those take `run_until`).
+    fn batchable_edges(&self, until: Time) -> u64 {
+        if self.halted || !self.rotation.is_empty() || self.sleepers > 0 {
+            return 0;
+        }
+        let next = self.next_tick_at();
+        if until < next {
+            return 0;
+        }
+        // One edge is the common lag; skip the division for it.
+        let (beyond, period) = (until.since(next).as_ps(), self.period.as_ps());
+        if beyond < period {
+            1
+        } else {
+            1 + beyond / period
+        }
+    }
+
+    /// [`Core::idle_until`] on several cores at once, each left exactly as
+    /// its own `idle_until` would leave it. The idle edges the cores have
+    /// in common run in one loop whose energy chains are independent, so
+    /// they overlap in the pipeline instead of waiting on each other.
+    pub fn idle_until_each<const N: usize>(mut cores: [&mut Core; N], until: Time) {
+        let common = cores
+            .iter()
+            .map(|c| c.batchable_edges(until))
+            .min()
+            .unwrap_or(0);
+        if common > 0 {
+            Self::idle_edges(cores.each_mut().map(|c| &mut **c), common);
+        }
+        for core in cores {
+            core.idle_until(until);
+        }
+    }
+
+    /// Charges `edges` idle clock edges to each core and turns its clocks:
+    /// per core, the additions `edges` calls of [`Core::tick`] would make
+    /// on a core with nothing ready or sleeping.
+    fn idle_edges<const N: usize>(mut cores: [&mut Core; N], edges: u64) {
+        let static_cycle = cores.each_ref().map(|c| c.tick_energy.static_cycle);
+        let clk_net = cores.each_ref().map(|c| c.tick_energy.clk_net);
+        EnergyLedger::charge_repeated(
+            cores.each_mut().map(|c| &mut c.ledger),
+            (NodeCategory::Static, static_cycle),
+            (NodeCategory::Network, clk_net),
+            edges,
+        );
+        for core in cores {
+            core.now += TimeDelta::from_ps(edges * core.period.as_ps());
+            core.cycle += edges;
+            core.wheel += edges;
+        }
+    }
+
     /// The instant this core has been simulated to (its local clock). All
     /// cores agree with the machine clock under the serial engines; under
     /// the windowed engine a core may be ahead of the machine clock (up to
