@@ -7,8 +7,7 @@
 //! ```
 //!
 //! Experiment names: table1 fig2 fig3 fig4 table2 eq2 latency overhead ec
-//! table3 system system480 ablation proportionality throughput resilience
-//! fleet.
+//! table3 system system480 ablation proportionality resilience fleet.
 //!
 //! The fleet experiment sweeps an open-loop arrival rate over a fleet of
 //! independent machines and writes `BENCH_fleet.json` (offered load,
@@ -21,20 +20,8 @@
 //! reproduce fleet --machines 2 --arrivals bursty:16 --threads 8 --quick
 //! ```
 //!
-//! The throughput experiment additionally writes its rows to
-//! `BENCH_throughput.json` in the working directory, and accepts engine
-//! overrides for one-off measurements:
-//!
-//! ```text
-//! reproduce throughput --threads 8 --grid 2x2
-//! reproduce throughput --engine lockstep --grid 1x1
-//! ```
-//!
-//! `--engine {lockstep,windowed}` pins the engine (default: the full
-//! sweep over both), `--threads N` pins the windowed engine at `N` host
-//! threads (0 = one per host CPU; without it `--engine windowed` runs one
-//! thread, and it cannot combine with `--engine lockstep`), and `--grid
-//! WxH` sizes the measured machine in slices for the pinned-engine run.
+//! Host-side simulator speed is not an experiment here: `perfbench/`
+//! measures it with repeated samples and per-layer probes.
 //!
 //! The observability layer is exercised with `--trace` / `--metrics`,
 //! and deterministic faults are injected with `--faults`:
@@ -45,10 +32,13 @@
 //! reproduce --faults "kill-link:0@2us, corrupt:8@5us+2us, brownout:600@12us+3us"
 //! ```
 //!
-//! Any of the three flags switches to a dedicated instrumented run (a
-//! six-stage pipeline on the configured grid, honouring `--engine`/
-//! `--threads`/`--grid`): `--trace` writes the merged event log as
-//! Chrome `trace_event` JSON (open in Perfetto), `--metrics` writes the
+//! Any of the three flags switches to a dedicated instrumented run: a
+//! six-stage pipeline on a `--grid WxH` machine (default 1x1 slices).
+//! `--engine {lockstep,windowed}` pins its engine and `--threads N` pins
+//! the windowed engine at `N` host threads (0 = one per host CPU; without
+//! it `--engine windowed` runs one thread, and it cannot combine with
+//! `--engine lockstep`). `--trace` writes the merged event log as Chrome
+//! `trace_event` JSON (open in Perfetto), `--metrics` writes the
 //! per-supply power time series as CSV, and `--faults` replays the given
 //! fault schedule (grammar: `FaultPlan::parse`) while the run's fault
 //! and recovery counters are reported. Every instrumented run checks
@@ -74,13 +64,13 @@ use std::time::Instant;
 use swallow::{EngineMode, FaultPlan, Frequency, SystemBuilder, TimeDelta};
 use swallow_bench::experiments::{
     ablation, ec_ratio, eq2, fig2, fig3, fig4, fleet, latency, overhead, proportionality,
-    resilience, system_power, table1, throughput,
+    resilience, system_power, table1,
 };
 use swallow_bench::survey;
 use swallow_fleet::{ArrivalKind, FleetSpec};
 use swallow_workloads::pipeline::{self, PipelineSpec};
 
-const ALL: [&str; 17] = [
+const ALL: [&str; 16] = [
     "table1",
     "fig2",
     "fig3",
@@ -95,7 +85,6 @@ const ALL: [&str; 17] = [
     "system480",
     "ablation",
     "proportionality",
-    "throughput",
     "resilience",
     "fleet",
 ];
@@ -327,6 +316,14 @@ fn run_observability(overrides: &EngineOverride) {
     }
 }
 
+/// Host CPUs available to the fleet's thread pool (1 when the query
+/// fails).
+fn host_parallelism() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 fn die(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2);
@@ -421,27 +418,6 @@ fn main() {
                 println!("  measured: {gips:.1} GIPS, {watts:.1} W at the 5 V inputs");
                 println!("  paper:    240 GIPS, 134 W");
             }
-            "throughput" => {
-                let span = TimeDelta::from_us(if quick { 5 } else { 20 });
-                let t = match overrides.engine {
-                    // Pinned engine: one busy-grid measurement.
-                    Some(engine) => {
-                        let (w, h) = overrides.grid;
-                        let scenario: &'static str =
-                            Box::leak(format!("busy-{w}x{h}").into_boxed_str());
-                        let row = throughput::measure(scenario, engine, (w, h), 1, span)
-                            .unwrap_or_else(|e| die(&e.to_string()));
-                        throughput::Throughput { rows: vec![row] }
-                    }
-                    None => throughput::run(span),
-                };
-                println!("{t}");
-                let path = std::path::Path::new("BENCH_throughput.json");
-                match t.write_json(path) {
-                    Ok(()) => println!("  wrote {}", path.display()),
-                    Err(e) => eprintln!("  could not write {}: {e}", path.display()),
-                }
-            }
             "fleet" => {
                 let rates: &[f64] = if quick {
                     &fleet::QUICK_RATES
@@ -458,7 +434,7 @@ fn main() {
                     threads: overrides
                         .threads
                         .filter(|&t| t > 0)
-                        .unwrap_or_else(throughput::host_parallelism),
+                        .unwrap_or_else(host_parallelism),
                     drain: TimeDelta::from_ms(1),
                     metrics: true,
                     ..FleetSpec::default()

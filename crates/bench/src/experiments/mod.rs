@@ -13,7 +13,6 @@ pub mod proportionality;
 pub mod resilience;
 pub mod system_power;
 pub mod table1;
-pub mod throughput;
 
 use swallow::{Assembler, Program};
 

@@ -2,9 +2,8 @@
 //!
 //! Each experiment module exposes a `run(...)` returning a typed result
 //! with the same rows/series the paper reports, plus a `Display`
-//! rendering. The `reproduce` binary prints all of them; the Criterion
-//! benches under `benches/` time representative simulation points and
-//! print the rows as they go.
+//! rendering. The `reproduce` binary prints all of them. Host-side
+//! simulator speed is measured by `perfbench/`, not here.
 //!
 //! | module | paper artefact |
 //! |---|---|

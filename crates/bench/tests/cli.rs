@@ -18,6 +18,8 @@ const HOSTILE: &[&[&str]] = &[
     &["--bogus"],
     &["fleet", "--quick", "--thread", "2"],
     &["throughputt"],
+    // Not an experiment: `perfbench/` measures host speed.
+    &["throughput"],
     &["--faults", "bogus"],
     &["--faults", "brownout:0@1us+1us"],
     &["fleet", "--quick", "--arrivals", "bursty:0"],

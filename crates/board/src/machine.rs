@@ -145,7 +145,7 @@ pub struct MachineConfig {
     /// costs one comparison per processed edge and perturbs nothing).
     pub faults: FaultPlan,
     /// Per-core predecoded-instruction cache (architecturally invisible;
-    /// defaults to on unless `SWALLOW_DECODE_CACHE=off`).
+    /// on by default, off only as the differential-testing reference).
     pub decode_cache: bool,
 }
 
@@ -165,7 +165,7 @@ impl MachineConfig {
             trace_capacity: None,
             metrics: false,
             faults: FaultPlan::new(),
-            decode_cache: swallow_xcore::decode_cache_default(),
+            decode_cache: true,
         }
     }
 

@@ -151,8 +151,8 @@ impl SystemBuilder {
 
     /// Enables or disables the per-core predecoded-instruction cache.
     /// Architecturally invisible either way — identical timelines,
-    /// outputs, traces and energy — this is the differential-testing
-    /// escape hatch (also reachable via `SWALLOW_DECODE_CACHE=off`).
+    /// outputs, traces and energy — off is the reference the
+    /// differential suites compare the default against.
     pub fn decode_cache(mut self, enabled: bool) -> Self {
         self.config.decode_cache = enabled;
         self

@@ -1,9 +1,9 @@
-//! Zero-dependency test and bench harnesses for fully offline builds.
+//! Zero-dependency test harnesses for fully offline builds.
 //!
 //! The workspace must build with no registry access at all (`cargo build
 //! --offline` against an empty `~/.cargo/registry`), so external dev-deps
 //! are off the table. This crate supplies drop-in replacements for the
-//! two we used:
+//! two we need:
 //!
 //! * [`proptest`] — a property-testing shim exposing the subset of the
 //!   `proptest` crate API our tests use (`proptest!`, strategies built
@@ -12,23 +12,9 @@
 //!   `ProptestConfig`). Generation is seeded and deterministic; failures
 //!   report the case number, seed and `Debug`-formatted inputs. There is
 //!   no shrinking — inputs here are small enough to read directly.
-//! * [`bench`] (aliased as [`criterion`]) — a micro-benchmark harness
-//!   exposing the `Criterion` / `benchmark_group` / `Bencher::iter`
-//!   surface our `[[bench]]` targets use, printing a criterion-style
-//!   `time: [min median max]` line per benchmark.
 //! * [`json`] — a structural JSON parser (`BTreeMap`-backed objects), so
 //!   golden-file tests compare exporter output by structure rather than
-//!   byte layout (the third offline replacement: `serde_json` for tests).
-
-pub mod proptest;
-
-pub mod bench;
+//!   byte layout (the offline replacement for `serde_json` in tests).
 
 pub mod json;
-
-/// Criterion-compatible facade so bench targets can write
-/// `use swallow_testkit::criterion::{criterion_group, criterion_main, Criterion};`.
-pub mod criterion {
-    pub use crate::bench::{Bencher, BenchmarkGroup, Criterion};
-    pub use crate::{criterion_group, criterion_main};
-}
+pub mod proptest;

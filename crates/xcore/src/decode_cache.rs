@@ -35,23 +35,11 @@
 //!
 //! The cache is allocated lazily on the first fill, so the 480 idle
 //! cores of a big machine never pay for it, and it can be disabled
-//! entirely — per core via [`crate::Core::set_decode_cache`], machine-
-//! wide via `SystemBuilder::decode_cache(false)`, or process-wide with
-//! `SWALLOW_DECODE_CACHE=off` — as a differential-testing escape hatch.
+//! entirely — per core via [`crate::Core::set_decode_cache`] or
+//! machine-wide via `SystemBuilder::decode_cache(false)` — as the
+//! cache-off reference the differential suites compare against.
 
 use swallow_isa::{EnergyClass, Instr, Predecoded};
-
-/// Environment variable gating the cache process-wide.
-pub const DECODE_CACHE_ENV: &str = "SWALLOW_DECODE_CACHE";
-
-/// The process-wide default: enabled unless `SWALLOW_DECODE_CACHE` is
-/// set to `off`, `0` or `false` (case-insensitive).
-pub fn decode_cache_default() -> bool {
-    match std::env::var(DECODE_CACHE_ENV) {
-        Ok(v) => !matches!(v.to_ascii_lowercase().as_str(), "off" | "0" | "false"),
-        Err(_) => true,
-    }
-}
 
 /// An empty (invalid) slot: `words == 0` never occurs in a real entry.
 const EMPTY: Predecoded = Predecoded {
@@ -234,11 +222,5 @@ mod tests {
         assert_eq!(cache.live_entries(), 8);
         cache.invalidate_all();
         assert_eq!(cache.live_entries(), 0);
-    }
-
-    #[test]
-    fn env_default_parses_off_values() {
-        // Only checks the parser, not the live environment.
-        assert!(decode_cache_default() || std::env::var(DECODE_CACHE_ENV).is_ok());
     }
 }

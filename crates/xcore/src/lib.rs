@@ -37,7 +37,7 @@ pub mod sram;
 pub mod thread;
 
 pub use crate::core::{ClassCounts, Core, CoreConfig, DeliverError, LoadError, Trap, TrapCause};
-pub use decode_cache::{decode_cache_default, DecodeCache, DECODE_CACHE_ENV};
+pub use decode_cache::DecodeCache;
 pub use resource::{Chanend, ResourceTable, CHANEND_BUF_TOKENS};
 pub use sram::{FetchError, MemError, Sram, DEFAULT_SRAM_BYTES};
 pub use thread::{Block, Thread, ThreadState, MAX_THREADS, TERMINATOR_PC};

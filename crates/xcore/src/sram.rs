@@ -13,7 +13,7 @@
 //! is excluded from `PartialEq`, which compares architectural bytes
 //! only. See `decode_cache` for the invisibility argument.
 
-use crate::decode_cache::{decode_cache_default, DecodeCache};
+use crate::decode_cache::DecodeCache;
 use std::fmt;
 use swallow_isa::{predecode, DecodeError, Predecoded};
 
@@ -103,19 +103,18 @@ impl PartialEq for Sram {
 impl Eq for Sram {}
 
 impl Sram {
-    /// Creates a zeroed SRAM of `size` bytes (rounded up to 4). The
-    /// decode cache starts at the process-wide default
-    /// (`SWALLOW_DECODE_CACHE`).
+    /// Creates a zeroed SRAM of `size` bytes (rounded up to 4), with the
+    /// decode cache on.
     pub fn new(size: u32) -> Self {
         let size = size.next_multiple_of(4);
         Sram {
             bytes: vec![0; size as usize],
-            cache: DecodeCache::new(size, decode_cache_default()),
+            cache: DecodeCache::new(size, true),
         }
     }
 
-    /// Enables or disables the predecoded-instruction cache (the
-    /// differential-testing escape hatch). Disabling drops every cached
+    /// Enables or disables the predecoded-instruction cache (off is the
+    /// differential-testing reference). Disabling drops every cached
     /// entry; behaviour is bit-identical either way.
     pub fn set_decode_cache(&mut self, enabled: bool) {
         self.cache.set_enabled(enabled);

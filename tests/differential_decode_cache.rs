@@ -10,9 +10,9 @@
 //! way these tests can fail is a stale entry surviving a code store —
 //! which the self-modifying scenario below constructs deliberately.
 //!
-//! Set `SWALLOW_THREADS` to pin the windowed engine to one thread count
-//! (see `common`); the CI decode-cache leg additionally runs the whole
-//! workspace with `SWALLOW_DECODE_CACHE=off`.
+//! Cache on vs off under each engine is this suite's job; the engine,
+//! trace and fault suites also run each of their scenarios at both
+//! cache settings (`common::DECODE_CACHE`).
 
 mod common;
 

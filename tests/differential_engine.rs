@@ -15,12 +15,14 @@
 //! out in one shot). The windowed engine is additionally required to be
 //! *bit-identical* across repeated runs at every tested thread count.
 //!
-//! Set `SWALLOW_THREADS` to pin the suite to one thread count (see
-//! `common`).
+//! Every scenario runs with the predecoded-instruction cache on and
+//! again with it off: each windowed run is compared against lock-step
+//! at the same cache setting, and lock-step with the cache off must be
+//! bit-identical to lock-step with it on.
 
 mod common;
 
-use common::engines_under_test;
+use common::{engines_under_test, DECODE_CACHE};
 
 use swallow_repro::swallow::energy::NodeCategory;
 use swallow_repro::swallow::{
@@ -62,64 +64,70 @@ fn fingerprint(system: &SwallowSystem, quiescent: bool) -> Fingerprint {
     }
 }
 
-fn assert_equivalent(engine: EngineMode, got: &Fingerprint, ls: &Fingerprint) {
+fn assert_equivalent(engine: EngineMode, cache: bool, got: &Fingerprint, ls: &Fingerprint) {
+    let who = format!("{engine:?} (decode cache {cache})");
     assert_eq!(
         got.quiescent, ls.quiescent,
-        "{engine:?}: quiescence verdicts differ"
+        "{who}: quiescence verdicts differ"
     );
-    assert_eq!(
-        got.now_ps, ls.now_ps,
-        "{engine:?}: final simulated time differs"
-    );
+    assert_eq!(got.now_ps, ls.now_ps, "{who}: final simulated time differs");
     assert_eq!(
         got.instret, ls.instret,
-        "{engine:?}: retired instruction counts differ"
+        "{who}: retired instruction counts differ"
     );
-    assert_eq!(
-        got.outputs, ls.outputs,
-        "{engine:?}: program outputs differ"
-    );
+    assert_eq!(got.outputs, ls.outputs, "{who}: program outputs differ");
     for (&(cat, a), &(_, b)) in got.energy.iter().zip(&ls.energy) {
         let scale = a.abs().max(b.abs()).max(f64::MIN_POSITIVE);
         assert!(
             (a - b).abs() <= ENERGY_RTOL * scale,
-            "{engine:?}: {cat} energy diverged: {a} J vs lock-step {b} J"
+            "{who}: {cat} energy diverged: {a} J vs lock-step {b} J"
         );
     }
 }
 
-/// Runs the same setup under lock-step and every engine under test,
-/// checking each fingerprint against the reference. Each engine runs
-/// twice and must be bit-identical across runs. Returns the first
-/// engine's fingerprint and the lock-step one.
+/// Runs the same setup under lock-step and every engine under test, at
+/// each decode-cache setting, checking each fingerprint against
+/// lock-step at the same setting. Each engine runs twice and must be
+/// bit-identical across runs, and lock-step must be bit-identical with
+/// the cache on and off. Returns the first windowed engine's
+/// fingerprint with the cache on.
 fn run_differential_with(
     budget: TimeDelta,
     builder: impl Fn() -> SystemBuilder,
     mut setup: impl FnMut(&mut SwallowSystem),
-) -> (Fingerprint, Fingerprint) {
-    let mut run = |engine: EngineMode| {
-        let mut system = builder().engine(engine).build().expect("builds");
+) -> Fingerprint {
+    let mut run = |engine: EngineMode, cache: bool| {
+        let mut system = builder()
+            .engine(engine)
+            .decode_cache(cache)
+            .build()
+            .expect("builds");
         setup(&mut system);
         let quiescent = system.run_until_quiescent(budget);
         fingerprint(&system, quiescent)
     };
-    let ls = run(EngineMode::LockStep);
+    let mut cached_ls = None;
     let mut first = None;
-    for engine in engines_under_test() {
-        let fp = run(engine);
-        assert_equivalent(engine, &fp, &ls);
-        let again = run(engine);
-        assert_eq!(fp, again, "{engine:?}: repeated runs must be bit-identical");
-        first.get_or_insert(fp);
+    for cache in DECODE_CACHE {
+        let ls = run(EngineMode::LockStep, cache);
+        let on = cached_ls.get_or_insert_with(|| ls.clone());
+        assert_eq!(&ls, on, "lock-step: the decode cache perturbed the run");
+        for engine in engines_under_test() {
+            let fp = run(engine, cache);
+            assert_equivalent(engine, cache, &fp, &ls);
+            let again = run(engine, cache);
+            assert_eq!(
+                fp, again,
+                "{engine:?} (decode cache {cache}): repeated runs must be bit-identical"
+            );
+            first.get_or_insert(fp);
+        }
     }
-    (first.expect("at least one engine under test"), ls)
+    first.expect("at least one engine under test")
 }
 
 /// [`run_differential_with`] on the default one-slice builder.
-fn run_differential(
-    budget: TimeDelta,
-    setup: impl FnMut(&mut SwallowSystem),
-) -> (Fingerprint, Fingerprint) {
+fn run_differential(budget: TimeDelta, setup: impl FnMut(&mut SwallowSystem)) -> Fingerprint {
     run_differential_with(budget, SystemBuilder::new, setup)
 }
 
@@ -130,7 +138,7 @@ fn pipeline_runs_identically_under_both_engines() {
         items: 24,
         work_per_item: 3,
     };
-    let (ff, _) = run_differential(TimeDelta::from_ms(20), |system| {
+    let ff = run_differential(TimeDelta::from_ms(20), |system| {
         pipeline::generate(&spec, system.machine().spec())
             .expect("generates")
             .apply(system)
@@ -151,7 +159,7 @@ fn farm_runs_identically_under_both_engines() {
         tasks: 20,
         work_per_task: 4,
     };
-    let (ff, _) = run_differential(TimeDelta::from_ms(20), |system| {
+    let ff = run_differential(TimeDelta::from_ms(20), |system| {
         farm::generate(&spec, system.machine().spec())
             .expect("generates")
             .apply(system)
@@ -169,7 +177,7 @@ fn ping_pong_runs_identically_under_both_engines() {
         clients: 2,
         requests_per_client: 8,
     };
-    let (ff, _) = run_differential(TimeDelta::from_ms(50), |system| {
+    let ff = run_differential(TimeDelta::from_ms(50), |system| {
         client_server::generate(&spec, system.machine().spec())
             .expect("generates")
             .apply(system)
@@ -189,7 +197,7 @@ fn long_timer_sleeps_fast_forward_to_the_same_instant() {
     // Sleeps far longer than any workload message gap: the fast-forward
     // engine jumps hundreds of thousands of ticks at once here, yet must
     // land on exactly the wake instants the lock-step engine reaches.
-    let (ff, _) = run_differential(TimeDelta::from_ms(10), |system| {
+    let ff = run_differential(TimeDelta::from_ms(10), |system| {
         for (node, ticks) in [(0u16, 50_000u32), (7, 63_456), (15, 65_001)] {
             let program = Assembler::new()
                 .assemble(&format!(
@@ -218,17 +226,26 @@ fn long_timer_sleeps_fast_forward_to_the_same_instant() {
 fn idle_machine_burns_identical_energy() {
     // A fully idle slice for 200 µs: every tick of every core is skipped
     // analytically, and the ledgers must still agree to 1e-9.
-    let run = |engine: EngineMode| {
-        let mut system = SystemBuilder::new().engine(engine).build().expect("builds");
+    let run = |engine: EngineMode, cache: bool| {
+        let mut system = SystemBuilder::new()
+            .engine(engine)
+            .decode_cache(cache)
+            .build()
+            .expect("builds");
         system.run_for(TimeDelta::from_us(200));
         fingerprint(&system, true)
     };
-    let ls = run(EngineMode::LockStep);
+    let mut cached_ls = None;
     let mut total = 0.0;
-    for engine in engines_under_test() {
-        let fp = run(engine);
-        assert_equivalent(engine, &fp, &ls);
-        total = fp.energy.iter().map(|(_, j)| j).sum::<f64>();
+    for cache in DECODE_CACHE {
+        let ls = run(EngineMode::LockStep, cache);
+        let on = cached_ls.get_or_insert_with(|| ls.clone());
+        assert_eq!(&ls, on, "lock-step: the decode cache perturbed the run");
+        for engine in engines_under_test() {
+            let fp = run(engine, cache);
+            assert_equivalent(engine, cache, &fp, &ls);
+            total = fp.energy.iter().map(|(_, j)| j).sum::<f64>();
+        }
     }
     assert!(total > 0.0, "idle energy must still be charged");
 }
@@ -243,7 +260,7 @@ fn parallel_agrees_on_shortest_paths_routing() {
         items: 16,
         work_per_item: 3,
     };
-    let (fp, _) = run_differential_with(
+    let fp = run_differential_with(
         TimeDelta::from_ms(20),
         || SystemBuilder::new().router(RouterKind::ShortestPaths),
         |system| {
@@ -271,7 +288,7 @@ proptest! {
         schedule in proptest::collection::vec((0u16..16, 1u32..60_000), 1..6),
     ) {
         let mut nodes_used = Vec::new();
-        let (ff, _) = run_differential(TimeDelta::from_ms(10), |system| {
+        let ff = run_differential(TimeDelta::from_ms(10), |system| {
             nodes_used.clear();
             for &(node, ticks) in &schedule {
                 if nodes_used.contains(&node) {

@@ -8,11 +8,12 @@
 //! (DESIGN.md §3.10); these tests pin that engine-invariance down, plus
 //! the recovery behaviours: retry under corruption, reroute + sticky
 //! rebind around a dead link, quarantine of partitioned cores, and
-//! energy conservation with retransmit energy included.
+//! energy conservation with retransmit energy included. Every scenario
+//! runs with the predecoded-instruction cache on and again with it off.
 
 mod common;
 
-use common::{engines_under_test, every_engine};
+use common::{engines_under_test, every_engine, DECODE_CACHE};
 
 use swallow_repro::swallow::energy::NodeCategory;
 use swallow_repro::swallow::noc::{Direction, LinkId};
@@ -56,59 +57,69 @@ fn fingerprint(system: &SwallowSystem, quiescent: bool) -> Fingerprint {
     }
 }
 
-fn assert_equivalent(engine: EngineMode, got: &Fingerprint, ls: &Fingerprint) {
+fn assert_equivalent(engine: EngineMode, cache: bool, got: &Fingerprint, ls: &Fingerprint) {
+    let who = format!("{engine:?} (decode cache {cache})");
     assert_eq!(
         got.quiescent, ls.quiescent,
-        "{engine:?}: quiescence verdicts differ"
+        "{who}: quiescence verdicts differ"
     );
-    assert_eq!(
-        got.now_ps, ls.now_ps,
-        "{engine:?}: final simulated time differs"
-    );
+    assert_eq!(got.now_ps, ls.now_ps, "{who}: final simulated time differs");
     assert_eq!(
         got.instret, ls.instret,
-        "{engine:?}: retired instruction counts differ"
+        "{who}: retired instruction counts differ"
     );
-    assert_eq!(
-        got.outputs, ls.outputs,
-        "{engine:?}: program outputs differ"
-    );
+    assert_eq!(got.outputs, ls.outputs, "{who}: program outputs differ");
     assert_eq!(
         got.faults, ls.faults,
-        "{engine:?}: fault/resilience counters differ"
+        "{who}: fault/resilience counters differ"
     );
     for (&(cat, a), &(_, b)) in got.energy.iter().zip(&ls.energy) {
         let scale = a.abs().max(b.abs()).max(f64::MIN_POSITIVE);
         assert!(
             (a - b).abs() <= ENERGY_RTOL * scale,
-            "{engine:?}: {cat} energy diverged: {a} J vs lock-step {b} J"
+            "{who}: {cat} energy diverged: {a} J vs lock-step {b} J"
         );
     }
 }
 
 /// Runs the same faulted setup under lock-step and every engine under
-/// test; each engine runs twice and must be bit-identical.
+/// test, at each decode-cache setting against lock-step at the same
+/// setting; each engine runs twice and must be bit-identical, and
+/// lock-step must be bit-identical with the cache on and off. Returns
+/// the first windowed engine's fingerprint with the cache on.
 fn run_differential(
     budget: TimeDelta,
     builder: impl Fn() -> SystemBuilder,
     mut setup: impl FnMut(&mut SwallowSystem),
-) -> (Fingerprint, Fingerprint) {
-    let mut run = |engine: EngineMode| {
-        let mut system = builder().engine(engine).build().expect("builds");
+) -> Fingerprint {
+    let mut run = |engine: EngineMode, cache: bool| {
+        let mut system = builder()
+            .engine(engine)
+            .decode_cache(cache)
+            .build()
+            .expect("builds");
         setup(&mut system);
         let quiescent = system.run_until_quiescent(budget);
         fingerprint(&system, quiescent)
     };
-    let ls = run(EngineMode::LockStep);
+    let mut cached_ls = None;
     let mut first = None;
-    for engine in engines_under_test() {
-        let fp = run(engine);
-        assert_equivalent(engine, &fp, &ls);
-        let again = run(engine);
-        assert_eq!(fp, again, "{engine:?}: repeated runs must be bit-identical");
-        first.get_or_insert(fp);
+    for cache in DECODE_CACHE {
+        let ls = run(EngineMode::LockStep, cache);
+        let on = cached_ls.get_or_insert_with(|| ls.clone());
+        assert_eq!(&ls, on, "lock-step: the decode cache perturbed the run");
+        for engine in engines_under_test() {
+            let fp = run(engine, cache);
+            assert_equivalent(engine, cache, &fp, &ls);
+            let again = run(engine, cache);
+            assert_eq!(
+                fp, again,
+                "{engine:?} (decode cache {cache}): repeated runs must be bit-identical"
+            );
+            first.get_or_insert(fp);
+        }
     }
-    (first.expect("at least one engine under test"), ls)
+    first.expect("at least one engine under test")
 }
 
 fn t(us: u64) -> Time {
@@ -145,21 +156,26 @@ fn empty_fault_plan_perturbs_nothing() {
     // An explicitly-attached empty plan must leave every fingerprint
     // bit-identical to a build with no plan at all (PartialEq compares
     // the energy f64s exactly).
-    let run = |with_empty_plan: bool| {
-        let mut builder = SystemBuilder::new();
-        if with_empty_plan {
-            builder = builder.faults(FaultPlan::new());
-        }
-        let mut system = builder.build().expect("builds");
-        load_pipeline(&mut system);
-        let quiescent = system.run_until_quiescent(TimeDelta::from_ms(20));
-        fingerprint(&system, quiescent)
-    };
-    let bare = run(false);
-    let planned = run(true);
-    assert!(bare.quiescent);
-    assert_eq!(bare, planned, "an empty plan must be a perfect no-op");
-    assert!(bare.faults.is_quiet());
+    for cache in DECODE_CACHE {
+        let run = |with_empty_plan: bool| {
+            let mut builder = SystemBuilder::new().decode_cache(cache);
+            if with_empty_plan {
+                builder = builder.faults(FaultPlan::new());
+            }
+            let mut system = builder.build().expect("builds");
+            load_pipeline(&mut system);
+            let quiescent = system.run_until_quiescent(TimeDelta::from_ms(20));
+            fingerprint(&system, quiescent)
+        };
+        let bare = run(false);
+        let planned = run(true);
+        assert!(bare.quiescent);
+        assert_eq!(
+            bare, planned,
+            "decode cache {cache}: an empty plan must be a perfect no-op"
+        );
+        assert!(bare.faults.is_quiet());
+    }
 }
 
 #[test]
@@ -179,7 +195,7 @@ fn recoverable_fault_storm_runs_identically_under_every_engine() {
         .corrupt_window(t(5), hop23, TimeDelta::from_us(2))
         .stall_core(t(6), NodeId(2), TimeDelta::from_us(3))
         .brownout(t(12), 600, TimeDelta::from_us(3));
-    let (fp, _) = run_differential(
+    let fp = run_differential(
         TimeDelta::from_ms(20),
         || SystemBuilder::new().faults(plan.clone()),
         load_pipeline,
@@ -207,7 +223,7 @@ fn killed_link_reroutes_instead_of_deadlocking() {
     let probe = SystemBuilder::new().build().expect("builds");
     let hop01 = internal_link_between(&probe, 0, 1);
     let plan = FaultPlan::new().link_down(t(1), hop01);
-    let (fp, _) = run_differential(
+    let fp = run_differential(
         TimeDelta::from_ms(20),
         || SystemBuilder::new().faults(plan.clone()),
         load_pipeline,
@@ -240,7 +256,7 @@ fn drop_window_loses_tokens_identically_under_every_engine() {
     for lid in descs {
         plan = plan.drop_window(t(1), lid, TimeDelta::from_us(40));
     }
-    let (fp, _) = run_differential(
+    let fp = run_differential(
         TimeDelta::from_us(300),
         || SystemBuilder::new().faults(plan.clone()),
         load_pipeline,
@@ -270,28 +286,24 @@ fn partition_quarantines_the_cut_off_core() {
     for lid in cut {
         plan = plan.link_down(t(1), lid);
     }
-    let (fp, _) = run_differential(
+    let fp = run_differential(
         TimeDelta::from_us(300),
         || SystemBuilder::new().faults(plan.clone()),
         load_pipeline,
     );
     assert_eq!(fp.faults.quarantined_cores, 1, "exactly node 3 is cut off");
-    let mut system = SystemBuilder::new()
-        .faults(
-            probe
-                .machine()
-                .link_descs()
-                .iter()
-                .filter(|d| d.from == NodeId(3) || d.to == NodeId(3))
-                .fold(FaultPlan::new(), |p, d| p.link_down(t(1), d.id)),
-        )
-        .build()
-        .expect("builds");
-    system.run_for(TimeDelta::from_us(10));
-    assert!(
-        system.machine().core(NodeId(3)).is_halted(),
-        "a quarantined core is dead"
-    );
+    for cache in DECODE_CACHE {
+        let mut system = SystemBuilder::new()
+            .faults(plan.clone())
+            .decode_cache(cache)
+            .build()
+            .expect("builds");
+        system.run_for(TimeDelta::from_us(10));
+        assert!(
+            system.machine().core(NodeId(3)).is_halted(),
+            "decode cache {cache}: a quarantined core is dead"
+        );
+    }
 }
 
 #[test]
@@ -314,7 +326,7 @@ fn interslice_cable_fault_reroutes_identically_on_a_grid() {
     let plan = FaultPlan::new()
         .link_down(t(2), cable)
         .link_up(t(10), cable);
-    let (fp, _) = run_differential(
+    let fp = run_differential(
         TimeDelta::from_ms(20),
         || SystemBuilder::new().slices(2, 1).faults(plan.clone()),
         load_pipeline,
@@ -339,27 +351,31 @@ fn energy_conservation_holds_with_faults_under_every_engine() {
         .link_down(t(2), hop01)
         .corrupt_window(t(5), hop23, TimeDelta::from_us(2))
         .brownout(t(12), 600, TimeDelta::from_us(3));
-    for engine in every_engine() {
-        let mut system = SystemBuilder::new()
-            .faults(plan.clone())
-            .metrics()
-            .engine(engine)
-            .build()
-            .expect("builds");
-        load_pipeline(&mut system);
-        assert!(system.run_until_quiescent(TimeDelta::from_ms(20)));
-        system.flush_metrics();
-        let report = system.metrics_report();
-        assert!(
-            report.faults.retransmits > 0,
-            "{engine:?}: corruption window must cost retransmits"
-        );
-        let metered = report.metered_energy.as_joules();
-        let ledger = report.ledger_energy.as_joules();
-        let scale = ledger.abs().max(f64::MIN_POSITIVE);
-        assert!(
-            (metered - ledger).abs() <= ENERGY_RTOL * scale,
-            "{engine:?}: conservation broke: metered {metered} J vs ledger {ledger} J"
-        );
+    for cache in DECODE_CACHE {
+        for engine in every_engine() {
+            let mut system = SystemBuilder::new()
+                .faults(plan.clone())
+                .metrics()
+                .engine(engine)
+                .decode_cache(cache)
+                .build()
+                .expect("builds");
+            load_pipeline(&mut system);
+            assert!(system.run_until_quiescent(TimeDelta::from_ms(20)));
+            system.flush_metrics();
+            let report = system.metrics_report();
+            let who = format!("{engine:?} (decode cache {cache})");
+            assert!(
+                report.faults.retransmits > 0,
+                "{who}: corruption window must cost retransmits"
+            );
+            let metered = report.metered_energy.as_joules();
+            let ledger = report.ledger_energy.as_joules();
+            let scale = ledger.abs().max(f64::MIN_POSITIVE);
+            assert!(
+                (metered - ledger).abs() <= ENERGY_RTOL * scale,
+                "{who}: conservation broke: metered {metered} J vs ledger {ledger} J"
+            );
+        }
     }
 }

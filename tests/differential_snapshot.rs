@@ -15,7 +15,7 @@
 //! per-link fault windows all have to survive the round trip.
 //!
 //! Checkpoints are restored under lock-step and under the windowed engine
-//! at each thread count `common` selects (`SWALLOW_THREADS` pins one).
+//! at each thread count `common` selects.
 
 mod common;
 

@@ -8,14 +8,15 @@
 //! counters the power monitor already maintains, so instrumented runs
 //! measure the machine, not the measurement.
 //!
-//! Set `SWALLOW_THREADS` to pin the windowed engine to one thread count
-//! (see `common`), as the CI thread-count legs do.
+//! Every scenario runs with the predecoded-instruction cache on and
+//! again with it off; lock-step's plain runs must also be bit-identical
+//! across the two cache settings.
 
 mod common;
 
-use common::every_engine;
+use common::{every_engine, DECODE_CACHE};
 use swallow_repro::swallow::energy::NodeCategory;
-use swallow_repro::swallow::{SwallowSystem, SystemBuilder, TimeDelta};
+use swallow_repro::swallow::{EngineMode, SwallowSystem, SystemBuilder, TimeDelta};
 use swallow_repro::swallow_workloads::{client_server, farm, pipeline};
 
 /// Everything observable about a finished run. Energy compares
@@ -48,41 +49,50 @@ fn fingerprint(system: &SwallowSystem, quiescent: bool) -> Fingerprint {
     }
 }
 
-/// Runs the same setup twice per engine — observability off, then
-/// tracing + metrics on — and requires identical fingerprints. Also
-/// checks the instrumented run actually captured something.
+/// Runs the same setup twice per engine and decode-cache setting —
+/// observability off, then tracing + metrics on — and requires identical
+/// fingerprints. Also checks the instrumented run actually captured
+/// something.
 fn assert_observability_is_free(budget: TimeDelta, mut setup: impl FnMut(&mut SwallowSystem)) {
-    for engine in every_engine() {
-        let mut run = |instrumented: bool| {
-            let mut builder = SystemBuilder::new().engine(engine);
-            if instrumented {
-                builder = builder.tracing().metrics();
+    let mut cached_ls = None;
+    for cache in DECODE_CACHE {
+        for engine in every_engine() {
+            let who = format!("{engine:?} (decode cache {cache})");
+            let mut run = |instrumented: bool| {
+                let mut builder = SystemBuilder::new().engine(engine).decode_cache(cache);
+                if instrumented {
+                    builder = builder.tracing().metrics();
+                }
+                let mut system = builder.build().expect("builds");
+                setup(&mut system);
+                let quiescent = system.run_until_quiescent(budget);
+                (fingerprint(&system, quiescent), system)
+            };
+            let (plain, _) = run(false);
+            let (traced, system) = run(true);
+            assert_eq!(
+                traced, plain,
+                "{who}: tracing+metrics must not perturb the run"
+            );
+            if engine == EngineMode::LockStep {
+                let on = cached_ls.get_or_insert_with(|| plain.clone());
+                assert_eq!(&plain, on, "{who}: the decode cache perturbed the run");
             }
-            let mut system = builder.build().expect("builds");
-            setup(&mut system);
-            let quiescent = system.run_until_quiescent(budget);
-            (fingerprint(&system, quiescent), system)
-        };
-        let (plain, _) = run(false);
-        let (traced, system) = run(true);
-        assert_eq!(
-            traced, plain,
-            "{engine:?}: tracing+metrics must not perturb the run"
-        );
-        let log = system.trace_log();
-        assert!(
-            !log.is_empty(),
-            "{engine:?}: instrumented run captured no trace events"
-        );
-        assert!(
-            !system.machine().metrics().rows().is_empty(),
-            "{engine:?}: instrumented run recorded no supply rows"
-        );
-        // The merged log must be chronological whatever the engine did.
-        assert!(
-            log.records.windows(2).all(|w| w[0].at <= w[1].at),
-            "{engine:?}: merged trace log out of order"
-        );
+            let log = system.trace_log();
+            assert!(
+                !log.is_empty(),
+                "{who}: instrumented run captured no trace events"
+            );
+            assert!(
+                !system.machine().metrics().rows().is_empty(),
+                "{who}: instrumented run recorded no supply rows"
+            );
+            // The merged log must be chronological whatever the engine did.
+            assert!(
+                log.records.windows(2).all(|w| w[0].at <= w[1].at),
+                "{who}: merged trace log out of order"
+            );
+        }
     }
 }
 
@@ -141,27 +151,36 @@ fn parallel_instrumented_runs_are_bit_identical() {
         items: 24,
         work_per_item: 3,
     };
-    let run = || {
-        let mut system = SystemBuilder::new()
-            .parallel(4)
-            .tracing()
-            .metrics()
-            .build()
-            .expect("builds");
-        pipeline::generate(&spec, system.machine().spec())
-            .expect("generates")
-            .apply(&mut system)
-            .expect("loads");
-        system.run_until_quiescent(TimeDelta::from_ms(20));
-        system.flush_metrics();
-        (
-            system.trace_log(),
-            system.machine().metrics().rows().to_vec(),
-        )
-    };
-    let (log_a, rows_a) = run();
-    let (log_b, rows_b) = run();
-    assert_eq!(log_a, log_b, "merged trace logs differ between runs");
-    assert_eq!(rows_a, rows_b, "metrics rows differ between runs");
-    assert!(!log_a.is_empty() && !rows_a.is_empty());
+    for cache in DECODE_CACHE {
+        let run = || {
+            let mut system = SystemBuilder::new()
+                .parallel(4)
+                .decode_cache(cache)
+                .tracing()
+                .metrics()
+                .build()
+                .expect("builds");
+            pipeline::generate(&spec, system.machine().spec())
+                .expect("generates")
+                .apply(&mut system)
+                .expect("loads");
+            system.run_until_quiescent(TimeDelta::from_ms(20));
+            system.flush_metrics();
+            (
+                system.trace_log(),
+                system.machine().metrics().rows().to_vec(),
+            )
+        };
+        let (log_a, rows_a) = run();
+        let (log_b, rows_b) = run();
+        assert_eq!(
+            log_a, log_b,
+            "decode cache {cache}: merged trace logs differ between runs"
+        );
+        assert_eq!(
+            rows_a, rows_b,
+            "decode cache {cache}: metrics rows differ between runs"
+        );
+        assert!(!log_a.is_empty() && !rows_a.is_empty());
+    }
 }
