@@ -278,7 +278,8 @@ fn run_observability(overrides: &EngineOverride) {
     system.flush_metrics();
 
     println!("observability run ({engine:?}, {w}x{h} slices, quiescent: {quiescent}):");
-    println!("{}", system.metrics_report());
+    let report = system.run_report();
+    println!("{report}");
     if let Some(path) = overrides.trace.as_deref() {
         let log = system.trace_log();
         match swallow::write_chrome_trace(Path::new(path), &log) {
@@ -302,9 +303,9 @@ fn run_observability(overrides: &EngineOverride) {
     // metrics series: the integrated supply series must reproduce the
     // energy-ledger total, faults or no faults, restore or no restore.
     if system.machine().metrics().is_enabled() {
-        let metered = system.machine().metrics().total_energy().as_joules();
-        let ledger = system.machine().machine_ledger().total().as_joules();
-        let rel = (metered - ledger).abs() / ledger.abs().max(f64::MIN_POSITIVE);
+        let metered = report.metered_energy.as_joules();
+        let ledger = report.ledger.total().as_joules();
+        let rel = report.conservation_rel();
         println!(
             "  conservation: integrated {metered:.9e} J vs ledger {ledger:.9e} J (rel {rel:.2e})"
         );
@@ -322,6 +323,15 @@ fn host_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+}
+
+/// Writes a BENCH artefact into the working directory, exiting 2 when
+/// it cannot.
+fn write_bench(name: &str, json: &str) {
+    match std::fs::write(name, json) {
+        Ok(()) => println!("  wrote {name}"),
+        Err(e) => die(&format!("could not write {name}: {e}")),
+    }
 }
 
 fn die(msg: &str) -> ! {
@@ -443,11 +453,7 @@ fn main() {
                 match fleet::run_sweep(&base, rates) {
                     Ok(bench) => {
                         println!("{bench}");
-                        let path = std::path::Path::new("BENCH_fleet.json");
-                        match bench.write_json(path) {
-                            Ok(()) => println!("  wrote {}", path.display()),
-                            Err(e) => eprintln!("  could not write {}: {e}", path.display()),
-                        }
+                        write_bench("BENCH_fleet.json", &bench.to_json());
                     }
                     Err(e) => die(&format!("fleet sweep failed: {e}")),
                 }
@@ -455,11 +461,7 @@ fn main() {
             "resilience" => {
                 let r = resilience::run(quick);
                 println!("{r}");
-                let path = std::path::Path::new("BENCH_resilience.json");
-                match r.write_json(path) {
-                    Ok(()) => println!("  wrote {}", path.display()),
-                    Err(e) => eprintln!("  could not write {}: {e}", path.display()),
-                }
+                write_bench("BENCH_resilience.json", &r.to_json());
             }
             other => unreachable!("`{other}` is in ALL but has no runner"),
         }

@@ -11,11 +11,14 @@
 //! serving units).
 //!
 //! Rows are bit-identical across repeat runs and host thread counts;
-//! [`FleetBench::write_json`] emits them as `BENCH_fleet.json` for CI
+//! [`FleetBench::to_json`] renders them as `BENCH_fleet.json` for CI
 //! trend tracking, and [`check_conservation`] re-runs the §II gate per
 //! machine (supply-integrated energy must reproduce the ledger total).
 
+use crate::json::{self, Value};
 use std::fmt;
+use swallow::board::conservation_rel;
+use swallow::Energy;
 use swallow_fleet::{ArrivalKind, FleetError, FleetResult, FleetSpec};
 
 /// Per-machine arrival rates the default sweep visits (requests/s). The
@@ -102,55 +105,44 @@ pub fn arrival_label(kind: ArrivalKind) -> String {
 }
 
 impl FleetBench {
-    /// Serialises the sweep as the `BENCH_fleet.json` schema:
-    /// `{"experiment": "fleet", "machines": N, "arrivals": "...",
-    /// "seed": S, "requests": R, "rows": [{rate_rps, offered, injected,
-    /// rejected, completed, wrong, goodput_rps, p50_ps, p95_ps, p99_ps,
-    /// joules_per_request, total_energy_j, idle_energy_j}, ...]}`.
-    /// Every field is either an integer or a fixed-precision float of a
-    /// deterministic simulation quantity, so the file is bit-identical
-    /// across repeat runs and host thread counts. Hand-rolled — the
-    /// workspace builds offline with no serde dependency.
+    /// Serialises the sweep as the `BENCH_fleet.json` schema: header
+    /// fields `experiment`, `machines`, `arrivals`, `seed`, `requests`,
+    /// then one row per rate with `rate_rps, offered, injected, rejected,
+    /// completed, wrong, goodput_rps, p50_ps, p95_ps, p99_ps,
+    /// joules_per_request, total_energy_j, idle_energy_j`. Every field is
+    /// an integer or a fixed-precision float of a deterministic simulation
+    /// quantity, so the file is bit-identical across repeat runs and host
+    /// thread counts.
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\n  \"experiment\": \"fleet\",\n  \"machines\": {},\n  \
-             \"arrivals\": \"{}\",\n  \"seed\": {},\n  \"requests\": {},\n  \"rows\": [\n",
-            self.machines, self.arrivals, self.seed, self.requests
-        );
-        for (i, r) in self.rows.iter().enumerate() {
-            let sep = if i + 1 < self.rows.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"rate_rps\": {:.1}, \"offered\": {}, \"injected\": {}, \
-                 \"rejected\": {}, \"completed\": {}, \"wrong\": {}, \
-                 \"goodput_rps\": {:.3}, \"p50_ps\": {}, \"p95_ps\": {}, \
-                 \"p99_ps\": {}, \"joules_per_request\": {:.9e}, \
-                 \"total_energy_j\": {:.9e}, \"idle_energy_j\": {:.9e}}}{sep}\n",
-                r.rate_rps,
-                r.offered,
-                r.injected,
-                r.rejected,
-                r.completed,
-                r.wrong,
-                r.goodput_rps,
-                r.p50_ps,
-                r.p95_ps,
-                r.p99_ps,
-                r.joules_per_request,
-                r.total_energy_j,
-                r.idle_energy_j,
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes [`Self::to_json`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+        let header = [
+            ("experiment", Value::text("fleet")),
+            ("machines", Value::int(self.machines as u64)),
+            ("arrivals", Value::text(self.arrivals.as_str())),
+            ("seed", Value::int(self.seed)),
+            ("requests", Value::int(self.requests.into())),
+        ];
+        let rows: Vec<_> = self
+            .rows
+            .iter()
+            .map(|r| {
+                vec![
+                    ("rate_rps", Value::fixed(r.rate_rps, 1)),
+                    ("offered", Value::int(r.offered)),
+                    ("injected", Value::int(r.injected)),
+                    ("rejected", Value::int(r.rejected)),
+                    ("completed", Value::int(r.completed)),
+                    ("wrong", Value::int(r.wrong)),
+                    ("goodput_rps", Value::fixed(r.goodput_rps, 3)),
+                    ("p50_ps", Value::int(r.p50_ps)),
+                    ("p95_ps", Value::int(r.p95_ps)),
+                    ("p99_ps", Value::int(r.p99_ps)),
+                    ("joules_per_request", Value::sci(r.joules_per_request, 9)),
+                    ("total_energy_j", Value::sci(r.total_energy_j, 9)),
+                    ("idle_energy_j", Value::sci(r.idle_energy_j, 9)),
+                ]
+            })
+            .collect();
+        json::document(&header, &rows)
     }
 }
 
@@ -206,7 +198,7 @@ pub fn check_conservation(result: &FleetResult) -> Result<(), String> {
             return Err(format!("machine {m} ran without the metrics hub"));
         };
         let ledger = outcome.total_energy_j;
-        let rel = (metered - ledger).abs() / ledger.abs().max(f64::MIN_POSITIVE);
+        let rel = conservation_rel(Energy::from_joules(metered), Energy::from_joules(ledger));
         if rel > 1e-9 {
             return Err(format!(
                 "machine {m}: metered {metered:.9e} J vs ledger {ledger:.9e} J (rel {rel:.2e})"
@@ -252,6 +244,7 @@ pub fn run_sweep(base: &FleetSpec, rates: &[f64]) -> Result<FleetBench, FleetErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Kind;
     use swallow::TimeDelta;
 
     fn tiny_spec() -> FleetSpec {
@@ -286,26 +279,43 @@ mod tests {
         assert!(rendered.contains("uJ/req"));
     }
 
+    const HEADER: &[(&str, Kind)] = &[
+        ("experiment", Kind::Text),
+        ("machines", Kind::Number),
+        ("arrivals", Kind::Text),
+        ("seed", Kind::Number),
+        ("requests", Kind::Number),
+    ];
+    const ROW: &[(&str, Kind)] = &[
+        ("rate_rps", Kind::Number),
+        ("offered", Kind::Number),
+        ("injected", Kind::Number),
+        ("rejected", Kind::Number),
+        ("completed", Kind::Number),
+        ("wrong", Kind::Number),
+        ("goodput_rps", Kind::Number),
+        ("p50_ps", Kind::Number),
+        ("p95_ps", Kind::Number),
+        ("p99_ps", Kind::Number),
+        ("joules_per_request", Kind::Number),
+        ("total_energy_j", Kind::Number),
+        ("idle_energy_j", Kind::Number),
+    ];
+
     #[test]
     fn json_is_deterministic_and_complete() {
         let spec = tiny_spec();
         let a = run_sweep(&spec, &QUICK_RATES[..2]).expect("sweeps");
         let b = run_sweep(&spec, &QUICK_RATES[..2]).expect("sweeps");
         assert_eq!(a.to_json(), b.to_json(), "repeat runs are bit-identical");
-        let json = a.to_json();
-        for field in [
-            "\"experiment\": \"fleet\"",
-            "\"machines\": 2",
-            "\"arrivals\": \"poisson\"",
-            "\"seed\": 42",
-            "\"rate_rps\":",
-            "\"goodput_rps\":",
-            "\"p99_ps\":",
-            "\"joules_per_request\":",
-        ] {
-            assert!(json.contains(field), "missing {field} in {json}");
-        }
-        assert!(json.contains("}\n  ]\n}\n"));
+        json::assert_shape(&a.to_json(), HEADER, ROW, 2);
+    }
+
+    #[test]
+    fn committed_bench_file_has_the_schema() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
+        let doc = std::fs::read_to_string(path).expect("committed BENCH_fleet.json");
+        json::assert_shape(&doc, HEADER, ROW, DEFAULT_RATES.len());
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //!   charged at the links, the metered supply rows must still integrate
 //!   back to the ledger to ~1e-9.
 //!
-//! [`Resilience::write_json`] emits the rows as `BENCH_resilience.json`
+//! [`Resilience::to_json`] renders the rows as `BENCH_resilience.json`
 //! for CI trend tracking.
 
+use crate::json::{self, Value};
 use std::fmt;
 use swallow::noc::Direction;
 use swallow::{EngineMode, FaultPlan, NodeId, RandomFaults, SystemBuilder, TimeDelta};
@@ -90,54 +91,39 @@ pub struct Resilience {
 
 impl Resilience {
     /// Serialises the rows as the `BENCH_resilience.json` schema:
-    /// `{"experiment": "resilience", "rows": [{fault_events, scheduled,
-    /// seed, engine, threads, completed, delivered_tokens, ...}, ...]}`.
-    /// Hand-rolled — the workspace builds offline with no serde
-    /// dependency.
+    /// header field `experiment`, then one row per fault count with
+    /// `fault_events, scheduled, seed, engine, threads, completed,
+    /// delivered_tokens, dropped_tokens, retransmits, link_downs,
+    /// reroutes, quarantined, core_stalls, brownouts, delivered_rate,
+    /// energy_j, energy_overhead, conservation_rel`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"experiment\": \"resilience\",\n  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let sep = if i + 1 < self.rows.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"fault_events\": {}, \"scheduled\": {}, \"seed\": {}, \
-                 \"engine\": \"{}\", \"threads\": {}, \"completed\": {}, \
-                 \"delivered_tokens\": {}, \"dropped_tokens\": {}, \
-                 \"retransmits\": {}, \"link_downs\": {}, \"reroutes\": {}, \
-                 \"quarantined\": {}, \"core_stalls\": {}, \"brownouts\": {}, \
-                 \"delivered_rate\": {:.6}, \
-                 \"energy_j\": {:.9e}, \"energy_overhead\": {:.6}, \
-                 \"conservation_rel\": {:.3e}}}{sep}\n",
-                r.fault_events,
-                r.scheduled,
-                r.seed,
-                r.engine.name(),
-                r.engine.threads(),
-                r.completed,
-                r.delivered_tokens,
-                r.dropped_tokens,
-                r.retransmits,
-                r.link_downs,
-                r.reroutes,
-                r.quarantined,
-                r.core_stalls,
-                r.brownouts,
-                r.delivered_rate,
-                r.energy_j,
-                r.energy_overhead,
-                r.conservation_rel,
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes [`Self::to_json`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+        let rows: Vec<_> = self
+            .rows
+            .iter()
+            .map(|r| {
+                vec![
+                    ("fault_events", Value::int(r.fault_events.into())),
+                    ("scheduled", Value::int(r.scheduled.into())),
+                    ("seed", Value::int(r.seed)),
+                    ("engine", Value::text(r.engine.name())),
+                    ("threads", Value::int(r.engine.threads() as u64)),
+                    ("completed", Value::Bool(r.completed)),
+                    ("delivered_tokens", Value::int(r.delivered_tokens)),
+                    ("dropped_tokens", Value::int(r.dropped_tokens)),
+                    ("retransmits", Value::int(r.retransmits)),
+                    ("link_downs", Value::int(r.link_downs)),
+                    ("reroutes", Value::int(r.reroutes)),
+                    ("quarantined", Value::int(r.quarantined)),
+                    ("core_stalls", Value::int(r.core_stalls)),
+                    ("brownouts", Value::int(r.brownouts)),
+                    ("delivered_rate", Value::fixed(r.delivered_rate, 6)),
+                    ("energy_j", Value::sci(r.energy_j, 9)),
+                    ("energy_overhead", Value::fixed(r.energy_overhead, 6)),
+                    ("conservation_rel", Value::sci(r.conservation_rel, 3)),
+                ]
+            })
+            .collect();
+        json::document(&[("experiment", Value::text("resilience"))], &rows)
     }
 }
 
@@ -241,13 +227,11 @@ pub fn measure(
         .expect("loads");
     let quiescent = system.run_until_quiescent(budget);
     system.flush_metrics();
-    let report = system.metrics_report();
+    let report = system.run_report();
 
     let sink = NodeId((PIPE.stages - 1) as u16);
     let completed =
         quiescent && system.output(sink).trim() == pipeline::checksum(&PIPE).to_string();
-    let metered = report.metered_energy.as_joules();
-    let ledger = report.ledger_energy.as_joules();
     let faults = report.faults;
     ResilienceRow {
         fault_events,
@@ -264,9 +248,9 @@ pub fn measure(
         core_stalls: faults.core_stalls,
         brownouts: faults.brownouts,
         delivered_rate: faults.delivered_rate(),
-        energy_j: ledger,
+        energy_j: report.ledger.total().as_joules(),
         energy_overhead: 0.0, // filled in against the baseline below
-        conservation_rel: (metered - ledger).abs() / ledger.abs().max(f64::MIN_POSITIVE),
+        conservation_rel: report.conservation_rel(),
     }
 }
 
@@ -315,6 +299,7 @@ pub fn run(quick: bool) -> Resilience {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Kind;
 
     #[test]
     fn baseline_and_faulted_rows_are_well_formed() {
@@ -345,6 +330,27 @@ mod tests {
         assert!(rendered.contains("completed the pipeline"));
     }
 
+    const ROW: &[(&str, Kind)] = &[
+        ("fault_events", Kind::Number),
+        ("scheduled", Kind::Number),
+        ("seed", Kind::Number),
+        ("engine", Kind::Text),
+        ("threads", Kind::Number),
+        ("completed", Kind::Bool),
+        ("delivered_tokens", Kind::Number),
+        ("dropped_tokens", Kind::Number),
+        ("retransmits", Kind::Number),
+        ("link_downs", Kind::Number),
+        ("reroutes", Kind::Number),
+        ("quarantined", Kind::Number),
+        ("core_stalls", Kind::Number),
+        ("brownouts", Kind::Number),
+        ("delivered_rate", Kind::Number),
+        ("energy_j", Kind::Number),
+        ("energy_overhead", Kind::Number),
+        ("conservation_rel", Kind::Number),
+    ];
+
     #[test]
     fn json_has_every_row_and_field() {
         let r = run_with(
@@ -353,27 +359,15 @@ mod tests {
             DEFAULT_SEED,
             TimeDelta::from_us(120),
         );
-        let json = r.to_json();
-        assert_eq!(json.matches("\"fault_events\"").count(), r.rows.len());
-        for field in [
-            "\"experiment\": \"resilience\"",
-            "\"engine\": \"windowed\"",
-            "\"threads\": 1",
-            "\"completed\":",
-            "\"delivered_tokens\":",
-            "\"dropped_tokens\":",
-            "\"retransmits\":",
-            "\"link_downs\":",
-            "\"reroutes\":",
-            "\"quarantined\":",
-            "\"delivered_rate\":",
-            "\"energy_j\":",
-            "\"energy_overhead\":",
-            "\"conservation_rel\":",
-        ] {
-            assert!(json.contains(field), "missing {field} in {json}");
-        }
-        // Trailing-comma-free: the last row closes straight into the array.
-        assert!(json.contains("}\n  ]\n}\n"));
+        let header = &[("experiment", Kind::Text)];
+        json::assert_shape(&r.to_json(), header, ROW, r.rows.len());
+    }
+
+    #[test]
+    fn committed_bench_file_has_the_schema() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_resilience.json");
+        let doc = std::fs::read_to_string(path).expect("committed BENCH_resilience.json");
+        let header = &[("experiment", Kind::Text)];
+        json::assert_shape(&doc, header, ROW, DEFAULT_EVENT_COUNTS.len());
     }
 }

@@ -36,7 +36,7 @@ pub fn run(span: TimeDelta) -> SystemPower {
     system.load_program_all(&program).expect("fits");
     system.run_for(span);
 
-    let perf = system.perf_report();
+    let perf = system.run_report();
     let monitor = system.machine().monitor();
     let slice_load_w = monitor.slice_load_power(0).as_watts();
     let slice_input_w = monitor.slice_input_power(0).as_watts();
@@ -77,7 +77,7 @@ pub fn run_480(span: TimeDelta) -> (f64, f64) {
     let program = heavy_mix_program(4);
     system.load_program_all(&program).expect("fits");
     system.run_for(span);
-    let perf = system.perf_report();
+    let perf = system.run_report();
     let power = system.machine().monitor().machine_input_power().as_watts();
     (perf.gips(), power)
 }

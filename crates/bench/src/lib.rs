@@ -20,4 +20,5 @@
 //! | [`experiments::system_power`] | §III.A headline numbers |
 
 pub mod experiments;
+pub mod json;
 pub mod survey;

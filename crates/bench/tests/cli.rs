@@ -45,3 +45,23 @@ fn hostile_flags_exit_non_zero_without_panicking() {
         assert!(stdout.is_empty(), "{args:?} ran something first: {stdout}");
     }
 }
+
+#[test]
+fn unwritable_bench_file_exits_two() {
+    // A directory where the sweep wants to write its BENCH file: the run
+    // itself succeeds, the write cannot.
+    let dir = std::env::temp_dir().join(format!("reproduce-cli-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("BENCH_resilience.json")).expect("temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["resilience", "--quick"])
+        .current_dir(&dir)
+        .output()
+        .expect("reproduce runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked at"), "panicked: {stderr}");
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert_eq!(stderr.trim().lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("BENCH_resilience.json"), "{stderr}");
+}

@@ -28,7 +28,7 @@ pub const BRIDGE_RATE_BPS: u64 = 80_000_000;
 pub const BRIDGE_TOKEN_TIME: TimeDelta = TimeDelta::from_ns(100);
 
 /// Traffic counters for one bridge: the observable counterpart of the
-/// admission control, surfaced through `MetricsReport` so a saturated
+/// admission control, surfaced through the `RunReport` so a saturated
 /// bridge shows up in reports instead of as silent queue growth.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BridgeStats {

@@ -40,7 +40,7 @@ pub mod topology;
 
 pub use ethernet::{BridgeFrame, BridgeStats, EthernetBridge};
 pub use machine::{EngineMode, Machine, MachineConfig, RouterKind};
-pub use metrics::{MetricsHub, SupplyRow};
+pub use metrics::{conservation_rel, MetricsHub, SupplyRow};
 pub use power::PowerMonitor;
 pub use shard::{EpochPool, NegotiationOutcome, NegotiationParams, ShardPlan};
 pub use topology::{GridSpec, TopologyOptions, CORES_PER_SLICE};

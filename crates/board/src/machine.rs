@@ -728,9 +728,6 @@ impl Machine {
                 .update(self.now, &mut self.eps.cores, &self.fabric);
             self.metrics
                 .sample(self.now, &self.eps.cores, &self.fabric, &self.monitor);
-            if self.metrics.is_enabled() {
-                self.metrics.record_faults(self.fault_counters());
-            }
         }
         // Refresh the dense-mode hint: a ready thread due at the very
         // next grid instant pins the next activity to `immediate`, so
@@ -1497,10 +1494,8 @@ impl Machine {
         }
         self.monitor
             .update(self.now, &mut self.eps.cores, &self.fabric);
-        let fc = self.fault_counters();
         self.metrics
             .sample(self.now, &self.eps.cores, &self.fabric, &self.monitor);
-        self.metrics.record_faults(fc);
     }
 
     /// Read access to the raw component triple the metrics hub samples
@@ -1666,7 +1661,8 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SWLWSNAP";
 /// ingress capacity, traffic counters and reassembled frame queue.
 /// Version 3 dropped the epoch-mode byte from CONF and MACH and re-tagged
 /// the engine as 0 = lock-step, 1 = windowed.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// Version 4 dropped the fault-counter copy from the end of METR.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Engine tag plus the windowed engine's thread count (0 for lock-step).
 fn write_engine(w: &mut ByteWriter, engine: EngineMode) {

@@ -19,7 +19,6 @@ use crate::power::{PowerMonitor, IO_RAIL, RAILS};
 use crate::snapshot;
 use crate::topology::GridSpec;
 use swallow_energy::Energy;
-use swallow_faults::FaultCounters;
 use swallow_noc::{Direction, Fabric};
 use swallow_sim::{ByteReader, ByteWriter, CodecError, Time, TimeDelta};
 use swallow_xcore::Core;
@@ -51,6 +50,15 @@ impl SupplyRow {
     }
 }
 
+/// The conservation residual `|metered − ledger| / |ledger|`: how far a
+/// supply-integrated energy strays from the ledger total it should
+/// reproduce (the denominator is floored at `f64::MIN_POSITIVE`, so an
+/// empty run yields 0, not NaN).
+pub fn conservation_rel(metered: Energy, ledger: Energy) -> f64 {
+    let (metered, ledger) = (metered.as_joules(), ledger.as_joules());
+    (metered - ledger).abs() / ledger.abs().max(f64::MIN_POSITIVE)
+}
+
 /// Accumulates per-rail energy time series on the power-monitor cadence.
 pub struct MetricsHub {
     spec: GridSpec,
@@ -63,9 +71,6 @@ pub struct MetricsHub {
     /// Reusable cumulative-energy scratch (sized once at construction).
     scratch_rail: Vec<[Energy; RAILS]>,
     rows: Vec<SupplyRow>,
-    /// Latest cumulative fault/resilience counter snapshot, recorded on
-    /// the same cadence as the rows.
-    fault_counters: FaultCounters,
 }
 
 impl MetricsHub {
@@ -80,7 +85,6 @@ impl MetricsHub {
             last_loss: vec![Energy::ZERO; slices],
             scratch_rail: vec![[Energy::ZERO; RAILS]; slices],
             rows: Vec::new(),
-            fault_counters: FaultCounters::default(),
         }
     }
 
@@ -97,20 +101,6 @@ impl MetricsHub {
     /// Recorded rows, oldest first (one per slice per monitor firing).
     pub fn rows(&self) -> &[SupplyRow] {
         &self.rows
-    }
-
-    /// Records the machine's cumulative fault/resilience counters (a
-    /// snapshot, like the rows: monotone counters, latest wins). No-op
-    /// while disabled, mirroring [`MetricsHub::sample`].
-    pub fn record_faults(&mut self, counters: FaultCounters) {
-        if self.enabled {
-            self.fault_counters = counters;
-        }
-    }
-
-    /// The latest recorded fault/resilience counter snapshot.
-    pub fn fault_counters(&self) -> FaultCounters {
-        self.fault_counters
     }
 
     /// Integrated energy over every recorded row (rail loads plus
@@ -199,7 +189,6 @@ impl MetricsHub {
             }
             snapshot::write_energy(w, row.loss);
         }
-        snapshot::write_counters(w, &self.fault_counters);
     }
 
     pub(crate) fn restore_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
@@ -235,7 +224,6 @@ impl MetricsHub {
                 loss,
             });
         }
-        self.fault_counters = snapshot::read_counters(r)?;
         Ok(())
     }
 }
@@ -266,11 +254,11 @@ mod tests {
         machine.flush_metrics();
         let hub = machine.metrics();
         assert!(!hub.rows().is_empty(), "idle machine still burns energy");
-        let ledger = machine.machine_ledger().total().as_joules();
-        let metered = hub.total_energy().as_joules();
+        let ledger = machine.machine_ledger().total();
+        let metered = hub.total_energy();
         assert!(
-            (metered - ledger).abs() <= 1e-9 * ledger.abs().max(f64::MIN_POSITIVE),
-            "metered {metered} J vs ledger {ledger} J"
+            conservation_rel(metered, ledger) <= 1e-9,
+            "metered {metered} vs ledger {ledger}"
         );
     }
 }

@@ -25,7 +25,7 @@
 //!
 //! assert_eq!(system.output(NodeId(0)), "42\n");
 //! // Energy transparency: the run's energy is fully attributed.
-//! assert!(system.power_report().mean_power.as_watts() > 0.0);
+//! assert!(system.run_report().mean_power().as_watts() > 0.0);
 //! # Ok(())
 //! # }
 //! ```
@@ -48,7 +48,7 @@ pub mod report;
 pub mod system;
 
 pub use export::{chrome_trace_json, supply_csv, write_chrome_trace, write_supply_csv};
-pub use report::{CoreMetrics, MetricsReport, PerfReport, PowerReport};
+pub use report::{CoreMetrics, RunReport};
 pub use system::{BuildError, SwallowSystem, SystemBuilder};
 
 // Substrate re-exports, for users who need the full depth.

@@ -1,130 +1,20 @@
-//! Energy and performance reports.
+//! The run report.
 //!
 //! Energy transparency (§I) means a user can always answer "where did the
-//! joules go?". [`PowerReport`] renders the Fig. 2-style category
-//! breakdown for a run; [`PerfReport`] the throughput side (the paper's
-//! headline "up to 240 GIPS").
+//! joules go?". [`RunReport`] is the one answer for a run: the Fig. 2-style
+//! category breakdown of the machine ledger, the throughput side (the
+//! paper's headline "up to 240 GIPS"), per-core and per-link activity, the
+//! metered-vs-ledger conservation check, and the fault, bridge and
+//! windowed-engine counters.
 
 use std::fmt;
-use swallow_board::{BridgeStats, Machine};
+use swallow_board::{conservation_rel, BridgeStats, Machine};
 use swallow_energy::{Energy, EnergyLedger, NodeCategory, Power};
 use swallow_faults::FaultCounters;
 use swallow_isa::{NodeId, ThreadId};
 use swallow_noc::LinkStats;
 use swallow_sim::TimeDelta;
 use swallow_xcore::MAX_THREADS;
-
-/// Where a run's energy went.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PowerReport {
-    /// Per-category machine-wide energy (Fig. 2 categories).
-    pub ledger: EnergyLedger,
-    /// The span the report covers.
-    pub elapsed: TimeDelta,
-    /// Mean machine power over the span.
-    pub mean_power: Power,
-    /// Mean power per core (the paper's mW/core comparisons).
-    pub per_core: Power,
-}
-
-impl PowerReport {
-    /// Collects the report from a machine.
-    pub fn collect(machine: &Machine, elapsed: TimeDelta) -> Self {
-        let ledger = machine.machine_ledger();
-        let mean_power = ledger.total().over(elapsed);
-        let per_core = mean_power / machine.core_count().max(1) as f64;
-        PowerReport {
-            ledger,
-            elapsed,
-            mean_power,
-            per_core,
-        }
-    }
-
-    /// Energy in one category.
-    pub fn energy(&self, category: NodeCategory) -> Energy {
-        self.ledger.get(category)
-    }
-
-    /// Fraction of total energy in one category.
-    pub fn fraction(&self, category: NodeCategory) -> f64 {
-        self.ledger.fraction(category)
-    }
-}
-
-impl fmt::Display for PowerReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "power report over {}:", self.elapsed)?;
-        for (cat, energy) in self.ledger.iter() {
-            writeln!(
-                f,
-                "  {:<26} {:>12}  {:>10}  ({:>5.1}%)",
-                cat.label(),
-                energy.to_string(),
-                energy.over(self.elapsed).to_string(),
-                self.fraction(cat) * 100.0,
-            )?;
-        }
-        writeln!(
-            f,
-            "  {:<26} {:>12}  {:>10}",
-            "Total",
-            self.ledger.total().to_string(),
-            self.mean_power.to_string()
-        )?;
-        write!(f, "  per core: {}", self.per_core)
-    }
-}
-
-/// What a run computed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PerfReport {
-    /// Instructions retired machine-wide.
-    pub instret: u64,
-    /// The span the report covers.
-    pub elapsed: TimeDelta,
-    /// Number of cores.
-    pub cores: usize,
-}
-
-impl PerfReport {
-    /// Collects the report from a machine.
-    pub fn collect(machine: &Machine, elapsed: TimeDelta) -> Self {
-        PerfReport {
-            instret: machine.total_instret(),
-            elapsed,
-            cores: machine.core_count(),
-        }
-    }
-
-    /// Machine-wide instructions per second.
-    pub fn ips(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.instret as f64 / secs
-        }
-    }
-
-    /// Machine-wide throughput in GIPS (the paper's headline unit).
-    pub fn gips(&self) -> f64 {
-        self.ips() / 1e9
-    }
-}
-
-impl fmt::Display for PerfReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} instructions on {} cores over {} = {:.3} GIPS",
-            self.instret,
-            self.cores,
-            self.elapsed,
-            self.gips()
-        )
-    }
-}
 
 /// Utilization and energy of one core over a run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -144,25 +34,25 @@ pub struct CoreMetrics {
     pub thread_instret: [u64; MAX_THREADS],
 }
 
-/// Per-component utilization/energy metrics: the numeric counterpart of
-/// the event trace, collected from the same run.
+/// Everything a finished run can say about itself: where its energy went,
+/// what it computed, and what its components did.
 #[derive(Clone, Debug, PartialEq)]
-pub struct MetricsReport {
+pub struct RunReport {
     /// The span the report covers.
     pub elapsed: TimeDelta,
     /// One entry per core, in node order.
     pub cores: Vec<CoreMetrics>,
     /// One entry per directed link, in link-id order.
     pub links: Vec<LinkStats>,
+    /// Per-category machine-wide energy (Fig. 2 categories).
+    pub ledger: EnergyLedger,
     /// Number of per-supply measurement rows recorded by the metrics hub
     /// (zero unless metrics collection was enabled).
     pub supply_rows: usize,
-    /// Energy integrated over the recorded supply rows.
+    /// Energy integrated over the recorded supply rows. After a final
+    /// flush it matches the ledger total within f64 association when
+    /// metrics are enabled (see [`RunReport::conservation_rel`]).
     pub metered_energy: Energy,
-    /// The machine ledger total over the same run (the conservation
-    /// reference: after a final flush, `metered_energy` matches this
-    /// within f64 association when metrics are enabled).
-    pub ledger_energy: Energy,
     /// Cumulative fault-injection and resilience counters (all zero on
     /// a fault-free run).
     pub faults: FaultCounters,
@@ -171,9 +61,12 @@ pub struct MetricsReport {
     /// rejected frames and peak transmit backlog — so a saturated
     /// bridge is visible in the report instead of silently queueing.
     pub bridge: Option<BridgeStats>,
+    /// `(windows, rounds)`: negotiated windows run and watermark rounds
+    /// summed over shards by the windowed engine (zero under lock-step).
+    pub negotiation: (u64, u64),
 }
 
-impl MetricsReport {
+impl RunReport {
     /// Collects the report from a machine.
     pub fn collect(machine: &Machine, elapsed: TimeDelta) -> Self {
         let cores = machine
@@ -199,16 +92,57 @@ impl MetricsReport {
                 }
             })
             .collect();
-        MetricsReport {
+        RunReport {
             elapsed,
             cores,
             links: machine.fabric().link_stats().collect(),
+            ledger: machine.machine_ledger(),
             supply_rows: machine.metrics().rows().len(),
             metered_energy: machine.metrics().total_energy(),
-            ledger_energy: machine.machine_ledger().total(),
             faults: machine.fault_counters(),
             bridge: machine.bridge().map(|b| b.stats()),
+            negotiation: machine.negotiation_stats(),
         }
+    }
+
+    /// Instructions retired machine-wide.
+    pub fn instret(&self) -> u64 {
+        self.cores.iter().map(|c| c.instret).sum()
+    }
+
+    /// Machine-wide instructions per second.
+    pub fn ips(&self) -> f64 {
+        let secs = self.elapsed.as_secs_f64();
+        if secs == 0.0 {
+            0.0
+        } else {
+            self.instret() as f64 / secs
+        }
+    }
+
+    /// Machine-wide throughput in GIPS (the paper's headline unit).
+    pub fn gips(&self) -> f64 {
+        self.ips() / 1e9
+    }
+
+    /// Energy in one category.
+    pub fn energy(&self, category: NodeCategory) -> Energy {
+        self.ledger.get(category)
+    }
+
+    /// Fraction of total energy in one category.
+    pub fn fraction(&self, category: NodeCategory) -> f64 {
+        self.ledger.fraction(category)
+    }
+
+    /// Mean machine power over the span.
+    pub fn mean_power(&self) -> Power {
+        self.ledger.total().over(self.elapsed)
+    }
+
+    /// Mean power per core (the paper's mW/core comparisons).
+    pub fn per_core_power(&self) -> Power {
+        self.mean_power() / self.cores.len().max(1) as f64
     }
 
     /// Mean issue-slot utilization across all cores.
@@ -226,18 +160,46 @@ impl MetricsReport {
             .filter(|l| l.data_tokens + l.ctrl_tokens + l.header_tokens > 0)
             .count()
     }
+
+    /// `|metered − ledger| / |ledger|`: how far the supply-integrated
+    /// energy strays from the ledger total. Meaningful once the metrics
+    /// hub is enabled and flushed; 1 when it recorded nothing.
+    pub fn conservation_rel(&self) -> f64 {
+        conservation_rel(self.metered_energy, self.ledger.total())
+    }
 }
 
-impl fmt::Display for MetricsReport {
+impl fmt::Display for RunReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "metrics over {}: {} cores at {:.1}% mean issue utilization",
+            "run report over {}: {} instructions on {} cores = {:.3} GIPS, \
+             {:.1}% mean issue utilization",
             self.elapsed,
+            self.instret(),
             self.cores.len(),
+            self.gips(),
             self.mean_utilization() * 100.0
         )?;
+        for (cat, energy) in self.ledger.iter() {
+            writeln!(
+                f,
+                "  {:<26} {:>12}  {:>10}  ({:>5.1}%)",
+                cat.label(),
+                energy.to_string(),
+                energy.over(self.elapsed).to_string(),
+                self.fraction(cat) * 100.0,
+            )?;
+        }
         writeln!(
+            f,
+            "  {:<26} {:>12}  {:>10}",
+            "Total",
+            self.ledger.total().to_string(),
+            self.mean_power().to_string()
+        )?;
+        writeln!(f, "  per core: {}", self.per_core_power())?;
+        write!(
             f,
             "  {} of {} links active; {} supply rows metering {}",
             self.active_links(),
@@ -245,7 +207,13 @@ impl fmt::Display for MetricsReport {
             self.supply_rows,
             self.metered_energy
         )?;
-        write!(f, "  ledger total {}", self.ledger_energy)?;
+        let (windows, rounds) = self.negotiation;
+        if windows > 0 {
+            write!(
+                f,
+                "\n  windowed engine: {windows} windows, {rounds} watermark rounds"
+            )?;
+        }
         if let Some(b) = &self.bridge {
             write!(
                 f,
@@ -292,40 +260,45 @@ mod tests {
         sys.load_program_all(&busy).expect("fits");
         sys.run_for(TimeDelta::from_us(20));
 
-        let perf = sys.perf_report();
+        let report = sys.run_report();
         // 16 cores × 125 MIPS (one thread each) = 2 GIPS.
-        assert!((perf.gips() - 2.0).abs() < 0.1, "gips = {}", perf.gips());
+        assert!(
+            (report.gips() - 2.0).abs() < 0.1,
+            "gips = {}",
+            report.gips()
+        );
+        assert_eq!(report.instret(), sys.machine().total_instret());
 
-        let power = sys.power_report();
-        let total_mw = power.mean_power.as_milliwatts();
+        let total_mw = report.mean_power().as_milliwatts();
         // 16 single-thread cores sit between idle (113) and loaded (193),
         // plus supply losses and support power.
         assert!(
             (2_000.0..4_000.0).contains(&total_mw),
             "machine power = {total_mw} mW"
         );
-        assert!(power.per_core.as_milliwatts() > 113.0);
-        let fractions: f64 = NodeCategory::ALL.iter().map(|&c| power.fraction(c)).sum();
+        assert!(report.per_core_power().as_milliwatts() > 113.0);
+        let fractions: f64 = NodeCategory::ALL.iter().map(|&c| report.fraction(c)).sum();
         assert!((fractions - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn display_includes_all_categories() {
         let sys = SystemBuilder::new().build().expect("builds");
-        let text = sys.power_report().to_string();
+        let text = sys.run_report().to_string();
         for cat in NodeCategory::ALL {
             assert!(text.contains(cat.label()));
         }
-        let perf_text = sys.perf_report().to_string();
-        assert!(perf_text.contains("GIPS"));
+        assert!(text.contains("GIPS"));
+        assert!(text.contains("links active"));
     }
 
     #[test]
     fn empty_run_is_safe() {
         let sys = SystemBuilder::new().build().expect("builds");
-        let perf = sys.perf_report();
-        assert_eq!(perf.ips(), 0.0);
-        let power = sys.power_report();
-        assert_eq!(power.mean_power, Power::ZERO);
+        let report = sys.run_report();
+        assert_eq!(report.ips(), 0.0);
+        assert_eq!(report.mean_power(), Power::ZERO);
+        assert_eq!(report.negotiation, (0, 0));
+        assert_eq!(report.conservation_rel(), 0.0);
     }
 }

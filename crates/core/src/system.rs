@@ -1,6 +1,6 @@
 //! The system facade: building and driving a Swallow machine.
 
-use crate::report::{MetricsReport, PerfReport, PowerReport};
+use crate::report::RunReport;
 use std::fmt;
 use swallow_board::{Machine, MachineConfig, RouterKind};
 use swallow_isa::{NodeId, Program};
@@ -134,7 +134,7 @@ impl SystemBuilder {
 
     /// Records per-supply energy time series on the power-monitor
     /// cadence (the paper's measurement daughter-board view), exported
-    /// via [`SwallowSystem::metrics_report`] and the CSV exporter.
+    /// via [`SwallowSystem::run_report`] and the CSV exporter.
     pub fn metrics(mut self) -> Self {
         self.config.metrics = true;
         self
@@ -186,7 +186,7 @@ impl Default for SystemBuilder {
 /// A running Swallow machine.
 ///
 /// Thin ergonomics over [`Machine`]: program loading, run control, output
-/// collection and the energy/performance reports. Use
+/// collection and the run report. Use
 /// [`SwallowSystem::machine`] / [`machine_mut`](SwallowSystem::machine_mut)
 /// for full access to cores, fabric statistics and the power monitor.
 pub struct SwallowSystem {
@@ -267,19 +267,10 @@ impl SwallowSystem {
             .find_map(|n| self.machine.core(n).trap().map(|t| (n, t)))
     }
 
-    /// Builds the energy report over the elapsed run.
-    pub fn power_report(&self) -> PowerReport {
-        PowerReport::collect(&self.machine, self.elapsed())
-    }
-
-    /// Builds the performance report over the elapsed run.
-    pub fn perf_report(&self) -> PerfReport {
-        PerfReport::collect(&self.machine, self.elapsed())
-    }
-
-    /// Builds the per-component metrics report over the elapsed run.
-    pub fn metrics_report(&self) -> MetricsReport {
-        MetricsReport::collect(&self.machine, self.elapsed())
+    /// Builds the run report (energy, throughput, per-component
+    /// activity, conservation and fault counters) over the elapsed run.
+    pub fn run_report(&self) -> RunReport {
+        RunReport::collect(&self.machine, self.elapsed())
     }
 
     /// Merges every component's trace ring into one chronological log

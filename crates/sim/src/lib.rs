@@ -12,8 +12,8 @@
 //! * [`DetRng`] — a seedable, reproducible random number generator,
 //! * [`codec`] — bounds-checked binary readers/writers ([`ByteWriter`],
 //!   [`ByteReader`], [`CodecError`]) underpinning machine snapshots,
-//! * [`stats`] — counters, running statistics, histograms and least-squares
-//!   fits used by the experiment harnesses,
+//! * [`stats`] — the latency quantile sketch and least-squares fits used by
+//!   the experiment harnesses,
 //! * [`trace`] — typed, zero-cost-when-off trace events ([`TraceEvent`],
 //!   [`TraceSink`], [`TraceRing`]) feeding the observability exporters.
 //!

@@ -1,200 +1,16 @@
-//! Counters, running statistics, histograms and least-squares fits.
+//! Latency quantiles and least-squares fits.
 //!
 //! The experiment harnesses (crate `swallow-bench`) lean on these: Fig. 3 of
 //! the paper reports a *linear fit* of power against frequency
 //! (`Pc = 46 + 0.30 f` mW), which [`LinearFit`] recovers from simulated
-//! sweep points; latency distributions use [`Histogram`].
-
-use std::fmt;
-
-/// A saturating event counter.
-///
-/// ```
-/// use swallow_sim::stats::Counter;
-/// let mut c = Counter::new();
-/// c.add(3);
-/// c.incr();
-/// assert_eq!(c.get(), 4);
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds `n`, saturating at `u64::MAX`.
-    pub fn add(&mut self, n: u64) {
-        self.0 = self.0.saturating_add(n);
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.add(1);
-    }
-
-    /// Current count.
-    pub const fn get(self) -> u64 {
-        self.0
-    }
-
-    /// Resets to zero, returning the previous value.
-    pub fn take(&mut self) -> u64 {
-        std::mem::take(&mut self.0)
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-/// Welford's online mean/variance accumulator.
-///
-/// ```
-/// use swallow_sim::stats::MeanVar;
-/// let mut m = MeanVar::new();
-/// for x in [2.0, 4.0, 6.0] { m.push(x); }
-/// assert_eq!(m.mean(), 4.0);
-/// assert_eq!(m.sample_variance(), 4.0);
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct MeanVar {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl MeanVar {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        MeanVar {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds an observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean (zero when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Unbiased sample variance (zero for fewer than two observations).
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
-    /// Smallest observation (`+inf` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (`-inf` when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
-/// A power-of-two bucketed histogram for latency-style distributions.
-///
-/// Bucket `i` counts values in `[2^i, 2^(i+1))`, with bucket 0 also
-/// holding zero.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
-    /// Records a value.
-    pub fn record(&mut self, value: u64) {
-        let idx = if value == 0 {
-            0
-        } else {
-            63 - value.leading_zeros() as usize
-        };
-        if self.buckets.len() <= idx {
-            self.buckets.resize(idx + 1, 0);
-        }
-        self.buckets[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Total number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Lower bound of the smallest value `>=` the requested quantile
-    /// (`q` in `[0, 1]`), or `None` when empty.
-    pub fn quantile_lower_bound(&self, q: f64) -> Option<u64> {
-        if self.total == 0 {
-            return None;
-        }
-        let target = ((self.total as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(if i == 0 { 0 } else { 1u64 << i });
-            }
-        }
-        Some(1u64 << (self.buckets.len() - 1))
-    }
-
-    /// Iterates `(bucket_lower_bound, count)` for non-empty buckets.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (if i == 0 { 0 } else { 1u64 << i }, c))
-    }
-}
+//! sweep points; fleet latency distributions use [`LatencySketch`].
 
 /// A streaming quantile accumulator for latency-style `u64` values
 /// (sub-bucketed base-2 histogram, ≤ 1/32 relative error).
 ///
-/// [`Histogram`]'s power-of-two buckets are too coarse for tail-latency
-/// reporting (p99 would snap to the nearest octave). This sketch keeps
-/// 32 linear sub-buckets per octave — values below 64 are exact — so any
+/// Plain power-of-two buckets are too coarse for tail-latency reporting
+/// (p99 would snap to the nearest octave). This sketch keeps 32 linear
+/// sub-buckets per octave — values below 64 are exact — so any
 /// quantile is recovered within 3.2 % from O(1) memory per recorded
 /// magnitude, deterministically: the same inserts produce bit-identical
 /// state and quantiles regardless of order, and two sketches merge into
@@ -401,60 +217,6 @@ impl LinearFit {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_saturates() {
-        let mut c = Counter::new();
-        c.add(u64::MAX - 1);
-        c.add(5);
-        assert_eq!(c.get(), u64::MAX);
-        assert_eq!(c.take(), u64::MAX);
-        assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn meanvar_tracks_extremes() {
-        let mut m = MeanVar::new();
-        for x in [5.0, -3.0, 7.5] {
-            m.push(x);
-        }
-        assert_eq!(m.min(), -3.0);
-        assert_eq!(m.max(), 7.5);
-        assert_eq!(m.count(), 3);
-        assert!((m.mean() - 3.1666666).abs() < 1e-6);
-    }
-
-    #[test]
-    fn meanvar_empty_is_safe() {
-        let m = MeanVar::new();
-        assert_eq!(m.mean(), 0.0);
-        assert_eq!(m.sample_variance(), 0.0);
-    }
-
-    #[test]
-    fn histogram_buckets_powers_of_two() {
-        let mut h = Histogram::new();
-        h.record(0);
-        h.record(1);
-        h.record(2);
-        h.record(3);
-        h.record(1024);
-        let buckets: Vec<_> = h.iter().collect();
-        assert_eq!(buckets, vec![(0, 2), (2, 2), (1024, 1)]);
-        assert_eq!(h.count(), 5);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new();
-        for v in 0..100u64 {
-            h.record(v);
-        }
-        assert_eq!(h.quantile_lower_bound(0.0), Some(0));
-        let p99 = h.quantile_lower_bound(0.99).expect("non-empty");
-        assert!(p99 >= 64);
-        assert_eq!(Histogram::new().quantile_lower_bound(0.5), None);
-    }
 
     #[test]
     fn sketch_is_exact_below_64() {

@@ -1,7 +1,7 @@
 //! Property tests of the simulation kernel: queue ordering, time
 //! arithmetic and statistics invariants under arbitrary inputs.
 
-use swallow_sim::stats::{Histogram, LatencySketch, LinearFit, MeanVar};
+use swallow_sim::stats::{LatencySketch, LinearFit};
 use swallow_sim::{kway_merge_by, DetRng, EventQueue, Frequency, Time, TimeDelta};
 use swallow_testkit::proptest::prelude::*;
 
@@ -54,22 +54,6 @@ proptest! {
         prop_assert_eq!((t + d1).since(t), d1);
     }
 
-    /// MeanVar matches a direct two-pass computation.
-    #[test]
-    fn meanvar_matches_naive(xs in proptest::collection::vec(-1e6f64..1e6, 2..100)) {
-        let mut m = MeanVar::new();
-        for &x in &xs {
-            m.push(x);
-        }
-        let n = xs.len() as f64;
-        let mean = xs.iter().sum::<f64>() / n;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
-        prop_assert!((m.mean() - mean).abs() < 1e-6 * mean.abs().max(1.0));
-        prop_assert!((m.sample_variance() - var).abs() < 1e-5 * var.abs().max(1.0));
-        prop_assert_eq!(m.min(), xs.iter().cloned().fold(f64::INFINITY, f64::min));
-        prop_assert_eq!(m.max(), xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max));
-    }
-
     /// A linear fit recovers exact coefficients from exact data.
     #[test]
     fn linear_fit_recovers_exact_lines(
@@ -85,19 +69,6 @@ proptest! {
         let (a, b) = fit.solve().expect("distinct xs");
         prop_assert!((a - intercept).abs() < 1e-6 * intercept.abs().max(1.0));
         prop_assert!((b - slope).abs() < 1e-6 * slope.abs().max(1.0));
-    }
-
-    /// Histogram buckets partition the input: counts sum to n and every
-    /// recorded value falls inside its bucket's range.
-    #[test]
-    fn histogram_partitions(values in proptest::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut h = Histogram::new();
-        for &v in &values {
-            h.record(v);
-        }
-        prop_assert_eq!(h.count(), values.len() as u64);
-        let total: u64 = h.iter().map(|(_, c)| c).sum();
-        prop_assert_eq!(total, values.len() as u64);
     }
 
     /// The RNG's below() is in range and deterministic per seed.

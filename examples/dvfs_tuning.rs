@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             system.output(NodeId(0)).trim(),
             farm::expected_sum(&spec).to_string()
         );
-        let e_dvfs = system.power_report().ledger.total();
+        let e_dvfs = system.run_report().ledger.total();
         // The same run at 1 V scales by 1/V² (P = C·V²·f).
         let e_1v = e_dvfs * (1.0 / volts.squared());
         println!(

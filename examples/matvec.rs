@@ -37,7 +37,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  y[{i:>2}] = {v}");
     }
     println!("\ncompleted in {}", system.elapsed());
-    println!("{}", system.perf_report());
-    println!("\n{}", system.power_report());
+    println!("{}", system.run_report());
     Ok(())
 }

@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             pipeline::checksum(&spec).to_string(),
             "checksum mismatch at {mhz} MHz"
         );
-        let report = system.power_report();
+        let report = system.run_report();
         let per_item = report.ledger.total() * (1.0 / spec.items as f64);
         println!(
             "{:>5}MHz {:>12} {:>14} {:>16}",

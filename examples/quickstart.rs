@@ -45,7 +45,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("core 8 printed: {}", system.output(NodeId(8)).trim());
 
     // Energy transparency: every joule of the run is attributed.
-    println!("\n{}", system.power_report());
-    println!("\n{}", system.perf_report());
+    println!("\n{}", system.run_report());
     Ok(())
 }

@@ -1,7 +1,7 @@
 //! Differential tests for the predecoded-instruction cache: with the
 //! cache on vs off, every engine must produce *bit-identical* quiescence
-//! verdicts, final simulated time, retired-instruction counts and
-//! program outputs, and energy equal to 1e-9 relative (the ledgers are
+//! verdicts, final simulated time, retired-instruction counts, program
+//! outputs and fault counters, and energy equal to 1e-9 relative (the ledgers are
 //! charged from identical per-instruction values, so in practice they
 //! match exactly).
 //!
@@ -16,41 +16,10 @@
 
 mod common;
 
-use common::every_engine;
+use common::{assert_equivalent, every_engine, Fingerprint};
 
-use swallow_repro::swallow::energy::NodeCategory;
 use swallow_repro::swallow::{Assembler, NodeId, SwallowSystem, SystemBuilder, TimeDelta};
 use swallow_repro::swallow_workloads::{farm, pipeline};
-
-/// Relative energy tolerance (f64 association only; see module doc).
-const ENERGY_RTOL: f64 = 1e-9;
-
-#[derive(Debug, Clone, PartialEq)]
-struct Fingerprint {
-    quiescent: bool,
-    now_ps: u64,
-    instret: u64,
-    outputs: Vec<String>,
-    energy: Vec<(NodeCategory, f64)>,
-}
-
-fn fingerprint(system: &SwallowSystem, quiescent: bool) -> Fingerprint {
-    Fingerprint {
-        quiescent,
-        now_ps: system.now().as_ps(),
-        instret: system.perf_report().instret,
-        outputs: system
-            .nodes()
-            .map(|n| system.output(n).to_owned())
-            .collect(),
-        energy: system
-            .power_report()
-            .ledger
-            .iter()
-            .map(|(cat, e)| (cat, e.as_joules()))
-            .collect(),
-    }
-}
 
 /// Runs the same setup with the cache on and off under every engine and
 /// asserts the fingerprints agree. Returns the cache-on fingerprint of
@@ -69,33 +38,11 @@ fn run_cache_differential(
                 .expect("builds");
             setup(&mut system);
             let quiescent = system.run_until_quiescent(budget);
-            fingerprint(&system, quiescent)
+            Fingerprint::of(&system, quiescent)
         };
         let on = run(true);
         let off = run(false);
-        assert_eq!(
-            on.quiescent, off.quiescent,
-            "{engine:?}: quiescence differs with the cache on"
-        );
-        assert_eq!(
-            on.now_ps, off.now_ps,
-            "{engine:?}: final simulated time differs with the cache on"
-        );
-        assert_eq!(
-            on.instret, off.instret,
-            "{engine:?}: retired instructions differ with the cache on"
-        );
-        assert_eq!(
-            on.outputs, off.outputs,
-            "{engine:?}: outputs differ with the cache on"
-        );
-        for (&(cat, a), &(_, b)) in on.energy.iter().zip(&off.energy) {
-            let scale = a.abs().max(b.abs()).max(f64::MIN_POSITIVE);
-            assert!(
-                (a - b).abs() <= ENERGY_RTOL * scale,
-                "{engine:?}: {cat} energy diverged with the cache on: {a} J vs {b} J"
-            );
-        }
+        assert_equivalent(&format!("{engine:?}: cache on vs off"), &on, &off);
         first.get_or_insert(on);
     }
     first.expect("at least one engine under test")

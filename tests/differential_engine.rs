@@ -22,113 +22,17 @@
 
 mod common;
 
-use common::{engines_under_test, DECODE_CACHE};
+use common::{assert_equivalent, engines_under_test, run_differential, Fingerprint, DECODE_CACHE};
 
-use swallow_repro::swallow::energy::NodeCategory;
 use swallow_repro::swallow::{
     Assembler, EngineMode, NodeId, RouterKind, SwallowSystem, SystemBuilder, TimeDelta,
 };
 use swallow_repro::swallow_workloads::{client_server, farm, pipeline};
 use swallow_testkit::proptest::prelude::*;
 
-/// Relative energy tolerance between the engines (f64 association only).
-const ENERGY_RTOL: f64 = 1e-9;
-
-/// Everything observable about a finished run. `PartialEq` compares
-/// energy bit-for-bit — used for the repeated-run determinism check,
-/// not for cross-engine comparison (which allows `ENERGY_RTOL`).
-#[derive(Debug, Clone, PartialEq)]
-struct Fingerprint {
-    quiescent: bool,
-    now_ps: u64,
-    instret: u64,
-    outputs: Vec<String>,
-    energy: Vec<(NodeCategory, f64)>,
-}
-
-fn fingerprint(system: &SwallowSystem, quiescent: bool) -> Fingerprint {
-    Fingerprint {
-        quiescent,
-        now_ps: system.now().as_ps(),
-        instret: system.perf_report().instret,
-        outputs: system
-            .nodes()
-            .map(|n| system.output(n).to_owned())
-            .collect(),
-        energy: system
-            .power_report()
-            .ledger
-            .iter()
-            .map(|(cat, e)| (cat, e.as_joules()))
-            .collect(),
-    }
-}
-
-fn assert_equivalent(engine: EngineMode, cache: bool, got: &Fingerprint, ls: &Fingerprint) {
-    let who = format!("{engine:?} (decode cache {cache})");
-    assert_eq!(
-        got.quiescent, ls.quiescent,
-        "{who}: quiescence verdicts differ"
-    );
-    assert_eq!(got.now_ps, ls.now_ps, "{who}: final simulated time differs");
-    assert_eq!(
-        got.instret, ls.instret,
-        "{who}: retired instruction counts differ"
-    );
-    assert_eq!(got.outputs, ls.outputs, "{who}: program outputs differ");
-    for (&(cat, a), &(_, b)) in got.energy.iter().zip(&ls.energy) {
-        let scale = a.abs().max(b.abs()).max(f64::MIN_POSITIVE);
-        assert!(
-            (a - b).abs() <= ENERGY_RTOL * scale,
-            "{who}: {cat} energy diverged: {a} J vs lock-step {b} J"
-        );
-    }
-}
-
-/// Runs the same setup under lock-step and every engine under test, at
-/// each decode-cache setting, checking each fingerprint against
-/// lock-step at the same setting. Each engine runs twice and must be
-/// bit-identical across runs, and lock-step must be bit-identical with
-/// the cache on and off. Returns the first windowed engine's
-/// fingerprint with the cache on.
-fn run_differential_with(
-    budget: TimeDelta,
-    builder: impl Fn() -> SystemBuilder,
-    mut setup: impl FnMut(&mut SwallowSystem),
-) -> Fingerprint {
-    let mut run = |engine: EngineMode, cache: bool| {
-        let mut system = builder()
-            .engine(engine)
-            .decode_cache(cache)
-            .build()
-            .expect("builds");
-        setup(&mut system);
-        let quiescent = system.run_until_quiescent(budget);
-        fingerprint(&system, quiescent)
-    };
-    let mut cached_ls = None;
-    let mut first = None;
-    for cache in DECODE_CACHE {
-        let ls = run(EngineMode::LockStep, cache);
-        let on = cached_ls.get_or_insert_with(|| ls.clone());
-        assert_eq!(&ls, on, "lock-step: the decode cache perturbed the run");
-        for engine in engines_under_test() {
-            let fp = run(engine, cache);
-            assert_equivalent(engine, cache, &fp, &ls);
-            let again = run(engine, cache);
-            assert_eq!(
-                fp, again,
-                "{engine:?} (decode cache {cache}): repeated runs must be bit-identical"
-            );
-            first.get_or_insert(fp);
-        }
-    }
-    first.expect("at least one engine under test")
-}
-
-/// [`run_differential_with`] on the default one-slice builder.
-fn run_differential(budget: TimeDelta, setup: impl FnMut(&mut SwallowSystem)) -> Fingerprint {
-    run_differential_with(budget, SystemBuilder::new, setup)
+/// [`run_differential`] on the default one-slice builder.
+fn run_default(budget: TimeDelta, setup: impl FnMut(&mut SwallowSystem)) -> Fingerprint {
+    run_differential(budget, SystemBuilder::new, setup)
 }
 
 #[test]
@@ -138,7 +42,7 @@ fn pipeline_runs_identically_under_both_engines() {
         items: 24,
         work_per_item: 3,
     };
-    let ff = run_differential(TimeDelta::from_ms(20), |system| {
+    let ff = run_default(TimeDelta::from_ms(20), |system| {
         pipeline::generate(&spec, system.machine().spec())
             .expect("generates")
             .apply(system)
@@ -159,7 +63,7 @@ fn farm_runs_identically_under_both_engines() {
         tasks: 20,
         work_per_task: 4,
     };
-    let ff = run_differential(TimeDelta::from_ms(20), |system| {
+    let ff = run_default(TimeDelta::from_ms(20), |system| {
         farm::generate(&spec, system.machine().spec())
             .expect("generates")
             .apply(system)
@@ -177,7 +81,7 @@ fn ping_pong_runs_identically_under_both_engines() {
         clients: 2,
         requests_per_client: 8,
     };
-    let ff = run_differential(TimeDelta::from_ms(50), |system| {
+    let ff = run_default(TimeDelta::from_ms(50), |system| {
         client_server::generate(&spec, system.machine().spec())
             .expect("generates")
             .apply(system)
@@ -197,7 +101,7 @@ fn long_timer_sleeps_fast_forward_to_the_same_instant() {
     // Sleeps far longer than any workload message gap: the fast-forward
     // engine jumps hundreds of thousands of ticks at once here, yet must
     // land on exactly the wake instants the lock-step engine reaches.
-    let ff = run_differential(TimeDelta::from_ms(10), |system| {
+    let ff = run_default(TimeDelta::from_ms(10), |system| {
         for (node, ticks) in [(0u16, 50_000u32), (7, 63_456), (15, 65_001)] {
             let program = Assembler::new()
                 .assemble(&format!(
@@ -233,7 +137,7 @@ fn idle_machine_burns_identical_energy() {
             .build()
             .expect("builds");
         system.run_for(TimeDelta::from_us(200));
-        fingerprint(&system, true)
+        Fingerprint::of(&system, true)
     };
     let mut cached_ls = None;
     let mut total = 0.0;
@@ -243,7 +147,7 @@ fn idle_machine_burns_identical_energy() {
         assert_eq!(&ls, on, "lock-step: the decode cache perturbed the run");
         for engine in engines_under_test() {
             let fp = run(engine, cache);
-            assert_equivalent(engine, cache, &fp, &ls);
+            assert_equivalent(&format!("{engine:?} (decode cache {cache})"), &fp, &ls);
             total = fp.energy.iter().map(|(_, j)| j).sum::<f64>();
         }
     }
@@ -260,7 +164,7 @@ fn parallel_agrees_on_shortest_paths_routing() {
         items: 16,
         work_per_item: 3,
     };
-    let fp = run_differential_with(
+    let fp = run_differential(
         TimeDelta::from_ms(20),
         || SystemBuilder::new().router(RouterKind::ShortestPaths),
         |system| {
@@ -288,7 +192,7 @@ proptest! {
         schedule in proptest::collection::vec((0u16..16, 1u32..60_000), 1..6),
     ) {
         let mut nodes_used = Vec::new();
-        let ff = run_differential(TimeDelta::from_ms(10), |system| {
+        let ff = run_default(TimeDelta::from_ms(10), |system| {
             nodes_used.clear();
             for &(node, ticks) in &schedule {
                 if nodes_used.contains(&node) {

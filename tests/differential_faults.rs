@@ -13,114 +13,11 @@
 
 mod common;
 
-use common::{engines_under_test, every_engine, DECODE_CACHE};
+use common::{every_engine, run_differential, Fingerprint, DECODE_CACHE};
 
-use swallow_repro::swallow::energy::NodeCategory;
 use swallow_repro::swallow::noc::{Direction, LinkId};
-use swallow_repro::swallow::{
-    EngineMode, FaultCounters, FaultPlan, NodeId, SwallowSystem, SystemBuilder, Time, TimeDelta,
-};
+use swallow_repro::swallow::{FaultPlan, NodeId, SwallowSystem, SystemBuilder, Time, TimeDelta};
 use swallow_repro::swallow_workloads::pipeline;
-
-/// Relative energy tolerance between the engines (f64 association only).
-const ENERGY_RTOL: f64 = 1e-9;
-
-/// Everything observable about a finished faulted run, fault counters
-/// included. `PartialEq` compares energy bit-for-bit (used for the
-/// repeated-run determinism check).
-#[derive(Debug, Clone, PartialEq)]
-struct Fingerprint {
-    quiescent: bool,
-    now_ps: u64,
-    instret: u64,
-    outputs: Vec<String>,
-    energy: Vec<(NodeCategory, f64)>,
-    faults: FaultCounters,
-}
-
-fn fingerprint(system: &SwallowSystem, quiescent: bool) -> Fingerprint {
-    Fingerprint {
-        quiescent,
-        now_ps: system.now().as_ps(),
-        instret: system.perf_report().instret,
-        outputs: system
-            .nodes()
-            .map(|n| system.output(n).to_owned())
-            .collect(),
-        energy: system
-            .power_report()
-            .ledger
-            .iter()
-            .map(|(cat, e)| (cat, e.as_joules()))
-            .collect(),
-        faults: system.machine().fault_counters(),
-    }
-}
-
-fn assert_equivalent(engine: EngineMode, cache: bool, got: &Fingerprint, ls: &Fingerprint) {
-    let who = format!("{engine:?} (decode cache {cache})");
-    assert_eq!(
-        got.quiescent, ls.quiescent,
-        "{who}: quiescence verdicts differ"
-    );
-    assert_eq!(got.now_ps, ls.now_ps, "{who}: final simulated time differs");
-    assert_eq!(
-        got.instret, ls.instret,
-        "{who}: retired instruction counts differ"
-    );
-    assert_eq!(got.outputs, ls.outputs, "{who}: program outputs differ");
-    assert_eq!(
-        got.faults, ls.faults,
-        "{who}: fault/resilience counters differ"
-    );
-    for (&(cat, a), &(_, b)) in got.energy.iter().zip(&ls.energy) {
-        let scale = a.abs().max(b.abs()).max(f64::MIN_POSITIVE);
-        assert!(
-            (a - b).abs() <= ENERGY_RTOL * scale,
-            "{who}: {cat} energy diverged: {a} J vs lock-step {b} J"
-        );
-    }
-}
-
-/// Runs the same faulted setup under lock-step and every engine under
-/// test, at each decode-cache setting against lock-step at the same
-/// setting; each engine runs twice and must be bit-identical, and
-/// lock-step must be bit-identical with the cache on and off. Returns
-/// the first windowed engine's fingerprint with the cache on.
-fn run_differential(
-    budget: TimeDelta,
-    builder: impl Fn() -> SystemBuilder,
-    mut setup: impl FnMut(&mut SwallowSystem),
-) -> Fingerprint {
-    let mut run = |engine: EngineMode, cache: bool| {
-        let mut system = builder()
-            .engine(engine)
-            .decode_cache(cache)
-            .build()
-            .expect("builds");
-        setup(&mut system);
-        let quiescent = system.run_until_quiescent(budget);
-        fingerprint(&system, quiescent)
-    };
-    let mut cached_ls = None;
-    let mut first = None;
-    for cache in DECODE_CACHE {
-        let ls = run(EngineMode::LockStep, cache);
-        let on = cached_ls.get_or_insert_with(|| ls.clone());
-        assert_eq!(&ls, on, "lock-step: the decode cache perturbed the run");
-        for engine in engines_under_test() {
-            let fp = run(engine, cache);
-            assert_equivalent(engine, cache, &fp, &ls);
-            let again = run(engine, cache);
-            assert_eq!(
-                fp, again,
-                "{engine:?} (decode cache {cache}): repeated runs must be bit-identical"
-            );
-            first.get_or_insert(fp);
-        }
-    }
-    first.expect("at least one engine under test")
-}
 
 fn t(us: u64) -> Time {
     Time::ZERO + TimeDelta::from_us(us)
@@ -165,7 +62,7 @@ fn empty_fault_plan_perturbs_nothing() {
             let mut system = builder.build().expect("builds");
             load_pipeline(&mut system);
             let quiescent = system.run_until_quiescent(TimeDelta::from_ms(20));
-            fingerprint(&system, quiescent)
+            Fingerprint::of(&system, quiescent)
         };
         let bare = run(false);
         let planned = run(true);
@@ -363,18 +260,17 @@ fn energy_conservation_holds_with_faults_under_every_engine() {
             load_pipeline(&mut system);
             assert!(system.run_until_quiescent(TimeDelta::from_ms(20)));
             system.flush_metrics();
-            let report = system.metrics_report();
+            let report = system.run_report();
             let who = format!("{engine:?} (decode cache {cache})");
             assert!(
                 report.faults.retransmits > 0,
                 "{who}: corruption window must cost retransmits"
             );
-            let metered = report.metered_energy.as_joules();
-            let ledger = report.ledger_energy.as_joules();
-            let scale = ledger.abs().max(f64::MIN_POSITIVE);
             assert!(
-                (metered - ledger).abs() <= ENERGY_RTOL * scale,
-                "{who}: conservation broke: metered {metered} J vs ledger {ledger} J"
+                report.conservation_rel() <= 1e-9,
+                "{who}: conservation broke: metered {} vs ledger {}",
+                report.metered_energy,
+                report.ledger.total()
             );
         }
     }

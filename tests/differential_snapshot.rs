@@ -1,9 +1,10 @@
 //! Differential continuation tests for the snapshot/restore subsystem:
 //! checkpointing a running machine at an arbitrary instant and restoring
 //! it — under *any* engine — must continue bit-identically with the
-//! original run. The fingerprint is the same one the engine-equivalence
-//! suite uses (final instant, retired instructions, program outputs,
-//! fault counters all exact; energy within f64 association), plus one
+//! original run. The fingerprint is the one every differential suite
+//! uses, `common::Fingerprint` (final instant, retired instructions,
+//! program outputs, fault counters all exact; energy within f64
+//! association), plus one
 //! extra obligation unique to snapshots: `restore(snapshot())` must
 //! re-emit the very same bytes, proving the codec is lossless.
 //!
@@ -21,85 +22,22 @@ mod common;
 
 use std::sync::OnceLock;
 
-use common::every_engine;
+use common::{assert_equivalent, every_engine, Fingerprint};
 use swallow_repro::swallow::board::machine::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
-use swallow_repro::swallow::energy::NodeCategory;
 use swallow_repro::swallow::noc::{Direction, LinkId};
 use swallow_repro::swallow::{
-    Assembler, CodecError, EngineMode, FaultCounters, FaultPlan, NodeId, SwallowSystem,
-    SystemBuilder, Time, TimeDelta,
+    Assembler, CodecError, EngineMode, FaultPlan, NodeId, SwallowSystem, SystemBuilder, Time,
+    TimeDelta,
 };
 use swallow_repro::swallow_workloads::{farm, pipeline};
 use swallow_testkit::proptest::prelude::*;
-
-/// Relative energy tolerance between engines (f64 association only).
-const ENERGY_RTOL: f64 = 1e-9;
-
-/// Everything observable about a finished continuation. `PartialEq`
-/// compares energy bit-for-bit (used for same-engine determinism).
-#[derive(Debug, Clone, PartialEq)]
-struct Fingerprint {
-    quiescent: bool,
-    now_ps: u64,
-    instret: u64,
-    outputs: Vec<String>,
-    energy: Vec<(NodeCategory, f64)>,
-    faults: FaultCounters,
-}
-
-fn fingerprint(system: &SwallowSystem, quiescent: bool) -> Fingerprint {
-    Fingerprint {
-        quiescent,
-        now_ps: system.now().as_ps(),
-        instret: system.perf_report().instret,
-        outputs: system
-            .nodes()
-            .map(|n| system.output(n).to_owned())
-            .collect(),
-        energy: system
-            .power_report()
-            .ledger
-            .iter()
-            .map(|(cat, e)| (cat, e.as_joules()))
-            .collect(),
-        faults: system.machine().fault_counters(),
-    }
-}
-
-fn assert_continuation(at_us: u64, engine: EngineMode, got: &Fingerprint, reference: &Fingerprint) {
-    let who = format!("restore@{at_us}µs under {engine:?}");
-    assert_eq!(
-        got.quiescent, reference.quiescent,
-        "{who}: quiescence verdicts differ"
-    );
-    assert_eq!(
-        got.now_ps, reference.now_ps,
-        "{who}: final simulated time differs"
-    );
-    assert_eq!(
-        got.instret, reference.instret,
-        "{who}: retired instruction counts differ"
-    );
-    assert_eq!(got.outputs, reference.outputs, "{who}: outputs differ");
-    assert_eq!(
-        got.faults, reference.faults,
-        "{who}: fault/resilience counters differ"
-    );
-    for (&(cat, a), &(_, b)) in got.energy.iter().zip(&reference.energy) {
-        let scale = a.abs().max(b.abs()).max(f64::MIN_POSITIVE);
-        assert!(
-            (a - b).abs() <= ENERGY_RTOL * scale,
-            "{who}: {cat} energy diverged: {a} J vs {b} J"
-        );
-    }
-}
 
 /// Restores `bytes`, re-targets the engine, and runs to quiescence.
 fn continue_after_restore(bytes: &[u8], engine: EngineMode, budget: TimeDelta) -> Fingerprint {
     let mut system = SwallowSystem::restore(bytes).expect("snapshot restores");
     system.machine_mut().set_engine(engine);
     let quiescent = system.run_until_quiescent(budget);
-    fingerprint(&system, quiescent)
+    Fingerprint::of(&system, quiescent)
 }
 
 /// The core harness: for each checkpoint instant, run a cold system to
@@ -125,10 +63,14 @@ fn differential_snapshot(
             "snapshot at {us} µs: restore→snapshot is not byte-identical"
         );
         let quiescent = original.run_until_quiescent(budget);
-        let reference = fingerprint(&original, quiescent);
+        let reference = Fingerprint::of(&original, quiescent);
         for engine in every_engine() {
             let got = continue_after_restore(&bytes, engine, budget);
-            assert_continuation(us, engine, &got, &reference);
+            assert_equivalent(
+                &format!("restore@{us}µs under {engine:?}"),
+                &got,
+                &reference,
+            );
         }
         last = Some(reference);
     }
@@ -343,7 +285,7 @@ proptest! {
         );
         let budget = TimeDelta::from_ms(10);
         let quiescent = system.run_until_quiescent(budget);
-        let reference = fingerprint(&system, quiescent);
+        let reference = Fingerprint::of(&system, quiescent);
         let got = continue_after_restore(&bytes, EngineMode::default(), budget);
         prop_assert_eq!(&got.outputs, &reference.outputs);
         prop_assert_eq!(got.now_ps, reference.now_ps);

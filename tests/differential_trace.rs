@@ -3,6 +3,10 @@
 //! *observationally identical* — bit for bit, energy included — to the
 //! same run with observability off, under every engine.
 //!
+//! The fingerprint (`common::Fingerprint`) compares with `PartialEq`, so
+//! energy must match bit for bit: same engine, same schedule, so even
+//! float association must be untouched by observability.
+//!
 //! This is the contract that makes the trace trustworthy: emission never
 //! touches simulation state, metrics sampling only reads cumulative
 //! counters the power monitor already maintains, so instrumented runs
@@ -14,40 +18,9 @@
 
 mod common;
 
-use common::{every_engine, DECODE_CACHE};
-use swallow_repro::swallow::energy::NodeCategory;
+use common::{every_engine, Fingerprint, DECODE_CACHE};
 use swallow_repro::swallow::{EngineMode, SwallowSystem, SystemBuilder, TimeDelta};
 use swallow_repro::swallow_workloads::{client_server, farm, pipeline};
-
-/// Everything observable about a finished run. Energy compares
-/// *bit-for-bit*: same engine, same schedule, so even float association
-/// must be untouched by observability.
-#[derive(Debug, Clone, PartialEq)]
-struct Fingerprint {
-    quiescent: bool,
-    now_ps: u64,
-    instret: u64,
-    outputs: Vec<String>,
-    energy: Vec<(NodeCategory, f64)>,
-}
-
-fn fingerprint(system: &SwallowSystem, quiescent: bool) -> Fingerprint {
-    Fingerprint {
-        quiescent,
-        now_ps: system.now().as_ps(),
-        instret: system.perf_report().instret,
-        outputs: system
-            .nodes()
-            .map(|n| system.output(n).to_owned())
-            .collect(),
-        energy: system
-            .power_report()
-            .ledger
-            .iter()
-            .map(|(cat, e)| (cat, e.as_joules()))
-            .collect(),
-    }
-}
 
 /// Runs the same setup twice per engine and decode-cache setting —
 /// observability off, then tracing + metrics on — and requires identical
@@ -66,7 +39,7 @@ fn assert_observability_is_free(budget: TimeDelta, mut setup: impl FnMut(&mut Sw
                 let mut system = builder.build().expect("builds");
                 setup(&mut system);
                 let quiescent = system.run_until_quiescent(budget);
-                (fingerprint(&system, quiescent), system)
+                (Fingerprint::of(&system, quiescent), system)
             };
             let (plain, _) = run(false);
             let (traced, system) = run(true);

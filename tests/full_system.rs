@@ -204,8 +204,8 @@ fn whole_machine_replay_is_deterministic() {
         assert!(system.run_until_quiescent(TimeDelta::from_ms(20)));
         (
             system.now().as_ps(),
-            system.perf_report().instret,
-            system.power_report().ledger.total().as_joules(),
+            system.run_report().instret(),
+            system.run_report().ledger.total().as_joules(),
             system.output(NodeId(0)).to_owned(),
         )
     };
@@ -246,7 +246,7 @@ fn energy_scales_roughly_linearly_with_slices() {
     let power_of = |x: u16| {
         let mut system = SystemBuilder::new().slices(x, 1).build().expect("builds");
         system.run_for(TimeDelta::from_us(5));
-        system.power_report().mean_power.as_watts()
+        system.run_report().mean_power().as_watts()
     };
     let one = power_of(1);
     let two = power_of(2);

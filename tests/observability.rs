@@ -237,25 +237,28 @@ fn metrics_conserve_energy_under_every_engine() {
             .expect("loads");
         system.run_until_quiescent(TimeDelta::from_ms(20));
         system.flush_metrics();
-        let metered = system.machine().metrics().total_energy().as_joules();
-        let ledger = system.machine().machine_ledger().total().as_joules();
-        assert!(ledger > 0.0, "{engine:?}: no energy charged at all");
-        let rel = (metered - ledger).abs() / ledger;
+        let report = system.run_report();
+        let metered = report.metered_energy;
+        let ledger = report.ledger.total();
+        assert!(
+            ledger.as_joules() > 0.0,
+            "{engine:?}: no energy charged at all"
+        );
+        let rel = report.conservation_rel();
         assert!(
             rel <= CONSERVATION_RTOL,
-            "{engine:?}: metrics integrate to {metered} J but the ledger holds \
-             {ledger} J (rel {rel:.3e})"
+            "{engine:?}: metrics integrate to {metered} but the ledger holds \
+             {ledger} (rel {rel:.3e})"
         );
-        // The report surfaces the same comparison.
-        let report = system.metrics_report();
-        assert_eq!(report.metered_energy.as_joules(), metered);
-        assert_eq!(report.ledger_energy.as_joules(), ledger);
+        // The report reads the hub and the ledger it is checked against.
+        assert_eq!(metered, system.machine().metrics().total_energy());
+        assert_eq!(ledger, system.machine().machine_ledger().total());
         assert!(report.supply_rows > 0);
     }
 }
 
 #[test]
-fn metrics_report_reflects_core_activity() {
+fn run_report_reflects_core_activity() {
     let spec = pipeline::PipelineSpec {
         stages: 6,
         items: 24,
@@ -267,7 +270,7 @@ fn metrics_report_reflects_core_activity() {
         .apply(&mut system)
         .expect("loads");
     system.run_until_quiescent(TimeDelta::from_ms(20));
-    let report = system.metrics_report();
+    let report = system.run_report();
     assert_eq!(report.cores.len(), 16);
     let busy = report.cores.iter().filter(|c| c.instret > 0).count();
     assert!(busy >= 6, "at least the six pipeline stages ran");
