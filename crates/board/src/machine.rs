@@ -308,6 +308,15 @@ impl CoreEndpoints for Endpoints {
         }
     }
 
+    fn tx_pending_count(&self, node: NodeId) -> usize {
+        if Some(node) == self.bridge_node || !self.tx_visible(node) {
+            return self.has_tx_pending(node) as usize;
+        }
+        self.cores
+            .get(node.raw() as usize)
+            .map_or(0, |core| core.tx_pending_count())
+    }
+
     fn tx_front(&self, node: NodeId, chanend: u8) -> Option<(ResourceId, Token)> {
         if Some(node) == self.bridge_node {
             return self.bridge.as_ref()?.ep_tx_front();
@@ -758,8 +767,9 @@ impl Machine {
             }
             earliest = earliest.min(at);
         }
-        // The fabric before the cores: its query is O(active links), so
-        // a token due now skips the O(cores) scan below.
+        // The fabric before the cores: its query reads the head of its
+        // arrival calendar, so a token due now skips the O(cores) scan
+        // below.
         if let Some(at) = self.fabric.next_event_at(self.now) {
             if at <= immediate {
                 return immediate;

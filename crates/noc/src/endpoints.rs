@@ -36,6 +36,17 @@ pub trait CoreEndpoints {
     /// (the old `-> Vec<u8>` shape allocated on every fabric step).
     fn for_each_tx_pending(&self, node: NodeId, visit: &mut dyn FnMut(u8));
 
+    /// How many chanends [`Self::for_each_tx_pending`] would visit on
+    /// `node`. The fabric compares it with its count of parked chanends
+    /// to skip a node whose every output waits on a busy link. The
+    /// default counts the visits; an implementation that keeps the count
+    /// answers in O(1).
+    fn tx_pending_count(&self, node: NodeId) -> usize {
+        let mut n = 0;
+        self.for_each_tx_pending(node, &mut |_| n += 1);
+        n
+    }
+
     /// The next outgoing token of a chanend and its destination.
     fn tx_front(&self, node: NodeId, chanend: u8) -> Option<(ResourceId, Token)>;
 

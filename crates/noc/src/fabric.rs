@@ -22,20 +22,39 @@
 //! clock; token rates are enforced by per-link `busy_until` timestamps, so
 //! the step cadence only bounds reaction latency, not bandwidth.
 //!
-//! A step costs O(active links + injecting nodes), not O(machine): three
-//! worklists track the links with tokens on the wire,
-//! the links with tokens queued at their receiving switch (kept in the
-//! switches' service order, node-major then input port), and the nodes
-//! with non-empty loopback queues, and the [`CoreEndpoints`] name the
-//! nodes that want to inject. Every push and pop maintains them, so
-//! [`Fabric::next_event_at`] and each phase of the step visit exactly the
-//! queues a whole-machine scan would have found non-empty, in the same
-//! order — results are bit-identical to the scan they replace.
+//! A step costs O(work due now), not O(machine):
+//!
+//! * **Arrivals** come off a calendar, a min-heap holding one entry per
+//!   link with tokens on the wire, keyed on its head token's arrival.
+//!   Landing pops only the entries that are due, and
+//!   [`Fabric::next_event_at`] reads the calendar's head.
+//! * **Forwarding** walks a bitset of the links with tokens queued at
+//!   their receiving switch, in the switches' service order (node-major,
+//!   then input port); **injection** visits only the nodes the
+//!   [`CoreEndpoints`] name as having output; **loopback** delivery walks
+//!   a bitset of the nodes with non-empty loopback queues.
+//! * **Time-parked heads.** A switch receive queue or a core chanend
+//!   whose head is blocked *only* by busy links (every link it could take
+//!   is live, unowned by another flow and in credit, and transmitting
+//!   until some `busy_until > now`) leaves its worklist and waits on a
+//!   wake calendar for the earliest such `busy_until`. `busy_until` only
+//!   grows and no other state that could unblock the head changes while
+//!   every link it could take is busy, so every step it skips would have
+//!   been a no-op retry. Heads blocked by credit, ownership, a full or
+//!   owned destination chanend or a down link keep retrying every step.
+//!   Topology, routing and fault-window changes and restores wake every
+//!   parked head; waking early costs one no-op attempt.
+//!
+//! Every push and pop maintains these structures, so each phase of the
+//! step makes exactly the attempts a whole-machine scan would have made
+//! that can change anything, in the same order — results are
+//! bit-identical to the scan they replace.
 
 use crate::endpoints::CoreEndpoints;
 use crate::link::{Direction, LinkId, LinkParams, HEADER_TOKENS};
 use crate::routing::{LinkDesc, Router};
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use swallow_energy::Energy;
 use swallow_isa::{ControlToken, NodeId, ResType, ResourceId, Token};
 use swallow_sim::{
@@ -137,6 +156,16 @@ impl LinkStats {
             Energy::from_joules(self.energy.as_joules() / bits as f64)
         }
     }
+}
+
+/// A head that can be time-parked.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Head {
+    /// A switch receive queue, by forward position.
+    Rx(u32),
+    /// A chanend's output queue. Only chanends below 32 park (an XS1
+    /// core has 32), so a node's parked set fits one `u32` mask.
+    Tx(NodeId, u8),
 }
 
 enum TxResult {
@@ -272,11 +301,14 @@ impl FabricBuilder {
         Fabric {
             nodes: self.nodes,
             rx_ready: IndexSet::new(self.links.len()),
+            rx_parked: IndexSet::new(self.links.len()),
             links: self.links,
             outgoing,
             fwd_links,
             fwd_pos,
-            on_wire: Vec::new(),
+            arrivals: BinaryHeap::new(),
+            tx_parked: vec![0; self.nodes],
+            wakes: BinaryHeap::new(),
             router,
             loopback: (0..self.nodes).map(|_| VecDeque::new()).collect(),
             loopback_ready: IndexSet::new(self.nodes),
@@ -306,11 +338,21 @@ pub struct Fabric {
     /// Inverse of `fwd_links`: each link's forward position.
     fwd_pos: Vec<u32>,
     /// Worklist: forward positions of the links whose receive queue is
-    /// non-empty.
+    /// non-empty and not parked.
     rx_ready: IndexSet,
-    /// Worklist: the links with tokens on the wire, unordered (landing is
-    /// per-link independent).
-    on_wire: Vec<LinkId>,
+    /// The arrival calendar: one `(head arrival, link)` entry per link
+    /// with tokens on the wire.
+    arrivals: BinaryHeap<Reverse<(Time, LinkId)>>,
+    /// Forward positions of the receive queues whose head is time-parked
+    /// (non-empty, not in `rx_ready`).
+    rx_parked: IndexSet,
+    /// Per node, the mask of chanends whose output head is time-parked.
+    tx_parked: Vec<u32>,
+    /// The wake calendar: one `(wake, head, blocking link)` entry per
+    /// parked head, waking it at the earliest `busy_until` among the
+    /// links it could take. Kept apart from `arrivals` so that
+    /// [`Fabric::next_event_at`] reads only arrivals.
+    wakes: BinaryHeap<Reverse<(Time, Head, LinkId)>>,
     router: Box<dyn Router>,
     /// Core-local deliveries in flight: (arrival, dest chanend, token, flow).
     loopback: Vec<VecDeque<(Time, u8, Token, u32)>>,
@@ -355,16 +397,18 @@ pub struct Fabric {
 }
 
 /// The fabric's derived bookkeeping: the in-network counter, the fault
-/// totals and the worklists (as sorted member lists). [`Fabric::rescan`]
-/// recomputes it from the queues; restore rebuilds from that and debug
-/// builds check the incremental copies against it.
+/// totals, the worklists (as sorted member lists) and the arrival
+/// calendar (sorted). [`Fabric::rescan`] recomputes it from the queues;
+/// restore rebuilds from that and debug builds check the incremental
+/// copies against it.
 #[derive(Debug, PartialEq)]
 struct Derived {
     in_network: usize,
     retransmits: u64,
     dropped_tokens: u64,
-    rx_ready: Vec<usize>,
-    on_wire: Vec<LinkId>,
+    /// Forward positions of the non-empty receive queues, ready or parked.
+    rx_queued: Vec<usize>,
+    arrivals: Vec<(Time, LinkId)>,
     loopback_ready: Vec<usize>,
 }
 
@@ -388,30 +432,82 @@ impl Fabric {
     /// True when no token is on a wire, in a receive queue or in a
     /// loopback queue. O(1): the population is counted incrementally.
     pub fn is_idle(&self) -> bool {
-        debug_assert_eq!(
-            self.incremental(),
-            self.rescan(),
-            "fabric counters or worklists out of sync"
-        );
+        if cfg!(debug_assertions) {
+            assert_eq!(
+                self.incremental(),
+                self.rescan(),
+                "fabric counters, worklists or arrival calendar out of sync"
+            );
+            self.check_parked();
+        }
         self.in_network == 0
     }
 
     /// The derived bookkeeping as maintained incrementally.
     fn incremental(&self) -> Derived {
-        let mut on_wire = self.on_wire.clone();
-        on_wire.sort_unstable();
+        let mut rx_queued: Vec<usize> = self.rx_ready.iter().chain(self.rx_parked.iter()).collect();
+        rx_queued.sort_unstable();
+        let mut arrivals: Vec<(Time, LinkId)> = self.arrivals.iter().map(|entry| entry.0).collect();
+        arrivals.sort_unstable();
         Derived {
             in_network: self.in_network,
             retransmits: self.retransmits,
             dropped_tokens: self.dropped_tokens,
-            rx_ready: self.rx_ready.iter().collect(),
-            on_wire,
+            rx_queued,
+            arrivals,
             loopback_ready: self.loopback_ready.iter().collect(),
+        }
+    }
+
+    /// Debug-build invariant of time-parking: the wake calendar holds
+    /// exactly one entry per parked head, every parked receive queue is
+    /// non-empty and out of `rx_ready`, and every wake instant is at or
+    /// before its blocking link's `busy_until`, so no head wakes late.
+    /// (A parked chanend's output queue lives in the endpoints; the
+    /// injection pass checks it is non-empty.)
+    fn check_parked(&self) {
+        let mut woken: Vec<Head> = Vec::with_capacity(self.wakes.len());
+        for &Reverse((wake, head, lid)) in self.wakes.iter() {
+            let busy_until = self.links[lid.0 as usize].busy_until;
+            assert!(
+                busy_until >= wake,
+                "{head:?} wakes at {wake:?}, after link {} frees at {busy_until:?}",
+                lid.0
+            );
+            woken.push(head);
+        }
+        woken.sort_unstable();
+        let mut parked: Vec<Head> = self
+            .rx_parked
+            .iter()
+            .map(|pos| Head::Rx(pos as u32))
+            .collect();
+        for (node, &mask) in self.tx_parked.iter().enumerate().filter(|(_, &m)| m != 0) {
+            parked.extend(
+                (0..32u8)
+                    .filter(|&ch| mask >> ch & 1 == 1)
+                    .map(|ch| Head::Tx(NodeId(node as u16), ch)),
+            );
+        }
+        assert_eq!(woken, parked, "parked heads and wake calendar out of sync");
+        for pos in self.rx_parked.iter() {
+            assert!(
+                !self.rx_ready.contains(pos)
+                    && !self.links[self.fwd_links[pos].0 as usize].rx.is_empty(),
+                "parked receive queue at position {pos} is empty or ready"
+            );
         }
     }
 
     /// The derived bookkeeping recomputed by a full scan of the queues.
     fn rescan(&self) -> Derived {
+        let mut arrivals: Vec<(Time, LinkId)> = self
+            .links
+            .iter()
+            .enumerate()
+            .filter_map(|(i, l)| l.in_flight.front().map(|e| (e.0, LinkId(i as u32))))
+            .collect();
+        arrivals.sort_unstable();
         Derived {
             in_network: self
                 .links
@@ -421,13 +517,10 @@ impl Fabric {
                 + self.loopback.iter().map(|q| q.len()).sum::<usize>(),
             retransmits: self.links.iter().map(|l| l.retransmits).sum(),
             dropped_tokens: self.links.iter().map(|l| l.dropped_tokens).sum(),
-            rx_ready: (0..self.fwd_links.len())
+            rx_queued: (0..self.fwd_links.len())
                 .filter(|&pos| !self.links[self.fwd_links[pos].0 as usize].rx.is_empty())
                 .collect(),
-            on_wire: (0..self.links.len())
-                .filter(|&i| !self.links[i].in_flight.is_empty())
-                .map(|i| LinkId(i as u32))
-                .collect(),
+            arrivals,
             loopback_ready: (0..self.nodes)
                 .filter(|&node| !self.loopback[node].is_empty())
                 .collect(),
@@ -437,6 +530,12 @@ impl Fabric {
     /// Number of tokens currently inside the network. O(1).
     pub fn tokens_in_network(&self) -> usize {
         self.in_network
+    }
+
+    /// Number of switch queues and chanends whose head is currently
+    /// time-parked behind a busy link (see the module docs). O(1).
+    pub fn parked_heads(&self) -> usize {
+        self.wakes.len()
     }
 
     /// All-pairs minimum routed token latency between switches, in
@@ -507,29 +606,30 @@ impl Fabric {
     ///
     /// This is the network half of the fast-forward contract: strictly
     /// before the returned instant, [`Fabric::step`] without new core
-    /// traffic is a no-op.
+    /// traffic is a no-op. A queue whose head is time-parked still
+    /// answers `now`: the instants the engines process, and so every
+    /// energy bit, do not depend on parking, which only makes the steps
+    /// at those instants cheaper.
     ///
-    /// O(1) when a token is queued at a switch, otherwise O(links on the
-    /// wire + non-empty loopback queues).
+    /// O(1) when a token is queued at a switch, otherwise O(1) for the
+    /// wire (the arrival calendar's head) plus O(non-empty loopback
+    /// queues).
     pub fn next_event_at(&self, now: Time) -> Option<Time> {
         if self.in_network == 0 {
             return None;
         }
-        if !self.rx_ready.is_empty() {
+        if !self.rx_ready.is_empty() || !self.rx_parked.is_empty() {
             // Queued at a switch: forwarding/delivery can progress (or is
             // head-of-line blocked and must be retried) now.
             return Some(now);
         }
-        let wire = self
-            .on_wire
-            .iter()
-            .filter_map(|lid| self.links[lid.0 as usize].in_flight.front().map(|e| e.0));
+        let wire = self.arrivals.peek().map(|entry| entry.0 .0);
         let loopback = self
             .loopback_ready
             .iter()
             .filter_map(|node| self.loopback[node].front().map(|e| e.0));
         let mut earliest: Option<Time> = None;
-        for arrival in wire.chain(loopback) {
+        for arrival in wire.into_iter().chain(loopback) {
             if arrival <= now {
                 return Some(now);
             }
@@ -582,6 +682,7 @@ impl Fabric {
         link.owner = None;
         link.retry_streak = 0;
         self.sticky.retain(|_, &mut bound| bound != lid);
+        self.wake_parked();
         true
     }
 
@@ -594,6 +695,9 @@ impl Fabric {
         let was_down = link.down;
         link.down = false;
         link.retry_streak = 0;
+        if was_down {
+            self.wake_parked();
+        }
         was_down
     }
 
@@ -607,7 +711,10 @@ impl Fabric {
     /// re-sent). Extends, never shortens, an existing window.
     pub fn set_link_corrupt_until(&mut self, lid: LinkId, until: Time) {
         if let Some(link) = self.links.get_mut(lid.0 as usize) {
-            link.corrupt_until = link.corrupt_until.max(until);
+            if until > link.corrupt_until {
+                link.corrupt_until = until;
+                self.wake_parked();
+            }
         }
     }
 
@@ -616,7 +723,10 @@ impl Fabric {
     /// instead, so routes still close). Extends an existing window.
     pub fn set_link_drop_until(&mut self, lid: LinkId, until: Time) {
         if let Some(link) = self.links.get_mut(lid.0 as usize) {
-            link.drop_until = link.drop_until.max(until);
+            if until > link.drop_until {
+                link.drop_until = until;
+                self.wake_parked();
+            }
         }
     }
 
@@ -626,6 +736,7 @@ impl Fabric {
     /// keep it, new packets follow the new tables.
     pub fn set_router(&mut self, router: Box<dyn Router>) {
         self.router = router;
+        self.wake_parked();
     }
 
     /// True when a retry escalation is waiting to be handled.
@@ -671,6 +782,7 @@ impl Fabric {
     /// Advances the fabric to `now`: lands arrivals, forwards queued
     /// tokens, injects core traffic and delivers to cores.
     pub fn step<E: CoreEndpoints>(&mut self, now: Time, cores: &mut E) {
+        self.wake_due(now);
         if self.in_network > 0 {
             self.land_arrivals(now);
             self.deliver_loopback(now, cores);
@@ -679,24 +791,123 @@ impl Fabric {
         self.inject_from_cores(now, cores);
     }
 
+    /// Returns the parked heads whose wake instant has come to their
+    /// worklists, before any pass runs.
+    fn wake_due(&mut self, now: Time) {
+        while let Some(&Reverse((wake, head, _))) = self.wakes.peek() {
+            if wake > now {
+                break;
+            }
+            self.wakes.pop();
+            self.unpark(head);
+        }
+    }
+
+    fn unpark(&mut self, head: Head) {
+        match head {
+            Head::Rx(pos) => {
+                self.rx_parked.remove(pos as usize);
+                self.rx_ready.insert(pos as usize);
+            }
+            Head::Tx(node, chanend) => self.tx_parked[node.raw() as usize] &= !(1 << chanend),
+        }
+    }
+
+    /// Wakes every parked head. Called whenever something other than
+    /// time could unblock one (a link going down or up, new routes, a new
+    /// fault window, a restore); waking early only costs a no-op attempt.
+    fn wake_parked(&mut self) {
+        if self.wakes.is_empty() {
+            return;
+        }
+        for Reverse((_, head, _)) in std::mem::take(&mut self.wakes) {
+            self.unpark(head);
+        }
+    }
+
+    /// Parks `head` until `wake`, the instant [`Fabric::time_block`]
+    /// found blocking link `lid` busy until.
+    fn park(&mut self, head: Head, (wake, lid): (Time, LinkId)) {
+        match head {
+            Head::Rx(pos) => {
+                self.rx_ready.remove(pos as usize);
+                self.rx_parked.insert(pos as usize);
+            }
+            Head::Tx(node, chanend) => self.tx_parked[node.raw() as usize] |= 1 << chanend,
+        }
+        self.wakes.push(Reverse((wake, head, lid)));
+    }
+
+    /// Why a token of `flow` for `dest` cannot leave switch `at` now, as
+    /// seen right after a failed attempt: `Some((wake, link))` when every
+    /// link the next attempt could take is live, in credit and not owned
+    /// by another flow, and only transmitting — `wake` is the earliest
+    /// `busy_until` among them and `link` the one it belongs to. `None`
+    /// for anything else (no credit, another flow's route, a down link),
+    /// which the caller retries every step.
+    ///
+    /// Until `wake`, no launch can start on any of those links, and
+    /// without a launch nothing that decides the attempt changes (credit
+    /// only grows, owners, sticky bindings and down flags change only by
+    /// a launch on the link or by the setters that wake every parked
+    /// head), so every attempt before `wake` would be a no-op.
+    fn time_block(
+        &self,
+        now: Time,
+        at: NodeId,
+        flow: u32,
+        dest: ResourceId,
+    ) -> Option<(Time, LinkId)> {
+        let only_busy = |lid: LinkId| {
+            let link = &self.links[lid.0 as usize];
+            (!link.down && link.credit() >= 1 && link.busy_until > now)
+                .then_some((link.busy_until, lid))
+        };
+        if let Some(&bound) = self.sticky.get(&(flow, at, dest.node())) {
+            let owner = self.links[bound.0 as usize].owner;
+            return if owner.is_none() || owner == Some(flow) {
+                only_busy(bound)
+            } else {
+                None
+            };
+        }
+        let mut earliest: Option<(Time, LinkId)> = None;
+        for lid in self.router.candidates(at, dest.node()).iter() {
+            if self.links[lid.0 as usize].owner.is_some() {
+                return None;
+            }
+            let block = only_busy(lid)?;
+            earliest = Some(earliest.map_or(block, |e| e.min(block)));
+        }
+        earliest
+    }
+
+    /// Lands every token due by `now`, popping only the calendar entries
+    /// that are due. Credit keeps `in_flight + rx <= RX_CAPACITY`, so a
+    /// landing token always finds room.
     fn land_arrivals(&mut self, now: Time) {
-        let mut i = 0;
-        while i < self.on_wire.len() {
-            let lid = self.on_wire[i];
+        while let Some(&Reverse((arrival, lid))) = self.arrivals.peek() {
+            if arrival > now {
+                break;
+            }
+            self.arrivals.pop();
             let link = &mut self.links[lid.0 as usize];
+            if link.rx.is_empty() {
+                // A non-empty queue is already ready or parked; landing
+                // behind its head changes neither.
+                self.rx_ready.insert(self.fwd_pos[lid.0 as usize] as usize);
+            }
             while let Some(&(arrival, token, flow, dest)) = link.in_flight.front() {
-                if arrival <= now && link.rx.len() < RX_CAPACITY {
-                    link.rx.push_back((token, flow, dest));
-                    link.in_flight.pop_front();
-                    self.rx_ready.insert(self.fwd_pos[lid.0 as usize] as usize);
-                } else {
+                if arrival > now {
+                    self.arrivals.push(Reverse((arrival, lid)));
                     break;
                 }
-            }
-            if link.in_flight.is_empty() {
-                self.on_wire.swap_remove(i);
-            } else {
-                i += 1;
+                debug_assert!(
+                    link.rx.len() < RX_CAPACITY,
+                    "landing past the credit window"
+                );
+                link.rx.push_back((token, flow, dest));
+                link.in_flight.pop_front();
             }
         }
     }
@@ -794,7 +1005,12 @@ impl Fabric {
                             self.links[lid.0 as usize].rx.pop_front();
                             self.in_network -= 1;
                         }
-                        TxResult::Busy => break,
+                        TxResult::Busy => {
+                            if let Some(block) = self.time_block(now, node, flow, dest) {
+                                self.park(Head::Rx(pos as u32), block);
+                            }
+                            break;
+                        }
                         TxResult::Unroutable => {
                             self.links[lid.0 as usize].rx.pop_front();
                             self.in_network -= 1;
@@ -817,9 +1033,24 @@ impl Fabric {
         let mut pending = std::mem::take(&mut self.tx_scratch);
         for &node_id in &nodes {
             let node = node_id.raw() as usize;
+            let parked = self.tx_parked[node];
+            if parked != 0 {
+                debug_assert!(
+                    (0..32u8)
+                        .filter(|&ch| parked >> ch & 1 == 1)
+                        .all(|ch| cores.tx_front(node_id, ch).is_some()),
+                    "node {node} has a parked chanend with nothing to send"
+                );
+                if parked.count_ones() as usize == cores.tx_pending_count(node_id) {
+                    continue; // every pending chanend waits on a busy link
+                }
+            }
             pending.clear();
             cores.for_each_tx_pending(node_id, &mut |ch| pending.push(ch));
             for &chanend in &pending {
+                if chanend < 32 && self.tx_parked[node] >> chanend & 1 == 1 {
+                    continue;
+                }
                 while let Some((dest, token)) = cores.tx_front(node_id, chanend) {
                     let flow = ResourceId::new(node_id, chanend, ResType::Chanend).raw();
                     if dest.node() == node_id {
@@ -842,7 +1073,13 @@ impl Fabric {
                             TxResult::Started | TxResult::Dropped => {
                                 cores.tx_pop(node_id, chanend);
                             }
-                            TxResult::Busy => break,
+                            TxResult::Busy => {
+                                let block = self.time_block(now, node_id, flow, dest);
+                                if let Some(block) = block.filter(|_| chanend < 32) {
+                                    self.park(Head::Tx(node_id, chanend), block);
+                                }
+                                break;
+                            }
                             TxResult::Unroutable => {
                                 cores.tx_pop(node_id, chanend);
                                 self.unroutable += 1;
@@ -1007,18 +1244,18 @@ impl Fabric {
     /// — the sender saw a normal launch (energy spent, ownership moved),
     /// the payload is gone.
     fn finish_gated(&mut self, gate: LaunchGate, lid: LinkId) -> TxResult {
+        let link = &mut self.links[lid.0 as usize];
         match gate {
-            LaunchGate::Clear => TxResult::Started,
+            LaunchGate::Clear => {
+                if link.in_flight.len() == 1 {
+                    // The wire was empty: this token heads it.
+                    self.arrivals.push(Reverse((link.in_flight[0].0, lid)));
+                }
+                TxResult::Started
+            }
             LaunchGate::Retry => unreachable!("retries never reach launch"),
             LaunchGate::Drop => {
-                let link = &mut self.links[lid.0 as usize];
                 link.in_flight.pop_back();
-                if link.in_flight.is_empty() {
-                    // `launch` listed the link when this token put it on
-                    // the wire, so it is the worklist's last entry.
-                    debug_assert_eq!(self.on_wire.last(), Some(&lid));
-                    self.on_wire.pop();
-                }
                 link.dropped_tokens += 1;
                 self.dropped_tokens += 1;
                 self.in_network -= 1;
@@ -1056,9 +1293,6 @@ impl Fabric {
             link.busy_time += header_time;
         }
         let arrival = start + link.params.token_time;
-        if link.in_flight.is_empty() {
-            self.on_wire.push(lid);
-        }
         link.in_flight.push_back((arrival, token, flow, dest));
         self.in_network += 1;
         let link = &mut self.links[lid.0 as usize];
@@ -1097,8 +1331,9 @@ impl Fabric {
     /// machine configuration on restore — and neither are the derived
     /// in-network counter, scratch buffers, tracer or undrained
     /// escalations (snapshots are taken at step boundaries, where the
-    /// escalation queue is empty), and neither are the worklists or fault
-    /// totals, which restore recomputes from the queues.
+    /// escalation queue is empty), and neither are the worklists, the
+    /// arrival calendar or fault totals, which restore recomputes from
+    /// the queues, nor the time-parked heads, which restore wakes.
     pub fn encode_state(&self, w: &mut ByteWriter) {
         debug_assert!(
             self.escalated.is_empty(),
@@ -1175,8 +1410,8 @@ impl Fabric {
     /// Overlays the state written by [`Fabric::encode_state`] onto this
     /// fabric, which must have been rebuilt from the same topology (the
     /// link and node counts are validated). The in-network token counter,
-    /// the fault totals and the worklists are recomputed from the restored
-    /// queues.
+    /// the fault totals, the worklists and the arrival calendar are
+    /// recomputed from the restored queues, and every parked head wakes.
     pub fn restore_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         let links = r.len_prefixed(1)?;
         if links != self.links.len() {
@@ -1271,11 +1506,13 @@ impl Fabric {
         self.in_network = derived.in_network;
         self.retransmits = derived.retransmits;
         self.dropped_tokens = derived.dropped_tokens;
+        // Every restored non-empty queue starts ready: parked heads wake.
+        self.wake_parked();
         self.rx_ready.clear();
-        for pos in derived.rx_ready {
+        for pos in derived.rx_queued {
             self.rx_ready.insert(pos);
         }
-        self.on_wire = derived.on_wire;
+        self.arrivals = derived.arrivals.into_iter().map(Reverse).collect();
         self.loopback_ready.clear();
         for node in derived.loopback_ready {
             self.loopback_ready.insert(node);

@@ -22,9 +22,10 @@
 //!   processor cores (implemented by `swallow-board` for real cores and
 //!   by in-crate test doubles here).
 //!
-//! Worklists (`swallow_sim::IndexSet`) keep the per-step cost
-//! proportional to the traffic: the fabric visits only the links,
-//! loopback queues and nodes that have work.
+//! Worklists (`swallow_sim::IndexSet`), an arrival calendar and
+//! time-parked heads keep the per-step cost proportional to the work due
+//! now: the fabric visits only the links, loopback queues and nodes that
+//! have something to do at this instant.
 
 pub mod endpoints;
 pub mod fabric;

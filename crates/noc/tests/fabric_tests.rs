@@ -5,8 +5,8 @@ use swallow_energy::WireClass;
 use swallow_isa::{ControlToken, NodeId, ResType, ResourceId, Token};
 use swallow_noc::endpoints::TestEndpoints;
 use swallow_noc::routing::LinkDesc;
-use swallow_noc::{Direction, Fabric, FabricBuilder, LinkParams, TableRouter};
-use swallow_sim::{Time, TimeDelta};
+use swallow_noc::{Direction, Fabric, FabricBuilder, LinkId, LinkParams, TableRouter};
+use swallow_sim::{Time, TimeDelta, TraceEvent, TraceRecord, Tracer};
 
 fn chan(node: u16, idx: u8) -> ResourceId {
     ResourceId::new(NodeId(node), idx, ResType::Chanend)
@@ -392,4 +392,197 @@ fn switch_serves_input_ports_in_link_id_order() {
     assert!(eps.received(NodeId(3), 0).is_empty());
     run(&mut fabric, &mut eps, 100_000);
     assert_eq!(eps.received(NodeId(3), 0).len(), 2);
+}
+
+// --- time-parked heads ------------------------------------------------------
+//
+// A head blocked only by busy links parks until the earliest `busy_until`
+// instead of retrying every step. Each case runs the same script stepped
+// on every grid edge (dense) and only on the edges where something is
+// due (event-driven), and pins the instants the dense scan would have
+// produced: a wake that came late, or not at all, moves them.
+
+/// Steps `fabric` over the grid edges of `grid` up to `until`, calling
+/// `script` on every edge before the step. Dense runs step every edge;
+/// event-driven runs step only where the endpoints have output or
+/// [`Fabric::next_event_at`] is due. Returns the trace and the most
+/// heads seen parked after any step.
+fn run_script(
+    fabric: &mut Fabric,
+    eps: &mut TestEndpoints,
+    grid: TimeDelta,
+    until: Time,
+    dense: bool,
+    mut script: impl FnMut(Time, &mut Fabric, &mut TestEndpoints),
+) -> (Vec<TraceRecord>, usize) {
+    fabric.set_tracer(Tracer::ring_with_capacity(4096));
+    let mut now = Time::ZERO;
+    let mut parked = 0;
+    while now + grid <= until {
+        now += grid;
+        script(now, fabric, eps);
+        let tx_pending = eps.out.iter().flatten().any(|q| !q.is_empty());
+        if dense || tx_pending || fabric.next_event_at(now).is_some_and(|at| at <= now) {
+            fabric.step(now, eps);
+            parked = parked.max(fabric.parked_heads());
+        }
+    }
+    let trace = fabric
+        .tracer()
+        .ring()
+        .expect("tracing")
+        .iter()
+        .copied()
+        .collect();
+    (trace, parked)
+}
+
+/// Start instants of the `LinkTransit` records on `link`.
+fn transits(trace: &[TraceRecord], link: u32) -> Vec<Time> {
+    trace
+        .iter()
+        .filter(|r| matches!(r.event, TraceEvent::LinkTransit { link: l, .. } if l == link))
+        .map(|r| r.at)
+        .collect()
+}
+
+/// The first edge of `grid` at or after `t`.
+fn grid_ceil(t: Time, grid: TimeDelta) -> Time {
+    Time::from_ps(t.as_ps().div_ceil(grid.as_ps()) * grid.as_ps())
+}
+
+/// Runs `setup`'s fabric and endpoints under both cadences with the same
+/// script, asserts they agree on the trace, every link's statistics and
+/// the deliveries, and returns the dense run's trace, parked-head peak
+/// and fabric.
+fn dense_and_event_driven(
+    setup: impl Fn() -> (Fabric, TestEndpoints),
+    grid: TimeDelta,
+    until: Time,
+    script: impl Fn(Time, &mut Fabric, &mut TestEndpoints),
+) -> (Vec<TraceRecord>, usize, Fabric) {
+    let (mut dense, mut dense_eps) = setup();
+    let (mut event, mut event_eps) = setup();
+    let (dense_trace, parked) = run_script(&mut dense, &mut dense_eps, grid, until, true, &script);
+    let (event_trace, _) = run_script(&mut event, &mut event_eps, grid, until, false, &script);
+    assert_eq!(dense_trace, event_trace);
+    assert_eq!(
+        dense.link_stats().collect::<Vec<_>>(),
+        event.link_stats().collect::<Vec<_>>()
+    );
+    assert_eq!(dense_eps.inbox, event_eps.inbox);
+    assert!(dense.is_idle() && event.is_idle(), "traffic did not drain");
+    (dense_trace, parked, dense)
+}
+
+#[test]
+fn parked_switch_queue_launches_on_the_first_edge_at_busy_until() {
+    // 0 → 1 → 2 over on-chip links (32 ns a token), stepped on a 3 ns
+    // grid so that `busy_until` falls between edges. The second hop's
+    // route header puts it behind the first, so node 1's queue always
+    // waits for its outgoing link, and node 0's chanend for its own:
+    // every transit after the first on a link must start on the first
+    // edge at or after the previous transit ends.
+    let grid = TimeDelta::from_ns(3);
+    let setup = || {
+        let mut b = FabricBuilder::new(3);
+        let on_chip = LinkParams::from_class(WireClass::OnChip);
+        b.link_two_way(NodeId(0), NodeId(1), Direction::East, on_chip);
+        b.link_two_way(NodeId(1), NodeId(2), Direction::East, on_chip);
+        let router = TableRouter::shortest_paths(3, b.link_descs());
+        let mut eps = TestEndpoints::new(3);
+        for w in 0..4 {
+            eps.queue_word(NodeId(0), 0, chan(2, 5), 0x0101_0101 * w);
+        }
+        eps.queue_token(NodeId(0), 0, chan(2, 5), Token::Ctrl(ControlToken::END));
+        (b.build(Box::new(router)), eps)
+    };
+    let until = Time::ZERO + TimeDelta::from_us(2);
+    let (trace, parked, _) = dense_and_event_driven(setup, grid, until, |_, _, _| {});
+    assert!(parked > 0, "no head ever parked");
+    let token_time = TimeDelta::from_ns(32);
+    for link in [0, 2] {
+        let starts = transits(&trace, link);
+        assert_eq!(starts.len(), 17, "link {link}: 16 data tokens and END");
+        for pair in starts.windows(2) {
+            assert_eq!(
+                pair[1],
+                grid_ceil(pair[0] + token_time, grid),
+                "link {link}: launched late or early after {:?}",
+                pair[0]
+            );
+        }
+    }
+}
+
+#[test]
+fn parked_head_reroutes_on_the_next_step_when_its_link_goes_down() {
+    // Two aggregated link pairs between nodes 0 and 1. The flow binds
+    // link 0 and its next token parks behind the header. When link 0
+    // goes down just before the step at 50 ns, the parked head must
+    // retry in that very step and re-open the route over link 2 — not
+    // wait for link 0's `busy_until` (130 ns).
+    let grid = TimeDelta::from_ns(2);
+    let setup = || {
+        let (fabric, mut eps) = two_nodes(2);
+        eps.queue_word(NodeId(0), 0, chan(1, 0), 0xDEAD_BEEF);
+        eps.queue_token(NodeId(0), 0, chan(1, 0), Token::Ctrl(ControlToken::END));
+        (fabric, eps)
+    };
+    let down_at = Time::ZERO + TimeDelta::from_ns(50);
+    let until = Time::ZERO + TimeDelta::from_us(2);
+    let (trace, parked, fabric) = dense_and_event_driven(setup, grid, until, |now, fabric, _| {
+        if now == down_at {
+            assert_eq!(fabric.parked_heads(), 1, "the second token waits");
+            assert!(fabric.set_link_down(LinkId::from_raw(0)));
+        }
+    });
+    assert!(parked > 0);
+    let header = TimeDelta::from_ns(3 * 32);
+    assert_eq!(
+        transits(&trace, 0),
+        [Time::ZERO + TimeDelta::from_ns(2) + header]
+    );
+    let rerouted = transits(&trace, 2);
+    assert_eq!(rerouted[0], down_at + header);
+    let stats: Vec<_> = fabric.link_stats().collect();
+    assert_eq!(stats[0].data_tokens + stats[2].data_tokens, 4);
+    assert_eq!(stats[2].header_tokens, 3, "the reroute re-opens the route");
+}
+
+#[test]
+fn corrupt_retry_parks_until_the_retry_frees_the_link() {
+    // A corrupt window on the only link until 100 ns. Each failed launch
+    // holds the link for one token time (32 ns) and the head parks until
+    // then, so the attempts land at 2, 34, 66 and 98 ns — four
+    // retransmits — and the header goes out at 130 ns, with the same
+    // counters and energy bits under both cadences.
+    let grid = TimeDelta::from_ns(2);
+    let setup = || {
+        let (mut fabric, mut eps) = two_nodes(1);
+        fabric.set_link_corrupt_until(LinkId::from_raw(0), Time::ZERO + TimeDelta::from_ns(100));
+        eps.queue_word(NodeId(0), 0, chan(1, 0), 0x1234_5678);
+        eps.queue_token(NodeId(0), 0, chan(1, 0), Token::Ctrl(ControlToken::END));
+        (fabric, eps)
+    };
+    let until = Time::ZERO + TimeDelta::from_us(2);
+    let (trace, parked, fabric) = dense_and_event_driven(setup, grid, until, |_, _, _| {});
+    assert!(parked > 0);
+    let retries: Vec<Time> = trace
+        .iter()
+        .filter(|r| matches!(r.event, TraceEvent::LinkRetry { link: 0, .. }))
+        .map(|r| r.at)
+        .collect();
+    let ns = |n| Time::ZERO + TimeDelta::from_ns(n);
+    assert_eq!(retries, [ns(2), ns(34), ns(66), ns(98)]);
+    assert_eq!(transits(&trace, 0)[0], ns(130 + 3 * 32));
+    assert_eq!(fabric.total_retransmits(), 4);
+    let link = fabric.link_stats().next().expect("link 0");
+    assert_eq!(link.retransmits, 4);
+    // Four retries, three header tokens, four data tokens and END.
+    let expected = LinkParams::from_class(WireClass::OnChip).token_energy() * 12.0;
+    assert_eq!(
+        link.energy.as_joules().to_bits(),
+        expected.as_joules().to_bits()
+    );
 }

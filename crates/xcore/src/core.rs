@@ -889,6 +889,11 @@ impl Core {
         self.tx_pending_count > 0
     }
 
+    /// Number of chanends with tokens waiting to be transmitted. O(1).
+    pub fn tx_pending_count(&self) -> usize {
+        self.tx_pending_count as usize
+    }
+
     /// Peeks the next outgoing token of a chanend and the destination it
     /// was emitted towards.
     pub fn tx_front(&self, chanend: u8) -> Option<(ResourceId, Token)> {
