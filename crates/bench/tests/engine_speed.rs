@@ -30,9 +30,9 @@ fn busy_slice_run(engine: EngineMode) -> (Duration, u64) {
 }
 
 /// The default engine must keep up with the reference on a machine
-/// where every tick has activity: one-thread windows (and the dense-mode
-/// hint of their fast-forward fallback) must not be slower than
-/// lock-step. Min-of-3 host time on both sides and a lenient 1.3x bound
+/// where every tick has activity: one-thread windows (and their
+/// fast-forward fallback, whose activity scan answers "next edge" on
+/// every tick here) must not be slower than lock-step. Min-of-3 host time on both sides and a lenient 1.3x bound
 /// keep this stable on noisy CI hosts.
 #[test]
 fn windowed_one_thread_keeps_up_with_lockstep_when_busy() {

@@ -15,7 +15,6 @@
 //! simulated instant their END token arrived, so per-request latency can
 //! be measured without polling.
 
-use crate::snapshot;
 use std::collections::VecDeque;
 use swallow_isa::token::word_to_tokens;
 use swallow_isa::{ControlToken, NodeId, ResType, ResourceId, Token};
@@ -255,16 +254,16 @@ impl EthernetBridge {
     // Snapshot codec (the node id is topology-derived, not serialized).
 
     pub(crate) fn encode_state(&self, w: &mut ByteWriter) {
-        snapshot::write_time(w, self.now);
-        snapshot::write_time(w, self.next_tx);
+        w.time(self.now);
+        w.time(self.next_tx);
         w.u64(self.tx.len() as u64);
         for &(dest, token) in &self.tx {
             w.u32(dest.raw());
-            snapshot::write_token(w, token);
+            w.u16(u16::from(token));
         }
         w.u64(self.rx.len() as u64);
         for &token in &self.rx {
-            snapshot::write_token(w, token);
+            w.u16(u16::from(token));
         }
         w.u32(self.tag);
         w.u64(self.capacity);
@@ -279,7 +278,7 @@ impl EthernetBridge {
         w.u64(self.frames.len() as u64);
         for frame in &self.frames {
             w.u32(frame.tag);
-            snapshot::write_time(w, frame.completed_at);
+            w.time(frame.completed_at);
             w.u64(frame.words.len() as u64);
             for &word in &frame.words {
                 w.u32(word);
@@ -288,17 +287,17 @@ impl EthernetBridge {
     }
 
     pub(crate) fn restore_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        self.now = snapshot::read_time(r)?;
-        self.next_tx = snapshot::read_time(r)?;
+        self.now = r.time()?;
+        self.next_tx = r.time()?;
         self.tx.clear();
         for _ in 0..r.len_prefixed(6)? {
             let dest = ResourceId::from_raw(r.u32()?);
-            let token = snapshot::read_token(r)?;
+            let token = Token::try_from(r.u16()?)?;
             self.tx.push_back((dest, token));
         }
         self.rx.clear();
         for _ in 0..r.len_prefixed(2)? {
-            self.rx.push(snapshot::read_token(r)?);
+            self.rx.push(Token::try_from(r.u16()?)?);
         }
         self.tag = r.u32()?;
         self.capacity = r.u64()?;
@@ -315,7 +314,7 @@ impl EthernetBridge {
         self.frames.clear();
         for _ in 0..r.len_prefixed(8)? {
             let tag = r.u32()?;
-            let completed_at = snapshot::read_time(r)?;
+            let completed_at = r.time()?;
             let mut words = Vec::new();
             for _ in 0..r.len_prefixed(4)? {
                 words.push(r.u32()?);

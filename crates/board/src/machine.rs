@@ -27,11 +27,18 @@
 //!   grid, so results are bit-identical run to run and equal to
 //!   lock-step within f64 association error. See DESIGN.md §3.7, §3.8.
 //!
+//! Every grid instant, whichever engine reaches it, is processed by one
+//! routine, `process_edge`: lock-step steps, fast-forward jumps, window
+//! commits and the instants a reconciliation replays all go through it.
+//! The fast-forward step and the window commit share one jump
+//! (`jump_to`), and `run_for` and `run_until_quiescent` share one
+//! advance loop.
+//!
 //! Inside an advance the per-edge passes visit only *awake* cores. A core
 //! parks when an edge leaves it quiescent (halted, or every thread
 //! blocked on input) with no pending output; until a token arrives it can
-//! only tick idle, so the core pass, the dense hint, the activity scan,
-//! the window preconditions and `is_quiescent` skip it. Wherever anything
+//! only tick idle, so the core pass, the activity scan, the window
+//! preconditions and `is_quiescent` skip it. Wherever anything
 //! other than an idle tick touches a parked core — a delivery, a fault,
 //! a quarantine, the power monitor, a fast-forward jump, a window — it is
 //! first caught up with `Core::idle_until`, which performs the very f64
@@ -45,7 +52,6 @@ use crate::metrics::MetricsHub;
 use crate::power::{PowerMonitor, DEFAULT_MONITOR_WINDOW};
 use crate::resilience::FaultEngine;
 use crate::shard::{EpochPool, ShardPlan};
-use crate::snapshot;
 use crate::topology::{build_topology, GridSpec, TopologyOptions};
 use std::fmt;
 use swallow_energy::{DvfsTable, EnergyLedger, NodeCategory};
@@ -54,7 +60,7 @@ use swallow_isa::{NodeId, Program, ResourceId, Token};
 use swallow_noc::{CoreEndpoints, Fabric, LinkDesc, LinkId, TableRouter};
 use swallow_sim::{
     ByteReader, ByteWriter, CodecError, Frequency, IndexSet, Time, TimeDelta, TraceEvent, TraceLog,
-    TraceSink, Tracer,
+    Tracer,
 };
 use swallow_xcore::{Core, CoreConfig, LoadError};
 
@@ -407,12 +413,6 @@ pub struct Machine {
     base_period: TimeDelta,
     faulted_cables: usize,
     engine: EngineMode,
-    /// Dense-mode hint maintained by `process_edge`: true when the last
-    /// processed edge left some core with a ready thread due at the very
-    /// next grid instant, in which case the next-activity scan would
-    /// necessarily answer `immediate` and fast-forward degenerates to
-    /// lock-step (see `ff_advance`).
-    dense: bool,
     par: Option<ParState>,
     metrics: MetricsHub,
     /// Link descriptions as built — the basis for recomputing routes
@@ -439,7 +439,7 @@ impl Machine {
                 fault_seed: config.fault_seed,
             },
         );
-        let router: Box<dyn swallow_noc::Router> = match config.router {
+        let router = match config.router {
             RouterKind::VerticalFirst => {
                 let descs = topo.builder.link_descs();
                 let mut table = TableRouter::vertical_first(&topo.coords, descs);
@@ -460,12 +460,11 @@ impl Machine {
                         table.alias_dest_via(bridge, attach, direct);
                     }
                 }
-                Box::new(table)
+                table
             }
-            RouterKind::ShortestPaths => Box::new(TableRouter::shortest_paths(
-                topo.builder.node_count(),
-                topo.builder.link_descs(),
-            )),
+            RouterKind::ShortestPaths => {
+                TableRouter::shortest_paths(topo.builder.node_count(), topo.builder.link_descs())
+            }
         };
         let bridge_node = topo.bridge;
         let descs = topo.builder.link_descs().to_vec();
@@ -501,7 +500,6 @@ impl Machine {
             base_period,
             faulted_cables: topo.faulted_cables,
             engine: config.engine,
-            dense: false,
             par: None,
             metrics: MetricsHub::new(config.grid, config.metrics),
             descs,
@@ -646,16 +644,8 @@ impl Machine {
     pub fn step(&mut self) {
         // Every core is awake between public advances, and this edge
         // parks none, so every core runs on every lock-step edge.
-        self.edge_step(false);
+        self.process_edge(self.now + self.base_period, false);
         debug_assert_eq!(self.eps.awake.len(), self.core_count());
-    }
-
-    /// One base-clock edge; `park` lets it park the cores it leaves
-    /// quiescent.
-    fn edge_step(&mut self, park: bool) {
-        let prev = self.now;
-        self.now += self.base_period;
-        self.process_edge(prev, park);
     }
 
     /// Catches the parked cores up to `until` (they stay parked), after
@@ -671,11 +661,16 @@ impl Machine {
         self.eps.awake.fill();
     }
 
-    /// Processes the clock edge at `self.now` (`prev` is the edge
-    /// processed before it): runs every awake core up to `now`, parks the
+    /// Moves `now` to the grid instant `at` and processes its clock edge:
+    /// applies due faults, runs every awake core up to `at`, parks the
     /// ones it leaves quiescent when `park` is set, advances the bridge
-    /// and fabric, and fires the power monitor when due.
-    fn process_edge(&mut self, prev: Time, park: bool) {
+    /// and fabric, and fires the power monitor when due. Every engine
+    /// processes every grid instant it visits here, and nowhere else:
+    /// lock-step steps, fast-forward jumps, window commits and the
+    /// replay inside a window all call it.
+    fn process_edge(&mut self, at: Time, park: bool) {
+        let prev = self.now;
+        self.now = at;
         // Scheduled faults land first, serially, on the grid instant —
         // before any core runs or token moves — so every engine sees an
         // identical fault timeline (see DESIGN.md §3.10). One branch
@@ -712,13 +707,7 @@ impl Machine {
         // The fabric scan is pure bookkeeping when nothing is in the
         // network and nothing wants to inject; skipping it then is
         // behaviour-preserving in both engines.
-        let bridge_pending = self
-            .eps
-            .bridge
-            .as_ref()
-            .map(|b| b.tx_backlog() > 0)
-            .unwrap_or(false);
-        if !self.fabric.is_idle() || bridge_pending || !self.eps.tx_nodes.is_empty() {
+        if !self.fabric.is_idle() || self.bridge_backlog() || !self.eps.tx_nodes.is_empty() {
             // Gate injections at the edge instant: a core that ran ahead
             // under the windowed engine and emitted later must not have
             // its token picked up now (see `Endpoints::tx_gate_ps`).
@@ -738,17 +727,11 @@ impl Machine {
             self.metrics
                 .sample(self.now, &self.eps.cores, &self.fabric, &self.monitor);
         }
-        // Refresh the dense-mode hint: a ready thread due at the very
-        // next grid instant pins the next activity to `immediate`, so
-        // fast-forward can skip its scan. Early-exits at the first busy
-        // core, and goes false the moment the machine drains.
-        let immediate = self.now + self.base_period;
-        let cores = &self.eps.cores;
-        self.dense = self
-            .eps
-            .awake
-            .iter()
-            .any(|i| cores[i].ready_threads() > 0 && cores[i].next_tick_at() <= immediate);
+    }
+
+    /// True when the Ethernet bridge holds frames still to be injected.
+    fn bridge_backlog(&self) -> bool {
+        self.eps.bridge.as_ref().is_some_and(|b| b.tx_backlog() > 0)
     }
 
     /// The earliest instant at or after `now` when anything can happen:
@@ -813,32 +796,32 @@ impl Machine {
     }
 
     /// Fast-forward by one event: jump to the next grid instant where
-    /// anything can happen (capped at `deadline`), analytically skipping
-    /// the idle span for every core, then process that edge. This is the
-    /// serial step the windowed engine takes when a window cannot open.
+    /// anything can happen (capped at `deadline`). This is the serial
+    /// step the windowed engine takes when a window cannot open.
     fn ff_advance(&mut self, deadline: Time) {
-        // Busy machines tick on every edge: when the dense hint is set,
-        // the scan below would answer `immediate`, so this advance is
-        // exactly a lock-step edge. Processing an edge is always sound
-        // (lock-step processes all of them), so a stale hint can only
-        // cost one extra edge, never correctness — and `process_edge`
-        // clears it the moment the machine drains.
-        if self.dense {
-            self.edge_step(true);
-            return;
-        }
         let target = self.grid_align(self.next_activity_at().min(deadline));
-        if target > self.now + self.base_period {
-            // The skip charges the jumped edges analytically from where
-            // lock-step has every core: parked ones join the others first.
+        // A one-edge step ticks its cores like lock-step does, which keeps
+        // busy runs O(awake cores) per edge.
+        self.jump_to(target, target > self.now + self.base_period);
+    }
+
+    /// Jumps to the grid instant `target` and processes its edge; serves
+    /// both the fast-forward step and the commit after a window. With
+    /// `skip`, the idle edges before `target` are first charged
+    /// analytically, from where lock-step has every core: parked cores
+    /// catch up to `now`, then every core without pending output skips
+    /// to `target` (a core holding output stopped where it emitted and
+    /// injects on this edge).
+    fn jump_to(&mut self, target: Time, skip: bool) {
+        if skip {
             self.catch_up(self.now);
             for core in &mut self.eps.cores {
-                core.skip_idle_until(target);
+                if !core.has_tx_pending() {
+                    core.skip_idle_until(target);
+                }
             }
         }
-        let prev = self.now;
-        self.now = target;
-        self.process_edge(prev, true);
+        self.process_edge(target, true);
     }
 
     // --- windowed engine -----------------------------------------------------
@@ -942,13 +925,7 @@ impl Machine {
         // The O(1) preconditions first: communicating machines have
         // tokens in flight most of the time, and then the core scan below
         // would be wasted work on every fast-forward step.
-        let bridge_pending = self
-            .eps
-            .bridge
-            .as_ref()
-            .map(|b| b.tx_backlog() > 0)
-            .unwrap_or(false);
-        if bridge_pending || !self.fabric.is_idle() {
+        if self.bridge_backlog() || !self.fabric.is_idle() {
             self.ff_advance(deadline);
             return;
         }
@@ -1023,29 +1000,24 @@ impl Machine {
         if outcome.emitted {
             self.reconcile(target);
         }
-        let prev = self.now;
-        self.now = target;
         // Cores frozen below the commit (externally blocked, or idle the
-        // whole window) catch up analytically before the edge runs; the
-        // chunk boundaries are the committed targets, which are a pure
-        // function of the simulation, so the energy split is
-        // thread-count-independent.
-        for core in &mut self.eps.cores {
-            if !core.has_tx_pending() {
-                core.skip_idle_until(self.now);
-            }
-        }
-        self.process_edge(prev, true);
+        // whole window) catch up analytically before the edge runs, always:
+        // the chunk boundaries are the committed targets, a pure function
+        // of the simulation, so the energy split is thread-count
+        // independent and does not depend on how far a replay moved `now`.
+        self.jump_to(target, true);
     }
 
     /// Serial replay of the grid instants inside a window where a core
-    /// emitted: injects and delivers exactly as lock-step would, on the
-    /// same instants, while cores that stayed silent keep their window
-    /// results untouched. The cursor advances at least one base period per
-    /// injection attempt, mirroring lock-step's per-instant retry of
-    /// tokens the fabric reports busy.
+    /// emitted: each one goes through `process_edge`, so it injects and
+    /// delivers exactly as lock-step would, on the same instants, while
+    /// cores that stayed silent keep their window results untouched (a
+    /// core already past an instant has no edge left to run there). `now`
+    /// advances at least one base period per injection attempt,
+    /// mirroring lock-step's per-instant retry of tokens the fabric
+    /// reports busy. No fault or monitor instant lies below the window's
+    /// serial bound, so neither fires during the replay; nothing parks.
     fn reconcile(&mut self, target: Time) {
-        let mut cursor = self.now;
         loop {
             // Earliest instant below `target` at which anything is due:
             // a stopped core's pending output or a fabric event
@@ -1057,7 +1029,7 @@ impl Machine {
                     pending = Some(pending.map_or(at, |p| p.min(at)));
                 }
             }
-            if let Some(at) = self.fabric.next_event_at(cursor) {
+            if let Some(at) = self.fabric.next_event_at(self.now) {
                 if at < target {
                     pending = Some(pending.map_or(at, |p| p.min(at)));
                 }
@@ -1078,54 +1050,23 @@ impl Machine {
                 }
                 continue;
             };
-            let t = self.grid_align(at).max(cursor + self.base_period);
+            let t = self.grid_align(at);
             if t >= target {
                 // Remaining work lands on the horizon edge itself, which
                 // `windowed_advance` processes next.
                 return;
             }
-            self.eps.tx_nodes.clear();
-            for (i, core) in self.eps.cores.iter_mut().enumerate() {
-                if core.local_now() < t {
-                    core.run_until(t);
-                }
-                if core.has_tx_pending() {
-                    self.eps.tx_nodes.push(NodeId(i as u16));
-                }
-            }
-            if let Some(bridge) = self.eps.bridge.as_mut() {
-                bridge.set_now(t);
-            }
-            // The gate hides output from any core that stopped at a
-            // *later* emission instant, so this step injects exactly the
-            // tokens lock-step would inject at `t` — later emissions are
-            // visited by their own loop iterations.
-            self.eps.tx_gate_ps = t.as_ps();
-            self.fabric.step(t, &mut self.eps);
-            cursor = t;
+            // The injection gate hides output from any core that stopped
+            // at a *later* emission instant, so this edge injects exactly
+            // the tokens lock-step would inject at `t` — later emissions
+            // are visited by their own loop iterations.
+            self.process_edge(t, false);
         }
     }
 
     /// Runs for a fixed span of simulated time.
     pub fn run_for(&mut self, span: TimeDelta) {
-        let deadline = self.now + span;
-        match self.engine {
-            EngineMode::LockStep => {
-                while self.now < deadline {
-                    self.step();
-                }
-            }
-            EngineMode::Windowed { threads } => {
-                self.ensure_par(threads);
-                while self.now < deadline {
-                    self.windowed_advance(deadline);
-                }
-                // A public advance ends with every core at `now` and
-                // awake: accessors, snapshots and whatever the caller does
-                // to cores before the next advance see eager state.
-                self.wake_all(self.now);
-            }
-        }
+        self.advance(self.now + span, false);
     }
 
     /// Runs until every core is quiescent and the network has drained, or
@@ -1134,18 +1075,28 @@ impl Machine {
     /// Quiescence is a scan of per-core counters, idle spans are skipped
     /// analytically, and the fabric reuses its injection buffer.
     pub fn run_until_quiescent(&mut self, budget: TimeDelta) -> bool {
-        let deadline = self.now + budget;
+        self.advance(self.now + budget, true);
+        self.is_quiescent()
+    }
+
+    /// The one advance loop behind [`Machine::run_for`] and
+    /// [`Machine::run_until_quiescent`]: runs the active engine until
+    /// `deadline`, or until the machine is quiescent when
+    /// `until_quiescent` is set.
+    fn advance(&mut self, deadline: Time, until_quiescent: bool) {
         if let EngineMode::Windowed { threads } = self.engine {
             self.ensure_par(threads);
         }
-        while self.now < deadline && !self.is_quiescent() {
+        while self.now < deadline && !(until_quiescent && self.is_quiescent()) {
             match self.engine {
                 EngineMode::LockStep => self.step(),
                 EngineMode::Windowed { .. } => self.windowed_advance(deadline),
             }
         }
+        // A public advance ends with every core at `now` and awake:
+        // accessors, snapshots and whatever the caller does to cores
+        // before the next advance see eager state.
         self.wake_all(self.now);
-        self.is_quiescent()
     }
 
     /// True when no core can make progress and no token is in flight.
@@ -1153,12 +1104,7 @@ impl Machine {
     /// parked core is quiescent by construction.
     pub fn is_quiescent(&self) -> bool {
         self.fabric.is_idle()
-            && self
-                .eps
-                .bridge
-                .as_ref()
-                .map(|b| b.tx_backlog() == 0)
-                .unwrap_or(true)
+            && !self.bridge_backlog()
             && self.eps.awake.iter().all(|i| {
                 let core = &self.eps.cores[i];
                 core.is_quiescent() && !core.has_tx_pending()
@@ -1339,16 +1285,9 @@ impl Machine {
     /// lattice, which no longer holds ("new routing algorithms can
     /// simply be programmed", §V.A).
     fn reroute_and_quarantine(&mut self) {
-        let alive: Vec<LinkDesc> = self
-            .descs
-            .iter()
-            .copied()
-            .filter(|d| !self.fabric.link_is_down(d.id))
-            .collect();
+        let alive = self.route_around_dead_links();
         let dead = (self.descs.len() - alive.len()) as u32;
         let n = self.fabric.node_count();
-        self.fabric
-            .set_router(Box::new(TableRouter::shortest_paths(n, &alive)));
         self.faults.counters.reroutes += 1;
         self.tracer
             .emit(self.now, TraceEvent::RouteRecompute { dead_links: dead });
@@ -1372,6 +1311,21 @@ impl Machine {
                 );
             }
         }
+    }
+
+    /// Installs the recovery router — a shortest-path table over the links
+    /// still up — and returns those links.
+    fn route_around_dead_links(&mut self) -> Vec<LinkDesc> {
+        let alive: Vec<LinkDesc> = self
+            .descs
+            .iter()
+            .copied()
+            .filter(|d| !self.fabric.link_is_down(d.id))
+            .collect();
+        let n = self.fabric.node_count();
+        self.fabric
+            .set_router(TableRouter::shortest_paths(n, &alive));
+        alive
     }
 
     /// Cumulative fault/resilience counters: the board-side events
@@ -1541,7 +1495,7 @@ impl Machine {
         write_config(&mut w, &self.config);
         w.end_section();
         w.begin_section(*b"MACH");
-        snapshot::write_time(&mut w, self.now);
+        w.time(self.now);
         w.u64(self.faulted_cables as u64);
         write_engine(&mut w, self.engine);
         w.end_section();
@@ -1579,8 +1533,8 @@ impl Machine {
     /// engine: the embedded configuration deterministically rebuilds the
     /// topology (assembly cable faults included), the sections overlay
     /// every piece of mutable architectural state, and derived state —
-    /// base period, recovery routing, decode caches, the fast-forward
-    /// dense hint — is recomputed, never trusted from the image.
+    /// base period, recovery routing, decode caches — is recomputed,
+    /// never trusted from the image.
     ///
     /// # Errors
     ///
@@ -1601,7 +1555,7 @@ impl Machine {
         conf.expect_end()?;
         let mut machine = Machine::new(config);
         let mut mach = r.section(*b"MACH")?;
-        machine.now = snapshot::read_time(&mut mach)?;
+        machine.now = mach.time()?;
         if mach.u64()? != machine.faulted_cables as u64 {
             return Err(CodecError::Invalid("assembly-fault cable count mismatch"));
         }
@@ -1643,23 +1597,8 @@ impl Machine {
         // rerouted.
         machine.recompute_base_period();
         if machine.faults.counters.reroutes > 0 {
-            let alive: Vec<LinkDesc> = machine
-                .descs
-                .iter()
-                .copied()
-                .filter(|d| !machine.fabric.link_is_down(d.id))
-                .collect();
-            let n = machine.fabric.node_count();
-            machine
-                .fabric
-                .set_router(Box::new(TableRouter::shortest_paths(n, &alive)));
+            machine.route_around_dead_links();
         }
-        let immediate = machine.now + machine.base_period;
-        machine.dense = machine
-            .eps
-            .cores
-            .iter()
-            .any(|c| c.ready_threads() > 0 && c.next_tick_at() <= immediate);
         Ok(machine)
     }
 }
@@ -1707,17 +1646,17 @@ fn write_fault_kind(w: &mut ByteWriter, kind: FaultKind) {
         FaultKind::LinkCorrupt { link, until } => {
             w.u8(2);
             w.u32(link.raw());
-            snapshot::write_time(w, until);
+            w.time(until);
         }
         FaultKind::LinkDrop { link, until } => {
             w.u8(3);
             w.u32(link.raw());
-            snapshot::write_time(w, until);
+            w.time(until);
         }
         FaultKind::CoreStall { core, until } => {
             w.u8(4);
             w.u16(core.raw());
-            snapshot::write_time(w, until);
+            w.time(until);
         }
         FaultKind::CoreKill(core) => {
             w.u8(5);
@@ -1726,7 +1665,7 @@ fn write_fault_kind(w: &mut ByteWriter, kind: FaultKind) {
         FaultKind::Brownout { milli, until } => {
             w.u8(6);
             w.u32(milli);
-            snapshot::write_time(w, until);
+            w.time(until);
         }
     }
 }
@@ -1737,15 +1676,15 @@ fn read_fault_kind(r: &mut ByteReader<'_>) -> Result<FaultKind, CodecError> {
         1 => FaultKind::LinkUp(LinkId::from_raw(r.u32()?)),
         2 => FaultKind::LinkCorrupt {
             link: LinkId::from_raw(r.u32()?),
-            until: snapshot::read_time(r)?,
+            until: r.time()?,
         },
         3 => FaultKind::LinkDrop {
             link: LinkId::from_raw(r.u32()?),
-            until: snapshot::read_time(r)?,
+            until: r.time()?,
         },
         4 => FaultKind::CoreStall {
             core: NodeId(r.u16()?),
-            until: snapshot::read_time(r)?,
+            until: r.time()?,
         },
         5 => FaultKind::CoreKill(NodeId(r.u16()?)),
         6 => {
@@ -1755,7 +1694,7 @@ fn read_fault_kind(r: &mut ByteReader<'_>) -> Result<FaultKind, CodecError> {
             }
             FaultKind::Brownout {
                 milli,
-                until: snapshot::read_time(r)?,
+                until: r.time()?,
             }
         }
         _ => return Err(CodecError::Invalid("unknown fault-kind tag")),
@@ -1774,7 +1713,7 @@ fn write_config(w: &mut ByteWriter, c: &MachineConfig) {
     w.u32(c.internal_link_pairs as u32);
     w.f64_bits(c.ffc_fault_rate);
     w.u64(c.fault_seed);
-    snapshot::write_delta(w, c.monitor_window);
+    w.delta(c.monitor_window);
     write_engine(w, c.engine);
     match c.trace_capacity {
         None => w.u8(0),
@@ -1787,7 +1726,7 @@ fn write_config(w: &mut ByteWriter, c: &MachineConfig) {
     w.bool(c.decode_cache);
     w.u64(c.faults.len() as u64);
     for ev in c.faults.events() {
-        snapshot::write_time(w, ev.at);
+        w.time(ev.at);
         write_fault_kind(w, ev.kind);
     }
 }
@@ -1818,7 +1757,7 @@ fn read_config(r: &mut ByteReader<'_>) -> Result<MachineConfig, CodecError> {
         return Err(CodecError::Invalid("cable fault rate out of range"));
     }
     let fault_seed = r.u64()?;
-    let monitor_window = snapshot::read_delta(r)?;
+    let monitor_window = r.delta()?;
     if monitor_window.as_ps() == 0 {
         return Err(CodecError::Invalid("zero monitor window"));
     }
@@ -1838,7 +1777,7 @@ fn read_config(r: &mut ByteReader<'_>) -> Result<MachineConfig, CodecError> {
     let decode_cache = r.bool()?;
     let mut faults = FaultPlan::new();
     for _ in 0..r.len_prefixed(13)? {
-        let at = snapshot::read_time(r)?;
+        let at = r.time()?;
         let kind = read_fault_kind(r)?;
         faults.push(at, kind);
     }

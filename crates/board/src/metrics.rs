@@ -170,7 +170,7 @@ impl MetricsHub {
 
     pub(crate) fn encode_state(&self, w: &mut ByteWriter) {
         w.bool(self.enabled);
-        snapshot::write_time(w, self.last_sample_at);
+        w.time(self.last_sample_at);
         for rails in &self.last_rail {
             for &e in rails {
                 snapshot::write_energy(w, e);
@@ -181,8 +181,8 @@ impl MetricsHub {
         }
         w.u64(self.rows.len() as u64);
         for row in &self.rows {
-            snapshot::write_time(w, row.at);
-            snapshot::write_delta(w, row.span);
+            w.time(row.at);
+            w.delta(row.span);
             w.u16(row.slice);
             for &e in &row.rails {
                 snapshot::write_energy(w, e);
@@ -193,7 +193,7 @@ impl MetricsHub {
 
     pub(crate) fn restore_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         self.enabled = r.bool()?;
-        self.last_sample_at = snapshot::read_time(r)?;
+        self.last_sample_at = r.time()?;
         for rails in &mut self.last_rail {
             for e in rails.iter_mut() {
                 *e = snapshot::read_energy(r)?;
@@ -205,8 +205,8 @@ impl MetricsHub {
         let slices = self.spec.slice_count();
         self.rows.clear();
         for _ in 0..r.len_prefixed(26 + 8 * RAILS)? {
-            let at = snapshot::read_time(r)?;
-            let span = snapshot::read_delta(r)?;
+            let at = r.time()?;
+            let span = r.delta()?;
             let slice = r.u16()?;
             if (slice as usize) >= slices {
                 return Err(CodecError::Invalid("metrics row names an unknown slice"));

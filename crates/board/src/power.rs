@@ -16,9 +16,7 @@ use crate::snapshot;
 use crate::topology::{GridSpec, CHIP_COLS, CHIP_ROWS};
 use swallow_energy::{AdcBoard, Energy, Power, Smps};
 use swallow_noc::{Direction, Fabric};
-use swallow_sim::{
-    ByteReader, ByteWriter, CodecError, Time, TimeDelta, TraceEvent, TraceSink, Tracer,
-};
+use swallow_sim::{ByteReader, ByteWriter, CodecError, Time, TimeDelta, TraceEvent, Tracer};
 use swallow_xcore::Core;
 
 /// Default monitor cadence: the ADC's 1 MS/s all-channel rate.
@@ -274,7 +272,7 @@ impl PowerMonitor {
     // observational test fixtures that are not part of a snapshot.
 
     pub(crate) fn encode_state(&self, w: &mut ByteWriter) {
-        snapshot::write_time(w, self.next_update);
+        w.time(self.next_update);
         for &e in &self.last_core_energy {
             snapshot::write_energy(w, e);
         }
@@ -298,7 +296,7 @@ impl PowerMonitor {
     }
 
     pub(crate) fn restore_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        self.next_update = snapshot::read_time(r)?;
+        self.next_update = r.time()?;
         for e in &mut self.last_core_energy {
             *e = snapshot::read_energy(r)?;
         }

@@ -101,7 +101,7 @@ impl FaultEngine {
         w.u64(self.cursor as u64);
         snapshot::write_counters(w, &self.counters);
         w.bool(self.derated);
-        snapshot::write_time(w, self.derate_end);
+        w.time(self.derate_end);
         w.u64(self.nominal.len() as u64);
         for f in &self.nominal {
             w.u64(f.as_hz());
@@ -120,7 +120,7 @@ impl FaultEngine {
         self.cursor = cursor as usize;
         self.counters = snapshot::read_counters(r)?;
         self.derated = r.bool()?;
-        self.derate_end = snapshot::read_time(r)?;
+        self.derate_end = r.time()?;
         self.nominal.clear();
         for _ in 0..r.len_prefixed(8)? {
             let hz = r.u64()?;

@@ -3,42 +3,24 @@
 //! The per-component codecs live next to the private state they
 //! serialize (`Machine` in `machine.rs`, `PowerMonitor` in `power.rs`,
 //! the bridge in `ethernet.rs`, the fault engine in `resilience.rs`, the
-//! metrics hub in `metrics.rs`); this module only holds the small
-//! encoders they share. Every reader validates what it decodes —
-//! non-finite floats, zero frequencies and malformed tokens are rejected
-//! with a [`CodecError`], never accepted or panicked on.
+//! metrics hub in `metrics.rs`); this module only holds the energy,
+//! power and fault-counter encoders they share. Instants, spans and
+//! tokens use the one codec every crate shares: [`ByteWriter::time`],
+//! [`ByteWriter::delta`] and `Token`'s `u16` wire form. Every reader
+//! validates what it decodes — non-finite floats, zero frequencies and
+//! malformed tokens are rejected with a [`CodecError`], never accepted
+//! or panicked on.
 
 use swallow_energy::{Energy, Power};
 use swallow_faults::FaultCounters;
-use swallow_isa::{ControlToken, Token};
-use swallow_sim::{ByteReader, ByteWriter, CodecError, Time, TimeDelta};
-
-pub(crate) fn write_time(w: &mut ByteWriter, t: Time) {
-    w.u64(t.as_ps());
-}
-
-pub(crate) fn read_time(r: &mut ByteReader<'_>) -> Result<Time, CodecError> {
-    Ok(Time::from_ps(r.u64()?))
-}
-
-pub(crate) fn write_delta(w: &mut ByteWriter, d: TimeDelta) {
-    w.u64(d.as_ps());
-}
-
-pub(crate) fn read_delta(r: &mut ByteReader<'_>) -> Result<TimeDelta, CodecError> {
-    Ok(TimeDelta::from_ps(r.u64()?))
-}
+use swallow_sim::{ByteReader, ByteWriter, CodecError};
 
 pub(crate) fn write_energy(w: &mut ByteWriter, e: Energy) {
     w.f64_bits(e.as_joules());
 }
 
 pub(crate) fn read_energy(r: &mut ByteReader<'_>) -> Result<Energy, CodecError> {
-    let joules = r.f64_bits()?;
-    if !joules.is_finite() {
-        return Err(CodecError::Invalid("non-finite energy"));
-    }
-    Ok(Energy::from_joules(joules))
+    Ok(Energy::from_joules(r.finite_f64()?))
 }
 
 pub(crate) fn write_power(w: &mut ByteWriter, p: Power) {
@@ -46,32 +28,7 @@ pub(crate) fn write_power(w: &mut ByteWriter, p: Power) {
 }
 
 pub(crate) fn read_power(r: &mut ByteReader<'_>) -> Result<Power, CodecError> {
-    let watts = r.f64_bits()?;
-    if !watts.is_finite() {
-        return Err(CodecError::Invalid("non-finite power"));
-    }
-    Ok(Power::from_watts(watts))
-}
-
-pub(crate) fn write_token(w: &mut ByteWriter, t: Token) {
-    match t {
-        Token::Data(b) => {
-            w.u8(0);
-            w.u8(b);
-        }
-        Token::Ctrl(ct) => {
-            w.u8(1);
-            w.u8(ct.0);
-        }
-    }
-}
-
-pub(crate) fn read_token(r: &mut ByteReader<'_>) -> Result<Token, CodecError> {
-    match r.u8()? {
-        0 => Ok(Token::Data(r.u8()?)),
-        1 => Ok(Token::Ctrl(ControlToken(r.u8()?))),
-        _ => Err(CodecError::Invalid("unknown token tag")),
-    }
+    Ok(Power::from_watts(r.finite_f64()?))
 }
 
 pub(crate) fn write_counters(w: &mut ByteWriter, c: &FaultCounters) {
@@ -107,10 +64,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn token_and_counter_round_trips() {
+    fn counters_round_trip() {
         let mut w = ByteWriter::new();
-        write_token(&mut w, Token::Data(0x7F));
-        write_token(&mut w, Token::Ctrl(ControlToken::END));
         let counters = FaultCounters {
             link_downs: 3,
             reroutes: 2,
@@ -119,8 +74,6 @@ mod tests {
         write_counters(&mut w, &counters);
         let bytes = w.finish();
         let mut r = ByteReader::new(&bytes);
-        assert_eq!(read_token(&mut r).unwrap(), Token::Data(0x7F));
-        assert_eq!(read_token(&mut r).unwrap(), Token::Ctrl(ControlToken::END));
         assert_eq!(read_counters(&mut r).unwrap(), counters);
         r.expect_end().unwrap();
     }

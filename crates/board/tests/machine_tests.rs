@@ -4,7 +4,8 @@
 
 use swallow_board::{EngineMode, Machine, MachineConfig, RouterKind};
 use swallow_isa::{Assembler, NodeId, Program};
-use swallow_sim::{Frequency, TimeDelta};
+use swallow_sim::codec::fnv1a64;
+use swallow_sim::{CodecError, Frequency, TimeDelta};
 
 fn asm(src: &str) -> Program {
     Assembler::new().assemble(src).expect("assembles")
@@ -547,6 +548,62 @@ fn snapshot_restores_under_every_engine() {
         assert_eq!(restored.total_instret(), original.total_instret());
         assert_eq!(restored.core(NodeId(0)).output(), "120\n");
     }
+}
+
+/// Overwrites the first copy of `value`'s bit pattern in the first
+/// section tagged `tag` with NaN and re-seals that section's checksum, so
+/// only the decoder's own validation stands between the image and a
+/// restore.
+fn plant_nan(image: &[u8], tag: &[u8; 4], value: f64) -> Vec<u8> {
+    let mut bad = image.to_vec();
+    let mut at = 12; // magic + version
+    while &bad[at..at + 4] != tag {
+        let len = u64::from_le_bytes(bad[at + 4..at + 12].try_into().expect("8 bytes"));
+        at += 12 + len as usize + 8;
+    }
+    let len = u64::from_le_bytes(bad[at + 4..at + 12].try_into().expect("8 bytes"));
+    let payload = at + 12..at + 12 + len as usize;
+    let needle = value.to_bits().to_le_bytes();
+    let offset = bad[payload.clone()]
+        .windows(8)
+        .position(|w| w == needle)
+        .expect("value is encoded in the section");
+    let field = payload.start + offset;
+    bad[field..field + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+    let digest = fnv1a64(&bad[payload.clone()]);
+    bad[payload.end..payload.end + 8].copy_from_slice(&digest.to_le_bytes());
+    bad
+}
+
+#[test]
+fn non_finite_core_and_link_energies_are_rejected() {
+    let mut machine = busy_machine();
+    machine.run_for(TimeDelta::from_ns(700));
+    let image = machine.snapshot();
+    let core_energy = machine
+        .core(NodeId(0))
+        .ledger()
+        .entry_bits()
+        .into_iter()
+        .map(f64::from_bits)
+        .find(|&e| e > 0.0)
+        .expect("core 0 has spent energy");
+    let link_energy = machine
+        .fabric()
+        .link_stats()
+        .map(|l| l.energy.as_joules())
+        .find(|&e| e > 0.0)
+        .expect("a link has carried tokens");
+    for (tag, value) in [(b"CORE", core_energy), (b"FABR", link_energy)] {
+        let bad = plant_nan(&image, tag, value);
+        assert!(
+            matches!(Machine::restore(&bad), Err(CodecError::Invalid(_))),
+            "NaN energy in {}",
+            String::from_utf8_lossy(tag)
+        );
+    }
+    // The planting itself is sound: the untouched image restores.
+    assert!(Machine::restore(&image).is_ok());
 }
 
 #[test]

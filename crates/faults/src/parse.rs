@@ -1,19 +1,5 @@
-//! The `--faults` command-line grammar.
-//!
-//! A spec is a comma- (or semicolon-) separated list of terms:
-//!
-//! ```text
-//! kill-link:<link>@<t>          hot-unplug a directed link
-//! up-link:<link>@<t>            re-plug it
-//! corrupt:<link>@<t>+<dur>      corrupt-and-retry window
-//! drop:<link>@<t>+<dur>         data-token drop window
-//! stall:<core>@<t>+<dur>        core issues nothing for <dur>
-//! kill-core:<core>@<t>          permanent core halt
-//! brownout:<milli>@<t>+<dur>    derate all cores to milli/1000
-//! ```
-//!
-//! Times and durations take an `ns`, `us` or `ms` suffix, e.g.
-//! `corrupt:4@2us+500ns,kill-link:9@5us`.
+//! The `--faults` command-line grammar (documented on
+//! [`FaultPlan::parse`]).
 
 use swallow_isa::NodeId;
 use swallow_noc::LinkId;
@@ -60,7 +46,21 @@ fn parse_when(s: &str, windowed: bool) -> Result<(Time, TimeDelta), String> {
 }
 
 impl FaultPlan {
-    /// Parses a `--faults` spec (grammar in the [module docs](self)).
+    /// Parses a `--faults` spec: a comma- (or semicolon-) separated list
+    /// of terms.
+    ///
+    /// ```text
+    /// kill-link:<link>@<t>          hot-unplug a directed link
+    /// up-link:<link>@<t>            re-plug it
+    /// corrupt:<link>@<t>+<dur>      corrupt-and-retry window
+    /// drop:<link>@<t>+<dur>         data-token drop window
+    /// stall:<core>@<t>+<dur>        core issues nothing for <dur>
+    /// kill-core:<core>@<t>          permanent core halt
+    /// brownout:<milli>@<t>+<dur>    derate all cores to milli/1000
+    /// ```
+    ///
+    /// Times and durations take an `ns`, `us` or `ms` suffix, e.g.
+    /// `corrupt:4@2us+500ns,kill-link:9@5us`.
     ///
     /// # Errors
     ///

@@ -11,7 +11,7 @@
 //! Everything in an entry is a pure function of the instruction words,
 //! so caching entries can never change architectural behaviour: a cache
 //! hit yields bit-identical state transitions, timing and energy charges
-//! to a fresh [`decode`](crate::decode) (the invisibility argument in
+//! to a fresh [`decode`] (the invisibility argument in
 //! DESIGN.md §3.11).
 
 use crate::encode::{decode, DecodeError};

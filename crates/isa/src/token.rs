@@ -41,6 +41,33 @@ impl Token {
     }
 }
 
+/// The snapshot wire form: a tag byte (0 = data, 1 = control) in the low
+/// byte, the token's value in the high byte, so a little-endian `u16`
+/// lays them out tag first.
+impl From<Token> for u16 {
+    fn from(token: Token) -> u16 {
+        match token {
+            Token::Data(b) => u16::from(b) << 8,
+            Token::Ctrl(ct) => u16::from(ct.0) << 8 | 1,
+        }
+    }
+}
+
+/// Decodes the snapshot wire form of `From<Token> for u16`; any tag
+/// other than 0 or 1 is rejected.
+impl TryFrom<u16> for Token {
+    type Error = &'static str;
+
+    fn try_from(wire: u16) -> Result<Token, &'static str> {
+        let value = (wire >> 8) as u8;
+        match wire & 0xFF {
+            0 => Ok(Token::Data(value)),
+            1 => Ok(Token::Ctrl(ControlToken(value))),
+            _ => Err("token tag out of range"),
+        }
+    }
+}
+
 impl fmt::Display for Token {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -75,6 +102,22 @@ pub fn bytes_to_word(bytes: [u8; 4]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn wire_form_round_trips_tag_first() {
+        for token in [
+            Token::Data(0),
+            Token::Data(0x7F),
+            Token::Ctrl(ControlToken::END),
+        ] {
+            let wire = u16::from(token);
+            assert_eq!(Token::try_from(wire), Ok(token));
+            let tag = u8::from(token.is_ctrl());
+            assert_eq!(wire.to_le_bytes()[0], tag, "{token}");
+        }
+        assert_eq!(u16::from(Token::Data(0xAB)).to_le_bytes(), [0, 0xAB]);
+        assert!(Token::try_from(0x0102).is_err());
+    }
 
     #[test]
     fn word_round_trip() {

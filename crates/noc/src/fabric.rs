@@ -52,13 +52,13 @@
 
 use crate::endpoints::CoreEndpoints;
 use crate::link::{Direction, LinkId, LinkParams, HEADER_TOKENS};
-use crate::routing::{LinkDesc, Router};
+use crate::routing::{LinkDesc, TableRouter};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use swallow_energy::Energy;
-use swallow_isa::{ControlToken, NodeId, ResType, ResourceId, Token};
+use swallow_isa::{NodeId, ResType, ResourceId, Token};
 use swallow_sim::{
-    ByteReader, ByteWriter, CodecError, IndexSet, Time, TimeDelta, TraceEvent, TraceSink, Tracer,
+    ByteReader, ByteWriter, CodecError, IndexSet, Time, TimeDelta, TraceEvent, Tracer,
 };
 
 /// Receive-buffer capacity per link input port (the credit window).
@@ -200,7 +200,7 @@ enum LaunchGate {
 ///     LinkParams::from_class(WireClass::OnChip),
 /// );
 /// let router = TableRouter::shortest_paths(2, b.link_descs());
-/// let fabric = b.build(Box::new(router));
+/// let fabric = b.build(router);
 /// assert_eq!(fabric.link_count(), 2);
 /// ```
 pub struct FabricBuilder {
@@ -285,7 +285,7 @@ impl FabricBuilder {
     }
 
     /// Finalises the fabric with a routing strategy.
-    pub fn build(self, router: Box<dyn Router>) -> Fabric {
+    pub fn build(self, router: TableRouter) -> Fabric {
         let mut outgoing = vec![Vec::new(); self.nodes];
         for d in &self.descs {
             outgoing[d.from.raw() as usize].push(d.id);
@@ -353,7 +353,7 @@ pub struct Fabric {
     /// links it could take. Kept apart from `arrivals` so that
     /// [`Fabric::next_event_at`] reads only arrivals.
     wakes: BinaryHeap<Reverse<(Time, Head, LinkId)>>,
-    router: Box<dyn Router>,
+    router: TableRouter,
     /// Core-local deliveries in flight: (arrival, dest chanend, token, flow).
     loopback: Vec<VecDeque<(Time, u8, Token, u32)>>,
     /// Worklist: nodes whose loopback queue is non-empty.
@@ -734,7 +734,7 @@ impl Fabric {
     /// recomputing tables around dead links. Sticky flow bindings and
     /// wormhole ownerships survive: flows already crossing a live link
     /// keep it, new packets follow the new tables.
-    pub fn set_router(&mut self, router: Box<dyn Router>) {
+    pub fn set_router(&mut self, router: TableRouter) {
         self.router = router;
         self.wake_parked();
     }
@@ -1341,7 +1341,7 @@ impl Fabric {
         );
         w.u64(self.links.len() as u64);
         for link in &self.links {
-            w.u64(link.busy_until.as_ps());
+            w.time(link.busy_until);
             match link.owner {
                 None => w.u8(0),
                 Some(flow) => {
@@ -1351,14 +1351,14 @@ impl Fabric {
             }
             w.u64(link.in_flight.len() as u64);
             for &(arrival, token, flow, dest) in &link.in_flight {
-                w.u64(arrival.as_ps());
-                write_token(w, token);
+                w.time(arrival);
+                w.u16(u16::from(token));
                 w.u32(flow);
                 w.u32(dest.raw());
             }
             w.u64(link.rx.len() as u64);
             for &(token, flow, dest) in &link.rx {
-                write_token(w, token);
+                w.u16(u16::from(token));
                 w.u32(flow);
                 w.u32(dest.raw());
             }
@@ -1366,10 +1366,10 @@ impl Fabric {
             w.u64(link.ctrl_tokens);
             w.u64(link.header_tokens);
             w.f64_bits(link.energy.as_joules());
-            w.u64(link.busy_time.as_ps());
+            w.delta(link.busy_time);
             w.bool(link.down);
-            w.u64(link.corrupt_until.as_ps());
-            w.u64(link.drop_until.as_ps());
+            w.time(link.corrupt_until);
+            w.time(link.drop_until);
             w.u32(link.retry_streak);
             w.u64(link.retransmits);
             w.u64(link.dropped_tokens);
@@ -1378,9 +1378,9 @@ impl Fabric {
         for queue in &self.loopback {
             w.u64(queue.len() as u64);
             for &(arrival, chanend, token, flow) in queue {
-                w.u64(arrival.as_ps());
+                w.time(arrival);
                 w.u8(chanend);
-                write_token(w, token);
+                w.u16(u16::from(token));
                 w.u32(flow);
             }
         }
@@ -1418,7 +1418,7 @@ impl Fabric {
             return Err(CodecError::Invalid("fabric link count mismatch"));
         }
         for link in &mut self.links {
-            link.busy_until = Time::from_ps(r.u64()?);
+            link.busy_until = r.time()?;
             link.owner = match r.u8()? {
                 0 => None,
                 1 => Some(r.u32()?),
@@ -1430,8 +1430,8 @@ impl Fabric {
             }
             link.in_flight.clear();
             for _ in 0..in_flight {
-                let arrival = Time::from_ps(r.u64()?);
-                let token = read_token(r)?;
+                let arrival = r.time()?;
+                let token = Token::try_from(r.u16()?)?;
                 let flow = r.u32()?;
                 let dest = ResourceId::from_raw(r.u32()?);
                 link.in_flight.push_back((arrival, token, flow, dest));
@@ -1442,7 +1442,7 @@ impl Fabric {
             }
             link.rx.clear();
             for _ in 0..rx {
-                let token = read_token(r)?;
+                let token = Token::try_from(r.u16()?)?;
                 let flow = r.u32()?;
                 let dest = ResourceId::from_raw(r.u32()?);
                 link.rx.push_back((token, flow, dest));
@@ -1450,11 +1450,11 @@ impl Fabric {
             link.data_tokens = r.u64()?;
             link.ctrl_tokens = r.u64()?;
             link.header_tokens = r.u64()?;
-            link.energy = Energy::from_joules(r.f64_bits()?);
-            link.busy_time = TimeDelta::from_ps(r.u64()?);
+            link.energy = Energy::from_joules(r.finite_f64()?);
+            link.busy_time = r.delta()?;
             link.down = r.bool()?;
-            link.corrupt_until = Time::from_ps(r.u64()?);
-            link.drop_until = Time::from_ps(r.u64()?);
+            link.corrupt_until = r.time()?;
+            link.drop_until = r.time()?;
             link.retry_streak = r.u32()?;
             link.retransmits = r.u64()?;
             link.dropped_tokens = r.u64()?;
@@ -1470,9 +1470,9 @@ impl Fabric {
             }
             queue.clear();
             for _ in 0..len {
-                let arrival = Time::from_ps(r.u64()?);
+                let arrival = r.time()?;
                 let chanend = r.u8()?;
-                let token = read_token(r)?;
+                let token = Token::try_from(r.u16()?)?;
                 let flow = r.u32()?;
                 queue.push_back((arrival, chanend, token, flow));
             }
@@ -1519,27 +1519,6 @@ impl Fabric {
         }
         self.escalated.clear();
         Ok(())
-    }
-}
-
-fn write_token(w: &mut ByteWriter, t: Token) {
-    match t {
-        Token::Data(b) => {
-            w.u8(0);
-            w.u8(b);
-        }
-        Token::Ctrl(ct) => {
-            w.u8(1);
-            w.u8(ct.0);
-        }
-    }
-}
-
-fn read_token(r: &mut ByteReader<'_>) -> Result<Token, CodecError> {
-    match r.u8()? {
-        0 => Ok(Token::Data(r.u8()?)),
-        1 => Ok(Token::Ctrl(ControlToken(r.u8()?))),
-        _ => Err(CodecError::Invalid("token tag out of range")),
     }
 }
 

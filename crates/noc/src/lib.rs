@@ -14,10 +14,10 @@
 //! * [`fabric`] — the network: switches, links, in-flight tokens and the
 //!   per-step forwarding algorithm (header injection, HoL blocking,
 //!   link aggregation, route release),
-//! * [`routing`] — the [`routing::Router`] abstraction ("new
+//! * [`routing`] — the programmable [`routing::TableRouter`] ("new
 //!   routing algorithms can simply be programmed in software", §V.A),
-//!   a shortest-path table builder, and the vertical-first dimension-order
-//!   router for the unwoven lattice,
+//!   with a shortest-path table builder and the vertical-first
+//!   dimension-order table for the unwoven lattice,
 //! * [`endpoints`] — the trait by which the fabric exchanges tokens with
 //!   processor cores (implemented by `swallow-board` for real cores and
 //!   by in-crate test doubles here).
@@ -35,4 +35,4 @@ pub mod routing;
 pub use endpoints::CoreEndpoints;
 pub use fabric::{Fabric, FabricBuilder, LinkStats, MAX_LINK_RETRIES};
 pub use link::{Direction, LinkId, LinkParams, HEADER_TOKENS};
-pub use routing::{Candidates, Coord, Layer, LinkDesc, Router, TableRouter};
+pub use routing::{Candidates, Coord, Layer, LinkDesc, TableRouter};

@@ -1,8 +1,10 @@
 //! Routing strategies.
 //!
 //! XS1 switches route by software-configured tables, so "new routing
-//! algorithms can simply be programmed" (§V.A). The [`Router`] trait is
-//! that programmability; two constructors cover the repository's needs:
+//! algorithms can simply be programmed" (§V.A). [`TableRouter`] is that
+//! programmability — any `(node, dest)` entry can be rewritten with
+//! [`TableRouter::set`] or [`TableRouter::alias_dest_via`] — and two
+//! constructors cover the repository's needs:
 //!
 //! * [`TableRouter::shortest_paths`] — breadth-first shortest paths over
 //!   any topology (used for irregular/experimental wirings),
@@ -75,14 +77,6 @@ impl FromIterator<LinkId> for Candidates {
         }
         c
     }
-}
-
-/// A routing strategy: which output links carry traffic from `at` towards
-/// `dest`.
-pub trait Router {
-    /// Candidate output links at `at` for traffic to `dest`, best first.
-    /// Empty means unroutable (or `at == dest`).
-    fn candidates(&self, at: NodeId, dest: NodeId) -> Candidates;
 }
 
 /// Which lattice layer a node's switch serves (§V.A: "one layer routes in
@@ -262,10 +256,10 @@ impl TableRouter {
             };
         }
     }
-}
 
-impl Router for TableRouter {
-    fn candidates(&self, at: NodeId, dest: NodeId) -> Candidates {
+    /// Candidate output links at `at` for traffic to `dest`, best first.
+    /// Empty means unroutable (or `at == dest`).
+    pub fn candidates(&self, at: NodeId, dest: NodeId) -> Candidates {
         let (at, dest) = (at.raw() as usize, dest.raw() as usize);
         if at >= self.nodes || dest >= self.nodes {
             return Candidates::EMPTY;

@@ -24,7 +24,7 @@ fn two_nodes(pairs: usize) -> (Fabric, TestEndpoints) {
         );
     }
     let router = TableRouter::shortest_paths(2, b.link_descs());
-    (b.build(Box::new(router)), TestEndpoints::new(2))
+    (b.build(router), TestEndpoints::new(2))
 }
 
 /// Steps the fabric every 2 ns until idle and all output queues drained
@@ -74,7 +74,7 @@ fn min_latency_matrix_is_the_token_time() {
     let (fabric, _) = two_nodes(2);
     let hop = TimeDelta::from_ns(32).as_ps();
     assert_eq!(fabric.min_latency_matrix_ps(), vec![0, hop, hop, 0]);
-    let empty = FabricBuilder::new(1).build(Box::new(TableRouter::shortest_paths(1, &[])));
+    let empty = FabricBuilder::new(1).build(TableRouter::shortest_paths(1, &[]));
     assert_eq!(empty.min_latency_matrix_ps(), vec![0]);
 }
 
@@ -211,7 +211,7 @@ fn multi_hop_line_delivers_in_order() {
     b.link_two_way(NodeId(0), NodeId(1), Direction::South, params);
     b.link_two_way(NodeId(1), NodeId(2), Direction::South, params);
     let router = TableRouter::shortest_paths(3, b.link_descs());
-    let mut fabric = b.build(Box::new(router));
+    let mut fabric = b.build(router);
     let mut eps = TestEndpoints::new(3);
     for w in 0..5u32 {
         eps.queue_word(NodeId(0), 0, chan(2, 7), w * 3);
@@ -250,7 +250,7 @@ fn unroutable_tokens_are_counted_not_wedged() {
         LinkParams::from_class(WireClass::OnChip),
     );
     let router = TableRouter::shortest_paths(2, b.link_descs());
-    let mut fabric = b.build(Box::new(router));
+    let mut fabric = b.build(router);
     let mut eps = TestEndpoints::new(2);
     eps.queue_word(NodeId(1), 0, chan(0, 0), 5);
     eps.queue_word(NodeId(1), 1, chan(0, 0), 6); // also unroutable
@@ -318,7 +318,7 @@ fn vertical_first_router_on_a_package_pair_reaches_everything() {
     b.link_two_way(NodeId(1), NodeId(3), Direction::East, board);
     let descs: Vec<LinkDesc> = b.link_descs().to_vec();
     let router = TableRouter::vertical_first(&coords, &descs);
-    let mut fabric = b.build(Box::new(router));
+    let mut fabric = b.build(router);
     let mut eps = TestEndpoints::new(4);
     // Every node sends to every other node.
     for src in 0..4u16 {
@@ -368,7 +368,7 @@ fn switch_serves_input_ports_in_link_id_order() {
     b.link_one_way(NodeId(0), NodeId(2), Direction::East, on_chip);
     b.link_one_way(NodeId(2), NodeId(3), Direction::East, on_chip);
     let router = TableRouter::shortest_paths(4, b.link_descs());
-    let mut fabric = b.build(Box::new(router));
+    let mut fabric = b.build(router);
     let mut eps = TestEndpoints::new(4);
     for src in [0u16, 1] {
         eps.queue_token(NodeId(src), 0, chan(3, src as u8), Token::Data(src as u8));
@@ -495,7 +495,7 @@ fn parked_switch_queue_launches_on_the_first_edge_at_busy_until() {
             eps.queue_word(NodeId(0), 0, chan(2, 5), 0x0101_0101 * w);
         }
         eps.queue_token(NodeId(0), 0, chan(2, 5), Token::Ctrl(ControlToken::END));
-        (b.build(Box::new(router)), eps)
+        (b.build(router), eps)
     };
     let until = Time::ZERO + TimeDelta::from_us(2);
     let (trace, parked, _) = dense_and_event_driven(setup, grid, until, |_, _, _| {});

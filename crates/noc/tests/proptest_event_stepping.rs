@@ -59,7 +59,7 @@ fn topology(mesh: bool, w: usize, h: usize, parallel: usize) -> Fabric {
         }
     }
     let router = TableRouter::shortest_paths(n, b.link_descs());
-    b.build(Box::new(router))
+    b.build(router)
 }
 
 /// One flow: `words` words from `(src, chanend)` to `(dst, chanend)` in

@@ -25,7 +25,7 @@ fn ring(n: usize) -> Fabric {
         );
     }
     let router = TableRouter::shortest_paths(n, b.link_descs());
-    b.build(Box::new(router))
+    b.build(router)
 }
 
 fn drain(fabric: &mut Fabric, eps: &mut TestEndpoints, budget_steps: u64) {

@@ -5,7 +5,7 @@
 
 use std::collections::{HashSet, VecDeque};
 use swallow_isa::NodeId;
-use swallow_noc::{Direction, LinkDesc, LinkId, Router, TableRouter};
+use swallow_noc::{Direction, LinkDesc, LinkId, TableRouter};
 use swallow_testkit::proptest::prelude::*;
 
 /// Forward reachability over a directed link list.

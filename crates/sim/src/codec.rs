@@ -15,6 +15,7 @@
 //! inputs are always caught by the checksum, the tag check, or a bounds
 //! failure.
 
+use crate::time::{Time, TimeDelta};
 use std::fmt;
 
 /// FNV-1a 64-bit offset basis.
@@ -91,6 +92,15 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// A leaf type's own decoder reports why a value is invalid as a static
+/// reason (`TryFrom<u16> for Token`, say); `?` turns that reason into
+/// [`CodecError::Invalid`].
+impl From<&'static str> for CodecError {
+    fn from(why: &'static str) -> Self {
+        CodecError::Invalid(why)
+    }
+}
+
 /// Little-endian binary writer over a growable buffer.
 #[derive(Debug, Default)]
 pub struct ByteWriter {
@@ -144,6 +154,16 @@ impl ByteWriter {
     /// Writes an `f64` by exact bit pattern (restores bit-identically).
     pub fn f64_bits(&mut self, v: f64) {
         self.u64(v.to_bits());
+    }
+
+    /// Writes an instant as its picosecond count.
+    pub fn time(&mut self, t: Time) {
+        self.u64(t.as_ps());
+    }
+
+    /// Writes a span as its picosecond count.
+    pub fn delta(&mut self, d: TimeDelta) {
+        self.u64(d.as_ps());
     }
 
     /// Writes raw bytes (length is *not* prefixed; pair with
@@ -265,6 +285,26 @@ impl<'a> ByteReader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// Reads an `f64` by exact bit pattern, rejecting NaN and ±infinity:
+    /// the decoder for quantities that are always finite (energy, power).
+    pub fn finite_f64(&mut self) -> Result<f64, CodecError> {
+        let v = self.f64_bits()?;
+        if !v.is_finite() {
+            return Err(CodecError::Invalid("non-finite value"));
+        }
+        Ok(v)
+    }
+
+    /// Reads an instant written by [`ByteWriter::time`].
+    pub fn time(&mut self) -> Result<Time, CodecError> {
+        Ok(Time::from_ps(self.u64()?))
+    }
+
+    /// Reads a span written by [`ByteWriter::delta`].
+    pub fn delta(&mut self) -> Result<TimeDelta, CodecError> {
+        Ok(TimeDelta::from_ps(self.u64()?))
+    }
+
     /// Reads a u64 length that must describe at most the remaining bytes
     /// (guards `Vec` preallocation against hostile lengths). `width` is
     /// the minimum encoded size of one element.
@@ -334,6 +374,25 @@ mod tests {
         assert_eq!(r.bool(), Ok(true));
         assert_eq!(r.f64_bits().map(f64::to_bits), Ok((-0.0f64).to_bits()));
         assert_eq!(r.str_prefixed().as_deref(), Ok("swallow"));
+        assert_eq!(r.expect_end(), Ok(()));
+    }
+
+    #[test]
+    fn time_round_trips_and_non_finite_floats_are_rejected() {
+        let mut w = ByteWriter::new();
+        w.time(Time::from_ps(1_234));
+        w.delta(TimeDelta::from_ps(56));
+        w.f64_bits(f64::NAN);
+        w.f64_bits(f64::NEG_INFINITY);
+        w.f64_bits(0.25);
+        let bytes = w.finish();
+        assert_eq!(bytes[..8], 1_234u64.to_le_bytes());
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(r.time(), Ok(Time::from_ps(1_234)));
+        assert_eq!(r.delta(), Ok(TimeDelta::from_ps(56)));
+        assert!(matches!(r.finite_f64(), Err(CodecError::Invalid(_))));
+        assert!(matches!(r.finite_f64(), Err(CodecError::Invalid(_))));
+        assert_eq!(r.finite_f64(), Ok(0.25));
         assert_eq!(r.expect_end(), Ok(()));
     }
 

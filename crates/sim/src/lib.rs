@@ -15,7 +15,7 @@
 //! * [`stats`] — the latency quantile sketch and least-squares fits used by
 //!   the experiment harnesses,
 //! * [`trace`] — typed, zero-cost-when-off trace events ([`TraceEvent`],
-//!   [`TraceSink`], [`TraceRing`]) feeding the observability exporters.
+//!   [`Tracer`], [`TraceRing`]) feeding the observability exporters.
 //!
 //! Determinism is a design requirement, not an accident: the platform being
 //! modelled (Swallow, DATE 2016) is a *time-deterministic* real-time system,
@@ -47,7 +47,4 @@ pub use queue::EventQueue;
 pub use rng::DetRng;
 pub use stats::LatencySketch;
 pub use time::{Frequency, Time, TimeDelta};
-pub use trace::{
-    NullSink, TraceEvent, TraceLog, TraceRecord, TraceRing, TraceSink, Tracer,
-    DEFAULT_TRACE_CAPACITY,
-};
+pub use trace::{TraceEvent, TraceLog, TraceRecord, TraceRing, Tracer, DEFAULT_TRACE_CAPACITY};

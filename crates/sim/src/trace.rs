@@ -2,12 +2,12 @@
 //!
 //! The observability substrate of the whole stack: simulation components
 //! emit [`TraceEvent`]s — compact, `Copy` descriptions of scheduler,
-//! network and power happenings — through a [`TraceSink`]. The default
-//! sink ([`Tracer::Off`] / [`NullSink`]) discards events with no
-//! allocation and no side effect beyond one branch, so tracing can stay
-//! compiled into every hot path; [`Tracer::Ring`] retains the most recent
-//! records in a pre-allocated ring buffer for post-mortem export
-//! (Chrome `trace_event` JSON, CSV — see the `swallow` crate).
+//! network and power happenings — through a [`Tracer`]. The default,
+//! [`Tracer::Off`], discards events with no allocation and no side effect
+//! beyond one branch, so tracing can stay compiled into every hot path;
+//! [`Tracer::Ring`] retains the most recent records in a pre-allocated
+//! ring buffer for post-mortem export (Chrome `trace_event` JSON, CSV —
+//! see the `swallow` crate).
 //!
 //! Determinism contract: emitting events never changes simulation state,
 //! and a ring preserves *insertion* order, so merging the per-component
@@ -217,30 +217,6 @@ impl fmt::Display for TraceRecord {
     }
 }
 
-/// Where trace events go. The contract every implementation must honour:
-/// emitting is observationally free — it may not touch simulation state —
-/// and when [`TraceSink::is_enabled`] is false, [`TraceSink::emit`] must
-/// be a no-op with no allocation.
-pub trait TraceSink {
-    /// True when emitted events are retained somewhere.
-    fn is_enabled(&self) -> bool;
-    /// Accepts one event at simulated time `at`.
-    fn emit(&mut self, at: Time, event: TraceEvent);
-}
-
-/// The always-off sink: discards everything, allocates nothing.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn is_enabled(&self) -> bool {
-        false
-    }
-
-    #[inline]
-    fn emit(&mut self, _at: Time, _event: TraceEvent) {}
-}
-
 /// A bounded ring of recent trace records.
 ///
 /// The backing storage is allocated once at construction
@@ -324,21 +300,10 @@ impl TraceRing {
     }
 }
 
-impl TraceSink for TraceRing {
-    fn is_enabled(&self) -> bool {
-        true
-    }
-
-    #[inline]
-    fn emit(&mut self, at: Time, event: TraceEvent) {
-        self.push(TraceRecord { at, event });
-    }
-}
-
 /// Trace destination selector owned by each traced component.
 ///
 /// ```
-/// use swallow_sim::{Time, TraceEvent, TraceSink, Tracer};
+/// use swallow_sim::{Time, TraceEvent, Tracer};
 /// let mut tracer = Tracer::buffered();
 /// tracer.emit(Time::ZERO, TraceEvent::CoreWake { core: 3 });
 /// assert_eq!(tracer.ring().expect("ring").len(), 1);
@@ -370,19 +335,19 @@ impl Tracer {
             Tracer::Ring(ring) => Some(ring),
         }
     }
-}
 
-impl TraceSink for Tracer {
+    /// True when emitted events are retained.
     #[inline]
-    fn is_enabled(&self) -> bool {
+    pub fn is_enabled(&self) -> bool {
         matches!(self, Tracer::Ring(_))
     }
 
-    /// Records an event. With [`Tracer::Off`] this is one branch — no
-    /// allocation, no write (the zero-cost-when-off guarantee, pinned by
-    /// the `trace_alloc` regression test).
+    /// Records an event. Emitting never touches simulation state, and
+    /// with [`Tracer::Off`] it is one branch — no allocation, no write
+    /// (the zero-cost-when-off guarantee, pinned by the `trace_alloc`
+    /// regression test).
     #[inline]
-    fn emit(&mut self, at: Time, event: TraceEvent) {
+    pub fn emit(&mut self, at: Time, event: TraceEvent) {
         if let Tracer::Ring(ring) = self {
             ring.push(TraceRecord { at, event });
         }
@@ -434,19 +399,19 @@ impl TraceLog {
 mod tests {
     use super::*;
 
+    fn record(ps: u64, event: TraceEvent) -> TraceRecord {
+        TraceRecord {
+            at: Time::from_ps(ps),
+            event,
+        }
+    }
+
     #[test]
     fn off_tracer_retains_nothing() {
         let mut tracer = Tracer::Off;
         tracer.emit(Time::ZERO, TraceEvent::CoreWake { core: 0 });
         assert!(!tracer.is_enabled());
         assert!(tracer.ring().is_none());
-    }
-
-    #[test]
-    fn null_sink_is_disabled() {
-        let mut sink = NullSink;
-        assert!(!sink.is_enabled());
-        sink.emit(Time::ZERO, TraceEvent::CoreSleep { core: 1 });
     }
 
     #[test]
@@ -475,7 +440,7 @@ mod tests {
     fn ring_evicts_oldest_and_counts_drops() {
         let mut ring = TraceRing::with_capacity(3);
         for i in 0..5u64 {
-            ring.emit(Time::from_ps(i), TraceEvent::CoreWake { core: i as u16 });
+            ring.push(record(i, TraceEvent::CoreWake { core: i as u16 }));
         }
         let at: Vec<u64> = ring.iter().map(|r| r.at.as_ps()).collect();
         assert_eq!(at, [2, 3, 4]);
@@ -509,11 +474,11 @@ mod tests {
     #[test]
     fn log_merges_stably_by_time() {
         let mut a = TraceRing::new();
-        a.emit(Time::from_ps(10), TraceEvent::CoreWake { core: 0 });
-        a.emit(Time::from_ps(30), TraceEvent::CoreSleep { core: 0 });
+        a.push(record(10, TraceEvent::CoreWake { core: 0 }));
+        a.push(record(30, TraceEvent::CoreSleep { core: 0 }));
         let mut b = TraceRing::new();
-        b.emit(Time::from_ps(10), TraceEvent::CoreWake { core: 1 });
-        b.emit(Time::from_ps(20), TraceEvent::CoreSleep { core: 1 });
+        b.push(record(10, TraceEvent::CoreWake { core: 1 }));
+        b.push(record(20, TraceEvent::CoreSleep { core: 1 }));
         let mut log = TraceLog::new();
         log.absorb(&a);
         log.absorb(&b);

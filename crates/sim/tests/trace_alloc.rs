@@ -9,7 +9,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use swallow_sim::{Time, TraceEvent, TraceSink, Tracer};
+use swallow_sim::{Time, TraceEvent, Tracer};
 
 struct CountingAlloc;
 

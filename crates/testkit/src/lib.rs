@@ -5,7 +5,7 @@
 //! are off the table. This crate supplies drop-in replacements for the
 //! two we need:
 //!
-//! * [`proptest`] — a property-testing shim exposing the subset of the
+//! * [`mod@proptest`] — a property-testing shim exposing the subset of the
 //!   `proptest` crate API our tests use (`proptest!`, strategies built
 //!   from ranges / `any` / `Just` / `prop_map` / `prop_oneof!` / tuples /
 //!   `collection::vec`, `prop_assert*!`, `prop_assume!`,

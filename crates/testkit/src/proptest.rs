@@ -2,9 +2,9 @@
 //!
 //! Mirrors the fragment of the `proptest` crate API used by this
 //! workspace. A [`Strategy`] is anything that can generate a value from
-//! a [`TestRng`]; the [`proptest!`] macro expands each property into a
-//! plain `#[test]` that runs `cases` seeded generations and reports the
-//! failing seed and inputs on the first counterexample.
+//! a [`TestRng`]; the [`proptest!`](crate::proptest!) macro expands each
+//! property into a plain `#[test]` that runs `cases` seeded generations
+//! and reports the failing seed and inputs on the first counterexample.
 
 use std::marker::PhantomData;
 use std::ops::{Range, RangeInclusive};
@@ -269,7 +269,7 @@ pub mod collection {
 
 /// Executes `cases` seeded runs of one property, panicking with a
 /// reproducible seed + input report on the first failure. Used by the
-/// expansion of [`proptest!`](crate::proptest); not called directly.
+/// expansion of [`proptest!`](crate::proptest!); not called directly.
 pub fn run_cases<F>(cfg: ProptestConfig, name: &str, mut case: F)
 where
     F: FnMut(&mut TestRng) -> Result<(), String>,

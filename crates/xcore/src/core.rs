@@ -29,7 +29,7 @@ use swallow_isa::{
     ResType, ResourceId, ThreadId, Token,
 };
 use swallow_sim::{
-    ByteReader, ByteWriter, CodecError, Frequency, Time, TimeDelta, TraceEvent, TraceSink, Tracer,
+    ByteReader, ByteWriter, CodecError, Frequency, Time, TimeDelta, TraceEvent, Tracer,
 };
 
 /// Reference-clock tick period of the architectural timers (100 MHz).
@@ -2116,7 +2116,7 @@ impl Core {
             w.u32(reading);
         }
         w.u64(self.cycle);
-        w.u64(self.now.as_ps());
+        w.time(self.now);
         w.bool(self.halted);
         match &self.trap {
             None => w.u8(0),
@@ -2136,12 +2136,12 @@ impl Core {
         w.u64(self.instret);
         w.str_prefixed(&self.output);
         for &at in &self.sched_at {
-            w.u64(at.as_ps());
+            w.time(at);
         }
         for &instret in &self.sched_instret {
             w.u64(instret);
         }
-        w.u64(self.stalled_until.as_ps());
+        w.time(self.stalled_until);
     }
 
     /// Overlays the architectural state written by [`Core::encode_state`]
@@ -2203,7 +2203,7 @@ impl Core {
             *reading = r.u32()?;
         }
         self.cycle = r.u64()?;
-        self.now = Time::from_ps(r.u64()?);
+        self.now = r.time()?;
         self.halted = r.bool()?;
         self.trap = match r.u8()? {
             0 => None,
@@ -2224,7 +2224,7 @@ impl Core {
         };
         let mut bits = [0u64; 5];
         for b in bits.iter_mut() {
-            *b = r.u64()?;
+            *b = r.finite_f64()?.to_bits();
         }
         self.ledger = EnergyLedger::from_entry_bits(bits);
         for count in self.class_counts.0.iter_mut() {
@@ -2233,12 +2233,12 @@ impl Core {
         self.instret = r.u64()?;
         self.output = r.str_prefixed()?;
         for at in self.sched_at.iter_mut() {
-            *at = Time::from_ps(r.u64()?);
+            *at = r.time()?;
         }
         for instret in self.sched_instret.iter_mut() {
             *instret = r.u64()?;
         }
-        self.stalled_until = Time::from_ps(r.u64()?);
+        self.stalled_until = r.time()?;
 
         // Derived state: the clock/energy constants and the incremental
         // counters are pure functions of what was just restored.

@@ -13,8 +13,8 @@
 use crate::resource::{Chanend, EventCfg, Lock, Probe, ResourceTable, Sync, CHANEND_BUF_TOKENS};
 use crate::sram::MemError;
 use crate::thread::{Block, Thread, ThreadState, MAX_THREADS};
-use swallow_isa::{ControlToken, DecodeError, ResourceId, ThreadId, Token};
-use swallow_sim::{ByteReader, ByteWriter, CodecError, Time};
+use swallow_isa::{DecodeError, ResourceId, ThreadId, Token};
+use swallow_sim::{ByteReader, ByteWriter, CodecError};
 
 /// The `IllegalOp` trap strings this build knows how to round-trip. A
 /// snapshot carrying any other string is rejected (strictness beats
@@ -25,35 +25,6 @@ const ILLEGAL_OPS: [&str; 4] = [
     "edu before setv",
     "releasing a lock not held",
 ];
-
-pub(crate) fn write_token(w: &mut ByteWriter, t: Token) {
-    match t {
-        Token::Data(b) => {
-            w.u8(0);
-            w.u8(b);
-        }
-        Token::Ctrl(ct) => {
-            w.u8(1);
-            w.u8(ct.0);
-        }
-    }
-}
-
-pub(crate) fn read_token(r: &mut ByteReader<'_>) -> Result<Token, CodecError> {
-    match r.u8()? {
-        0 => Ok(Token::Data(r.u8()?)),
-        1 => Ok(Token::Ctrl(ControlToken(r.u8()?))),
-        _ => Err(CodecError::Invalid("token tag out of range")),
-    }
-}
-
-fn write_time(w: &mut ByteWriter, t: Time) {
-    w.u64(t.as_ps());
-}
-
-fn read_time(r: &mut ByteReader<'_>) -> Result<Time, CodecError> {
-    Ok(Time::from_ps(r.u64()?))
-}
 
 fn read_thread_id(r: &mut ByteReader<'_>) -> Result<ThreadId, CodecError> {
     let raw = r.u8()?;
@@ -77,7 +48,7 @@ fn write_block(w: &mut ByteWriter, b: &Block) {
         }
         Block::Timer { until } => {
             w.u8(2);
-            write_time(w, until);
+            w.time(until);
         }
         Block::Lock { lock } => {
             w.u8(3);
@@ -93,7 +64,7 @@ fn write_block(w: &mut ByteWriter, b: &Block) {
         }
         Block::Event { until } => {
             w.u8(6);
-            write_time(w, until);
+            w.time(until);
         }
     }
 }
@@ -122,9 +93,7 @@ fn read_block(r: &mut ByteReader<'_>, dims: &TableDims) -> Result<Block, CodecEr
             chanend: chanend_in_range(r.u8()?)?,
             need: need_in_range(r.u64()?)?,
         }),
-        2 => Ok(Block::Timer {
-            until: read_time(r)?,
-        }),
+        2 => Ok(Block::Timer { until: r.time()? }),
         3 => {
             let lock = r.u8()?;
             if lock as usize >= dims.locks {
@@ -142,9 +111,7 @@ fn read_block(r: &mut ByteReader<'_>, dims: &TableDims) -> Result<Block, CodecEr
         5 => Ok(Block::Divide {
             until_cycle: r.u64()?,
         }),
-        6 => Ok(Block::Event {
-            until: read_time(r)?,
-        }),
+        6 => Ok(Block::Event { until: r.time()? }),
         _ => Err(CodecError::Invalid("block tag out of range")),
     }
 }
@@ -222,12 +189,12 @@ fn write_chanend(w: &mut ByteWriter, ch: &Chanend) {
     }
     w.u64(ch.out_buf.len() as u64);
     for (t, dest) in &ch.out_buf {
-        write_token(w, *t);
+        w.u16(u16::from(*t));
         w.u32(dest.raw());
     }
     w.u64(ch.in_buf.len() as u64);
     for t in &ch.in_buf {
-        write_token(w, *t);
+        w.u16(u16::from(*t));
     }
     write_event_cfg(w, &ch.event);
 }
@@ -247,7 +214,7 @@ fn read_chanend(r: &mut ByteReader<'_>) -> Result<Chanend, CodecError> {
         return Err(CodecError::Invalid("chanend output buffer overfull"));
     }
     for _ in 0..out_len {
-        let t = read_token(r)?;
+        let t = Token::try_from(r.u16()?)?;
         let dest = ResourceId::from_raw(r.u32()?);
         ch.out_buf.push_back((t, dest));
     }
@@ -256,7 +223,7 @@ fn read_chanend(r: &mut ByteReader<'_>) -> Result<Chanend, CodecError> {
         return Err(CodecError::Invalid("chanend input buffer overfull"));
     }
     for _ in 0..in_len {
-        ch.in_buf.push_back(read_token(r)?);
+        ch.in_buf.push_back(Token::try_from(r.u16()?)?);
     }
     ch.event = read_event_cfg(r)?;
     Ok(ch)
@@ -506,11 +473,11 @@ pub(crate) fn write_trap_cause(w: &mut ByteWriter, cause: &crate::TrapCause) {
         TrapCause::CtMismatch { expected, got } => {
             w.u8(3);
             w.u8(*expected);
-            write_token(w, *got);
+            w.u16(u16::from(*got));
         }
         TrapCause::DataExpected { got } => {
             w.u8(4);
-            write_token(w, *got);
+            w.u16(u16::from(*got));
         }
         TrapCause::NoDest { chanend } => {
             w.u8(5);
@@ -531,10 +498,10 @@ pub(crate) fn read_trap_cause(r: &mut ByteReader<'_>) -> Result<crate::TrapCause
         2 => Ok(TrapCause::BadResource { raw: r.u32()? }),
         3 => Ok(TrapCause::CtMismatch {
             expected: r.u8()?,
-            got: read_token(r)?,
+            got: Token::try_from(r.u16()?)?,
         }),
         4 => Ok(TrapCause::DataExpected {
-            got: read_token(r)?,
+            got: Token::try_from(r.u16()?)?,
         }),
         5 => Ok(TrapCause::NoDest { chanend: r.u8()? }),
         6 => {
@@ -554,6 +521,7 @@ mod tests {
     use super::*;
     use crate::TrapCause;
     use swallow_isa::{NodeId, ResType};
+    use swallow_sim::Time;
 
     fn dims() -> TableDims {
         TableDims {

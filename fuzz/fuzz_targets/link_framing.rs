@@ -26,7 +26,7 @@ fn small_fabric() -> Fabric {
         LinkParams::from_class(WireClass::OnChip),
     );
     let router = TableRouter::shortest_paths(3, b.link_descs());
-    b.build(Box::new(router))
+    b.build(router)
 }
 
 fuzz_target!(
