@@ -23,9 +23,10 @@
 //!   pending output, bridge backlog, fewer than two runnable cores — the
 //!   engine takes one serial fast-forward step instead: it jumps `now`
 //!   to the next instant anything can happen and charges the skipped
-//!   idle energy analytically. All processing stays on the base-clock
-//!   grid, so results are bit-identical run to run and equal to
-//!   lock-step within f64 association error. See DESIGN.md §3.7, §3.8.
+//!   idle energy analytically (edge by edge over a wait on a busy link,
+//!   see `ff_advance`). All processing stays on the base-clock grid, so
+//!   results are bit-identical run to run and equal to lock-step within
+//!   f64 association error. See DESIGN.md §3.7, §3.8.
 //!
 //! Every grid instant, whichever engine reaches it, is processed by one
 //! routine, `process_edge`: lock-step steps, fast-forward jumps, window
@@ -735,10 +736,19 @@ impl Machine {
     }
 
     /// The earliest instant at or after `now` when anything can happen:
-    /// a core's next interesting tick, a fabric arrival, pending core or
+    /// a core's next interesting tick, a fabric event (an arrival, or the
+    /// wake of a head time-parked behind a busy link), pending core or
     /// bridge output (immediate), or the monitor cadence. Always finite —
     /// the monitor bounds it — so fast-forward never overshoots an
     /// accounting boundary.
+    ///
+    /// A core whose every pending chanend is parked
+    /// ([`Fabric::tx_all_parked`]) is not immediate: the fabric skips it
+    /// until the earliest wake, which the fabric's answer covers, so only
+    /// its next interesting tick counts. The same holds for the bridge
+    /// when the head of its backlog is parked. That lets fast-forward
+    /// jump over a wait on a busy link; see [`Self::ff_advance`] for why
+    /// the jump keeps every result bit-identical.
     fn next_activity_at(&self) -> Time {
         let immediate = self.now + self.base_period;
         let mut earliest = self.monitor.next_update();
@@ -750,9 +760,9 @@ impl Machine {
             }
             earliest = earliest.min(at);
         }
-        // The fabric before the cores: its query reads the head of its
-        // arrival calendar, so a token due now skips the O(cores) scan
-        // below.
+        // The fabric before the cores: its query reads the heads of its
+        // arrival and wake calendars, so a token due now skips the
+        // O(cores) scan below.
         if let Some(at) = self.fabric.next_event_at(self.now) {
             if at <= immediate {
                 return immediate;
@@ -761,7 +771,8 @@ impl Machine {
         }
         for i in self.eps.awake.iter() {
             let core = &self.eps.cores[i];
-            if core.has_tx_pending() {
+            let pending = core.tx_pending_count();
+            if pending > 0 && !self.fabric.tx_all_parked(NodeId(i as u16), pending) {
                 return immediate;
             }
             if let Some(at) = core.next_interesting_at() {
@@ -771,8 +782,8 @@ impl Machine {
                 earliest = earliest.min(at);
             }
         }
-        if let Some(bridge) = self.eps.bridge.as_ref() {
-            if bridge.tx_backlog() > 0 {
+        if let (Some(bridge), Some(node)) = (self.eps.bridge.as_ref(), self.eps.bridge_node) {
+            if bridge.tx_backlog() > 0 && !self.fabric.tx_all_parked(node, 1) {
                 let at = bridge.next_tx_at();
                 if at <= immediate {
                     return immediate;
@@ -798,11 +809,24 @@ impl Machine {
     /// Fast-forward by one event: jump to the next grid instant where
     /// anything can happen (capped at `deadline`). This is the serial
     /// step the windowed engine takes when a window cannot open.
+    ///
+    /// The skipped edges are charged analytically only when no head is
+    /// time-parked. A jump over a parked wait (a switch queue or chanend
+    /// waiting on a busy link, see [`Self::next_activity_at`]) passes
+    /// `skip == false` instead, so its energy arithmetic is that of one
+    /// one-edge step per skipped edge — the steps fast-forward would take
+    /// if parked heads counted as due now: awake cores tick every edge
+    /// inside `run_until(target)`, parked cores are caught up edge by
+    /// edge with `idle_until`, and the fabric has nothing to do before
+    /// the wake. Where an idle span is split into analytic chunks
+    /// therefore does not depend on parking, and every energy bit is
+    /// what stepping through the wait edge by edge gives.
     fn ff_advance(&mut self, deadline: Time) {
         let target = self.grid_align(self.next_activity_at().min(deadline));
         // A one-edge step ticks its cores like lock-step does, which keeps
         // busy runs O(awake cores) per edge.
-        self.jump_to(target, target > self.now + self.base_period);
+        let skip = target > self.now + self.base_period && self.fabric.parked_heads() == 0;
+        self.jump_to(target, skip);
     }
 
     /// Jumps to the grid instant `target` and processes its edge; serves
@@ -811,7 +835,11 @@ impl Machine {
     /// analytically, from where lock-step has every core: parked cores
     /// catch up to `now`, then every core without pending output skips
     /// to `target` (a core holding output stopped where it emitted and
-    /// injects on this edge).
+    /// injects on this edge). Without it the edges before `target` cost
+    /// what one-edge steps would: the awake cores' `run_until(target)`
+    /// ticks each of them, and parked cores catch up by idle ticks when
+    /// next touched. A jump over a parked wait takes that path, so it
+    /// never runs the O(cores) skip loop.
     fn jump_to(&mut self, target: Time, skip: bool) {
         if skip {
             self.catch_up(self.now);
@@ -1016,7 +1044,13 @@ impl Machine {
     /// advances at least one base period per injection attempt,
     /// mirroring lock-step's per-instant retry of tokens the fabric
     /// reports busy. No fault or monitor instant lies below the window's
-    /// serial bound, so neither fires during the replay; nothing parks.
+    /// serial bound, so neither fires during the replay; no core parks.
+    ///
+    /// Time-parked heads do not move the replayed instants: a parked
+    /// chanend belongs to a core whose pending output already makes the
+    /// next edge due, and no token can reach a switch queue before
+    /// `target` — the window ends within one minimum hop latency of the
+    /// first emission, and a hop costs at least that.
     fn reconcile(&mut self, target: Time) {
         loop {
             // Earliest instant below `target` at which anything is due:

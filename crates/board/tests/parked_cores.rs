@@ -9,9 +9,11 @@
 //! checks the windowed engine at one and two threads against the
 //! lock-step oracle (instret, cycles and `now` exact, energy within
 //! 1e-9), and that a repeated windowed run is bit-identical (whole
-//! snapshot image). A last test pins the ledger totals bit for bit, which
-//! is what catches a catch-up that adds the right energy in the wrong
-//! order.
+//! snapshot image). A two-slice scenario whose sources queue behind one
+//! shared cable does the same for fast-forward jumps over heads parked
+//! on a busy link. A last test pins the ledger totals bit for bit, which
+//! is what catches a catch-up — or a jump — that adds the right energy
+//! in the wrong order.
 
 use swallow_board::{EngineMode, Machine, MachineConfig, RouterKind};
 use swallow_faults::{FaultKind, FaultPlan};
@@ -359,7 +361,47 @@ fn compute_machine(engine: EngineMode) -> Machine {
     machine
 }
 
-/// Ledger totals of four scenarios under lock-step and windowed at one
+/// Sources on slice 0 that both stream to sinks on slice 1 of a 2×1
+/// grid.
+const CONGESTED: [(u16, u16); 2] = [(3, 11), (5, 13)];
+
+/// Two sources whose routes share the slow inter-slice cable between
+/// nodes 7 and 9 (and the board link 5 → 7 before it), sending
+/// back-to-back. Their chanends and the switch queues in front of the
+/// cable spend most of the run waiting on a busy link: time-parked heads.
+fn congested_machine(engine: EngineMode) -> Machine {
+    let mut machine = Machine::new(MachineConfig {
+        engine,
+        ..MachineConfig::grid(2, 1)
+    });
+    for (src, dst) in CONGESTED {
+        machine
+            .load_program(NodeId(src), &source(dst, 1))
+            .expect("fits");
+        machine.load_program(NodeId(dst), &sink()).expect("fits");
+    }
+    machine
+}
+
+#[test]
+fn congested_sources_park_heads_behind_the_shared_cable() {
+    let mut machine = congested_machine(EngineMode::LockStep);
+    let mut parked = 0;
+    while machine.now() < t(200) && !machine.is_quiescent() {
+        machine.step();
+        parked = parked.max(machine.fabric().parked_heads());
+    }
+    assert!(parked > 0, "no head ever parked");
+    let oracle = assert_engines_agree(&congested_machine);
+    assert!(oracle.quiescent);
+    let total = format!("{}\n", (1..=ITEMS).sum::<u32>());
+    for (_, dst) in CONGESTED {
+        assert_eq!(machine.core(NodeId(dst)).output(), total);
+        assert_eq!(oracle.outputs[dst as usize], total);
+    }
+}
+
+/// Ledger totals of five scenarios under lock-step and windowed at one
 /// and two threads, bit for bit. Each engine adds the same per-core
 /// charges in its own fixed order, and skipping parked cores must keep
 /// that order exactly (a catch-up performs the very additions of the
@@ -368,7 +410,7 @@ fn compute_machine(engine: EngineMode) -> Machine {
 #[test]
 fn ledger_totals_are_pinned_bit_for_bit() {
     type Build = Box<dyn Fn(EngineMode) -> Machine>;
-    let scenarios: [(&str, Build, [u64; 3]); 4] = [
+    let scenarios: [(&str, Build, [u64; 3]); 5] = [
         (
             "compute",
             Box::new(compute_machine),
@@ -391,6 +433,11 @@ fn ledger_totals_are_pinned_bit_for_bit() {
             "quarantine",
             Box::new(|e| escalation_machine(e).0),
             [0x3f053e8c2cddd96e, 0x3f053e8c2cddd90c, 0x3f053e8c2cddd90c],
+        ),
+        (
+            "congested",
+            Box::new(congested_machine),
+            [0x3f183167fc9faead, 0x3f183167fc9fae07, 0x3f183167fc9fae07],
         ),
     ];
     let engines = [

@@ -43,7 +43,18 @@
 //!   been a no-op retry. Heads blocked by credit, ownership, a full or
 //!   owned destination chanend or a down link keep retrying every step.
 //!   Topology, routing and fault-window changes and restores wake every
-//!   parked head; waking early costs one no-op attempt.
+//!   parked head; waking early costs one no-op attempt. The wake
+//!   calendar's head is a fabric event like an arrival:
+//!   [`Fabric::next_event_at`] answers it rather than `now`, and
+//!   [`Fabric::tx_all_parked`] tells the board which nodes' pending
+//!   output waits only on a wake, so the engines can jump over a parked
+//!   wait instead of visiting each of its edges.
+//! * **Flow tables.** The sticky link bindings and the final-hop
+//!   ownerships, looked up on every launch and delivery attempt, are
+//!   keyed by small simulation integers and hashed with a multiplicative
+//!   hasher (`FlowHasher`) instead of SipHash. Nothing depends on their
+//!   iteration order: `retain` is order-free and the snapshot writer
+//!   sorts.
 //!
 //! Every push and pop maintains these structures, so each phase of the
 //! step makes exactly the attempts a whole-machine scan would have made
@@ -55,6 +66,7 @@ use crate::link::{Direction, LinkId, LinkParams, HEADER_TOKENS};
 use crate::routing::{LinkDesc, TableRouter};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use swallow_energy::Energy;
 use swallow_isa::{NodeId, ResType, ResourceId, Token};
 use swallow_sim::{
@@ -157,6 +169,49 @@ impl LinkStats {
         }
     }
 }
+
+/// The hasher of the fabric's flow tables: one rotate, xor and multiply
+/// per integer written (the FxHash scheme), and a final rotate that
+/// brings the product's well-mixed high bits down to the low bits the
+/// table indexes by. The keys are small simulation integers — flows,
+/// nodes and chanends — that the simulation itself generates, so
+/// SipHash's resistance to crafted collisions buys nothing on a path
+/// taken at every launch and delivery attempt. (A hand-crafted
+/// snapshot could collide them; that costs time, never a result.)
+#[derive(Clone, Copy, Default)]
+struct FlowHasher(u64);
+
+impl FlowHasher {
+    /// 2^64 / φ, an odd multiplier with well-mixed bits.
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for FlowHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.add(byte as u64);
+        }
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.add(n as u64);
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A flow table: a `HashMap` keyed through [`FlowHasher`].
+type FlowMap<K, V> = HashMap<K, V, BuildHasherDefault<FlowHasher>>;
 
 /// A head that can be time-parked.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -312,8 +367,8 @@ impl FabricBuilder {
             router,
             loopback: (0..self.nodes).map(|_| VecDeque::new()).collect(),
             loopback_ready: IndexSet::new(self.nodes),
-            dest_owner: HashMap::new(),
-            sticky: HashMap::new(),
+            dest_owner: FlowMap::default(),
+            sticky: FlowMap::default(),
             unroutable: 0,
             in_network: 0,
             tx_scratch: Vec::new(),
@@ -350,8 +405,8 @@ pub struct Fabric {
     tx_parked: Vec<u32>,
     /// The wake calendar: one `(wake, head, blocking link)` entry per
     /// parked head, waking it at the earliest `busy_until` among the
-    /// links it could take. Kept apart from `arrivals` so that
-    /// [`Fabric::next_event_at`] reads only arrivals.
+    /// links it could take. Kept apart from `arrivals`, which only
+    /// land tokens; [`Fabric::next_event_at`] reads both heads.
     wakes: BinaryHeap<Reverse<(Time, Head, LinkId)>>,
     router: TableRouter,
     /// Core-local deliveries in flight: (arrival, dest chanend, token, flow).
@@ -360,14 +415,14 @@ pub struct Fabric {
     loopback_ready: IndexSet,
     /// Per destination chanend: the flow whose packet currently owns
     /// delivery (wormhole ownership of the final hop). Key: node<<8 | ch.
-    dest_owner: HashMap<u32, u32>,
+    dest_owner: FlowMap<u32, u32>,
     /// Sticky link binding: once a flow has carried a packet towards a
     /// destination over some link out of a switch, its later packets to
     /// the same destination use the same link. This preserves a channel's
     /// token order end-to-end (XS1 channels are serial); link aggregation
     /// balances *distinct* flows across parallel links, which is exactly
     /// how §V.B describes its use.
-    sticky: HashMap<(u32, NodeId, NodeId), LinkId>,
+    sticky: FlowMap<(u32, NodeId, NodeId), LinkId>,
     unroutable: u64,
     /// Tokens currently inside the network (on a wire, in a receive
     /// queue, or in a loopback queue). Maintained incrementally so
@@ -538,6 +593,20 @@ impl Fabric {
         self.wakes.len()
     }
 
+    /// True when `node` has output pending on `pending > 0` chanends and
+    /// every one of them is time-parked: until the wake calendar's head
+    /// ([`Fabric::next_event_at`] covers it) the injection pass skips the
+    /// node, so its output is not a reason to step. O(1). Chanends at 32
+    /// or above never park, so a node with output pending on one always
+    /// answers false.
+    pub fn tx_all_parked(&self, node: NodeId, pending: usize) -> bool {
+        pending > 0
+            && self
+                .tx_parked
+                .get(node.raw() as usize)
+                .is_some_and(|&mask| mask.count_ones() as usize == pending)
+    }
+
     /// All-pairs minimum routed token latency between switches, in
     /// picoseconds: entry `i * node_count + j` is the smallest sum of
     /// per-hop token times over any path of *live* (not-down) links from
@@ -600,40 +669,46 @@ impl Fabric {
     }
 
     /// The earliest instant at which the fabric itself has work to do,
-    /// given no further core activity: `Some(now)` when tokens are
-    /// already deliverable or queued at a switch, the earliest wire /
-    /// loopback arrival otherwise, and `None` when the network is empty.
+    /// given no further core activity: `Some(now)` when a switch queue
+    /// that is not parked holds a token or a loopback token is
+    /// deliverable, otherwise the earliest of the next wire arrival, the
+    /// next loopback arrival and the next wake of a time-parked head, and
+    /// `None` when the network is empty and no head is parked. (A launch
+    /// into a drop window can leave the flow's next token parked with
+    /// nothing in the network.)
     ///
     /// This is the network half of the fast-forward contract: strictly
     /// before the returned instant, [`Fabric::step`] without new core
-    /// traffic is a no-op. A queue whose head is time-parked still
-    /// answers `now`: the instants the engines process, and so every
-    /// energy bit, do not depend on parking, which only makes the steps
-    /// at those instants cheaper.
+    /// traffic is a no-op — a parked head would retry to no effect, which
+    /// is why it waits on its wake. The answer depends on parking: a
+    /// fabric whose heads were all woken early (after a restore, say)
+    /// answers `now` where an identical one with parked heads answers
+    /// their wake. Both are valid bounds.
     ///
-    /// O(1) when a token is queued at a switch, otherwise O(1) for the
-    /// wire (the arrival calendar's head) plus O(non-empty loopback
+    /// O(1) when a switch queue is ready, otherwise O(1) for the wire and
+    /// the wakes (the two calendars' heads) plus O(non-empty loopback
     /// queues).
     pub fn next_event_at(&self, now: Time) -> Option<Time> {
-        if self.in_network == 0 {
+        if self.in_network == 0 && self.wakes.is_empty() {
             return None;
         }
-        if !self.rx_ready.is_empty() || !self.rx_parked.is_empty() {
+        if !self.rx_ready.is_empty() {
             // Queued at a switch: forwarding/delivery can progress (or is
             // head-of-line blocked and must be retried) now.
             return Some(now);
         }
         let wire = self.arrivals.peek().map(|entry| entry.0 .0);
+        let wake = self.wakes.peek().map(|entry| entry.0 .0);
         let loopback = self
             .loopback_ready
             .iter()
             .filter_map(|node| self.loopback[node].front().map(|e| e.0));
         let mut earliest: Option<Time> = None;
-        for arrival in wire.into_iter().chain(loopback) {
-            if arrival <= now {
+        for at in wire.into_iter().chain(wake).chain(loopback) {
+            if at <= now {
                 return Some(now);
             }
-            earliest = Some(earliest.map_or(arrival, |e: Time| e.min(arrival)));
+            earliest = Some(earliest.map_or(at, |e: Time| e.min(at)));
         }
         earliest
     }
@@ -948,7 +1023,7 @@ impl Fabric {
     /// final-hop half of wormhole routing — packets never interleave at
     /// the receiver).
     fn try_deliver<E: CoreEndpoints>(
-        dest_owner: &mut HashMap<u32, u32>,
+        dest_owner: &mut FlowMap<u32, u32>,
         cores: &mut E,
         node: NodeId,
         chanend: u8,

@@ -5,7 +5,9 @@ use swallow_energy::WireClass;
 use swallow_isa::{ControlToken, NodeId, ResType, ResourceId, Token};
 use swallow_noc::endpoints::TestEndpoints;
 use swallow_noc::routing::LinkDesc;
-use swallow_noc::{Direction, Fabric, FabricBuilder, LinkId, LinkParams, TableRouter};
+use swallow_noc::{
+    CoreEndpoints, Direction, Fabric, FabricBuilder, LinkId, LinkParams, TableRouter,
+};
 use swallow_sim::{Time, TimeDelta, TraceEvent, TraceRecord, Tracer};
 
 fn chan(node: u16, idx: u8) -> ResourceId {
@@ -585,4 +587,160 @@ fn corrupt_retry_parks_until_the_retry_frees_the_link() {
         link.energy.as_joules().to_bits(),
         expected.as_joules().to_bits()
     );
+}
+
+// `next_event_at` answers the wake of a parked head, and
+// `tx_all_parked` says when a node's output waits only on one: the two
+// facts the board's fast-forward needs to jump over a busy link.
+
+#[test]
+fn parked_switch_queue_is_the_next_event() {
+    // 0 → 1 over an on-chip link (32 ns a token), 1 → 2 over a board
+    // trace (128 ns). By 400 ns the whole packet has landed at node 1,
+    // where its head waits for the slower link: nothing is on a wire and
+    // nothing is left to inject, so the next event is the wake — the
+    // instant the board link's last transit ends.
+    let mut b = FabricBuilder::new(3);
+    b.link_two_way(
+        NodeId(0),
+        NodeId(1),
+        Direction::East,
+        LinkParams::from_class(WireClass::OnChip),
+    );
+    let board = LinkParams::from_class(WireClass::BoardVertical);
+    b.link_two_way(NodeId(1), NodeId(2), Direction::East, board);
+    let router = TableRouter::shortest_paths(3, b.link_descs());
+    let mut fabric = b.build(router);
+    let mut eps = TestEndpoints::new(3);
+    eps.queue_word(NodeId(0), 0, chan(2, 1), 0x0102_0304);
+    eps.queue_token(NodeId(0), 0, chan(2, 1), Token::Ctrl(ControlToken::END));
+    fabric.set_tracer(Tracer::ring_with_capacity(64));
+    let step = TimeDelta::from_ns(2);
+    let mut now = Time::ZERO;
+    while now < Time::ZERO + TimeDelta::from_ns(400) {
+        now += step;
+        fabric.step(now, &mut eps);
+    }
+    assert!(eps.out.iter().flatten().all(|q| q.is_empty()));
+    assert_eq!(
+        fabric.parked_heads(),
+        1,
+        "node 1's queue waits on the board link"
+    );
+    let trace: Vec<TraceRecord> = fabric
+        .tracer()
+        .ring()
+        .expect("tracing")
+        .iter()
+        .copied()
+        .collect();
+    let last = *transits(&trace, 2).last().expect("node 1 launched");
+    let wake = last + board.token_time;
+    assert!(wake > now);
+    assert_eq!(fabric.next_event_at(now), Some(wake));
+}
+
+#[test]
+fn head_parked_behind_a_dropped_launch_keeps_the_fabric_due() {
+    // The first data token launches into a drop window and is lost, so
+    // nothing is left in the network — but the flow's next token is
+    // parked behind the link the lost launch keeps busy (route header and
+    // token: 4 × 32 ns). The fabric must answer that wake, not `None`.
+    let (mut fabric, mut eps) = two_nodes(1);
+    let start = Time::ZERO + TimeDelta::from_ns(2);
+    fabric.set_link_drop_until(LinkId::from_raw(0), start + TimeDelta::from_ns(1));
+    eps.queue_word(NodeId(0), 0, chan(1, 0), 0xAABB_CCDD);
+    fabric.step(start, &mut eps);
+    assert_eq!(fabric.total_dropped_tokens(), 1);
+    assert_eq!(fabric.tokens_in_network(), 0);
+    assert_eq!(fabric.parked_heads(), 1);
+    assert!(fabric.tx_all_parked(NodeId(0), 1));
+    let wake = start + TimeDelta::from_ns(4 * 32);
+    assert_eq!(fabric.next_event_at(start), Some(wake));
+}
+
+/// The one chanend above 31 the tests use: chanends from 32 up never
+/// park.
+const HIGH: u8 = 39;
+
+/// [`TestEndpoints`] whose chanend 7 is addressed as [`HIGH`].
+struct HighChanend(TestEndpoints);
+
+fn inner(chanend: u8) -> u8 {
+    if chanend == HIGH {
+        7
+    } else {
+        chanend
+    }
+}
+
+impl CoreEndpoints for HighChanend {
+    fn has_tx_pending(&self, node: NodeId) -> bool {
+        self.0.has_tx_pending(node)
+    }
+
+    fn for_each_tx_pending(&self, node: NodeId, visit: &mut dyn FnMut(u8)) {
+        self.0
+            .for_each_tx_pending(node, &mut |ch| visit(if ch == 7 { HIGH } else { ch }))
+    }
+
+    fn tx_front(&self, node: NodeId, chanend: u8) -> Option<(ResourceId, Token)> {
+        self.0.tx_front(node, inner(chanend))
+    }
+
+    fn tx_pop(&mut self, node: NodeId, chanend: u8) -> Option<(ResourceId, Token)> {
+        self.0.tx_pop(node, inner(chanend))
+    }
+
+    fn can_accept(&self, node: NodeId, chanend: u8, n: usize) -> bool {
+        self.0.can_accept(node, inner(chanend), n)
+    }
+
+    fn deliver(&mut self, node: NodeId, chanend: u8, token: Token) -> bool {
+        self.0.deliver(node, inner(chanend), token)
+    }
+}
+
+#[test]
+fn tx_all_parked_needs_every_pending_chanend_parked() {
+    // Two aggregated link pairs, so two flows from node 0 each bind a
+    // link of their own and their second tokens wait only on it. After
+    // one step each flow has output left on its chanend.
+    let at = Time::ZERO + TimeDelta::from_ns(2);
+    let run = |chanends: &[u8]| {
+        let (mut fabric, eps) = two_nodes(2);
+        let mut eps = HighChanend(eps);
+        for &ch in chanends {
+            eps.0
+                .queue_word(NodeId(0), inner(ch), chan(1, ch % 8), 0x1111_1111);
+        }
+        fabric.step(at, &mut eps);
+        assert_eq!(eps.tx_pending_count(NodeId(0)), chanends.len());
+        fabric
+    };
+    // Both chanends below 32 park: the node's output waits on wakes.
+    let fabric = run(&[0, 1]);
+    assert_eq!(fabric.parked_heads(), 2);
+    assert!(fabric.tx_all_parked(NodeId(0), 2));
+    assert!(
+        !fabric.tx_all_parked(NodeId(0), 3),
+        "a third pending chanend"
+    );
+    assert!(!fabric.tx_all_parked(NodeId(1), 0), "nothing pending");
+    // A chanend above 31 waits on the same kind of busy link but never
+    // parks, so its node always has output due.
+    let fabric = run(&[0, HIGH]);
+    assert_eq!(fabric.parked_heads(), 1);
+    assert!(!fabric.tx_all_parked(NodeId(0), 2));
+    let fabric = run(&[HIGH]);
+    assert_eq!(fabric.parked_heads(), 0);
+    assert!(!fabric.tx_all_parked(NodeId(0), 1));
+    // A second flow for a link the first owns is not time-parked either:
+    // only one link pair, and chanend 1 finds it owned.
+    let (mut fabric, mut eps) = two_nodes(1);
+    eps.queue_word(NodeId(0), 0, chan(1, 0), 0x2222_2222);
+    eps.queue_word(NodeId(0), 1, chan(1, 1), 0x3333_3333);
+    fabric.step(at, &mut eps);
+    assert_eq!(fabric.parked_heads(), 1, "only chanend 0 parks");
+    assert!(!fabric.tx_all_parked(NodeId(0), 2));
 }

@@ -3,13 +3,15 @@
 //! The fabric's contract with the event-driven engines: strictly before
 //! [`Fabric::next_event_at`], a step without new core traffic is a
 //! no-op. So stepping only at that instant (aligned up to the 2 ns grid)
-//! and at the grid instants where endpoints have output must leave the
-//! fabric exactly where stepping every 2 ns leaves it — same deliveries,
-//! same per-link statistics, same energy bits. Random multi-flow traffic
-//! on rings and meshes, with loopback flows, a drop window and a corrupt
-//! window, exercises every worklist push and pop; a snapshot taken
-//! mid-traffic and restored into a fresh fabric must continue
-//! identically, which exercises the worklist rebuild.
+//! and at the grid instants where a node has output that is not
+//! time-parked ([`Fabric::tx_all_parked`], the rule the board's
+//! fast-forward applies) must leave the fabric exactly where stepping
+//! every 2 ns leaves it — same deliveries, same per-link statistics,
+//! same energy bits. Random multi-flow traffic on rings and meshes, with
+//! loopback flows, a drop window and a corrupt window, exercises every
+//! worklist push and pop; a snapshot taken mid-traffic and restored into
+//! a fresh fabric must continue identically, which exercises the
+//! worklist rebuild.
 //!
 //! Blocked and parked queues: bounded inboxes drained at seeded instants
 //! stall deliveries on full destination chanends, aggregated link pairs
@@ -183,6 +185,16 @@ impl Draining {
     fn tx_pending(&self) -> bool {
         self.eps.out.iter().flatten().any(|q| !q.is_empty())
     }
+
+    /// True when some node has output the fabric would try to inject on
+    /// the next step: pending on a chanend that is not time-parked.
+    fn tx_due(&self, fabric: &Fabric) -> bool {
+        (0..self.eps.out.len()).any(|n| {
+            let node = NodeId(n as u16);
+            let pending = self.tx_pending_count(node);
+            pending > 0 && !fabric.tx_all_parked(node, pending)
+        })
+    }
 }
 
 impl CoreEndpoints for Draining {
@@ -255,8 +267,9 @@ fn run_dense(
 }
 
 /// Steps only the grid instants where something is due in `(from,
-/// until]`: the fabric's next event, pending endpoint output, or a flow
-/// start. Inbox drains are applied lazily, before the next step.
+/// until]`: the fabric's next event (which covers the wakes of parked
+/// heads), endpoint output that is not parked, or a flow start. Inbox
+/// drains are applied lazily, before the next step.
 fn run_event_driven(
     fabric: &mut Fabric,
     eps: &mut Draining,
@@ -274,7 +287,7 @@ fn run_event_driven(
             .filter(|&s| s > now)
             .min();
         let mut next = match fabric.next_event_at(now) {
-            _ if eps.tx_pending() => immediate,
+            _ if eps.tx_due(fabric) => immediate,
             Some(at) => {
                 let ps = at.as_ps().max(immediate.as_ps());
                 let grid = GRID.as_ps();
@@ -300,6 +313,13 @@ fn run_event_driven(
 /// compares its energy exactly; the fabric total is compared as bits.
 /// Taking it runs [`Fabric::is_idle`], whose debug-build checks cover the
 /// worklists, the arrival calendar and the parked heads.
+///
+/// `next_event` depends on the parking cache: a restored fabric wakes
+/// every parked head and may rightly answer earlier than the original,
+/// so comparisons across a restore drop it
+/// ([`Observed::without_next_event`]). The dense-against-event-driven
+/// comparisons keep it, and their agreement is what checks it as a
+/// bound.
 #[derive(Debug, PartialEq)]
 struct Observed {
     idle: bool,
@@ -329,6 +349,17 @@ fn observe(fabric: &Fabric, eps: &Draining, now: Time) -> Observed {
             fabric.unroutable_tokens(),
         ],
         next_event: fabric.next_event_at(now),
+    }
+}
+
+impl Observed {
+    /// The observation without `next_event`: what must agree across a
+    /// restore.
+    fn without_next_event(self) -> Observed {
+        Observed {
+            next_event: None,
+            ..self
+        }
     }
 }
 
@@ -489,14 +520,17 @@ proptest! {
         let cut = Time::ZERO + TimeDelta::from_ns(cut_ns * 2);
         run_dense(&mut original, &mut eps, &s, Time::ZERO, cut);
         let mut restored = restored(topo, &original);
-        prop_assert_eq!(observe(&original, &eps, cut), observe(&restored, &eps, cut));
+        prop_assert_eq!(
+            observe(&original, &eps, cut).without_next_event(),
+            observe(&restored, &eps, cut).without_next_event()
+        );
         let mut restored_eps = eps.clone();
         let end = Time::ZERO + HORIZON;
         run_event_driven(&mut original, &mut eps, &s, cut, end);
         run_event_driven(&mut restored, &mut restored_eps, &s, cut, end);
         prop_assert_eq!(
-            observe(&original, &eps, end),
-            observe(&restored, &restored_eps, end)
+            observe(&original, &eps, end).without_next_event(),
+            observe(&restored, &restored_eps, end).without_next_event()
         );
     }
 
@@ -536,7 +570,10 @@ proptest! {
         prop_assert!(original.parked_heads() > 0, "no head parked at the cut {}", cut);
         let mut restored = restored(topo, &original);
         prop_assert_eq!(restored.parked_heads(), 0);
-        prop_assert_eq!(observe(&original, &eps, cut), observe(&restored, &eps, cut));
+        prop_assert_eq!(
+            observe(&original, &eps, cut).without_next_event(),
+            observe(&restored, &eps, cut).without_next_event()
+        );
         let mut restored_eps = eps.clone();
         let mut at = cut;
         while at < end {
@@ -544,8 +581,8 @@ proptest! {
             run_dense(&mut original, &mut eps, &s, at, next);
             run_event_driven(&mut restored, &mut restored_eps, &s, at, next);
             prop_assert_eq!(
-                observe(&original, &eps, next),
-                observe(&restored, &restored_eps, next),
+                observe(&original, &eps, next).without_next_event(),
+                observe(&restored, &restored_eps, next).without_next_event(),
                 "at {}", next
             );
             at = next;
