@@ -348,6 +348,17 @@ impl CoreEndpoints for Endpoints {
             .unwrap_or(false)
     }
 
+    fn take_drained(&mut self, node: NodeId) -> u32 {
+        // The bridge accepts everything (host memory backs it), so a
+        // delivery to it only ever waits on another flow's packet.
+        if Some(node) == self.bridge_node {
+            return 0;
+        }
+        self.cores
+            .get_mut(node.raw() as usize)
+            .map_or(0, Core::take_drained)
+    }
+
     fn deliver(&mut self, node: NodeId, chanend: u8, token: Token) -> bool {
         if Some(node) == self.bridge_node {
             if let Some(b) = self.bridge.as_mut() {
@@ -676,9 +687,18 @@ impl Machine {
         // before any core runs or token moves — so every engine sees an
         // identical fault timeline (see DESIGN.md §3.10). One branch
         // when the plan is empty. A fault may re-clock, stall or kill any
-        // core, so every core first stands where lock-step has it.
+        // core, so every core first stands where lock-step has it: at the
+        // previous grid edge, on the clock it ran at up to there. (A jump
+        // over a parked wait reaches a fault instant from further back;
+        // its awake cores idle up to that edge as one-edge steps would.)
         if self.faults.pending(self.now) {
-            self.wake_all(prev);
+            let before = self.now - self.base_period;
+            debug_assert!(before >= prev);
+            let Endpoints { cores, awake, .. } = &mut self.eps;
+            for i in awake.iter() {
+                cores[i].run_until(before);
+            }
+            self.wake_all(before);
             self.apply_due_faults();
         }
         let now = self.now;
@@ -744,11 +764,13 @@ impl Machine {
     ///
     /// A core whose every pending chanend is parked
     /// ([`Fabric::tx_all_parked`]) is not immediate: the fabric skips it
-    /// until the earliest wake, which the fabric's answer covers, so only
-    /// its next interesting tick counts. The same holds for the bridge
-    /// when the head of its backlog is parked. That lets fast-forward
-    /// jump over a wait on a busy link; see [`Self::ff_advance`] for why
-    /// the jump keeps every result bit-identical.
+    /// until a wake — a time the fabric's answer covers, or a fabric
+    /// event or core activity the other sources here bound — so only its
+    /// next interesting tick counts. The same holds for the bridge when
+    /// the head of its backlog is parked. That lets fast-forward jump over
+    /// a wait on a busy link, another flow's route, credit or a full
+    /// chanend; see [`Self::ff_advance`] for why the jump keeps every
+    /// result bit-identical.
     fn next_activity_at(&self) -> Time {
         let immediate = self.now + self.base_period;
         let mut earliest = self.monitor.next_update();
@@ -811,14 +833,15 @@ impl Machine {
     /// step the windowed engine takes when a window cannot open.
     ///
     /// The skipped edges are charged analytically only when no head is
-    /// time-parked. A jump over a parked wait (a switch queue or chanend
-    /// waiting on a busy link, see [`Self::next_activity_at`]) passes
-    /// `skip == false` instead, so its energy arithmetic is that of one
-    /// one-edge step per skipped edge — the steps fast-forward would take
-    /// if parked heads counted as due now: awake cores tick every edge
-    /// inside `run_until(target)`, parked cores are caught up edge by
-    /// edge with `idle_until`, and the fabric has nothing to do before
-    /// the wake. Where an idle span is split into analytic chunks
+    /// parked. A jump over a parked wait (a switch queue or chanend
+    /// waiting on a busy link, a release, credit or a chanend read, see
+    /// [`Self::next_activity_at`]) passes `skip == false` instead, so
+    /// its energy arithmetic is that of one one-edge step per skipped
+    /// edge — the steps fast-forward would take if parked heads counted
+    /// as due now: awake cores tick every edge inside
+    /// `run_until(target)`, parked cores are caught up edge by edge with
+    /// `idle_until`, and the fabric has nothing to do before the target.
+    /// Where an idle span is split into analytic chunks
     /// therefore does not depend on parking, and every energy bit is
     /// what stepping through the wait edge by edge gives.
     fn ff_advance(&mut self, deadline: Time) {
@@ -1154,7 +1177,8 @@ impl Machine {
     fn apply_due_faults(&mut self) {
         // The end of a brownout is itself a due instant: restore the
         // saved clocks/models before applying anything newly scheduled.
-        if self.faults.derated && self.now >= self.faults.derate_end {
+        let mut core_fault = self.faults.derated && self.now >= self.faults.derate_end;
+        if core_fault {
             self.restore_brownout();
         }
         let mut reroute = false;
@@ -1196,6 +1220,7 @@ impl Machine {
                     self.fabric.set_link_drop_until(link, until);
                 }
                 FaultKind::CoreStall { core, until } => {
+                    core_fault = true;
                     if let Some(c) = self.eps.cores.get_mut(core.raw() as usize) {
                         c.fault_stall_until(until);
                         self.faults.counters.core_stalls += 1;
@@ -1209,6 +1234,7 @@ impl Machine {
                     }
                 }
                 FaultKind::CoreKill(core) => {
+                    core_fault = true;
                     if let Some(c) = self.eps.cores.get_mut(core.raw() as usize) {
                         if !c.is_halted() {
                             c.fault_kill();
@@ -1224,12 +1250,18 @@ impl Machine {
                     }
                 }
                 FaultKind::Brownout { milli, until } => {
+                    core_fault = true;
                     self.start_brownout(milli, until);
                 }
             }
         }
         if reroute {
             self.reroute_and_quarantine();
+        }
+        if core_fault {
+            // A killed, stalled or re-clocked core may accept input
+            // differently: deliveries parked on its chanends retry.
+            self.fabric.wake_all_parked();
         }
     }
 

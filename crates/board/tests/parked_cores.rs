@@ -11,7 +11,9 @@
 //! 1e-9), and that a repeated windowed run is bit-identical (whole
 //! snapshot image). A two-slice scenario whose sources queue behind one
 //! shared cable does the same for fast-forward jumps over heads parked
-//! on a busy link. A last test pins the ledger totals bit for bit, which
+//! on a busy link, and a one-slice scenario whose sources flood a slow
+//! sink for heads parked on a link's release, on credit and on a full
+//! chanend. A last test pins the ledger totals bit for bit, which
 //! is what catches a catch-up — or a jump — that adds the right energy
 //! in the wrong order.
 
@@ -401,7 +403,63 @@ fn congested_sources_park_heads_behind_the_shared_cable() {
     }
 }
 
-/// Ledger totals of five scenarios under lock-step and windowed at one
+/// Sources that flood one slow sink on a one-slice machine.
+const FLOODERS: [u16; 2] = [0, 5];
+/// The slow sink.
+const SLOW_SINK: u16 = 15;
+/// Words each flooder sends.
+const FLOOD_ITEMS: u32 = 16;
+
+/// Sends `FLOOD_ITEMS` one-word packets to `next` back to back.
+fn flooder(next: u16) -> Program {
+    asm(&format!(
+        "getr r0, chanend\n{}setd r0, r1\nldc r3, {FLOOD_ITEMS}\nldc r2, 1\n\
+         lp:\nout r0, r2\noutct r0, end\nadd r2, r2, 1\nsub r3, r3, 1\nbt r3, lp\nfreet",
+        dest("r1", next)
+    ))
+}
+
+/// Sums `words` one-word packets, sleeping `gap` timer ticks before
+/// each read, and prints the total.
+fn slow_sink(words: u32, gap: u32) -> Program {
+    asm(&format!(
+        "getr r0, chanend\ngetr r5, timer\nldc r3, {words}\nldc r4, 0\n\
+         lp:\nin r6, r5\nldc r7, {gap}\nadd r6, r6, r7\ntmwait r5, r6\n\
+         in r1, r0\nchkct r0, end\nadd r4, r4, r1\nsub r3, r3, 1\nbt r3, lp\n\
+         print r4\nfreet"
+    ))
+}
+
+/// Two flooders share one slow sink's chanend. The sink's input buffer
+/// fills, credit runs out back along both routes, and the packets of
+/// the two flows queue for the links and the chanend the other holds:
+/// heads wait on chanend space, credit and ownership.
+fn backpressured_machine(engine: EngineMode) -> Machine {
+    let mut machine = Machine::new(MachineConfig {
+        engine,
+        ..MachineConfig::one_slice()
+    });
+    for src in FLOODERS {
+        machine
+            .load_program(NodeId(src), &flooder(SLOW_SINK))
+            .expect("fits");
+    }
+    let words = FLOOD_ITEMS * FLOODERS.len() as u32;
+    machine
+        .load_program(NodeId(SLOW_SINK), &slow_sink(words, 200))
+        .expect("fits");
+    machine
+}
+
+#[test]
+fn backpressured_sink_agrees_under_every_engine() {
+    let oracle = assert_engines_agree(&backpressured_machine);
+    assert!(oracle.quiescent);
+    let total = FLOODERS.len() as u32 * (1..=FLOOD_ITEMS).sum::<u32>();
+    assert_eq!(oracle.outputs[SLOW_SINK as usize], format!("{total}\n"));
+}
+
+/// Ledger totals of six scenarios under lock-step and windowed at one
 /// and two threads, bit for bit. Each engine adds the same per-core
 /// charges in its own fixed order, and skipping parked cores must keep
 /// that order exactly (a catch-up performs the very additions of the
@@ -410,7 +468,7 @@ fn congested_sources_park_heads_behind_the_shared_cable() {
 #[test]
 fn ledger_totals_are_pinned_bit_for_bit() {
     type Build = Box<dyn Fn(EngineMode) -> Machine>;
-    let scenarios: [(&str, Build, [u64; 3]); 5] = [
+    let scenarios: [(&str, Build, [u64; 3]); 6] = [
         (
             "compute",
             Box::new(compute_machine),
@@ -438,6 +496,11 @@ fn ledger_totals_are_pinned_bit_for_bit() {
             "congested",
             Box::new(congested_machine),
             [0x3f183167fc9faead, 0x3f183167fc9fae07, 0x3f183167fc9fae07],
+        ),
+        (
+            "backpressured",
+            Box::new(backpressured_machine),
+            [0x3f2791467d17bed4, 0x3f2791467d17bdd0, 0x3f2791467d17bdd0],
         ),
     ];
     let engines = [

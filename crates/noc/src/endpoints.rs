@@ -38,7 +38,7 @@ pub trait CoreEndpoints {
 
     /// How many chanends [`Self::for_each_tx_pending`] would visit on
     /// `node`. The fabric compares it with its count of parked chanends
-    /// to skip a node whose every output waits on a busy link. The
+    /// to skip a node whose every output is parked. The
     /// default counts the visits; an implementation that keeps the count
     /// answers in O(1).
     fn tx_pending_count(&self, node: NodeId) -> usize {
@@ -59,6 +59,21 @@ pub trait CoreEndpoints {
     /// Delivers a token. Returns false when refused (no such chanend or
     /// no credit); the fabric will retry later.
     fn deliver(&mut self, node: NodeId, chanend: u8, token: Token) -> bool;
+
+    /// The mask of `node`'s chanends below 32 that may accept more since
+    /// the last call (input read, or the chanend newly allocated), and
+    /// clears it. A delivery the fabric found refused parks until its
+    /// chanend's bit shows up here, so a missing bit stalls it; a stale
+    /// bit only costs one no-op attempt. The fabric asks only for nodes
+    /// holding such a parked delivery, at the start of a step.
+    ///
+    /// The default reports every chanend on every call, which keeps
+    /// parked deliveries retrying every step — right for endpoints whose
+    /// acceptance can change without telling the fabric.
+    fn take_drained(&mut self, node: NodeId) -> u32 {
+        let _ = node;
+        u32::MAX
+    }
 }
 
 /// A minimal in-memory endpoint set for fabric unit tests: every node has

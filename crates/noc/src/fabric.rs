@@ -33,22 +33,44 @@
 //!   then input port); **injection** visits only the nodes the
 //!   [`CoreEndpoints`] name as having output; **loopback** delivery walks
 //!   a bitset of the nodes with non-empty loopback queues.
-//! * **Time-parked heads.** A switch receive queue or a core chanend
-//!   whose head is blocked *only* by busy links (every link it could take
-//!   is live, unowned by another flow and in credit, and transmitting
-//!   until some `busy_until > now`) leaves its worklist and waits on a
-//!   wake calendar for the earliest such `busy_until`. `busy_until` only
-//!   grows and no other state that could unblock the head changes while
-//!   every link it could take is busy, so every step it skips would have
-//!   been a no-op retry. Heads blocked by credit, ownership, a full or
-//!   owned destination chanend or a down link keep retrying every step.
-//!   Topology, routing and fault-window changes and restores wake every
-//!   parked head; waking early costs one no-op attempt. The wake
-//!   calendar's head is a fabric event like an arrival:
-//!   [`Fabric::next_event_at`] answers it rather than `now`, and
+//! * **Parked heads.** A switch receive queue or a core chanend whose
+//!   head fails to move leaves its worklist and *parks* on the one event
+//!   that can unblock it, so no step retries it to no effect:
+//!   - *time*: blocked only by busy links (every link it could take is
+//!     live, unowned by another flow and in credit, and transmitting
+//!     until some `busy_until > now`), it waits on a wake calendar for
+//!     the earliest such `busy_until`;
+//!   - *release of link L*: its one link (its flow's sticky binding, or
+//!     the router's only candidate) is owned by another flow, it waits
+//!     for the launch of the END or PAUSE that clears the ownership;
+//!   - *credit on link L*: its one link has no credit, it waits for the
+//!     pop of L's receive queue that returns one;
+//!   - *chanend C*: a delivery into a full chanend, or one another flow's
+//!     packet holds, waits for the delivery that closes that packet or
+//!     for the core to free input space
+//!     ([`CoreEndpoints::take_drained`], read at the start of a step and
+//!     only for nodes holding such a head).
+//!
+//!   Each wait is sound because nothing else can change what decides the
+//!   attempt: without a launch on a busy link its owner and credit stay
+//!   put, ownership changes only by a launch, credit only grows by a pop,
+//!   and a chanend's owner and space change only by a delivery or the
+//!   core. A woken head re-enters its worklist: a receive queue is served
+//!   in the current forward pass exactly when its forward position is
+//!   still ahead, and a chanend in the current injection pass when its
+//!   node is still ahead — where a retry would have been served — so the
+//!   service order is unchanged; a head still blocked simply parks again.
+//!   Topology, routing and fault-window changes, core faults
+//!   ([`Fabric::wake_all_parked`]) and restores wake every parked head;
+//!   waking early costs one no-op attempt. Heads with several fresh
+//!   candidates that are not all busy, chanends from 32 up and loopback
+//!   deliveries keep retrying every step. The wake calendar's head is a
+//!   fabric event like an arrival: [`Fabric::next_event_at`] answers it
+//!   rather than `now`; an event-parked head's trigger is another fabric
+//!   event or core activity, which bound the engines' horizon already.
 //!   [`Fabric::tx_all_parked`] tells the board which nodes' pending
-//!   output waits only on a wake, so the engines can jump over a parked
-//!   wait instead of visiting each of its edges.
+//!   output waits only on a parked head, so the engines can jump over a
+//!   parked wait instead of visiting each of its edges.
 //! * **Flow tables.** The sticky link bindings and the final-hop
 //!   ownerships, looked up on every launch and delivery attempt, are
 //!   keyed by small simulation integers and hashed with a multiplicative
@@ -118,6 +140,10 @@ struct Link {
     retry_streak: u32,
     retransmits: u64,
     dropped_tokens: u64,
+    /// Heads parked until another flow's ownership of this link ends.
+    release_waiters: Vec<Head>,
+    /// Heads parked until this link's receive queue returns a credit.
+    credit_waiters: Vec<Head>,
 }
 
 impl Link {
@@ -213,7 +239,7 @@ impl Hasher for FlowHasher {
 /// A flow table: a `HashMap` keyed through [`FlowHasher`].
 type FlowMap<K, V> = HashMap<K, V, BuildHasherDefault<FlowHasher>>;
 
-/// A head that can be time-parked.
+/// A head that can be parked.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Head {
     /// A switch receive queue, by forward position.
@@ -221,6 +247,21 @@ enum Head {
     /// A chanend's output queue. Only chanends below 32 park (an XS1
     /// core has 32), so a node's parked set fits one `u32` mask.
     Tx(NodeId, u8),
+}
+
+/// The event a parked head waits for (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Wait {
+    /// The earliest `busy_until` among the links the head could take,
+    /// and the link it belongs to.
+    Time(Time, LinkId),
+    /// The end of another flow's ownership of the link.
+    Release(LinkId),
+    /// A credit returned by the link's receive queue.
+    Credit(LinkId),
+    /// A closing delivery into, or input space freed in, a destination
+    /// chanend below 32.
+    Chanend(NodeId, u8),
 }
 
 enum TxResult {
@@ -316,6 +357,8 @@ impl FabricBuilder {
             retry_streak: 0,
             retransmits: 0,
             dropped_tokens: 0,
+            release_waiters: Vec::new(),
+            credit_waiters: Vec::new(),
         });
         self.descs.push(LinkDesc { id, from, to, dir });
         id
@@ -364,6 +407,10 @@ impl FabricBuilder {
             arrivals: BinaryHeap::new(),
             tx_parked: vec![0; self.nodes],
             wakes: BinaryHeap::new(),
+            event_parked: 0,
+            chanend_waiters: vec![Vec::new(); self.nodes],
+            waiting_chanends: vec![0; self.nodes],
+            delivery_nodes: IndexSet::new(self.nodes),
             router,
             loopback: (0..self.nodes).map(|_| VecDeque::new()).collect(),
             loopback_ready: IndexSet::new(self.nodes),
@@ -398,16 +445,27 @@ pub struct Fabric {
     /// The arrival calendar: one `(head arrival, link)` entry per link
     /// with tokens on the wire.
     arrivals: BinaryHeap<Reverse<(Time, LinkId)>>,
-    /// Forward positions of the receive queues whose head is time-parked
+    /// Forward positions of the receive queues whose head is parked
     /// (non-empty, not in `rx_ready`).
     rx_parked: IndexSet,
-    /// Per node, the mask of chanends whose output head is time-parked.
+    /// Per node, the mask of chanends whose output head is parked.
     tx_parked: Vec<u32>,
     /// The wake calendar: one `(wake, head, blocking link)` entry per
-    /// parked head, waking it at the earliest `busy_until` among the
-    /// links it could take. Kept apart from `arrivals`, which only
+    /// time-parked head, waking it at the earliest `busy_until` among
+    /// the links it could take. Kept apart from `arrivals`, which only
     /// land tokens; [`Fabric::next_event_at`] reads both heads.
     wakes: BinaryHeap<Reverse<(Time, Head, LinkId)>>,
+    /// Heads parked on an event rather than a time: on the links'
+    /// waiter lists and in `chanend_waiters`.
+    event_parked: usize,
+    /// Per node, the `(chanend, head)` registrations of delivery heads
+    /// parked on one of the node's chanends.
+    chanend_waiters: Vec<Vec<(u8, Head)>>,
+    /// Per node, the mask of chanends in `chanend_waiters`.
+    waiting_chanends: Vec<u32>,
+    /// Worklist: nodes whose `waiting_chanends` is non-zero — the only
+    /// nodes whose [`CoreEndpoints::take_drained`] a step reads.
+    delivery_nodes: IndexSet,
     router: TableRouter,
     /// Core-local deliveries in flight: (arrival, dest chanend, token, flow).
     loopback: Vec<VecDeque<(Time, u8, Token, u32)>>,
@@ -514,14 +572,21 @@ impl Fabric {
         }
     }
 
-    /// Debug-build invariant of time-parking: the wake calendar holds
-    /// exactly one entry per parked head, every parked receive queue is
-    /// non-empty and out of `rx_ready`, and every wake instant is at or
-    /// before its blocking link's `busy_until`, so no head wakes late.
-    /// (A parked chanend's output queue lives in the endpoints; the
-    /// injection pass checks it is non-empty.)
+    /// Debug-build invariant of parking: every parked head has exactly
+    /// one registration, on the wake calendar or on one waiter list;
+    /// every parked receive queue is non-empty and out of `rx_ready`;
+    /// and a retry now would fail for the registered reason. A time wake
+    /// is at or before its blocking link's `busy_until`, so no head wakes
+    /// late; a release waiter's link is owned and a credit waiter's link
+    /// has no credit; a parked receive queue's head would register the
+    /// same way again (so a time-parked one has no event blocking it),
+    /// and a chanend waiter's head is a delivery into that chanend. (A
+    /// parked chanend's output queue lives in the endpoints: the
+    /// injection pass checks it is non-empty, and
+    /// [`Fabric::check_chanend_waits`] that a chanend waiter's
+    /// destination still refuses it.)
     fn check_parked(&self) {
-        let mut woken: Vec<Head> = Vec::with_capacity(self.wakes.len());
+        let mut registered: Vec<Head> = Vec::with_capacity(self.parked_heads());
         for &Reverse((wake, head, lid)) in self.wakes.iter() {
             let busy_until = self.links[lid.0 as usize].busy_until;
             assert!(
@@ -529,9 +594,59 @@ impl Fabric {
                 "{head:?} wakes at {wake:?}, after link {} frees at {busy_until:?}",
                 lid.0
             );
-            woken.push(head);
+            if let Some((at, flow, dest)) = self.rx_head(head) {
+                assert!(
+                    dest.node() != at && self.event_block(at, flow, dest).is_none(),
+                    "time-parked {head:?} waits on an event"
+                );
+            }
+            registered.push(head);
         }
-        woken.sort_unstable();
+        for (i, link) in self.links.iter().enumerate() {
+            let lid = LinkId(i as u32);
+            let waits = [
+                (
+                    &link.release_waiters,
+                    Wait::Release(lid),
+                    link.owner.is_some(),
+                ),
+                (&link.credit_waiters, Wait::Credit(lid), link.credit() == 0),
+            ];
+            for (waiters, wait, blocked) in waits {
+                for &head in waiters {
+                    assert!(blocked, "{head:?} waits on {wait:?}, which is free");
+                    if let Some((at, flow, dest)) = self.rx_head(head) {
+                        assert_eq!(
+                            self.event_block(at, flow, dest),
+                            Some(wait),
+                            "{head:?} is registered on the wrong event"
+                        );
+                    }
+                    registered.push(head);
+                }
+            }
+        }
+        for (node, waiters) in self.chanend_waiters.iter().enumerate() {
+            let mut mask = 0;
+            for &(chanend, head) in waiters {
+                let (at, _, dest) = self
+                    .rx_head(head)
+                    .expect("a chanend waiter is a switch head");
+                assert!(
+                    at.raw() as usize == node && dest.node() == at && dest.index() == chanend,
+                    "{head:?} waits on chanend {chanend} of node {node}, not its destination"
+                );
+                mask |= 1 << chanend;
+                registered.push(head);
+            }
+            assert_eq!(
+                mask, self.waiting_chanends[node],
+                "chanend mask of node {node}"
+            );
+            assert_eq!(mask != 0, self.delivery_nodes.contains(node));
+        }
+        assert_eq!(self.event_parked + self.wakes.len(), registered.len());
+        registered.sort_unstable();
         let mut parked: Vec<Head> = self
             .rx_parked
             .iter()
@@ -544,7 +659,10 @@ impl Fabric {
                     .map(|ch| Head::Tx(NodeId(node as u16), ch)),
             );
         }
-        assert_eq!(woken, parked, "parked heads and wake calendar out of sync");
+        assert_eq!(
+            registered, parked,
+            "parked heads and registrations out of sync"
+        );
         for pos in self.rx_parked.iter() {
             assert!(
                 !self.rx_ready.contains(pos)
@@ -552,6 +670,39 @@ impl Fabric {
                 "parked receive queue at position {pos} is empty or ready"
             );
         }
+    }
+
+    /// Debug-build invariant of chanend waits, checked once a step has
+    /// woken the drained ones: every other waiter's delivery would still
+    /// be refused, by another flow's packet or by a full chanend.
+    fn check_chanend_waits<E: CoreEndpoints>(&self, cores: &E) {
+        for node in self.delivery_nodes.iter() {
+            for &(chanend, head) in &self.chanend_waiters[node] {
+                let (at, flow, _) = self
+                    .rx_head(head)
+                    .expect("a chanend waiter is a switch head");
+                let key = (node as u32) << 8 | chanend as u32;
+                assert!(
+                    self.dest_owner
+                        .get(&key)
+                        .is_some_and(|&owner| owner != flow)
+                        || !cores.can_accept(at, chanend, 1),
+                    "{head:?} waits on chanend {chanend} of node {node}, which accepts it"
+                );
+            }
+        }
+    }
+
+    /// A parked receive queue's switch and head token's flow and
+    /// destination; `None` for a chanend.
+    fn rx_head(&self, head: Head) -> Option<(NodeId, u32, ResourceId)> {
+        let Head::Rx(pos) = head else { return None };
+        let link = &self.links[self.fwd_links[pos as usize].0 as usize];
+        let &(_, flow, dest) = link
+            .rx
+            .front()
+            .expect("a parked receive queue holds a token");
+        Some((link.to, flow, dest))
     }
 
     /// The derived bookkeeping recomputed by a full scan of the queues.
@@ -588,17 +739,20 @@ impl Fabric {
     }
 
     /// Number of switch queues and chanends whose head is currently
-    /// time-parked behind a busy link (see the module docs). O(1).
+    /// parked, whatever it waits for: a busy link's `busy_until`, a
+    /// link's release or credit, or a destination chanend (see the
+    /// module docs). O(1).
     pub fn parked_heads(&self) -> usize {
-        self.wakes.len()
+        self.wakes.len() + self.event_parked
     }
 
     /// True when `node` has output pending on `pending > 0` chanends and
-    /// every one of them is time-parked: until the wake calendar's head
-    /// ([`Fabric::next_event_at`] covers it) the injection pass skips the
-    /// node, so its output is not a reason to step. O(1). Chanends at 32
-    /// or above never park, so a node with output pending on one always
-    /// answers false.
+    /// every one of them is parked: until a wake — the wake calendar's
+    /// head, which [`Fabric::next_event_at`] covers, or the fabric event
+    /// or core activity an event-parked head waits for — the injection
+    /// pass skips the node, so its output is not a reason to step. O(1).
+    /// Chanends at 32 or above never park, so a node with output pending
+    /// on one always answers false.
     pub fn tx_all_parked(&self, node: NodeId, pending: usize) -> bool {
         pending > 0
             && self
@@ -673,17 +827,22 @@ impl Fabric {
     /// that is not parked holds a token or a loopback token is
     /// deliverable, otherwise the earliest of the next wire arrival, the
     /// next loopback arrival and the next wake of a time-parked head, and
-    /// `None` when the network is empty and no head is parked. (A launch
-    /// into a drop window can leave the flow's next token parked with
-    /// nothing in the network.)
+    /// `None` when the network is empty and no head is time-parked. (A
+    /// launch into a drop window can leave the flow's next token parked
+    /// with nothing in the network.)
     ///
     /// This is the network half of the fast-forward contract: strictly
     /// before the returned instant, [`Fabric::step`] without new core
-    /// traffic is a no-op — a parked head would retry to no effect, which
-    /// is why it waits on its wake. The answer depends on parking: a
-    /// fabric whose heads were all woken early (after a restore, say)
-    /// answers `now` where an identical one with parked heads answers
-    /// their wake. Both are valid bounds.
+    /// activity is a no-op — a parked head would retry to no effect,
+    /// which is why it waits on its wake. Only the time calendar is read:
+    /// a head parked on a link's release or credit waits for another
+    /// fabric event, which this answer already covers, and one parked on
+    /// a destination chanend for its core to read input, which is core
+    /// activity. So the answer is `now` only for a head that may move
+    /// now (or one of the few kinds that never park). The answer
+    /// depends on parking: a fabric whose heads were all woken early
+    /// (after a restore, say) answers `now` where an identical one with
+    /// parked heads answers later. Both are valid bounds.
     ///
     /// O(1) when a switch queue is ready, otherwise O(1) for the wire and
     /// the wakes (the two calendars' heads) plus O(non-empty loopback
@@ -757,7 +916,7 @@ impl Fabric {
         link.owner = None;
         link.retry_streak = 0;
         self.sticky.retain(|_, &mut bound| bound != lid);
-        self.wake_parked();
+        self.wake_all_parked();
         true
     }
 
@@ -771,7 +930,7 @@ impl Fabric {
         link.down = false;
         link.retry_streak = 0;
         if was_down {
-            self.wake_parked();
+            self.wake_all_parked();
         }
         was_down
     }
@@ -788,7 +947,7 @@ impl Fabric {
         if let Some(link) = self.links.get_mut(lid.0 as usize) {
             if until > link.corrupt_until {
                 link.corrupt_until = until;
-                self.wake_parked();
+                self.wake_all_parked();
             }
         }
     }
@@ -800,7 +959,7 @@ impl Fabric {
         if let Some(link) = self.links.get_mut(lid.0 as usize) {
             if until > link.drop_until {
                 link.drop_until = until;
-                self.wake_parked();
+                self.wake_all_parked();
             }
         }
     }
@@ -811,7 +970,7 @@ impl Fabric {
     /// keep it, new packets follow the new tables.
     pub fn set_router(&mut self, router: TableRouter) {
         self.router = router;
-        self.wake_parked();
+        self.wake_all_parked();
     }
 
     /// True when a retry escalation is waiting to be handled.
@@ -858,6 +1017,9 @@ impl Fabric {
     /// tokens, injects core traffic and delivers to cores.
     pub fn step<E: CoreEndpoints>(&mut self, now: Time, cores: &mut E) {
         self.wake_due(now);
+        if !self.delivery_nodes.is_empty() {
+            self.wake_drained(cores);
+        }
         if self.in_network > 0 {
             self.land_arrivals(now);
             self.deliver_loopback(now, cores);
@@ -889,20 +1051,91 @@ impl Fabric {
     }
 
     /// Wakes every parked head. Called whenever something other than
-    /// time could unblock one (a link going down or up, new routes, a new
-    /// fault window, a restore); waking early only costs a no-op attempt.
-    fn wake_parked(&mut self) {
-        if self.wakes.is_empty() {
+    /// the events heads wait on could unblock one: a link going down or
+    /// up, new routes, a new fault window, a restore, and — from the
+    /// board — a core fault (kill, stall, brownout re-clock), which can
+    /// change what a destination chanend accepts. Waking early only costs
+    /// a no-op attempt.
+    pub fn wake_all_parked(&mut self) {
+        if self.parked_heads() == 0 {
             return;
         }
         for Reverse((_, head, _)) in std::mem::take(&mut self.wakes) {
             self.unpark(head);
         }
+        if self.event_parked == 0 {
+            return;
+        }
+        for lid in 0..self.links.len() {
+            let link = &mut self.links[lid];
+            if !link.release_waiters.is_empty() || !link.credit_waiters.is_empty() {
+                let mut heads = std::mem::take(&mut link.release_waiters);
+                heads.append(&mut link.credit_waiters);
+                self.wake_all_of(&heads);
+            }
+        }
+        let mut next = self.delivery_nodes.next_from(0);
+        while let Some(node) = next {
+            self.wake_chanends(node, u32::MAX);
+            next = self.delivery_nodes.next_from(node + 1);
+        }
+        debug_assert_eq!(self.event_parked, 0);
     }
 
-    /// Parks `head` until `wake`, the instant [`Fabric::time_block`]
-    /// found blocking link `lid` busy until.
-    fn park(&mut self, head: Head, (wake, lid): (Time, LinkId)) {
+    /// Unparks `heads`, which were registered on an event that happened.
+    fn wake_all_of(&mut self, heads: &[Head]) {
+        self.event_parked -= heads.len();
+        for &head in heads {
+            self.unpark(head);
+        }
+    }
+
+    /// Wakes the heads on one of `lid`'s waiter lists, which `list`
+    /// picks, keeping the list's allocation.
+    fn wake_link_waiters(&mut self, lid: LinkId, list: fn(&mut Link) -> &mut Vec<Head>) {
+        let mut heads = std::mem::take(list(&mut self.links[lid.0 as usize]));
+        self.wake_all_of(&heads);
+        heads.clear();
+        *list(&mut self.links[lid.0 as usize]) = heads;
+    }
+
+    /// Wakes the delivery heads parked on `node`'s chanends in `mask`.
+    fn wake_chanends(&mut self, node: usize, mask: u32) {
+        let mut waiters = std::mem::take(&mut self.chanend_waiters[node]);
+        waiters.retain(|&(chanend, head)| {
+            if mask >> chanend & 1 == 0 {
+                return true;
+            }
+            self.event_parked -= 1;
+            self.unpark(head);
+            false
+        });
+        self.chanend_waiters[node] = waiters;
+        self.waiting_chanends[node] &= !mask;
+        if self.waiting_chanends[node] == 0 {
+            self.delivery_nodes.remove(node);
+        }
+    }
+
+    /// Wakes the delivery heads parked on chanends whose cores freed
+    /// input space since the last step read them.
+    fn wake_drained<E: CoreEndpoints>(&mut self, cores: &mut E) {
+        let mut next = self.delivery_nodes.next_from(0);
+        while let Some(node) = next {
+            let drained = cores.take_drained(NodeId(node as u16)) & self.waiting_chanends[node];
+            if drained != 0 {
+                self.wake_chanends(node, drained);
+            }
+            next = self.delivery_nodes.next_from(node + 1);
+        }
+        if cfg!(debug_assertions) {
+            self.check_chanend_waits(cores);
+        }
+    }
+
+    /// Parks `head` on `wait`, the event [`Fabric::blocker`] (or a
+    /// refused delivery) found it blocked on.
+    fn park(&mut self, head: Head, wait: Wait) {
         match head {
             Head::Rx(pos) => {
                 self.rx_ready.remove(pos as usize);
@@ -910,41 +1143,83 @@ impl Fabric {
             }
             Head::Tx(node, chanend) => self.tx_parked[node.raw() as usize] |= 1 << chanend,
         }
-        self.wakes.push(Reverse((wake, head, lid)));
+        match wait {
+            Wait::Time(wake, lid) => {
+                self.wakes.push(Reverse((wake, head, lid)));
+                return;
+            }
+            Wait::Release(lid) => self.links[lid.0 as usize].release_waiters.push(head),
+            Wait::Credit(lid) => self.links[lid.0 as usize].credit_waiters.push(head),
+            Wait::Chanend(node, chanend) => {
+                let node = node.raw() as usize;
+                self.chanend_waiters[node].push((chanend, head));
+                self.waiting_chanends[node] |= 1 << chanend;
+                self.delivery_nodes.insert(node);
+            }
+        }
+        self.event_parked += 1;
+    }
+
+    /// The one link a token of `flow` for `dest` can take out of switch
+    /// `at`: its flow's sticky binding, else the router's only
+    /// candidate. `None` when fresh selection has several candidates (or
+    /// none).
+    fn sole_link(&self, at: NodeId, flow: u32, dest: ResourceId) -> Option<LinkId> {
+        if let Some(&bound) = self.sticky.get(&(flow, at, dest.node())) {
+            return Some(bound);
+        }
+        let candidates = self.router.candidates(at, dest.node());
+        if candidates.len() == 1 {
+            candidates.iter().next()
+        } else {
+            None
+        }
+    }
+
+    /// The fabric event a token of `flow` for `dest` at switch `at` must
+    /// wait for before any attempt can launch it: the release of its one
+    /// link by a flow that owns it (for a fresh selection, any owner
+    /// blocks), else credit on that link. `None` when neither blocks (or
+    /// the token has several candidates, or its link is down).
+    fn event_block(&self, at: NodeId, flow: u32, dest: ResourceId) -> Option<Wait> {
+        let lid = self.sole_link(at, flow, dest)?;
+        let link = &self.links[lid.0 as usize];
+        let bound = self.sticky.contains_key(&(flow, at, dest.node()));
+        match link.owner {
+            Some(owner) if owner != flow || !bound => Some(Wait::Release(lid)),
+            _ if link.down => None,
+            _ if link.credit() == 0 => Some(Wait::Credit(lid)),
+            _ => None,
+        }
     }
 
     /// Why a token of `flow` for `dest` cannot leave switch `at` now, as
-    /// seen right after a failed attempt: `Some((wake, link))` when every
+    /// seen right after a failed attempt: the event it must wait for
+    /// ([`Fabric::event_block`]), else `Wait::Time(wake, link)` when every
     /// link the next attempt could take is live, in credit and not owned
     /// by another flow, and only transmitting — `wake` is the earliest
     /// `busy_until` among them and `link` the one it belongs to. `None`
-    /// for anything else (no credit, another flow's route, a down link),
-    /// which the caller retries every step.
+    /// for anything else (a down link, or several candidates not all
+    /// busy), which the caller retries every step.
     ///
-    /// Until `wake`, no launch can start on any of those links, and
-    /// without a launch nothing that decides the attempt changes (credit
-    /// only grows, owners, sticky bindings and down flags change only by
-    /// a launch on the link or by the setters that wake every parked
-    /// head), so every attempt before `wake` would be a no-op.
-    fn time_block(
-        &self,
-        now: Time,
-        at: NodeId,
-        flow: u32,
-        dest: ResourceId,
-    ) -> Option<(Time, LinkId)> {
+    /// Until the event, or until `wake`, every attempt would be a no-op:
+    /// while a link is busy no launch can start on it, and without a
+    /// launch nothing that decides the attempt changes — ownership ends
+    /// only by the owner's launch of its END or PAUSE, credit only grows
+    /// by a pop of the receive queue, and sticky bindings and down flags
+    /// change only by a launch on the link or by the setters that wake
+    /// every parked head.
+    fn blocker(&self, now: Time, at: NodeId, flow: u32, dest: ResourceId) -> Option<Wait> {
+        if let Some(wait) = self.event_block(at, flow, dest) {
+            return Some(wait);
+        }
         let only_busy = |lid: LinkId| {
             let link = &self.links[lid.0 as usize];
             (!link.down && link.credit() >= 1 && link.busy_until > now)
                 .then_some((link.busy_until, lid))
         };
         if let Some(&bound) = self.sticky.get(&(flow, at, dest.node())) {
-            let owner = self.links[bound.0 as usize].owner;
-            return if owner.is_none() || owner == Some(flow) {
-                only_busy(bound)
-            } else {
-                None
-            };
+            return only_busy(bound).map(|(wake, lid)| Wait::Time(wake, lid));
         }
         let mut earliest: Option<(Time, LinkId)> = None;
         for lid in self.router.candidates(at, dest.node()).iter() {
@@ -954,7 +1229,7 @@ impl Fabric {
             let block = only_busy(lid)?;
             earliest = Some(earliest.map_or(block, |e| e.min(block)));
         }
-        earliest
+        earliest.map(|(wake, lid)| Wait::Time(wake, lid))
     }
 
     /// Lands every token due by `now`, popping only the calendar entries
@@ -992,20 +1267,10 @@ impl Fabric {
         while let Some(node) = next {
             while let Some(&(arrival, chanend, token, flow)) = self.loopback[node].front() {
                 if arrival <= now
-                    && Self::try_deliver(
-                        &mut self.dest_owner,
-                        cores,
-                        NodeId(node as u16),
-                        chanend,
-                        token,
-                        flow,
-                    )
+                    && self.try_deliver(cores, NodeId(node as u16), chanend, token, flow)
                 {
                     self.loopback[node].pop_front();
                     self.in_network -= 1;
-                    if matches!(token, Token::Data(_)) {
-                        self.delivered_data += 1;
-                    }
                 } else {
                     break;
                 }
@@ -1021,9 +1286,10 @@ impl Fabric {
     /// per-chanend packet ownership: once a flow's token lands, the
     /// chanend belongs to that flow until its END/PAUSE arrives (the
     /// final-hop half of wormhole routing — packets never interleave at
-    /// the receiver).
+    /// the receiver). A closing delivery wakes the heads parked on the
+    /// chanend.
     fn try_deliver<E: CoreEndpoints>(
-        dest_owner: &mut FlowMap<u32, u32>,
+        &mut self,
         cores: &mut E,
         node: NodeId,
         chanend: u8,
@@ -1031,7 +1297,7 @@ impl Fabric {
         flow: u32,
     ) -> bool {
         let key = (node.raw() as u32) << 8 | chanend as u32;
-        if let Some(&owner) = dest_owner.get(&key) {
+        if let Some(&owner) = self.dest_owner.get(&key) {
             if owner != flow {
                 return false; // another packet holds the chanend
             }
@@ -1039,18 +1305,38 @@ impl Fabric {
         if !cores.can_accept(node, chanend, 1) || !cores.deliver(node, chanend, token) {
             return false;
         }
+        if matches!(token, Token::Data(_)) {
+            self.delivered_data += 1;
+        }
         if token.closes_route() {
-            dest_owner.remove(&key);
+            self.dest_owner.remove(&key);
+            let node = node.raw() as usize;
+            if chanend < 32 && self.waiting_chanends[node] >> chanend & 1 == 1 {
+                self.wake_chanends(node, 1 << chanend);
+            }
         } else {
-            dest_owner.insert(key, flow);
+            self.dest_owner.insert(key, flow);
         }
         true
+    }
+
+    /// Pops the head of `lid`'s receive queue, which returns a credit to
+    /// the link's sender, and wakes the heads waiting for it.
+    fn pop_rx(&mut self, lid: LinkId) {
+        let link = &mut self.links[lid.0 as usize];
+        link.rx.pop_front();
+        self.in_network -= 1;
+        if !link.credit_waiters.is_empty() {
+            self.wake_link_waiters(lid, |link| &mut link.credit_waiters);
+        }
     }
 
     /// Serves the switches' receive queues in forward order. Only pops
     /// happen here (landing ran before), so walking the worklist while
     /// removing drained positions visits exactly the non-empty queues of
-    /// a full node-by-node, port-by-port scan.
+    /// a full node-by-node, port-by-port scan. A queue a pop or launch
+    /// wakes re-enters the worklist, so this pass serves it exactly when
+    /// its position is still ahead — as it would have served a retry.
     fn forward_rx<E: CoreEndpoints>(&mut self, now: Time, cores: &mut E) {
         let mut next = self.rx_ready.next_from(0);
         while let Some(pos) = next {
@@ -1058,37 +1344,26 @@ impl Fabric {
             let node = self.links[lid.0 as usize].to;
             while let Some(&(token, flow, dest)) = self.links[lid.0 as usize].rx.front() {
                 if dest.node() == node {
-                    if Self::try_deliver(
-                        &mut self.dest_owner,
-                        cores,
-                        dest.node(),
-                        dest.index(),
-                        token,
-                        flow,
-                    ) {
-                        self.links[lid.0 as usize].rx.pop_front();
-                        self.in_network -= 1;
-                        if matches!(token, Token::Data(_)) {
-                            self.delivered_data += 1;
-                        }
+                    if self.try_deliver(cores, node, dest.index(), token, flow) {
+                        self.pop_rx(lid);
                     } else {
-                        break; // head-of-line blocked on the core
+                        // Head-of-line blocked on the core.
+                        if dest.index() < 32 {
+                            self.park(Head::Rx(pos as u32), Wait::Chanend(node, dest.index()));
+                        }
+                        break;
                     }
                 } else {
                     match self.try_transmit(now, node, token, flow, dest) {
-                        TxResult::Started | TxResult::Dropped => {
-                            self.links[lid.0 as usize].rx.pop_front();
-                            self.in_network -= 1;
-                        }
+                        TxResult::Started | TxResult::Dropped => self.pop_rx(lid),
                         TxResult::Busy => {
-                            if let Some(block) = self.time_block(now, node, flow, dest) {
-                                self.park(Head::Rx(pos as u32), block);
+                            if let Some(wait) = self.blocker(now, node, flow, dest) {
+                                self.park(Head::Rx(pos as u32), wait);
                             }
                             break;
                         }
                         TxResult::Unroutable => {
-                            self.links[lid.0 as usize].rx.pop_front();
-                            self.in_network -= 1;
+                            self.pop_rx(lid);
                             self.unroutable += 1;
                         }
                     }
@@ -1117,7 +1392,7 @@ impl Fabric {
                     "node {node} has a parked chanend with nothing to send"
                 );
                 if parked.count_ones() as usize == cores.tx_pending_count(node_id) {
-                    continue; // every pending chanend waits on a busy link
+                    continue; // every pending chanend is parked
                 }
             }
             pending.clear();
@@ -1149,9 +1424,9 @@ impl Fabric {
                                 cores.tx_pop(node_id, chanend);
                             }
                             TxResult::Busy => {
-                                let block = self.time_block(now, node_id, flow, dest);
-                                if let Some(block) = block.filter(|_| chanend < 32) {
-                                    self.park(Head::Tx(node_id, chanend), block);
+                                let wait = self.blocker(now, node_id, flow, dest);
+                                if let Some(wait) = wait.filter(|_| chanend < 32) {
+                                    self.park(Head::Tx(node_id, chanend), wait);
                                 }
                                 break;
                             }
@@ -1380,6 +1655,9 @@ impl Fabric {
         }
         if token.closes_route() {
             link.owner = None;
+            if !link.release_waiters.is_empty() {
+                self.wake_link_waiters(lid, |link| &mut link.release_waiters);
+            }
         }
         if self.tracer.is_enabled() {
             let link = &self.links[lid.0 as usize];
@@ -1408,7 +1686,8 @@ impl Fabric {
     /// escalations (snapshots are taken at step boundaries, where the
     /// escalation queue is empty), and neither are the worklists, the
     /// arrival calendar or fault totals, which restore recomputes from
-    /// the queues, nor the time-parked heads, which restore wakes.
+    /// the queues, nor the parked heads and their waiter lists, which
+    /// restore wakes.
     pub fn encode_state(&self, w: &mut ByteWriter) {
         debug_assert!(
             self.escalated.is_empty(),
@@ -1582,7 +1861,7 @@ impl Fabric {
         self.retransmits = derived.retransmits;
         self.dropped_tokens = derived.dropped_tokens;
         // Every restored non-empty queue starts ready: parked heads wake.
-        self.wake_parked();
+        self.wake_all_parked();
         self.rx_ready.clear();
         for pos in derived.rx_queued {
             self.rx_ready.insert(pos);

@@ -22,10 +22,10 @@
 //!   processor cores (implemented by `swallow-board` for real cores and
 //!   by in-crate test doubles here).
 //!
-//! Worklists (`swallow_sim::IndexSet`), an arrival calendar and
-//! time-parked heads keep the per-step cost proportional to the work due
-//! now: the fabric visits only the links, loopback queues and nodes that
-//! have something to do at this instant.
+//! Worklists (`swallow_sim::IndexSet`), an arrival calendar and heads
+//! parked on the event that frees them keep the per-step cost
+//! proportional to the work due now: the fabric visits only the links,
+//! loopback queues and nodes that have something to do at this instant.
 
 pub mod endpoints;
 pub mod fabric;

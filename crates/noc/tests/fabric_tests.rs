@@ -735,12 +735,303 @@ fn tx_all_parked_needs_every_pending_chanend_parked() {
     let fabric = run(&[HIGH]);
     assert_eq!(fabric.parked_heads(), 0);
     assert!(!fabric.tx_all_parked(NodeId(0), 1));
-    // A second flow for a link the first owns is not time-parked either:
-    // only one link pair, and chanend 1 finds it owned.
+    // A second flow for a link the first owns parks too, on the link's
+    // release rather than a time: only one link pair, and chanend 1
+    // finds it owned.
     let (mut fabric, mut eps) = two_nodes(1);
     eps.queue_word(NodeId(0), 0, chan(1, 0), 0x2222_2222);
     eps.queue_word(NodeId(0), 1, chan(1, 1), 0x3333_3333);
     fabric.step(at, &mut eps);
-    assert_eq!(fabric.parked_heads(), 1, "only chanend 0 parks");
-    assert!(!fabric.tx_all_parked(NodeId(0), 2));
+    assert_eq!(
+        fabric.parked_heads(),
+        2,
+        "chanend 0 on time, 1 on the release"
+    );
+    assert!(fabric.tx_all_parked(NodeId(0), 2));
+}
+
+// --- event-parked heads -----------------------------------------------------
+//
+// A head blocked by another flow's ownership, by missing credit or by a
+// refusing destination chanend parks on the event that frees it. While
+// it waits, nothing about it is due: `next_event_at` must not answer
+// `now`. When the event comes, the head must move exactly where a retry
+// on every edge would have moved it.
+
+/// Steps `fabric` on the 2 ns grid up to `until`, calling `script`
+/// before every step, and returns the instants after whose step the
+/// fabric answered `next_event_at == now`, plus the trace.
+fn step_recording_due(
+    fabric: &mut Fabric,
+    eps: &mut impl CoreEndpoints,
+    until: Time,
+    mut script: impl FnMut(Time, &mut Fabric),
+) -> (Vec<Time>, Vec<TraceRecord>) {
+    fabric.set_tracer(Tracer::ring_with_capacity(4096));
+    let mut due = Vec::new();
+    let mut now = Time::ZERO;
+    while now < until {
+        now += TimeDelta::from_ns(2);
+        script(now, fabric);
+        fabric.step(now, eps);
+        if fabric.next_event_at(now) == Some(now) {
+            due.push(now);
+        }
+    }
+    let trace = fabric
+        .tracer()
+        .ring()
+        .expect("tracing")
+        .iter()
+        .copied()
+        .collect();
+    (due, trace)
+}
+
+#[test]
+fn head_blocked_by_another_flows_route_parks_until_its_end_launches() {
+    // Nodes 0 and 1 both send to node 3 through node 2, whose one link
+    // to node 3 (link 2) is the bottleneck. Both packets land at node 2
+    // in the same step; node 2 serves link 0 (from node 0) first, so
+    // flow A's eight-word packet takes link 2, and flow B's head finds
+    // it owned. B parks on the route's release: no edge is due for it
+    // until A's END launches, and B's route header follows on the first
+    // edge the END leaves link 2 free.
+    let setup = || {
+        let on_chip = LinkParams::from_class(WireClass::OnChip);
+        let mut b = FabricBuilder::new(4);
+        b.link_one_way(NodeId(0), NodeId(2), Direction::East, on_chip);
+        b.link_one_way(NodeId(1), NodeId(2), Direction::East, on_chip);
+        b.link_one_way(NodeId(2), NodeId(3), Direction::East, on_chip);
+        let router = TableRouter::shortest_paths(4, b.link_descs());
+        let mut eps = TestEndpoints::new(4);
+        for w in 0..8 {
+            eps.queue_word(NodeId(0), 0, chan(3, 0), 0xA0A0_0000 | w);
+        }
+        eps.queue_token(NodeId(0), 0, chan(3, 0), Token::Ctrl(ControlToken::END));
+        eps.queue_word(NodeId(1), 0, chan(3, 1), 0xB0B0_B0B0);
+        eps.queue_token(NodeId(1), 0, chan(3, 1), Token::Ctrl(ControlToken::END));
+        (b.build(router), eps)
+    };
+    let until = Time::ZERO + TimeDelta::from_us(3);
+    let grid = TimeDelta::from_ns(2);
+    let (_, parked, _) = dense_and_event_driven(setup, grid, until, |_, _, _| {});
+    assert!(parked > 0);
+    let (mut fabric, mut eps) = setup();
+    let (due, trace) = step_recording_due(&mut fabric, &mut eps, until, |_, _| {});
+    assert_eq!(
+        eps.received_words(NodeId(3), 0),
+        (0..8).map(|w| 0xA0A0_0000 | w).collect::<Vec<_>>()
+    );
+    assert_eq!(eps.received_words(NodeId(3), 1), [0xB0B0_B0B0]);
+    let token_time = TimeDelta::from_ns(32);
+    let bottleneck = transits(&trace, 2);
+    assert_eq!(
+        bottleneck.len(),
+        33 + 5,
+        "A: 32 data and END; B: 4 data and END"
+    );
+    let a_end = bottleneck[32];
+    // B's first token lands at node 2 one token time after its transit
+    // on link 1 starts; from then until A's END launches, B is parked on
+    // the release and nothing else waits on a retry.
+    let b_landed = transits(&trace, 1)[0] + token_time;
+    assert!(b_landed < a_end);
+    assert!(
+        due.iter().all(|&t| t < b_landed || t >= a_end),
+        "the fabric answered `now` while B waited on the release: {due:?}"
+    );
+    assert_eq!(bottleneck[33], a_end + token_time + token_time * 3);
+}
+
+/// A three-node line `0 → s → d` whose destination `d` refuses every
+/// delivery until `open`: the receive queue at `d` fills, its credit
+/// runs out, and the queue at `s` waits for credit on `s → d` (link 1).
+/// Returns the dense run's first transit on link 1 at or after `open`
+/// and the instants the fabric answered `now` while blocked.
+fn credit_wake(s: u16, d: u16, open: Time) -> (Time, Vec<Time>) {
+    let setup = || {
+        let on_chip = LinkParams::from_class(WireClass::OnChip);
+        let mut b = FabricBuilder::new(3);
+        b.link_one_way(NodeId(0), NodeId(s), Direction::East, on_chip);
+        b.link_one_way(NodeId(s), NodeId(d), Direction::East, on_chip);
+        let router = TableRouter::shortest_paths(3, b.link_descs());
+        let mut eps = TestEndpoints::new(3);
+        eps.in_capacity = 0;
+        for w in 0..8 {
+            eps.queue_word(NodeId(0), 0, chan(d, 0), w);
+        }
+        eps.queue_token(NodeId(0), 0, chan(d, 0), Token::Ctrl(ControlToken::END));
+        (b.build(router), eps)
+    };
+    let until = open + TimeDelta::from_us(2);
+    let grid = TimeDelta::from_ns(2);
+    let open_at = |now: Time, eps: &mut TestEndpoints| {
+        if now == open {
+            eps.in_capacity = 8;
+        }
+    };
+    dense_and_event_driven(setup, grid, until, |now, _, eps| open_at(now, eps));
+    let (mut fabric, mut eps) = setup();
+    let mut blocked = Vec::new();
+    let mut now = Time::ZERO;
+    fabric.set_tracer(Tracer::ring_with_capacity(4096));
+    while now < until {
+        now += grid;
+        open_at(now, &mut eps);
+        fabric.step(now, &mut eps);
+        if now >= open - TimeDelta::from_ns(500) && now < open {
+            assert!(
+                fabric.parked_heads() >= 2,
+                "s's queue and d's delivery wait"
+            );
+            if fabric.next_event_at(now) == Some(now) {
+                blocked.push(now);
+            }
+        }
+    }
+    assert_eq!(eps.received_words(NodeId(d), 0), (0..8).collect::<Vec<_>>());
+    let trace: Vec<TraceRecord> = fabric
+        .tracer()
+        .ring()
+        .expect("tracing")
+        .iter()
+        .copied()
+        .collect();
+    let first = transits(&trace, 1)
+        .into_iter()
+        .find(|&t| t >= open)
+        .expect("s resumed");
+    (first, blocked)
+}
+
+#[test]
+fn credit_wake_is_served_in_the_same_pass_only_from_ahead() {
+    // When `d` opens, its queue delivers and every pop returns a credit
+    // on link 1, waking `s`'s queue. Switches serve their input queues
+    // node-major, as `switch_serves_input_ports_in_link_id_order` pins:
+    // with `s` after `d` the woken queue is still ahead in the pass and
+    // launches on the opening edge, with `s` before `d` it was passed
+    // already and launches on the next edge — as a queue retrying every
+    // edge would.
+    let open = Time::ZERO + TimeDelta::from_us(2);
+    let (ahead, blocked) = credit_wake(2, 1, open);
+    assert_eq!(ahead, open);
+    assert!(
+        blocked.is_empty(),
+        "due while parked on credit: {blocked:?}"
+    );
+    let (behind, blocked) = credit_wake(1, 2, open);
+    assert_eq!(behind, open + TimeDelta::from_ns(2));
+    assert!(
+        blocked.is_empty(),
+        "due while parked on credit: {blocked:?}"
+    );
+}
+
+/// [`TestEndpoints`] whose chanends hold at most `capacity` unread
+/// tokens; [`Bounded::read`] stands in for the core reading its input
+/// and reports the freed chanend through `take_drained`.
+struct Bounded {
+    eps: TestEndpoints,
+    capacity: usize,
+    /// Per node, per chanend: delivered tokens not yet read.
+    unread: Vec<Vec<usize>>,
+    drained: Vec<u32>,
+}
+
+impl Bounded {
+    fn new(nodes: usize, capacity: usize) -> Self {
+        Bounded {
+            eps: TestEndpoints::new(nodes),
+            capacity,
+            unread: vec![vec![0; swallow_noc::endpoints::TEST_CHANENDS]; nodes],
+            drained: vec![0; nodes],
+        }
+    }
+
+    fn read(&mut self, node: u16, chanend: u8) {
+        let unread = &mut self.unread[node as usize][chanend as usize];
+        assert!(*unread > 0, "nothing to read");
+        *unread -= 1;
+        self.drained[node as usize] |= 1 << chanend;
+    }
+}
+
+impl CoreEndpoints for Bounded {
+    fn has_tx_pending(&self, node: NodeId) -> bool {
+        self.eps.has_tx_pending(node)
+    }
+
+    fn for_each_tx_pending(&self, node: NodeId, visit: &mut dyn FnMut(u8)) {
+        self.eps.for_each_tx_pending(node, visit)
+    }
+
+    fn tx_front(&self, node: NodeId, chanend: u8) -> Option<(ResourceId, Token)> {
+        self.eps.tx_front(node, chanend)
+    }
+
+    fn tx_pop(&mut self, node: NodeId, chanend: u8) -> Option<(ResourceId, Token)> {
+        self.eps.tx_pop(node, chanend)
+    }
+
+    fn can_accept(&self, node: NodeId, chanend: u8, n: usize) -> bool {
+        self.eps.can_accept(node, chanend, n)
+            && self.unread[node.raw() as usize][chanend as usize] + n <= self.capacity
+    }
+
+    fn deliver(&mut self, node: NodeId, chanend: u8, token: Token) -> bool {
+        if !self.can_accept(node, chanend, 1) || !self.eps.deliver(node, chanend, token) {
+            return false;
+        }
+        self.unread[node.raw() as usize][chanend as usize] += 1;
+        true
+    }
+
+    fn take_drained(&mut self, node: NodeId) -> u32 {
+        std::mem::take(&mut self.drained[node.raw() as usize])
+    }
+}
+
+#[test]
+fn delivery_into_a_full_chanend_parks_until_the_core_reads() {
+    // Two words and END for a chanend that holds two unread tokens. Once
+    // it is full the delivery head parks, the rest of the packet lands
+    // behind it, and the fabric has nothing due at all. Each read at
+    // 1 µs, 2 µs, ... frees one token of space, and the step at that
+    // instant delivers exactly one token — whether the fabric was
+    // stepped on every edge in between or only at the reads.
+    let run = |dense: bool| {
+        let (mut fabric, _) = two_nodes(1);
+        let mut eps = Bounded::new(2, 2);
+        for w in 0..2 {
+            eps.eps
+                .queue_word(NodeId(0), 0, chan(1, 0), 0x0101_0101 * (w + 1));
+        }
+        eps.eps
+            .queue_token(NodeId(0), 0, chan(1, 0), Token::Ctrl(ControlToken::END));
+        let mut counts = Vec::new();
+        let mut now = Time::ZERO;
+        for read in 1..=7u64 {
+            let at = Time::ZERO + TimeDelta::from_us(read);
+            while now + TimeDelta::from_ns(2) < at {
+                now += TimeDelta::from_ns(2);
+                let tx = eps.eps.out.iter().flatten().any(|q| !q.is_empty());
+                if dense || tx || fabric.next_event_at(now).is_some_and(|t| t <= now) {
+                    fabric.step(now, &mut eps);
+                }
+            }
+            assert!(fabric.parked_heads() > 0, "the delivery waits");
+            assert_eq!(fabric.next_event_at(now), None, "nothing is due");
+            now = at;
+            eps.read(1, 0);
+            fabric.step(now, &mut eps);
+            counts.push(eps.eps.received(NodeId(1), 0).len());
+        }
+        assert!(fabric.is_idle());
+        counts
+    };
+    let dense = run(true);
+    assert_eq!(dense, [3, 4, 5, 6, 7, 8, 9]);
+    assert_eq!(run(false), dense);
 }

@@ -4,7 +4,7 @@
 //! [`Fabric::next_event_at`], a step without new core traffic is a
 //! no-op. So stepping only at that instant (aligned up to the 2 ns grid)
 //! and at the grid instants where a node has output that is not
-//! time-parked ([`Fabric::tx_all_parked`], the rule the board's
+//! parked ([`Fabric::tx_all_parked`], the rule the board's
 //! fast-forward applies) must leave the fabric exactly where stepping
 //! every 2 ns leaves it — same deliveries, same per-link statistics,
 //! same energy bits. Random multi-flow traffic on rings and meshes, with
@@ -14,9 +14,12 @@
 //! worklist rebuild.
 //!
 //! Blocked and parked queues: bounded inboxes drained at seeded instants
-//! stall deliveries on full destination chanends, aggregated link pairs
-//! give fresh packets several candidate links to park on, and a restore
-//! cut taken while heads are time-parked must continue identically.
+//! stall deliveries on full destination chanends (a drain is core
+//! activity the event-driven runner steps on), aggregated link pairs
+//! give fresh packets several candidate links to park on, hot-spot
+//! traffic makes long packets wait on each other's routes and on
+//! credit, and restore cuts taken while heads are parked — on anything,
+//! and on events only — must continue identically.
 
 use swallow_energy::WireClass;
 use swallow_isa::{ControlToken, NodeId, ResType, ResourceId, Token};
@@ -128,6 +131,11 @@ fn chan(node: u16, idx: u8) -> ResourceId {
 /// leave every inbox. Without one it behaves exactly like the
 /// `TestEndpoints` it wraps. The inner inboxes keep every token ever
 /// delivered, so observations still see the full delivery history.
+///
+/// A drain is what a core reading its input is on the board: it reports
+/// the chanends it freed through `take_drained`, which wakes deliveries
+/// parked on them, and it is activity the event-driven runner steps on
+/// ([`Draining::next_drain`]).
 #[derive(Clone, Debug)]
 struct Draining {
     eps: TestEndpoints,
@@ -136,6 +144,9 @@ struct Draining {
     phase: u64,
     /// Per node, per chanend: delivered tokens not yet drained.
     buffered: Vec<Vec<usize>>,
+    /// Per node: the chanends a drain freed space in since the fabric
+    /// last asked.
+    drained: Vec<u32>,
     /// Drains are applied up to and including this instant.
     drained_to: Time,
 }
@@ -151,6 +162,7 @@ impl Draining {
             every: 1,
             phase: 0,
             buffered: vec![vec![0; swallow_noc::endpoints::TEST_CHANENDS]; nodes],
+            drained: vec![0; nodes],
             drained_to: Time::ZERO,
         }
     }
@@ -164,17 +176,23 @@ impl Draining {
         }
     }
 
-    /// Applies every drain instant in `(drained_to, until]`. Lazily
-    /// applied drains are what an event-driven engine sees: a token
-    /// blocked on a full chanend keeps the fabric answering `now`, so no
-    /// step that a drain could affect is ever skipped.
+    /// Applies every drain instant in `(drained_to, until]`, noting the
+    /// chanends each one frees space in. Drains are applied lazily,
+    /// before the next step; the event-driven runner steps on every
+    /// drain instant that can free space, so none lands between steps
+    /// unseen.
     fn drain_to(&mut self, until: Time) {
         let grid = GRID.as_ps();
         let mut edge = self.drained_to.as_ps() / grid + 1;
         while edge * grid <= until.as_ps() {
             if edge % self.every == self.phase {
-                for count in self.buffered.iter_mut().flatten() {
-                    *count = count.saturating_sub(DRAIN_BATCH);
+                for (node, counts) in self.buffered.iter_mut().enumerate() {
+                    for (chanend, count) in counts.iter_mut().enumerate() {
+                        if *count > 0 {
+                            *count = count.saturating_sub(DRAIN_BATCH);
+                            self.drained[node] |= 1 << chanend;
+                        }
+                    }
                 }
             }
             edge += 1;
@@ -182,12 +200,27 @@ impl Draining {
         self.drained_to = self.drained_to.max(until);
     }
 
+    /// The first drain instant after `now` that can free space: `None`
+    /// with unbounded inboxes or none holding tokens.
+    fn next_drain(&self, now: Time) -> Option<Time> {
+        self.capacity?;
+        if self.buffered.iter().flatten().all(|&count| count == 0) {
+            return None;
+        }
+        let grid = GRID.as_ps();
+        let mut edge = now.as_ps() / grid + 1;
+        while edge % self.every != self.phase {
+            edge += 1;
+        }
+        Some(Time::from_ps(edge * grid))
+    }
+
     fn tx_pending(&self) -> bool {
         self.eps.out.iter().flatten().any(|q| !q.is_empty())
     }
 
     /// True when some node has output the fabric would try to inject on
-    /// the next step: pending on a chanend that is not time-parked.
+    /// the next step: pending on a chanend that is not parked.
     fn tx_due(&self, fabric: &Fabric) -> bool {
         (0..self.eps.out.len()).any(|n| {
             let node = NodeId(n as u16);
@@ -228,6 +261,10 @@ impl CoreEndpoints for Draining {
         self.buffered[node.raw() as usize][chanend as usize] += 1;
         true
     }
+
+    fn take_drained(&mut self, node: NodeId) -> u32 {
+        std::mem::take(&mut self.drained[node.raw() as usize])
+    }
 }
 
 /// Queues every flow starting at `now`.
@@ -267,9 +304,10 @@ fn run_dense(
 }
 
 /// Steps only the grid instants where something is due in `(from,
-/// until]`: the fabric's next event (which covers the wakes of parked
-/// heads), endpoint output that is not parked, or a flow start. Inbox
-/// drains are applied lazily, before the next step.
+/// until]`: the fabric's next event (which covers the wakes of
+/// time-parked heads), endpoint output that is not parked, a flow start
+/// or an inbox drain that can free space (which wakes deliveries parked
+/// on a full chanend). Drains are applied lazily, before the next step.
 fn run_event_driven(
     fabric: &mut Fabric,
     eps: &mut Draining,
@@ -295,8 +333,8 @@ fn run_event_driven(
             }
             None => until + GRID,
         };
-        if let Some(start) = next_start {
-            next = next.min(start);
+        for at in next_start.into_iter().chain(eps.next_drain(now)) {
+            next = next.min(at);
         }
         if next > until {
             eps.drain_to(until);
@@ -420,6 +458,34 @@ fn windows() -> impl Strategy<Value = (u32, u64, u32, u64)> {
     (0u32..256, 0u64..400, 0u32..256, 0u64..400)
 }
 
+/// Hot-spot flows: `((src, sink, chanend), (words, packet, start / 2 ns))`
+/// with `sink` picking one of two sink nodes, packets of up to eight
+/// words and starts within 100 ns, so several long packets contend for
+/// the links into the sinks at once.
+fn hot_flows() -> impl Strategy<Value = Vec<RawFlow>> {
+    collection::vec(
+        ((0u16..64, 0u16..2, 0u8..3), (2u32..13, 2u32..9, 0u64..50)),
+        3..9,
+    )
+}
+
+/// A random scenario whose flows all end at `sinks.0` or `sinks.1`.
+fn hot_scenario(
+    topo: Topo,
+    raw: &[RawFlow],
+    sinks: (u16, u16),
+    win: (u32, u64, u32, u64),
+) -> Scenario {
+    let aimed: Vec<RawFlow> = raw
+        .iter()
+        .map(|&((src, pick, chanend), rest)| {
+            let sink = if pick == 0 { sinks.0 } else { sinks.1 };
+            ((src, sink, chanend), rest)
+        })
+        .collect();
+    random_scenario(topo, &aimed, win)
+}
+
 /// `(capacity, every, phase)` of a [`Draining`] inbox.
 type Inbox = (usize, u64, u64);
 
@@ -427,6 +493,21 @@ type Inbox = (usize, u64, u64);
 /// within 450 / DRAIN_BATCH · 63 · 2 ns ≈ 28 µs, inside [`HORIZON`].
 fn inboxes() -> impl Strategy<Value = Inbox> {
     (1usize..9, 1u64..64, 0u64..64)
+}
+
+/// Small, slow sink inboxes: at most 8 flows of 12 words (≈400 tokens)
+/// into one chanend drain within 400 / DRAIN_BATCH · 15 · 2 ns = 6 µs
+/// of back-pressure, inside [`HORIZON`].
+fn hot_inboxes() -> impl Strategy<Value = Inbox> {
+    (1usize..4, 2u64..16, 0u64..16)
+}
+
+/// Tiny sink inboxes drained every 32 to 63 edges: between drains the
+/// jam settles, with every head waiting on an event. At most 8 flows
+/// of 12 words into one chanend drain within 400 / DRAIN_BATCH · 63 ·
+/// 2 ns ≈ 25 µs, inside [`HORIZON`].
+fn jammed_inboxes() -> impl Strategy<Value = Inbox> {
+    (1usize..3, 32u64..64, 0u64..64)
 }
 
 const HORIZON: TimeDelta = TimeDelta::from_us(40);
@@ -534,7 +615,7 @@ proptest! {
         );
     }
 
-    /// A restore cut taken while heads are time-parked: the restored
+    /// A restore cut taken while heads are parked: the restored
     /// fabric wakes them all, and waking early only costs no-op
     /// attempts, so it continues exactly like the original. The cut is
     /// the `nth` grid instant (cyclically) at which a dense run has
@@ -568,6 +649,99 @@ proptest! {
         let (mut original, mut eps) = armed(topo, &s, Some(inbox));
         run_dense(&mut original, &mut eps, &s, Time::ZERO, cut);
         prop_assert!(original.parked_heads() > 0, "no head parked at the cut {}", cut);
+        let mut restored = restored(topo, &original);
+        prop_assert_eq!(restored.parked_heads(), 0);
+        prop_assert_eq!(
+            observe(&original, &eps, cut).without_next_event(),
+            observe(&restored, &eps, cut).without_next_event()
+        );
+        let mut restored_eps = eps.clone();
+        let mut at = cut;
+        while at < end {
+            let next = at + CHECKPOINT;
+            run_dense(&mut original, &mut eps, &s, at, next);
+            run_event_driven(&mut restored, &mut restored_eps, &s, at, next);
+            prop_assert_eq!(
+                observe(&original, &eps, next).without_next_event(),
+                observe(&restored, &restored_eps, next).without_next_event(),
+                "at {}", next
+            );
+            at = next;
+        }
+    }
+
+    /// Hot spots: long packets from several flows converge on one or two
+    /// sinks over single links, and the sinks' small, slow inboxes push
+    /// credit back-pressure upstream. Heads park on another flow's
+    /// route, on credit and on full chanends, and must wake exactly where
+    /// dense stepping moves them: everything observable agrees at every
+    /// checkpoint, `next_event` included.
+    #[test]
+    fn event_stepping_matches_dense_with_contended_sinks(
+        mesh in any::<bool>(),
+        w in 3usize..6,
+        h in 2usize..4,
+        raw in hot_flows(),
+        sinks in (0u16..64, 0u16..64),
+        win in windows(),
+        inbox in hot_inboxes(),
+    ) {
+        let topo = (mesh, w, h, 1);
+        let s = hot_scenario(topo, &raw, sinks, win);
+        let (mut dense, mut dense_eps) = armed(topo, &s, Some(inbox));
+        let (mut event, mut event_eps) = armed(topo, &s, Some(inbox));
+        let end = Time::ZERO + HORIZON;
+        let mut at = Time::ZERO;
+        while at < end {
+            let next = at + CHECKPOINT;
+            run_dense(&mut dense, &mut dense_eps, &s, at, next);
+            run_event_driven(&mut event, &mut event_eps, &s, at, next);
+            prop_assert_eq!(
+                observe(&dense, &dense_eps, next),
+                observe(&event, &event_eps, next),
+                "at {}", next
+            );
+            at = next;
+        }
+        prop_assert!(dense.is_idle() && !dense_eps.tx_pending(), "traffic did not drain");
+    }
+
+    /// A restore cut taken while heads are event-parked: the cut is the
+    /// `nth` grid instant (cyclically) at which a dense run of a hot-spot
+    /// scenario has parked heads and no time-parked one, nothing on a
+    /// wire and nothing ready (`next_event_at` answers `None`), so every
+    /// parked head waits on a release, a credit or a chanend. The
+    /// restored fabric wakes them all and continues exactly like the
+    /// original.
+    #[test]
+    fn restore_while_heads_are_event_parked_continues_identically(
+        mesh in any::<bool>(),
+        w in 3usize..6,
+        h in 2usize..4,
+        raw in hot_flows(),
+        sinks in (0u16..64, 0u16..64),
+        win in windows(),
+        inbox in jammed_inboxes(),
+        nth in 0usize..4096,
+    ) {
+        let topo = (mesh, w, h, 1);
+        let s = hot_scenario(topo, &raw, sinks, win);
+        let end = Time::ZERO + HORIZON;
+        let (mut probe, mut probe_eps) = armed(topo, &s, Some(inbox));
+        let mut cuts = Vec::new();
+        let mut now = Time::ZERO;
+        while now < end {
+            run_dense(&mut probe, &mut probe_eps, &s, now, now + GRID);
+            now += GRID;
+            if probe.parked_heads() > 0 && probe.next_event_at(now).is_none() {
+                cuts.push(now);
+            }
+        }
+        prop_assume!(!cuts.is_empty(), "no instant with only event-parked heads");
+        let cut = cuts[nth % cuts.len()];
+        let (mut original, mut eps) = armed(topo, &s, Some(inbox));
+        run_dense(&mut original, &mut eps, &s, Time::ZERO, cut);
+        prop_assert!(original.parked_heads() > 0 && original.next_event_at(cut).is_none());
         let mut restored = restored(topo, &original);
         prop_assert_eq!(restored.parked_heads(), 0);
         prop_assert_eq!(

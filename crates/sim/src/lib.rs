@@ -6,7 +6,6 @@
 //!
 //! * [`Time`], [`TimeDelta`] — picosecond-resolution simulated time,
 //! * [`Frequency`] — clock rates and cycle/time conversion,
-//! * [`EventQueue`] — a deterministic time-ordered event queue,
 //! * [`IndexSet`] — the bitset worklist that keeps per-step costs
 //!   proportional to activity (fabric links, awake cores),
 //! * [`DetRng`] — a seedable, reproducible random number generator,
@@ -20,21 +19,22 @@
 //! Determinism is a design requirement, not an accident: the platform being
 //! modelled (Swallow, DATE 2016) is a *time-deterministic* real-time system,
 //! and the reproduction must be able to assert exact cycle counts in tests.
-//! Events scheduled for the same instant are delivered in insertion order.
+//! Time is therefore integer picoseconds, and a clock's cycles convert to
+//! it exactly:
 //!
 //! ```
-//! use swallow_sim::{EventQueue, Time, TimeDelta};
+//! use swallow_sim::{Frequency, Time, TimeDelta};
 //!
-//! let mut queue = EventQueue::new();
-//! queue.push_at(Time::ZERO + TimeDelta::from_ns(5), "later");
-//! queue.push_at(Time::ZERO, "now");
-//! assert_eq!(queue.pop(), Some((Time::ZERO, "now")));
+//! let core = Frequency::from_mhz(500);
+//! let four_cycles = core.cycles(4);
+//! assert_eq!(four_cycles, TimeDelta::from_ns(8));
+//! assert_eq!(core.cycles_in(four_cycles), 4);
+//! assert_eq!((Time::ZERO + four_cycles).since(Time::ZERO), four_cycles);
 //! ```
 
 pub mod codec;
 pub mod index_set;
 pub mod merge;
-pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -43,7 +43,6 @@ pub mod trace;
 pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use index_set::IndexSet;
 pub use merge::kway_merge_by;
-pub use queue::EventQueue;
 pub use rng::DetRng;
 pub use stats::LatencySketch;
 pub use time::{Frequency, Time, TimeDelta};

@@ -278,6 +278,11 @@ pub struct Core {
     /// Chanends with a non-empty output buffer. Maintained incrementally
     /// so the network-injection scan can be skipped when zero.
     tx_pending_count: u32,
+    /// Chanends whose input buffer gained space (a read, or a fresh
+    /// allocation) since the fabric last asked ([`Core::take_drained`]).
+    /// Derived, not snapshotted: a restored fabric wakes every parked
+    /// delivery anyway.
+    drained: u32,
     resources: ResourceTable,
     probe_readings: [u32; PROBE_CHANNELS],
     cycle: u64,
@@ -316,6 +321,7 @@ impl Core {
             wheel: 0,
             sleepers: 0,
             tx_pending_count: 0,
+            drained: 0,
             resources: ResourceTable::new(
                 CHANEND_COUNT,
                 TIMER_COUNT,
@@ -894,6 +900,13 @@ impl Core {
         self.tx_pending_count as usize
     }
 
+    /// The mask of chanends whose input buffer gained space since the
+    /// last call, cleared by the call. The fabric reads it to wake the
+    /// deliveries parked on a full chanend.
+    pub fn take_drained(&mut self) -> u32 {
+        std::mem::take(&mut self.drained)
+    }
+
     /// Peeks the next outgoing token of a chanend and the destination it
     /// was emitted towards.
     pub fn tx_front(&self, chanend: u8) -> Option<(ResourceId, Token)> {
@@ -925,9 +938,9 @@ impl Core {
     /// Test hook: allocates a chanend from outside (as a boot loader
     /// would) and returns its id.
     pub fn alloc_chanend(&mut self) -> Option<ResourceId> {
-        self.resources
-            .alloc(ResType::Chanend)
-            .map(|idx| ResourceId::new(self.config.node, idx, ResType::Chanend))
+        let idx = self.resources.alloc(ResType::Chanend)?;
+        self.drained |= 1 << idx;
+        Some(ResourceId::new(self.config.node, idx, ResType::Chanend))
     }
 
     /// Sets the destination of a chanend from outside (boot-time routing).
@@ -1521,14 +1534,18 @@ impl Core {
                     .alloc(ty)
                     .map(|idx| ResourceId::new(self.config.node, idx, ty))
                     .unwrap_or(ResourceId::INVALID);
-                if ty == ResType::Chanend && !rid.is_invalid() && self.tracer.is_enabled() {
-                    self.tracer.emit(
-                        self.now,
-                        TraceEvent::ChannelOpen {
-                            core: self.config.node.0,
-                            chanend: rid.index(),
-                        },
-                    );
+                if ty == ResType::Chanend && !rid.is_invalid() {
+                    // A fresh chanend accepts input the old one refused.
+                    self.drained |= 1 << rid.index();
+                    if self.tracer.is_enabled() {
+                        self.tracer.emit(
+                            self.now,
+                            TraceEvent::ChannelOpen {
+                                core: self.config.node.0,
+                                chanend: rid.index(),
+                            },
+                        );
+                    }
                 }
                 set!(d, rid.raw());
                 Outcome::Advance(words)
@@ -1790,6 +1807,7 @@ impl Core {
                     }
                 }
                 ch.in_buf.drain(..4);
+                self.drained |= 1 << idx;
                 set!(d, bytes_to_word(bytes));
                 Outcome::Advance(words)
             }
@@ -1808,6 +1826,7 @@ impl Core {
                 match front {
                     Token::Data(b) => {
                         ch.in_buf.pop_front();
+                        self.drained |= 1 << idx;
                         set!(d, b as u32);
                         Outcome::Advance(words)
                     }
@@ -1828,6 +1847,7 @@ impl Core {
                 };
                 if front == Token::Ctrl(ct) {
                     ch.in_buf.pop_front();
+                    self.drained |= 1 << idx;
                     Outcome::Advance(words)
                 } else {
                     Outcome::Trap(TrapCause::CtMismatch {

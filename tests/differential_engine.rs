@@ -178,6 +178,117 @@ fn parallel_agrees_on_shortest_paths_routing() {
     assert_eq!(fp.outputs[5].trim(), pipeline::checksum(&spec).to_string());
 }
 
+/// A source that sends `words` words to chanend 0 of `sink` in packets
+/// of `packet` words, each closed by END. Word `w` of source `tag` is
+/// `tag * 1000 + w`.
+fn contending_source(sink: u16, tag: u32, words: u32, packet: u32) -> String {
+    let mut src =
+        format!("getr r0, chanend\nldc r1, {sink}\nshl r1, r1, 16\nadd r1, r1, 2\nsetd r0, r1\n");
+    for w in 0..words {
+        src += &format!("ldc r2, {}\nout r0, r2\n", tag * 1000 + w);
+        if (w + 1) % packet == 0 || w + 1 == words {
+            src += "outct r0, end\n";
+        }
+    }
+    src + "freet\n"
+}
+
+/// A sink that reads `words` words from its chanend 0, whatever their
+/// packets, sleeping `delay` timer ticks before each token it looks at,
+/// and prints their sum.
+fn slow_sink(words: u32, delay: u32) -> String {
+    format!(
+        "
+            getr  r0, chanend
+            getr  r5, timer
+            ldc   r3, {words}
+            ldc   r4, 0
+        next:
+            in    r6, r5
+            ldc   r7, {delay}
+            add   r6, r6, r7
+            tmwait r5, r6
+            testct r8, r0
+            bf    r8, word
+            chkct r0, end
+            bu    next
+        word:
+            in    r1, r0
+            add   r4, r4, r1
+            sub   r3, r3, 1
+            bt    r3, next
+            print r4
+            freet
+        "
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 8, // each case is three whole-machine runs
+        .. ProptestConfig::default()
+    })]
+
+    /// Contended traffic: two to six sources on random cores send
+    /// random-length packets to one or two sinks that read slowly. The
+    /// sinks' chanends fill, credit runs out back along the routes, and
+    /// packets wait for links and chanends another flow holds — heads
+    /// parked on releases, credit and chanend space, which the windowed
+    /// engine jumps over. Windowed at one and two threads must match
+    /// lock-step exactly, and every sink must sum what it was sent.
+    #[test]
+    fn contended_sinks_agree_under_every_engine(
+        sinks in (0u16..16, 1u16..16, any::<bool>()),
+        sources in proptest::collection::vec((0u16..16, any::<bool>(), 1u32..24, 1u32..6), 2..7),
+        delays in (0u32..60, 0u32..60),
+    ) {
+        let (first, offset, two) = sinks;
+        let sink_nodes = if two { vec![first, (first + offset) % 16] } else { vec![first] };
+        // One program per core: sources on a sink's core or on a core
+        // already sending are dropped.
+        let mut used = sink_nodes.clone();
+        let mut programs = Vec::new();
+        let mut sums = vec![(0u32, 0u32); sink_nodes.len()];
+        for (tag, &(node, pick, words, packet)) in sources.iter().enumerate() {
+            if used.contains(&node) {
+                continue;
+            }
+            used.push(node);
+            let sink = usize::from(pick && two);
+            let tag = tag as u32 + 1;
+            sums[sink].0 += words;
+            sums[sink].1 += (0..words).map(|w| tag * 1000 + w).sum::<u32>();
+            programs.push((node, contending_source(sink_nodes[sink], tag, words, packet)));
+        }
+        let delay = [delays.0, delays.1];
+        for (i, &node) in sink_nodes.iter().enumerate() {
+            if sums[i].0 > 0 {
+                programs.push((node, slow_sink(sums[i].0, delay[i])));
+            }
+        }
+        let run = |engine: EngineMode| {
+            let mut system = SystemBuilder::new().engine(engine).build().expect("builds");
+            for (node, src) in &programs {
+                let program = Assembler::new().assemble(src).expect("assembles");
+                system.load_program(NodeId(*node), &program).expect("fits");
+            }
+            let quiescent = system.run_until_quiescent(TimeDelta::from_ms(2));
+            Fingerprint::of(&system, quiescent)
+        };
+        let ls = run(EngineMode::LockStep);
+        prop_assert!(ls.quiescent, "the sinks read everything");
+        for (i, &node) in sink_nodes.iter().enumerate() {
+            if sums[i].0 > 0 {
+                prop_assert_eq!(&ls.outputs[node as usize], &format!("{}\n", sums[i].1));
+            }
+        }
+        for threads in [1, 2] {
+            let engine = EngineMode::Windowed { threads };
+            assert_equivalent(&format!("{engine:?}"), &run(engine), &ls);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 10, // each case is two whole-machine runs
