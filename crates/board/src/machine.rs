@@ -23,10 +23,11 @@
 //!   pending output, bridge backlog, fewer than two runnable cores — the
 //!   engine takes one serial fast-forward step instead: it jumps `now`
 //!   to the next instant anything can happen and charges the skipped
-//!   idle energy analytically (edge by edge over a wait on a busy link,
-//!   see `ff_advance`). All processing stays on the base-clock grid, so
-//!   results are bit-identical run to run and equal to lock-step within
-//!   f64 association error. See DESIGN.md §3.7, §3.8.
+//!   idle energy analytically (edge by edge over a wait on a busy link
+//!   or a ready core's idle issue slots, see `ff_advance`). All
+//!   processing stays on the base-clock grid, so results are
+//!   bit-identical run to run and equal to lock-step within f64
+//!   association error. See DESIGN.md §3.7, §3.8.
 //!
 //! Every grid instant, whichever engine reaches it, is processed by one
 //! routine, `process_edge`: lock-step steps, fast-forward jumps, window
@@ -42,8 +43,9 @@
 //! preconditions and `is_quiescent` skip it. Wherever anything
 //! other than an idle tick touches a parked core — a delivery, a fault,
 //! a quarantine, the power monitor, a fast-forward jump, a window — it is
-//! first caught up with `Core::idle_until`, which performs the very f64
-//! additions the skipped `run_until` calls would have, in the same order.
+//! first caught up with `Core::run_until`, which charges the idle edges
+//! it missed in closed form: the very f64 additions ticking them would
+//! have made, in the same order.
 //! Every public advance ends with all cores caught up and awake, so
 //! lock-step still runs every core on every edge and nothing outside an
 //! advance can tell.
@@ -213,28 +215,21 @@ struct Endpoints {
     /// pending output: until a token arrives it can only tick idle, has
     /// nothing to inject and no interesting instant, so skipping it is
     /// invisible to every pass. A parked core's clock lags; it is caught
-    /// up with [`Core::idle_until`] (bit-identical to the ticks it
-    /// missed) wherever anything but an idle tick touches it.
+    /// up with [`Core::run_until`] (bit-identical to the ticks it
+    /// missed, and O(1) for an idle core) wherever anything but an idle
+    /// tick touches it.
     awake: IndexSet,
 }
 
 impl Endpoints {
-    /// Catches every parked core up to `until` (they stay parked), four
-    /// at a time so their idle-energy chains overlap.
+    /// Catches every parked core up to `until` (they stay parked). A
+    /// parked core is quiescent, so each `run_until` charges its idle
+    /// edges in closed form.
     fn catch_up(&mut self, until: Time) {
-        let mut lanes = [0usize; 4];
-        let mut n = 0;
-        for i in (0..self.cores.len()).filter(|&i| !self.awake.contains(i)) {
-            lanes[n] = i;
-            n += 1;
-            if n == lanes.len() {
-                let cores = self.cores.get_disjoint_mut(lanes).expect("distinct cores");
-                Core::idle_until_each(cores, until);
-                n = 0;
+        for (i, core) in self.cores.iter_mut().enumerate() {
+            if !self.awake.contains(i) {
+                core.run_until(until);
             }
-        }
-        for &i in &lanes[..n] {
-            self.cores[i].idle_until(until);
         }
     }
 
@@ -376,7 +371,7 @@ impl CoreEndpoints for Endpoints {
                 if !self.awake.contains(i) {
                     let gate = Time::from_ps(self.tx_gate_ps);
                     debug_assert!(core.is_quiescent() && core.local_now() <= gate);
-                    core.idle_until(gate);
+                    core.run_until(gate);
                     self.awake.insert(i);
                 }
                 core.deliver(chanend, token).is_ok()
@@ -756,7 +751,7 @@ impl Machine {
     }
 
     /// The earliest instant at or after `now` when anything can happen:
-    /// a core's next interesting tick, a fabric event (an arrival, or the
+    /// a core's next issue slot or wake, a fabric event (an arrival, or the
     /// wake of a head time-parked behind a busy link), pending core or
     /// bridge output (immediate), or the monitor cadence. Always finite —
     /// the monitor bounds it — so fast-forward never overshoots an
@@ -766,19 +761,28 @@ impl Machine {
     /// ([`Fabric::tx_all_parked`]) is not immediate: the fabric skips it
     /// until a wake — a time the fabric's answer covers, or a fabric
     /// event or core activity the other sources here bound — so only its
-    /// next interesting tick counts. The same holds for the bridge when
-    /// the head of its backlog is parked. That lets fast-forward jump over
-    /// a wait on a busy link, another flow's route, credit or a full
-    /// chanend; see [`Self::ff_advance`] for why the jump keeps every
-    /// result bit-identical.
-    fn next_activity_at(&self) -> Time {
+    /// next issue slot counts. The same holds for the bridge when the
+    /// head of its backlog is parked. That lets fast-forward jump over a
+    /// wait on a busy link, another flow's route, credit or a full
+    /// chanend.
+    ///
+    /// A core with a ready thread counts from its next issue slot
+    /// ([`Core::next_issue_at`]), not its next tick: on the edges before,
+    /// no core issues, so nothing changes but the clocks and the idle
+    /// energy. The second value says the edges before the answer would
+    /// otherwise be stepped one at a time — a ready core ticks on every
+    /// grid edge, or a head is parked — which is what keeps the jump over
+    /// them bit-identical; see [`Self::ff_advance`]. Otherwise a ready
+    /// core slower than the grid counts from its next tick, where the
+    /// one-edge steps it replaces would each have stopped.
+    fn next_activity_at(&self) -> (Time, bool) {
         let immediate = self.now + self.base_period;
         let mut earliest = self.monitor.next_update();
         // Scheduled faults (and the end of an active brownout) are
         // activity: fast-forward must land on their grid instants.
         if let Some(at) = self.faults.next_at() {
             if at <= immediate {
-                return immediate;
+                return (immediate, true);
             }
             earliest = earliest.min(at);
         }
@@ -787,19 +791,28 @@ impl Machine {
         // O(cores) scan below.
         if let Some(at) = self.fabric.next_event_at(self.now) {
             if at <= immediate {
-                return immediate;
+                return (immediate, true);
             }
             earliest = earliest.min(at);
         }
+        let mut stepped = self.fabric.parked_heads() > 0;
+        let mut slow_tick = Time::MAX;
         for i in self.eps.awake.iter() {
             let core = &self.eps.cores[i];
             let pending = core.tx_pending_count();
             if pending > 0 && !self.fabric.tx_all_parked(NodeId(i as u16), pending) {
-                return immediate;
+                return (immediate, true);
             }
-            if let Some(at) = core.next_interesting_at() {
+            if core.ready_threads() > 0 {
+                if core.period() <= self.base_period {
+                    stepped = true;
+                } else {
+                    slow_tick = slow_tick.min(core.next_tick_at());
+                }
+            }
+            if let Some(at) = core.next_issue_at() {
                 if at <= immediate {
-                    return immediate;
+                    return (immediate, true);
                 }
                 earliest = earliest.min(at);
             }
@@ -808,12 +821,15 @@ impl Machine {
             if bridge.tx_backlog() > 0 && !self.fabric.tx_all_parked(node, 1) {
                 let at = bridge.next_tx_at();
                 if at <= immediate {
-                    return immediate;
+                    return (immediate, true);
                 }
                 earliest = earliest.min(at);
             }
         }
-        earliest
+        if !stepped {
+            earliest = earliest.min(slow_tick);
+        }
+        (earliest, stepped)
     }
 
     /// First base-clock grid instant at or after `target` (and strictly
@@ -832,23 +848,23 @@ impl Machine {
     /// anything can happen (capped at `deadline`). This is the serial
     /// step the windowed engine takes when a window cannot open.
     ///
-    /// The skipped edges are charged analytically only when no head is
-    /// parked. A jump over a parked wait (a switch queue or chanend
-    /// waiting on a busy link, a release, credit or a chanend read, see
-    /// [`Self::next_activity_at`]) passes `skip == false` instead, so
-    /// its energy arithmetic is that of one one-edge step per skipped
-    /// edge — the steps fast-forward would take if parked heads counted
-    /// as due now: awake cores tick every edge inside
-    /// `run_until(target)`, parked cores are caught up edge by edge with
-    /// `idle_until`, and the fabric has nothing to do before the target.
-    /// Where an idle span is split into analytic chunks
-    /// therefore does not depend on parking, and every energy bit is
-    /// what stepping through the wait edge by edge gives.
+    /// Where the one-edge steps this jump replaces would each have run
+    /// with `skip == false` — a ready core ticks on every grid edge, or a
+    /// head is parked (see [`Self::next_activity_at`]) — the jump passes
+    /// `skip == false` too, so its energy arithmetic is theirs: awake
+    /// cores tick every edge inside `run_until(target)` (a core with
+    /// nothing ready or sleeping charges them in closed form, the same
+    /// additions), parked cores catch up the same way when next touched,
+    /// and the fabric has nothing to do before the target. Otherwise the
+    /// jump ends where those steps would have, and its idle edges are
+    /// charged analytically as theirs were. Where an idle span is split
+    /// into analytic chunks therefore depends neither on parking nor on
+    /// the issue wheel, and every energy bit is what stepping edge by
+    /// edge gives.
     fn ff_advance(&mut self, deadline: Time) {
-        let target = self.grid_align(self.next_activity_at().min(deadline));
-        // A one-edge step ticks its cores like lock-step does, which keeps
-        // busy runs O(awake cores) per edge.
-        let skip = target > self.now + self.base_period && self.fabric.parked_heads() == 0;
+        let (at, stepped) = self.next_activity_at();
+        let target = self.grid_align(at.min(deadline));
+        let skip = !stepped && target > self.now + self.base_period;
         self.jump_to(target, skip);
     }
 
@@ -860,9 +876,10 @@ impl Machine {
     /// to `target` (a core holding output stopped where it emitted and
     /// injects on this edge). Without it the edges before `target` cost
     /// what one-edge steps would: the awake cores' `run_until(target)`
-    /// ticks each of them, and parked cores catch up by idle ticks when
-    /// next touched. A jump over a parked wait takes that path, so it
-    /// never runs the O(cores) skip loop.
+    /// ticks each of them (charging the runs where nothing is ready or
+    /// sleeping in closed form), and parked cores catch up when next
+    /// touched. A jump over a parked wait or a ready core's idle issue
+    /// slots takes that path, so it never runs the O(cores) skip loop.
     fn jump_to(&mut self, target: Time, skip: bool) {
         if skip {
             self.catch_up(self.now);

@@ -20,7 +20,7 @@
 use swallow_board::{EngineMode, Machine, MachineConfig, RouterKind};
 use swallow_faults::{FaultKind, FaultPlan};
 use swallow_isa::{Assembler, NodeId, Program};
-use swallow_sim::{Time, TimeDelta};
+use swallow_sim::{Frequency, Time, TimeDelta};
 
 /// Words the source pushes down the chain.
 const ITEMS: u32 = 6;
@@ -459,7 +459,20 @@ fn backpressured_sink_agrees_under_every_engine() {
     assert_eq!(oracle.outputs[SLOW_SINK as usize], format!("{total}\n"));
 }
 
-/// Ledger totals of six scenarios under lock-step and windowed at one
+/// The relay chain with both spinners on a 200 MHz clock. While tokens
+/// move and the only ready cores are the slow spinners, the fast-forward
+/// step stops at each spinner tick, as one-edge steps would, and charges
+/// the idle edges before it analytically rather than jumping on to the
+/// spinner's next issue slot.
+fn slow_spinners_machine(engine: EngineMode) -> Machine {
+    let mut machine = chain_with(engine, 1_000, FaultPlan::new());
+    for &s in &SPINNERS {
+        machine.set_core_frequency(NodeId(s), Frequency::from_mhz(200));
+    }
+    machine
+}
+
+/// Ledger totals of seven scenarios under lock-step and windowed at one
 /// and two threads, bit for bit. Each engine adds the same per-core
 /// charges in its own fixed order, and skipping parked cores must keep
 /// that order exactly (a catch-up performs the very additions of the
@@ -468,7 +481,7 @@ fn backpressured_sink_agrees_under_every_engine() {
 #[test]
 fn ledger_totals_are_pinned_bit_for_bit() {
     type Build = Box<dyn Fn(EngineMode) -> Machine>;
-    let scenarios: [(&str, Build, [u64; 3]); 6] = [
+    let scenarios: [(&str, Build, [u64; 3]); 7] = [
         (
             "compute",
             Box::new(compute_machine),
@@ -501,6 +514,11 @@ fn ledger_totals_are_pinned_bit_for_bit() {
             "backpressured",
             Box::new(backpressured_machine),
             [0x3f2791467d17bed4, 0x3f2791467d17bdd0, 0x3f2791467d17bdd0],
+        ),
+        (
+            "slow spinners",
+            Box::new(slow_spinners_machine),
+            [0x3f16bf1f259615a3, 0x3f16bf1f259613f8, 0x3f16bf1f259613f8],
         ),
     ];
     let engines = [

@@ -89,35 +89,14 @@ impl EnergyLedger {
         self.entries[category as usize] += energy;
     }
 
-    /// Charges `a[i]` to `ca` then `b[i]` to `cb` on `ledgers[i]`, `n`
-    /// times over, for every `i`: bit-identical to `n` pairs of
-    /// [`charge`](Self::charge) calls on each ledger (the same f64
-    /// additions in the same order). The running totals stay in registers
-    /// and the ledgers' independent chains overlap in the pipeline — the
-    /// cost of a long run of idle clock edges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ca == cb` (the interleaving would reorder additions).
-    pub fn charge_repeated<const N: usize>(
-        ledgers: [&mut EnergyLedger; N],
-        (ca, a): (NodeCategory, [Energy; N]),
-        (cb, b): (NodeCategory, [Energy; N]),
-        n: u64,
-    ) {
-        assert_ne!(ca, cb, "repeated charges need two categories");
-        let mut x = ledgers.each_ref().map(|l| l.get(ca));
-        let mut y = ledgers.each_ref().map(|l| l.get(cb));
-        for _ in 0..n {
-            for i in 0..N {
-                x[i] += a[i];
-                y[i] += b[i];
-            }
-        }
-        for (i, ledger) in ledgers.into_iter().enumerate() {
-            ledger.entries[ca as usize] = x[i];
-            ledger.entries[cb as usize] = y[i];
-        }
+    /// Charges `energy` to `category` `n` times over: bit-identical to `n`
+    /// [`charge`](Self::charge) calls (the same rounded f64 additions in
+    /// the same order), in time that grows with the binades the total
+    /// crosses rather than with `n` — the cost of a long run of idle
+    /// clock edges.
+    pub fn charge_repeated(&mut self, category: NodeCategory, energy: Energy, n: u64) {
+        let entry = &mut self.entries[category as usize];
+        *entry = Energy::from_joules(add_repeated(entry.as_joules(), energy.as_joules(), n));
     }
 
     /// Energy accumulated in one category.
@@ -172,6 +151,57 @@ impl EnergyLedger {
     }
 }
 
+/// `x` with `a` added `n` times, each addition rounded: bit-identical to
+/// `for _ in 0..n { x += a }`, in O(binade crossings) instead of O(n).
+///
+/// While `0 < a <= x` and `x` is normal, a sum that stays below the next
+/// power of two rounds on the ulp grid of `x`'s binade, which `x` lies on.
+/// Away from an exact tie, the rounding therefore moves `x` by the same
+/// number of ulps at every addition, and the whole run up to the binade's
+/// end is one integer multiply on the bit pattern. A tie rounds to the even
+/// neighbour: from an even `x` it lands on an even multiple again, by the
+/// same even step every time, so only a tie from an odd `x` (found exactly
+/// by Fast2Sum, which `x >= a` allows) is added plainly, after which `x` is
+/// even. The addition that crosses into the next binade, and every case
+/// outside these conditions (`x` zero, subnormal or below `a`, `a <= 0`,
+/// NaN), is a plain addition too; an addition that leaves `x` unchanged
+/// leaves it unchanged for good.
+fn add_repeated(mut x: f64, a: f64, mut n: u64) -> f64 {
+    const EXP_ONE: u64 = 1 << 52;
+    while n > 0 {
+        let y = x + a;
+        n -= 1;
+        if y.to_bits() == x.to_bits() {
+            return x;
+        }
+        if x.is_normal() && a > 0.0 && x >= a {
+            let (xb, yb) = (x.to_bits(), y.to_bits());
+            // The bit pattern of the power of two that ends x's binade.
+            let top = (xb & !(EXP_ONE - 1)) + EXP_ONE;
+            if yb < top && (xb & 1 == 0 || !is_tie(x, a, y)) {
+                // Each further addition adds `step` ulps; stop before the
+                // one whose result would reach `top`.
+                let step = yb - xb;
+                let runs = ((top - 1 - yb) / step).min(n);
+                n -= runs;
+                x = f64::from_bits(yb + runs * step);
+                continue;
+            }
+        }
+        x = y;
+    }
+    x
+}
+
+/// True when `y = fl(x + a)` was an exact tie, for normal `x >= a > 0`
+/// with `y` in `x`'s binade: Fast2Sum recovers the rounding error exactly,
+/// and a tie is an error of half an ulp of `x`.
+fn is_tie(x: f64, a: f64, y: f64) -> bool {
+    let err = a - (y - x);
+    let ulp = f64::from_bits(x.to_bits() & (0x7ff << 52)) * f64::EPSILON;
+    err.abs() * 2.0 == ulp
+}
+
 impl Add for EnergyLedger {
     type Output = EnergyLedger;
     fn add(self, rhs: EnergyLedger) -> EnergyLedger {
@@ -213,35 +243,102 @@ impl fmt::Display for EnergyLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swallow_testkit::proptest::prelude::*;
 
-    #[test]
-    fn repeated_charges_equal_the_charge_loop_bit_for_bit() {
-        let a = [0.1, 0.7].map(Energy::from_nanojoules);
-        let b = [1.0 / 3.0, 2.0 / 7.0].map(Energy::from_nanojoules);
-        let mut looped = [EnergyLedger::new(); 2];
-        looped[0].charge(NodeCategory::Static, Energy::from_nanojoules(7.0));
-        looped[1].charge(NodeCategory::Network, Energy::from_nanojoules(3.0));
-        let mut batched = looped;
-        for _ in 0..1000 {
-            for (i, ledger) in looped.iter_mut().enumerate() {
-                ledger.charge(NodeCategory::Static, a[i]);
-                ledger.charge(NodeCategory::Network, b[i]);
-            }
+    /// `2^e` for `-1074 <= e <= 1023`, built from its bit pattern.
+    fn pow2(e: i32) -> f64 {
+        if e >= -1022 {
+            f64::from_bits(((e + 1023) as u64) << 52)
+        } else {
+            f64::from_bits(1 << (e + 1074))
         }
-        let [l0, l1] = &mut batched;
-        EnergyLedger::charge_repeated(
-            [l0, l1],
-            (NodeCategory::Static, a),
-            (NodeCategory::Network, b),
-            1000,
-        );
-        for (l, b) in looped.iter().zip(&batched) {
+    }
+
+    /// An accumulator and an addend for the closed-form property.
+    /// `x`: zero, subnormal, or normal at any exponent. `a`: anywhere from
+    /// above `x` to far below half an ulp of it, occasionally zero or
+    /// negative — or, for `shape == 4`, an odd multiple of exactly half an
+    /// ulp of `x`, so that every addition in `x`'s binade is a tie.
+    fn operands(shape: u8, exp: i32, mant: u64, gap: i32, a_mant: u64) -> (f64, f64) {
+        const MANT: u64 = (1 << 52) - 1;
+        if shape == 4 {
+            // Binade exponents where half an ulp is still normal.
+            let e = exp.clamp(-960, 1000);
+            let x = pow2(e) * (1.0 + (mant & MANT) as f64 * f64::EPSILON);
+            // Few significant bits, so the tie binade takes many steps.
+            let odd = (a_mant % (1 << (gap.rem_euclid(20) + 1))) | 1;
+            return (x, odd as f64 * pow2(e - 53));
+        }
+        let x = match shape {
+            0 => 0.0,
+            1 => f64::from_bits((mant & MANT).max(1)),
+            _ => pow2(exp) * (1.0 + (mant & MANT) as f64 * f64::EPSILON),
+        };
+        // `a`'s exponent sits `gap` binades below x's (above it if `gap`
+        // is negative), with a random mantissa.
+        let x_exp = if x.is_normal() { exp } else { -1022 };
+        let a_exp = (x_exp - gap).clamp(-1074, 1000);
+        let a = pow2(a_exp) * (1.0 + (a_mant & MANT) as f64 * f64::EPSILON);
+        let a = match a_mant >> 61 {
+            0 => -a,
+            1 => 0.0,
+            _ => a,
+        };
+        (x, a)
+    }
+
+    proptest! {
+        /// `charge_repeated`'s closed form against the plain loop of
+        /// `charge` calls, bit for bit, over every regime it handles:
+        /// zero and subnormal totals, normal totals at every exponent,
+        /// addends above the total and below half its ulp, non-positive
+        /// addends, runs of up to a million charges, and the binade in
+        /// which every addition is an exact tie.
+        #[test]
+        fn repeated_charges_equal_the_charge_loop_bit_for_bit(
+            shape in 0u8..5,
+            exp in -1022i32..1000,
+            mant in any::<u64>(),
+            gap in -3i32..90,
+            a_mant in any::<u64>(),
+            n in 0u64..=1_000_000,
+        ) {
+            let (x, a) = operands(shape, exp, mant, gap, a_mant);
+            let mut looped = EnergyLedger::new();
+            looped.charge(NodeCategory::Static, Energy::from_joules(x));
+            looped.charge(NodeCategory::Network, Energy::from_joules(x * 0.75));
+            let mut batched = looped;
+            let b = a * 0.5;
+            for _ in 0..n {
+                looped.charge(NodeCategory::Static, Energy::from_joules(a));
+                looped.charge(NodeCategory::Network, Energy::from_joules(b));
+            }
+            batched.charge_repeated(NodeCategory::Static, Energy::from_joules(a), n);
+            batched.charge_repeated(NodeCategory::Network, Energy::from_joules(b), n);
             for c in NodeCategory::ALL {
-                assert_eq!(
-                    l.get(c).as_joules().to_bits(),
-                    b.get(c).as_joules().to_bits()
+                let (want, got) = (looped.get(c).as_joules(), batched.get(c).as_joules());
+                prop_assert!(
+                    want.to_bits() == got.to_bits(),
+                    "{c}: x {x:e}, a {a:e}, n {n}: loop {want:e}, closed form {got:e}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn tie_operands_tie_at_every_addition_in_the_binade() {
+        let (x, a) = operands(4, 3, 12345, 7, 0xff);
+        let ulp = pow2(3 - 52);
+        assert_eq!(
+            (a / ulp).fract(),
+            0.5,
+            "a is an odd multiple of half an ulp"
+        );
+        let mut y = x;
+        for _ in 0..1000 {
+            let next = y + a;
+            assert!(is_tie(y, a, next), "{y:e} + {a:e}");
+            y = next;
         }
     }
 

@@ -360,6 +360,11 @@ impl Core {
         self.config.frequency
     }
 
+    /// The core clock period.
+    pub fn period(&self) -> TimeDelta {
+        self.period
+    }
+
     /// Changes the core clock (dynamic frequency scaling, §III.B).
     pub fn set_frequency(&mut self, f: Frequency) {
         self.config.frequency = f;
@@ -570,13 +575,56 @@ impl Core {
         if !self.rotation.is_empty() {
             return Some(self.next_tick_at());
         }
+        self.wake_edge()
+    }
+
+    /// The first clock edge at which [`Core::tick`] would issue an
+    /// instruction, or the first one at or after the earliest wake,
+    /// whichever comes first; `None` when the core is halted or nothing
+    /// is ready or sleeping. The edges before it only charge idle energy
+    /// and turn the clocks and the issue wheel: nothing is ready at an
+    /// issue slot (Eq. 2 gives `r` ready threads `max(4, r)` slots), or
+    /// the slot falls before a stall ends, and nothing wakes. A thread
+    /// that issues there may still only block, free itself or trap
+    /// instead of retiring.
+    pub fn next_issue_at(&self) -> Option<Time> {
+        if self.halted {
+            return None;
+        }
+        let wake = self.wake_edge();
+        let ready = self.rotation.len() as u64;
+        if ready == 0 {
+            return wake;
+        }
+        // Edge k (k ≥ 0) is the one at now + (k + 1)·period; the first
+        // that a stall does not gate is edge `open`.
+        let period = self.period.as_ps();
+        let stall = self.stalled_until.saturating_since(self.now).as_ps();
+        let open = stall.div_ceil(period).saturating_sub(1);
+        let slots = ready.max(4);
+        let pos = (self.wheel % slots + open % slots) % slots;
+        let k = if pos < ready {
+            open
+        } else {
+            open + slots - pos
+        };
+        let issue = Time::from_ps(
+            self.now
+                .as_ps()
+                .saturating_add((k + 1).saturating_mul(period)),
+        );
+        Some(wake.map_or(issue, |w| w.min(issue)))
+    }
+
+    /// The first clock edge at or after the earliest timer/divider/event
+    /// wake, on this core's tick grid (so fast-forward matches lock-step
+    /// exactly); `None` when nothing sleeps.
+    fn wake_edge(&self) -> Option<Time> {
         let wake = self.next_wake()?;
         let next = self.next_tick_at();
         if wake <= next {
             return Some(next);
         }
-        // First clock edge at or after the wake instant; stays on this
-        // core's tick grid so fast-forward matches lock-step exactly.
         Some(wake.align_up_to(self.now, self.period))
     }
 
@@ -634,6 +682,16 @@ impl Core {
 
     /// Runs every clock edge due at or before `until` (the batched inner
     /// loop of the machine's step). Stops immediately if the core halts.
+    ///
+    /// Once no thread is ready and none sleeps — from the start, or after
+    /// a thread blocks partway through — the remaining edges can only
+    /// charge `static_cycle` and `clk_net` and turn the clocks, so they
+    /// are charged with [`EnergyLedger::charge_repeated`] (the very f64
+    /// additions the ticks would make, in closed form) and `now`, `cycle`
+    /// and the issue wheel advance at once. A core blocked on external
+    /// input therefore catches up in O(1) per call: the machine relies on
+    /// this for the cores it stopped visiting while they wait for a token
+    /// (DESIGN.md §3.7).
     #[inline]
     pub fn run_until(&mut self, until: Time) {
         if self.halted {
@@ -641,6 +699,11 @@ impl Core {
         }
         let mut at = self.now + self.period;
         while at <= until {
+            if self.rotation.is_empty() && self.sleepers == 0 {
+                let edges = 1 + until.since(at).as_ps() / self.period.as_ps();
+                self.idle_edges(edges);
+                return;
+            }
             self.tick(at);
             if self.halted {
                 return;
@@ -649,79 +712,22 @@ impl Core {
         }
     }
 
-    /// [`Core::run_until`] for a core blocked on external input: state
-    /// afterwards is bit-identical, energy included, but the idle edges
-    /// cost one pair of additions each. Such a core has no ready thread
-    /// and no sleeper, so each of the `k` edges due at or before `until`
-    /// only charges `static_cycle` and `clk_net` and turns the clocks;
-    /// the k additions run in one tight loop and `now`, `cycle` and the
-    /// issue wheel advance by `k` at once. A core with a ready thread or
-    /// a sleeper takes `run_until` itself; a halted core does nothing.
-    ///
-    /// The machine uses this to catch up cores it stopped visiting while
-    /// they waited for a token (DESIGN.md §3.7).
-    pub fn idle_until(&mut self, until: Time) {
-        match self.batchable_edges(until) {
-            0 => self.run_until(until),
-            edges => Self::idle_edges([self], edges),
-        }
-    }
-
-    /// Idle edges due at or before `until` that [`Core::idle_until`]
-    /// batches: none for a caught-up or halted core, or one with a ready
-    /// thread or a sleeper (those take `run_until`).
-    fn batchable_edges(&self, until: Time) -> u64 {
-        if self.halted || !self.rotation.is_empty() || self.sleepers > 0 {
-            return 0;
-        }
-        let next = self.next_tick_at();
-        if until < next {
-            return 0;
-        }
-        // One edge is the common lag; skip the division for it.
-        let (beyond, period) = (until.since(next).as_ps(), self.period.as_ps());
-        if beyond < period {
-            1
-        } else {
-            1 + beyond / period
-        }
-    }
-
-    /// [`Core::idle_until`] on several cores at once, each left exactly as
-    /// its own `idle_until` would leave it. The idle edges the cores have
-    /// in common run in one loop whose energy chains are independent, so
-    /// they overlap in the pipeline instead of waiting on each other.
-    pub fn idle_until_each<const N: usize>(mut cores: [&mut Core; N], until: Time) {
-        let common = cores
-            .iter()
-            .map(|c| c.batchable_edges(until))
-            .min()
-            .unwrap_or(0);
-        if common > 0 {
-            Self::idle_edges(cores.each_mut().map(|c| &mut **c), common);
-        }
-        for core in cores {
-            core.idle_until(until);
-        }
-    }
-
-    /// Charges `edges` idle clock edges to each core and turns its clocks:
-    /// per core, the additions `edges` calls of [`Core::tick`] would make
-    /// on a core with nothing ready or sleeping.
-    fn idle_edges<const N: usize>(mut cores: [&mut Core; N], edges: u64) {
-        let static_cycle = cores.each_ref().map(|c| c.tick_energy.static_cycle);
-        let clk_net = cores.each_ref().map(|c| c.tick_energy.clk_net);
-        EnergyLedger::charge_repeated(
-            cores.each_mut().map(|c| &mut c.ledger),
-            (NodeCategory::Static, static_cycle),
-            (NodeCategory::Network, clk_net),
-            edges,
-        );
-        for core in cores {
-            core.now += TimeDelta::from_ps(edges * core.period.as_ps());
-            core.cycle += edges;
-            core.wheel += edges;
-        }
+    /// Charges `edges` idle clock edges and turns the clocks: the state
+    /// `edges` calls of [`Core::tick`] leave on a core with nothing ready
+    /// or sleeping.
+    fn idle_edges(&mut self, edges: u64) {
+        let TickEnergy {
+            static_cycle,
+            clk_net,
+            ..
+        } = self.tick_energy;
+        self.ledger
+            .charge_repeated(NodeCategory::Static, static_cycle, edges);
+        self.ledger
+            .charge_repeated(NodeCategory::Network, clk_net, edges);
+        self.now += TimeDelta::from_ps(edges * self.period.as_ps());
+        self.cycle += edges;
+        self.wheel += edges;
     }
 
     /// The instant this core has been simulated to (its local clock). All

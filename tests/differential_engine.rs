@@ -25,7 +25,8 @@ mod common;
 use common::{assert_equivalent, engines_under_test, run_differential, Fingerprint, DECODE_CACHE};
 
 use swallow_repro::swallow::{
-    Assembler, EngineMode, NodeId, RouterKind, SwallowSystem, SystemBuilder, TimeDelta,
+    Assembler, EngineMode, FaultPlan, Frequency, NodeId, RouterKind, SwallowSystem, SystemBuilder,
+    Time, TimeDelta,
 };
 use swallow_repro::swallow_workloads::{client_server, farm, pipeline};
 use swallow_testkit::proptest::prelude::*;
@@ -335,6 +336,102 @@ proptest! {
                 "core {} skipped past its wake instant",
                 node
             );
+        }
+    }
+}
+
+/// Thread 0's part of a sender or receiver, with `helpers` more threads
+/// that each count down from `spin` and exit. With `Some(dest)` thread 0
+/// sends `words` words (`tag`, `tag + 1`, …) to chanend 0 of `dest`, then
+/// END; with `None` it receives `words` words and the END on its chanend
+/// 0 and prints their sum.
+fn threaded_peer(dest: Option<u16>, words: u32, tag: u32, helpers: u32, spin: u32) -> String {
+    let mut src = String::from("ldap r6, helper\n");
+    for _ in 0..helpers {
+        src += "tspawn r7, r6, r5\n";
+    }
+    src += "getr r0, chanend\n";
+    src += &match dest {
+        Some(node) => format!(
+            "ldc r1, {node}\nshl r1, r1, 16\nadd r1, r1, 2\nsetd r0, r1\n\
+             ldc r2, {tag}\nldc r3, {words}\n\
+             send:\nout r0, r2\nadd r2, r2, 1\nsub r3, r3, 1\nbt r3, send\n\
+             outct r0, end\nfreet\n"
+        ),
+        None => format!(
+            "ldc r3, {words}\nldc r4, 0\n\
+             recv:\nin r1, r0\nadd r4, r4, r1\nsub r3, r3, 1\nbt r3, recv\n\
+             chkct r0, end\nprint r4\nfreet\n"
+        ),
+    };
+    src + &format!("helper:\nldc r8, {spin}\ncount:\nsub r8, r8, 1\nbt r8, count\nfreet\n")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 8, // each case is three whole-machine runs
+        .. ProptestConfig::default()
+    })]
+
+    /// Fast-forward jumps a core with one to three ready threads straight
+    /// to its next issue slot. Sender and receiver cores running one to
+    /// three threads exchange traffic while a core stall, a brownout and
+    /// optionally one core's slower clock move the issue slots off the
+    /// grid's rhythm. Windowed at one and two threads must match
+    /// lock-step exactly, and every receiver must sum what it was sent.
+    #[test]
+    fn issue_slot_jumps_agree_under_every_engine(
+        pairs in proptest::collection::vec(
+            ((0u16..16, 0u16..16), 1u32..40, (0u32..3, 0u32..3), 1u32..300),
+            1..5,
+        ),
+        stall in (0u16..16, 0u64..30, 1u64..6),
+        brownout in (0u64..30, 300u32..=900, 1u64..6),
+        slow in (any::<bool>(), 0u16..16, 100u64..450),
+    ) {
+        let mut used = Vec::new();
+        let mut programs = Vec::new();
+        let mut sums = Vec::new();
+        for (i, &((src, dst), words, (src_helpers, dst_helpers), spin)) in pairs.iter().enumerate() {
+            if src == dst || used.contains(&src) || used.contains(&dst) {
+                continue;
+            }
+            used.extend([src, dst]);
+            let tag = 1000 * (i as u32 + 1);
+            programs.push((src, threaded_peer(Some(dst), words, tag, src_helpers, spin)));
+            programs.push((dst, threaded_peer(None, words, 0, dst_helpers, spin)));
+            sums.push((dst, (0..words).map(|w| tag + w).sum::<u32>()));
+        }
+        let us = |n: u64| Time::ZERO + TimeDelta::from_us(n);
+        let plan = FaultPlan::new()
+            .stall_core(us(stall.1), NodeId(stall.0), TimeDelta::from_us(stall.2))
+            .brownout(us(brownout.0), brownout.1, TimeDelta::from_us(brownout.2));
+        let run = |engine: EngineMode| {
+            let mut system = SystemBuilder::new()
+                .engine(engine)
+                .faults(plan.clone())
+                .build()
+                .expect("builds");
+            if slow.0 {
+                system
+                    .machine_mut()
+                    .set_core_frequency(NodeId(slow.1), Frequency::from_mhz(slow.2));
+            }
+            for (node, src) in &programs {
+                let program = Assembler::new().assemble(src).expect("assembles");
+                system.load_program(NodeId(*node), &program).expect("fits");
+            }
+            let quiescent = system.run_until_quiescent(TimeDelta::from_ms(2));
+            Fingerprint::of(&system, quiescent)
+        };
+        let ls = run(EngineMode::LockStep);
+        prop_assert!(ls.quiescent, "every pair finishes");
+        for &(node, sum) in &sums {
+            prop_assert_eq!(&ls.outputs[node as usize], &format!("{sum}\n"));
+        }
+        for threads in [1, 2] {
+            let engine = EngineMode::Windowed { threads };
+            assert_equivalent(&format!("{engine:?}"), &run(engine), &ls);
         }
     }
 }
