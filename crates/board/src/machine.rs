@@ -502,7 +502,7 @@ impl Machine {
                 awake,
             },
             fabric,
-            monitor: PowerMonitor::new(config.grid, config.monitor_window),
+            monitor: PowerMonitor::new(config.grid, config.monitor_window, &descs),
             now: Time::ZERO,
             base_period,
             faulted_cables: topo.faulted_cables,
@@ -736,12 +736,15 @@ impl Machine {
             }
         }
         if self.now >= self.monitor.next_update() {
-            // The monitor reads every ledger at `now`.
+            // The monitor (and the metrics hub, in the same pass) reads
+            // every ledger at `now`.
             self.catch_up(self.now);
-            self.monitor
-                .update(self.now, &mut self.eps.cores, &self.fabric);
-            self.metrics
-                .sample(self.now, &self.eps.cores, &self.fabric, &self.monitor);
+            self.monitor.update(
+                self.now,
+                &mut self.eps.cores,
+                &self.fabric,
+                &mut self.metrics,
+            );
         }
     }
 
@@ -1476,25 +1479,6 @@ impl Machine {
         self.tracer = Tracer::ring_with_capacity(capacity);
     }
 
-    /// Detaches every trace sink (back to the zero-cost default).
-    pub fn clear_tracing(&mut self) {
-        for core in &mut self.eps.cores {
-            core.set_tracer(Tracer::Off);
-        }
-        self.fabric.set_tracer(Tracer::Off);
-        self.monitor.set_tracer(Tracer::Off);
-        self.tracer = Tracer::Off;
-    }
-
-    /// True when trace rings are attached.
-    pub fn tracing_enabled(&self) -> bool {
-        self.eps
-            .cores
-            .first()
-            .map(|c| c.tracer().is_enabled())
-            .unwrap_or(false)
-    }
-
     /// Merges every component's trace ring into one chronological
     /// [`TraceLog`]: cores in node order, then the fabric, then the power
     /// monitor, then the machine's own fault/resilience ring,
@@ -1539,10 +1523,12 @@ impl Machine {
         if !self.metrics.is_enabled() {
             return;
         }
-        self.monitor
-            .update(self.now, &mut self.eps.cores, &self.fabric);
-        self.metrics
-            .sample(self.now, &self.eps.cores, &self.fabric, &self.monitor);
+        self.monitor.update(
+            self.now,
+            &mut self.eps.cores,
+            &self.fabric,
+            &mut self.metrics,
+        );
     }
 
     /// Read access to the raw component triple the metrics hub samples

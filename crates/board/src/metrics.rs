@@ -15,11 +15,11 @@
 //! `metrics_conservation` tests. Sampling only *reads* simulation state,
 //! so enabling metrics can never perturb a run.
 
-use crate::power::{PowerMonitor, IO_RAIL, RAILS};
+use crate::power::{LinkSink, PowerMonitor, IO_RAIL, RAILS};
 use crate::snapshot;
 use crate::topology::GridSpec;
 use swallow_energy::Energy;
-use swallow_noc::{Direction, Fabric};
+use swallow_noc::Fabric;
 use swallow_sim::{ByteReader, ByteWriter, CodecError, Time, TimeDelta};
 use swallow_xcore::Core;
 
@@ -111,9 +111,10 @@ impl MetricsHub {
     }
 
     /// Takes one measurement at `now`, recording a [`SupplyRow`] per
-    /// slice for the window since the previous sample. Call whenever the
-    /// [`PowerMonitor`] has just updated (and once more at the end of a
-    /// run, after a final monitor flush, to capture the residual window).
+    /// slice for the window since the previous sample. The machine
+    /// samples from inside every [`PowerMonitor::update`], in the same
+    /// pass; call this directly only for a sample of its own (the monitor
+    /// must have just updated for loss and support energy to be current).
     ///
     /// Pure read of cores/fabric/monitor: the rail split mirrors
     /// [`PowerMonitor::update`] — core energy and on-chip link energy to
@@ -121,29 +122,53 @@ impl MetricsHub {
     /// to the slice I/O rail — but against *cumulative* counters, so row
     /// sums telescope exactly.
     pub fn sample(&mut self, now: Time, cores: &[Core], fabric: &Fabric, monitor: &PowerMonitor) {
-        if !self.enabled || now <= self.last_sample_at {
+        if !self.begin_sample(now) {
             return;
         }
-        let span = now.since(self.last_sample_at);
-        let core_count = self.spec.core_count();
+        let map = monitor.map();
+        debug_assert_eq!(map.links.len(), fabric.link_count());
+        for (&sink, energy) in map.links.iter().zip(fabric.link_energies()) {
+            self.add_link(sink, energy);
+        }
+        for (&(slice, rail), core) in map.nodes.iter().zip(cores) {
+            self.add_node(slice, rail, core.ledger().total());
+        }
+        self.finish_sample(now, monitor);
+    }
+
+    /// Opens a sample at `now`: false (and nothing to do) when sampling
+    /// is off or `now` is not past the last sample. The caller then feeds
+    /// every link's energy to [`Self::add_link`] in link-id order, every
+    /// core's ledger total to [`Self::add_node`] in node order, and closes
+    /// with [`Self::finish_sample`].
+    pub(crate) fn begin_sample(&mut self, now: Time) -> bool {
+        if !self.enabled || now <= self.last_sample_at {
+            return false;
+        }
         self.scratch_rail.fill([Energy::ZERO; RAILS]);
-        for s in fabric.link_stats() {
-            let from = s.from.raw() as usize;
-            if from >= core_count {
-                continue; // bridge-originated tokens: host powered
-            }
-            let slice = self.spec.slice_of(s.from);
-            if s.dir == Direction::Internal {
-                self.scratch_rail[slice][monitor.rail_of(s.from)] += s.energy;
-            } else {
-                self.scratch_rail[slice][IO_RAIL] += s.energy;
-            }
+        true
+    }
+
+    /// Adds one link's cumulative energy to the rail it is metered on.
+    #[inline]
+    pub(crate) fn add_link(&mut self, sink: LinkSink, energy: Energy) {
+        match sink {
+            LinkSink::Core { slice, rail, .. } => self.scratch_rail[slice][rail] += energy,
+            LinkSink::Io { slice } => self.scratch_rail[slice][IO_RAIL] += energy,
+            LinkSink::Host => {} // bridge-originated tokens: host powered
         }
-        for node in self.spec.nodes() {
-            let slice = self.spec.slice_of(node);
-            let rail = monitor.rail_of(node);
-            self.scratch_rail[slice][rail] += cores[node.raw() as usize].ledger().total();
-        }
+    }
+
+    /// Adds one core's cumulative ledger total to its package rail.
+    #[inline]
+    pub(crate) fn add_node(&mut self, slice: usize, rail: usize, total: Energy) {
+        self.scratch_rail[slice][rail] += total;
+    }
+
+    /// Closes a sample: adds each slice's support energy and records one
+    /// row per slice against the previous sample.
+    pub(crate) fn finish_sample(&mut self, now: Time, monitor: &PowerMonitor) {
+        let span = now.since(self.last_sample_at);
         for slice in 0..self.spec.slice_count() {
             self.scratch_rail[slice][IO_RAIL] += monitor.support_energy(slice);
             let mut rails = [Energy::ZERO; RAILS];

@@ -10,12 +10,16 @@
 //! [`PowerMonitor::update`] runs on a fixed cadence (default 1 µs — the
 //! ADC's all-channel rate): it differentiates the energy ledgers into rail
 //! powers, feeds the optional [`AdcBoard`]s and pushes live readings into
-//! every core's power-probe resource (the self-measurement loop).
+//! every core's power-probe resource (the self-measurement loop). The
+//! [`MetricsHub`] samples in the same pass: one walk over the links and
+//! one over the cores feed both, through lookup tables built once from
+//! the topology (DESIGN.md §3.5).
 
+use crate::metrics::MetricsHub;
 use crate::snapshot;
 use crate::topology::{GridSpec, CHIP_COLS, CHIP_ROWS};
 use swallow_energy::{AdcBoard, Energy, Power, Smps};
-use swallow_noc::{Direction, Fabric};
+use swallow_noc::{Direction, Fabric, LinkDesc};
 use swallow_sim::{ByteReader, ByteWriter, CodecError, Time, TimeDelta, TraceEvent, Tracer};
 use swallow_xcore::Core;
 
@@ -32,9 +36,63 @@ pub const RAILS: usize = 5;
 /// Index of the I/O rail in per-slice rail arrays.
 pub const IO_RAIL: usize = 4;
 
+/// The rail a link's wire energy is metered on.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum LinkSink {
+    /// An on-chip link: its source node's package rail.
+    Core {
+        node: usize,
+        slice: usize,
+        rail: usize,
+    },
+    /// A board or FFC link: its source slice's I/O rail.
+    Io { slice: usize },
+    /// A bridge-originated link: host powered, not metered.
+    Host,
+}
+
+/// Where every core's and link's energy is metered, derived once from the
+/// topology so a monitor fire does no division chains per node or link.
+pub(crate) struct SupplyMap {
+    /// Per core node: `(slice, rail)`.
+    pub(crate) nodes: Vec<(usize, usize)>,
+    /// Per link, in link-id order.
+    pub(crate) links: Vec<LinkSink>,
+}
+
+impl SupplyMap {
+    fn new(spec: GridSpec, links: &[LinkDesc]) -> Self {
+        let nodes: Vec<(usize, usize)> = spec
+            .nodes()
+            .map(|node| (spec.slice_of(node), rail_of(spec, node)))
+            .collect();
+        let links = links
+            .iter()
+            .map(|d| match nodes.get(d.from.raw() as usize) {
+                None => LinkSink::Host,
+                Some(&(slice, rail)) if d.dir == Direction::Internal => LinkSink::Core {
+                    node: d.from.raw() as usize,
+                    slice,
+                    rail,
+                },
+                Some(&(slice, _)) => LinkSink::Io { slice },
+            })
+            .collect();
+        SupplyMap { nodes, links }
+    }
+}
+
+/// Which rail a core node's package hangs off (0–3).
+fn rail_of(spec: GridSpec, node: swallow_isa::NodeId) -> usize {
+    let c = spec.coord_of(node);
+    let local_package = (c.y % CHIP_ROWS) * CHIP_COLS + (c.x % CHIP_COLS);
+    (local_package / 2) as usize
+}
+
 /// Live power-tree state for a whole machine.
 pub struct PowerMonitor {
     spec: GridSpec,
+    map: SupplyMap,
     window: TimeDelta,
     next_update: Time,
     last_core_energy: Vec<Energy>,
@@ -59,17 +117,21 @@ pub struct PowerMonitor {
     scratch_external_by_slice: Vec<Energy>,
     /// Reusable window scratch: fresh energy per rail per slice.
     scratch_rail_energy: Vec<[Energy; RAILS]>,
+    /// Reusable window scratch: each slice's probe readings (µW).
+    scratch_readings: Vec<[u32; RAILS]>,
     /// Trace sink for [`TraceEvent::SupplySample`] records (one per rail
     /// per slice per update).
     tracer: Tracer,
 }
 
 impl PowerMonitor {
-    /// Creates a monitor for a machine of `spec` size.
-    pub fn new(spec: GridSpec, window: TimeDelta) -> Self {
+    /// Creates a monitor for a machine of `spec` size whose fabric has
+    /// the links `links` (in link-id order).
+    pub fn new(spec: GridSpec, window: TimeDelta, links: &[LinkDesc]) -> Self {
         let slices = spec.slice_count();
         PowerMonitor {
             spec,
+            map: SupplyMap::new(spec, links),
             window,
             next_update: Time::ZERO + window,
             last_core_energy: vec![Energy::ZERO; spec.core_count()],
@@ -84,6 +146,7 @@ impl PowerMonitor {
             scratch_internal_by_node: vec![Energy::ZERO; spec.core_count()],
             scratch_external_by_slice: vec![Energy::ZERO; slices],
             scratch_rail_energy: vec![[Energy::ZERO; RAILS]; slices],
+            scratch_readings: vec![[0; RAILS]; slices],
             tracer: Tracer::Off,
         }
     }
@@ -122,9 +185,12 @@ impl PowerMonitor {
 
     /// Which rail a core node's package hangs off (0–3).
     pub fn rail_of(&self, node: swallow_isa::NodeId) -> usize {
-        let c = self.spec.coord_of(node);
-        let local_package = (c.y % CHIP_ROWS) * CHIP_COLS + (c.x % CHIP_COLS);
-        (local_package / 2) as usize
+        rail_of(self.spec, node)
+    }
+
+    /// The metering tables.
+    pub(crate) fn map(&self) -> &SupplyMap {
+        &self.map
     }
 
     /// Latest measured load of one rail of one slice.
@@ -170,13 +236,28 @@ impl PowerMonitor {
     }
 
     /// Differentiates the ledgers over the elapsed window, refreshes rail
-    /// powers, samples ADCs and pushes probe readings into the cores.
-    pub fn update(&mut self, now: Time, cores: &mut [Core], fabric: &Fabric) {
+    /// powers, samples ADCs and pushes probe readings into the cores, then
+    /// lets `metrics` take its sample at `now` ([`MetricsHub::sample`]).
+    ///
+    /// Both read the same link and core energies, so one pass over the
+    /// links and one over the cores feed the monitor's per-window deltas
+    /// and the hub's cumulative sums together. Each accumulator still
+    /// receives its additions in the order of a separate pass: link-id
+    /// order, then node order.
+    pub fn update(
+        &mut self,
+        now: Time,
+        cores: &mut [Core],
+        fabric: &Fabric,
+        metrics: &mut MetricsHub,
+    ) {
         let span = now.saturating_since(self.next_update - self.window);
         if span.is_zero() {
+            metrics.sample(now, cores, fabric, self);
             return;
         }
         self.next_update = now + self.window;
+        let sample = metrics.begin_sample(now);
         let slices = self.spec.slice_count();
         let core_count = self.spec.core_count();
         // Allocation-free invariant: the scratch buffers were sized at
@@ -185,33 +266,34 @@ impl PowerMonitor {
         debug_assert_eq!(self.scratch_internal_by_node.len(), core_count);
         debug_assert_eq!(self.scratch_external_by_slice.len(), slices);
         debug_assert_eq!(self.scratch_rail_energy.len(), slices);
+        debug_assert_eq!(self.map.links.len(), fabric.link_count());
         self.scratch_internal_by_node.fill(Energy::ZERO);
         self.scratch_external_by_slice.fill(Energy::ZERO);
         self.scratch_rail_energy.fill([Energy::ZERO; RAILS]);
 
         // Split fresh link energy: on-chip links charge their source
         // node's 1 V rail; board/FFC links charge the slice I/O rail.
-        for s in fabric.link_stats() {
-            let from = s.from.raw() as usize;
-            if from >= core_count {
-                continue; // bridge-originated tokens: host powered
+        for (&sink, energy) in self.map.links.iter().zip(fabric.link_energies()) {
+            match sink {
+                LinkSink::Core { node, .. } => self.scratch_internal_by_node[node] += energy,
+                LinkSink::Io { slice } => self.scratch_external_by_slice[slice] += energy,
+                LinkSink::Host => continue,
             }
-            if s.dir == Direction::Internal {
-                self.scratch_internal_by_node[from] += s.energy;
-            } else {
-                self.scratch_external_by_slice[self.spec.slice_of(s.from)] += s.energy;
+            if sample {
+                metrics.add_link(sink, energy);
             }
         }
 
-        for node in self.spec.nodes() {
-            let i = node.raw() as usize;
-            let core_delta = cores[i].ledger().total() - self.last_core_energy[i];
+        for (i, (&(slice, rail), core)) in self.map.nodes.iter().zip(cores.iter()).enumerate() {
+            let total = core.ledger().total();
+            let core_delta = total - self.last_core_energy[i];
             let link_delta = self.scratch_internal_by_node[i] - self.last_internal_by_node[i];
-            self.last_core_energy[i] = cores[i].ledger().total();
+            self.last_core_energy[i] = total;
             self.last_internal_by_node[i] = self.scratch_internal_by_node[i];
-            let slice = self.spec.slice_of(node);
-            let rail = self.rail_of(node);
             self.scratch_rail_energy[slice][rail] += core_delta + link_delta;
+            if sample {
+                metrics.add_node(slice, rail, total);
+            }
         }
         let support = Power::from_milliwatts(SUPPORT_POWER_PER_SLICE_MW);
         for slice in 0..slices {
@@ -227,6 +309,7 @@ impl PowerMonitor {
                 .take(RAILS)
             {
                 self.rails[slice][rail] = energy.over(span);
+                self.scratch_readings[slice][rail] = self.rails[slice][rail].as_microwatts() as u32;
             }
             // Integrate conversion losses at the measured load.
             let loss: Power = (0..IO_RAIL)
@@ -255,21 +338,22 @@ impl PowerMonitor {
         }
 
         // Self-measurement: every core sees its slice's five rails.
-        for node in self.spec.nodes() {
-            let slice = self.spec.slice_of(node);
-            let readings = self.rails[slice];
-            let core = &mut cores[node.raw() as usize];
-            for (ch, p) in readings.iter().enumerate() {
-                core.set_probe_reading(ch, p.as_microwatts() as u32);
+        for (&(slice, _), core) in self.map.nodes.iter().zip(cores.iter_mut()) {
+            for (ch, &uw) in self.scratch_readings[slice].iter().enumerate() {
+                core.set_probe_reading(ch, uw);
             }
+        }
+        if sample {
+            metrics.finish_sample(now, self);
         }
     }
 
     // Snapshot codec. The lengths of every vector are a pure function of
     // the grid spec (restored from the machine's CONF section before this
-    // runs), so they are not re-encoded; the SMPS models and the scratch
-    // buffers are constants/derived, and ADC daughter-boards are
-    // observational test fixtures that are not part of a snapshot.
+    // runs), so they are not re-encoded; the SMPS models, the metering
+    // tables and the scratch buffers are constants/derived, and ADC
+    // daughter-boards are observational test fixtures that are not part
+    // of a snapshot.
 
     pub(crate) fn encode_state(&self, w: &mut ByteWriter) {
         w.time(self.next_update);
@@ -329,7 +413,7 @@ mod tests {
     #[test]
     fn rail_assignment_pairs_packages() {
         let spec = GridSpec::ONE_SLICE;
-        let m = PowerMonitor::new(spec, DEFAULT_MONITOR_WINDOW);
+        let m = PowerMonitor::new(spec, DEFAULT_MONITOR_WINDOW, &[]);
         // Packages 0,1 -> rail 0; 2,3 -> rail 1; 4,5 -> rail 2; 6,7 -> rail 3.
         let mut rail_counts = [0usize; 4];
         for node in spec.nodes() {
@@ -346,7 +430,7 @@ mod tests {
 
     #[test]
     fn empty_monitor_reports_zero() {
-        let m = PowerMonitor::new(GridSpec::ONE_SLICE, DEFAULT_MONITOR_WINDOW);
+        let m = PowerMonitor::new(GridSpec::ONE_SLICE, DEFAULT_MONITOR_WINDOW, &[]);
         assert_eq!(m.slice_load_power(0), Power::ZERO);
         assert_eq!(m.rail_power(9, 0), Power::ZERO); // out of range is safe
                                                      // Input power still includes the fixed SMPS overhead.

@@ -43,6 +43,23 @@
 //! are monotone), so it is *cleared* and neither read nor waited on — an
 //! off-board peer four token-times away clears after a handful of rounds.
 //!
+//! # Live cores
+//!
+//! A busy 480-core machine may have only a few dozen cores with work, and
+//! a shard runs ~30 rounds per window, so each shard first collects the
+//! cores of its runs that are not [`Core::is_quiescent`] into a buffer it
+//! reuses across windows, and every round's run and watermark loops walk
+//! only that list. Skipping the others is exact. A core quiescent when
+//! the window opens (halted, or every thread blocked on external input)
+//! can only be woken by a token, and none arrives inside a window: the
+//! fabric is idle on entry and any emission stops the window. So
+//! [`Core::run_epoch`] on it would return at once without touching it,
+//! and its watermark is `u64::MAX`, the identity of the minimum. A live
+//! core that halts or blocks partway through stays on the list and
+//! reports `u64::MAX` itself. Horizons, round counts, the `drained`
+//! verdict and where idle spans are chunked are therefore those of a
+//! pass over every core.
+//!
 //! # Why the protocol is safe
 //!
 //! A token emitted by shard `p` during round `k` is emitted no earlier
@@ -403,6 +420,9 @@ pub struct EpochPool {
     shards: usize,
     /// Shard 0's runs, run inline.
     inline_runs: Vec<(usize, usize)>,
+    /// Shard 0's live cores of the current window (each worker keeps its
+    /// own): refilled per window, never reallocated once full size.
+    inline_live: Vec<usize>,
 }
 
 impl EpochPool {
@@ -435,6 +455,7 @@ impl EpochPool {
             handles,
             shards: plan.shard_count(),
             inline_runs: plan.runs(0).to_vec(),
+            inline_live: Vec::with_capacity(plan.len(0)),
         }
     }
 
@@ -491,7 +512,7 @@ impl EpochPool {
     /// Re-raises a worker panic on the calling thread, naming the shard.
     /// Panics if the latency matrix does not match the shard count.
     pub fn run_negotiated(
-        &self,
+        &mut self,
         cores: &mut [Core],
         params: &NegotiationParams<'_>,
     ) -> NegotiationOutcome {
@@ -516,6 +537,7 @@ impl EpochPool {
                 cores.len(),
                 0,
                 &self.inline_runs,
+                &mut self.inline_live,
                 &self.shared.board,
             );
         }
@@ -565,10 +587,11 @@ fn align_down_ps(x: u64, anchor: u64, period: u64) -> u64 {
     }
 }
 
-/// One shard's side of the negotiation protocol (module docs): publishes
-/// the round-0 watermark, then loops rounds of read-peers → compute
-/// horizon → run own cores → publish, until the window bound, an
-/// emission (own or a peer's), or round exhaustion.
+/// One shard's side of the negotiation protocol (module docs): collects
+/// the shard's live cores into `live`, publishes the round-0 watermark,
+/// then loops rounds of read-peers → compute horizon → run live cores →
+/// publish, until the window bound, an emission (own or a peer's), or
+/// round exhaustion.
 ///
 /// # Safety
 ///
@@ -581,21 +604,29 @@ unsafe fn negotiate_shard(
     len: usize,
     shard: usize,
     runs: &[(usize, usize)],
+    live: &mut Vec<usize>,
     board: &Board,
 ) {
-    let watermark = |runs: &[(usize, usize)]| -> u64 {
-        let mut w = u64::MAX;
-        for &(lo, hi) in runs {
-            debug_assert!(hi <= len, "shard run outside the core array");
-            for i in lo..hi.min(len) {
-                let core = unsafe { &*cores.0.add(i) };
-                w = w.min(core.watermark_ps());
+    // Only the cores that are not quiescent now can do anything in this
+    // window (module docs, "Live cores"); every round visits just them.
+    live.clear();
+    for &(lo, hi) in runs {
+        debug_assert!(hi <= len, "shard run outside the core array");
+        for i in lo..hi.min(len) {
+            // SAFETY: disjoint-runs protocol (function contract).
+            if !unsafe { &*cores.0.add(i) }.is_quiescent() {
+                live.push(i);
             }
         }
-        w
+    }
+    let live = &live[..];
+    let watermark = || -> u64 {
+        live.iter().fold(u64::MAX, |w, &i| {
+            w.min(unsafe { &*cores.0.add(i) }.watermark_ps())
+        })
     };
     let sb = job.serial_bound_ps;
-    let mut last_w = watermark(runs);
+    let mut last_w = watermark();
     board.publish(shard, 0, last_w, false);
     let mut cleared = vec![false; job.shards];
     let mut last_h = job.anchor_ps;
@@ -639,17 +670,15 @@ unsafe fn negotiate_shard(
         }
         if h > last_h {
             let until = Time::from_ps(h);
-            for &(lo, hi) in runs {
-                for i in lo..hi.min(len) {
-                    // SAFETY: disjoint-runs protocol (function contract).
-                    let core = unsafe { &mut *cores.0.add(i) };
-                    if !core.has_tx_pending() && core.run_epoch(until) {
-                        emitted = true;
-                    }
+            for &i in live {
+                // SAFETY: disjoint-runs protocol (function contract).
+                let core = unsafe { &mut *cores.0.add(i) };
+                if !core.has_tx_pending() && core.run_epoch(until) {
+                    emitted = true;
                 }
             }
             last_h = h;
-            last_w = watermark(runs);
+            last_w = watermark();
         }
         board.publish(shard, round, last_w, emitted);
         max_round = round;
@@ -662,6 +691,7 @@ unsafe fn negotiate_shard(
 
 fn worker(shared: &Shared, shard: usize, runs: &[(usize, usize)]) {
     let mut seen = 0u64;
+    let mut live = Vec::with_capacity(runs.iter().map(|&(lo, hi)| hi - lo).sum());
     loop {
         let job = {
             let mut g = shared.ctrl.lock().expect("pool lock");
@@ -679,7 +709,15 @@ fn worker(shared: &Shared, shard: usize, runs: &[(usize, usize)]) {
         // SAFETY: `runs` is this worker's disjoint node set; the control
         // thread is blocked until `remaining` hits zero.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
-            negotiate_shard(&job.neg, job.cores, job.len, shard, runs, &shared.board);
+            negotiate_shard(
+                &job.neg,
+                job.cores,
+                job.len,
+                shard,
+                runs,
+                &mut live,
+                &shared.board,
+            );
         }));
         let mut g = shared.ctrl.lock().expect("pool lock");
         if let Err(payload) = outcome {
@@ -786,7 +824,7 @@ mod tests {
     /// Runs one window from time zero to `bound` with every shard pair
     /// (and every shard to itself) `latency` apart.
     fn window(
-        pool: &EpochPool,
+        pool: &mut EpochPool,
         cores: &mut [Core],
         bound: Time,
         latency: TimeDelta,
@@ -815,9 +853,9 @@ mod tests {
             core.load_program(&busy).expect("fits");
         }
         let plan = ShardPlan::new(cores.len(), 3);
-        let pool = EpochPool::new(&plan);
+        let mut pool = EpochPool::new(&plan);
         let bound = Time::ZERO + TimeDelta::from_us(1);
-        let outcome = window(&pool, &mut cores, bound, TimeDelta::from_ns(32));
+        let outcome = window(&mut pool, &mut cores, bound, TimeDelta::from_ns(32));
         assert!(!outcome.emitted);
         for core in &cores[..4] {
             // Busy cores run to their halt edge inside the window.
@@ -837,7 +875,7 @@ mod tests {
         // A second window reuses the same workers and is a clean no-op on
         // the drained machine.
         let outcome = window(
-            &pool,
+            &mut pool,
             &mut cores,
             bound + TimeDelta::from_us(1),
             TimeDelta::from_ns(32),
@@ -857,10 +895,10 @@ mod tests {
             .map(|n| Core::new(CoreConfig::swallow(swallow_isa::NodeId(n))))
             .collect();
         let plan = ShardPlan::new(cores.len(), 4);
-        let pool = EpochPool::new(&plan);
+        let mut pool = EpochPool::new(&plan);
         let shards = plan.shard_count();
         let bound = Time::ZERO + TimeDelta::from_us(1);
-        let outcome = window(&pool, &mut cores, bound, TimeDelta::from_ns(32));
+        let outcome = window(&mut pool, &mut cores, bound, TimeDelta::from_ns(32));
         assert_eq!(outcome.target, bound);
         assert!(!outcome.emitted);
         assert!(outcome.drained, "all-blocked machine must report drained");
@@ -870,7 +908,7 @@ mod tests {
         }
         // Back-to-back windows reuse the board (slots were reset).
         let bound2 = Time::ZERO + TimeDelta::from_us(2);
-        let outcome2 = window(&pool, &mut cores, bound2, TimeDelta::from_ns(32));
+        let outcome2 = window(&mut pool, &mut cores, bound2, TimeDelta::from_ns(32));
         assert_eq!(outcome2.target, bound2);
         assert!(outcome2.drained);
     }
@@ -879,7 +917,7 @@ mod tests {
     #[cfg(debug_assertions)]
     fn worker_panic_is_reraised_with_its_shard_id() {
         let plan = ShardPlan::new(8, 2); // shard 1 owns nodes 4..8
-        let pool = EpochPool::new(&plan);
+        let mut pool = EpochPool::new(&plan);
         // Hand the pool fewer cores than the plan covers: shard 1's run
         // trips its bounds debug_assert on the worker thread, and the
         // control thread must re-raise it naming the shard.
@@ -888,7 +926,7 @@ mod tests {
             .collect();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             window(
-                &pool,
+                &mut pool,
                 &mut cores,
                 Time::ZERO + TimeDelta::from_ns(50),
                 TimeDelta::from_ns(32),

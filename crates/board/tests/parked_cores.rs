@@ -15,7 +15,9 @@
 //! sink for heads parked on a link's release, on credit and on a full
 //! chanend. A last test pins the ledger totals bit for bit, which
 //! is what catches a catch-up — or a jump — that adds the right energy
-//! in the wrong order.
+//! in the wrong order, and the windowed engine's window and round counts
+//! on a sparse grid, which catch a window that visits fewer cores but
+//! negotiates differently.
 
 use swallow_board::{EngineMode, Machine, MachineConfig, RouterKind};
 use swallow_faults::{FaultKind, FaultPlan};
@@ -132,13 +134,19 @@ fn outcome(machine: &Machine, quiescent: bool) -> Outcome {
 
 /// Runs `build` under `engine` to quiescence (or 200 µs), in 3 µs
 /// chunks so every chunk boundary is a catch-up point too.
-fn run(build: &dyn Fn(EngineMode) -> Machine, engine: EngineMode) -> (Outcome, Vec<u8>) {
+fn drive(build: &dyn Fn(EngineMode) -> Machine, engine: EngineMode) -> (Machine, bool) {
     let mut machine = build(engine);
     let mut quiescent = false;
     while !quiescent && machine.now() < t(200) {
         machine.run_for(TimeDelta::from_us(3));
         quiescent = machine.run_until_quiescent(TimeDelta::ZERO);
     }
+    (machine, quiescent)
+}
+
+/// [`drive`], reduced to what must agree and the snapshot image.
+fn run(build: &dyn Fn(EngineMode) -> Machine, engine: EngineMode) -> (Outcome, Vec<u8>) {
+    let (machine, quiescent) = drive(build, engine);
     (outcome(&machine, quiescent), machine.snapshot())
 }
 
@@ -472,25 +480,56 @@ fn slow_spinners_machine(engine: EngineMode) -> Machine {
     machine
 }
 
-/// Ledger totals of seven scenarios under lock-step and windowed at one
+/// A sparse 2×1 grid: a long spinner on each slice, a core that sleeps
+/// on a timer whose wake falls inside a negotiated window, a core that
+/// halts partway through one, and 28 unloaded cores. Windows open over
+/// both shards while most cores have nothing to do.
+fn sparse_machine(engine: EngineMode) -> Machine {
+    let mut machine = Machine::new(MachineConfig {
+        engine,
+        ..MachineConfig::grid(2, 1)
+    });
+    let spin = asm("ldc r1, 900\nlp:\nsub r1, r1, 1\nbt r1, lp\nfreet");
+    for node in [1, 17] {
+        machine.load_program(NodeId(node), &spin).expect("fits");
+    }
+    let sleeper = "ldc r1, 40\nlp:\nsub r1, r1, 1\nbt r1, lp\ngetr r5, timer\nin r6, r5\n\
+                   ldc r7, 437\nadd r6, r6, r7\ntmwait r5, r6\nldc r1, 60\nlp2:\nsub r1, r1, 1\n\
+                   bt r1, lp2\nfreet";
+    machine
+        .load_program(NodeId(20), &asm(sleeper))
+        .expect("fits");
+    let halter = asm("ldc r1, 211\nlp:\nsub r1, r1, 1\nbt r1, lp\nhalt");
+    machine.load_program(NodeId(6), &halter).expect("fits");
+    machine
+}
+
+/// Ledger totals of eight scenarios under lock-step and windowed at one
 /// and two threads, bit for bit. Each engine adds the same per-core
 /// charges in its own fixed order, and skipping parked cores must keep
 /// that order exactly (a catch-up performs the very additions of the
 /// edges it replaces), so one changed bit here means a catch-up point
 /// changed the arithmetic — a drift the 1e-9 comparisons cannot see.
+/// The sparse row also pins `negotiation_stats()`: which windows open and
+/// how many watermark rounds each shard runs decide where idle spans are
+/// chunked, so skipping cores with nothing to do inside a window must
+/// leave both counts unchanged.
 #[test]
 fn ledger_totals_are_pinned_bit_for_bit() {
     type Build = Box<dyn Fn(EngineMode) -> Machine>;
-    let scenarios: [(&str, Build, [u64; 3]); 7] = [
+    type Stats = Option<[(u64, u64); 3]>;
+    let scenarios: [(&str, Build, [u64; 3], Stats); 8] = [
         (
             "compute",
             Box::new(compute_machine),
             [0x3f0df78541d1d8d5, 0x3f0df78541d1d7ef, 0x3f0df78541d1d7ed],
+            None,
         ),
         (
             "chain",
             Box::new(|e| chain_with(e, 1_000, FaultPlan::new())),
             [0x3f05d0745b299dac, 0x3f05d0745b299d5d, 0x3f05d0745b299d5d],
+            None,
         ),
         (
             "brownout",
@@ -499,26 +538,37 @@ fn ledger_totals_are_pinned_bit_for_bit() {
                 chain_with(e, 1_000, plan)
             }),
             [0x3f0369dc1ecf5a8c, 0x3f0369dc1ecf5a8f, 0x3f0369dc1ecf5a8f],
+            None,
         ),
         (
             "quarantine",
             Box::new(|e| escalation_machine(e).0),
             [0x3f053e8c2cddd96e, 0x3f053e8c2cddd90c, 0x3f053e8c2cddd90c],
+            None,
         ),
         (
             "congested",
             Box::new(congested_machine),
             [0x3f183167fc9faead, 0x3f183167fc9fae07, 0x3f183167fc9fae07],
+            None,
         ),
         (
             "backpressured",
             Box::new(backpressured_machine),
             [0x3f2791467d17bed4, 0x3f2791467d17bdd0, 0x3f2791467d17bdd0],
+            None,
         ),
         (
             "slow spinners",
             Box::new(slow_spinners_machine),
             [0x3f16bf1f259615a3, 0x3f16bf1f259613f8, 0x3f16bf1f259613f8],
+            None,
+        ),
+        (
+            "sparse",
+            Box::new(sparse_machine),
+            [0x3f14f49d84c62bc3, 0x3f14f49d84c62b72, 0x3f14f49d84c62b72],
+            Some([(0, 0), (15, 434), (15, 826)]),
         ),
     ];
     let engines = [
@@ -526,15 +576,22 @@ fn ledger_totals_are_pinned_bit_for_bit() {
         EngineMode::Windowed { threads: 1 },
         EngineMode::Windowed { threads: 2 },
     ];
-    for (name, build, want) in &scenarios {
-        for (&engine, &want) in engines.iter().zip(want) {
-            let (got, _) = run(build.as_ref(), engine);
-            let bits = got.energy_j.to_bits();
+    for (name, build, want, stats) in &scenarios {
+        for (i, (&engine, &want)) in engines.iter().zip(want).enumerate() {
+            let (machine, quiescent) = drive(build.as_ref(), engine);
+            let energy_j = outcome(&machine, quiescent).energy_j;
+            let bits = energy_j.to_bits();
             assert_eq!(
                 bits, want,
-                "{name} under {engine:?}: {bits:#x} ({:e} J)",
-                got.energy_j
+                "{name} under {engine:?}: {bits:#x} ({energy_j:e} J)"
             );
+            if let Some(stats) = stats {
+                assert_eq!(
+                    machine.negotiation_stats(),
+                    stats[i],
+                    "{name} under {engine:?}: (windows, rounds)"
+                );
+            }
         }
     }
 }

@@ -125,7 +125,6 @@ struct Link {
     data_tokens: u64,
     ctrl_tokens: u64,
     header_tokens: u64,
-    energy: Energy,
     busy_time: TimeDelta,
     /// True while the link is unplugged (scheduled fault or retry
     /// escalation): it accepts no launches, but in-flight and queued
@@ -349,7 +348,6 @@ impl FabricBuilder {
             data_tokens: 0,
             ctrl_tokens: 0,
             header_tokens: 0,
-            energy: Energy::ZERO,
             busy_time: TimeDelta::ZERO,
             down: false,
             corrupt_until: Time::ZERO,
@@ -398,6 +396,7 @@ impl FabricBuilder {
         }
         Fabric {
             nodes: self.nodes,
+            link_energy: vec![Energy::ZERO; self.links.len()],
             rx_ready: IndexSet::new(self.links.len()),
             rx_parked: IndexSet::new(self.links.len()),
             links: self.links,
@@ -433,6 +432,10 @@ impl FabricBuilder {
 pub struct Fabric {
     nodes: usize,
     links: Vec<Link>,
+    /// Per link, by id: the wire energy dissipated so far. Kept out of
+    /// [`Link`] so the power monitor's read on every fire walks one dense
+    /// array instead of every link's queues and counters.
+    link_energy: Vec<Energy>,
     outgoing: Vec<Vec<LinkId>>,
     /// Every link in forward order: node-major by receiving switch, then
     /// link id — the order in which switches serve their input ports.
@@ -892,12 +895,19 @@ impl Fabric {
             data_tokens: l.data_tokens,
             ctrl_tokens: l.ctrl_tokens,
             header_tokens: l.header_tokens,
-            energy: l.energy,
+            energy: self.link_energy[i],
             busy_time: l.busy_time,
             retransmits: l.retransmits,
             dropped_tokens: l.dropped_tokens,
             down: l.down,
         })
+    }
+
+    /// Each link's cumulative wire energy, in link-id order: the one
+    /// field of [`LinkStats`] the power monitor reads on every fire, from
+    /// a dense array and without building the rest.
+    pub fn link_energies(&self) -> impl ExactSizeIterator<Item = Energy> + '_ {
+        self.link_energy.iter().copied()
     }
 
     /// Takes a link out of service ("hot-unplug"). New launches are
@@ -1001,7 +1011,7 @@ impl Fabric {
 
     /// Total wire energy dissipated so far.
     pub fn total_energy(&self) -> Energy {
-        self.links.iter().map(|l| l.energy).sum()
+        self.link_energy.iter().copied().sum()
     }
 
     /// Total wire energy attributable to links transmitting *from* a node
@@ -1009,7 +1019,7 @@ impl Fabric {
     pub fn energy_from_node(&self, node: NodeId) -> Energy {
         self.outgoing[node.raw() as usize]
             .iter()
-            .map(|&id| self.links[id.0 as usize].energy)
+            .map(|&id| self.link_energy[id.0 as usize])
             .sum()
     }
 
@@ -1522,7 +1532,7 @@ impl Fabric {
             link.retransmits += 1;
             self.retransmits += 1;
             link.retry_streak += 1;
-            link.energy += link.params.token_energy();
+            self.link_energy[lid.0 as usize] += link.params.token_energy();
             link.busy_time += link.params.token_time;
             link.busy_until = now + link.params.token_time;
             let streak = link.retry_streak;
@@ -1639,7 +1649,7 @@ impl Fabric {
             let header_time = link.params.token_time * HEADER_TOKENS;
             start = now + header_time;
             link.header_tokens += HEADER_TOKENS;
-            link.energy += link.params.token_energy() * HEADER_TOKENS as f64;
+            self.link_energy[lid.0 as usize] += link.params.token_energy() * HEADER_TOKENS as f64;
             link.busy_time += header_time;
         }
         let arrival = start + link.params.token_time;
@@ -1648,7 +1658,7 @@ impl Fabric {
         let link = &mut self.links[lid.0 as usize];
         link.busy_until = arrival;
         link.busy_time += link.params.token_time;
-        link.energy += link.params.token_energy();
+        self.link_energy[lid.0 as usize] += link.params.token_energy();
         match token {
             Token::Data(_) => link.data_tokens += 1,
             Token::Ctrl(_) => link.ctrl_tokens += 1,
@@ -1694,7 +1704,7 @@ impl Fabric {
             "snapshot with undrained link escalations"
         );
         w.u64(self.links.len() as u64);
-        for link in &self.links {
+        for (link, energy) in self.links.iter().zip(&self.link_energy) {
             w.time(link.busy_until);
             match link.owner {
                 None => w.u8(0),
@@ -1719,7 +1729,7 @@ impl Fabric {
             w.u64(link.data_tokens);
             w.u64(link.ctrl_tokens);
             w.u64(link.header_tokens);
-            w.f64_bits(link.energy.as_joules());
+            w.f64_bits(energy.as_joules());
             w.delta(link.busy_time);
             w.bool(link.down);
             w.time(link.corrupt_until);
@@ -1771,7 +1781,7 @@ impl Fabric {
         if links != self.links.len() {
             return Err(CodecError::Invalid("fabric link count mismatch"));
         }
-        for link in &mut self.links {
+        for (link, energy) in self.links.iter_mut().zip(&mut self.link_energy) {
             link.busy_until = r.time()?;
             link.owner = match r.u8()? {
                 0 => None,
@@ -1804,7 +1814,7 @@ impl Fabric {
             link.data_tokens = r.u64()?;
             link.ctrl_tokens = r.u64()?;
             link.header_tokens = r.u64()?;
-            link.energy = Energy::from_joules(r.finite_f64()?);
+            *energy = Energy::from_joules(r.finite_f64()?);
             link.busy_time = r.delta()?;
             link.down = r.bool()?;
             link.corrupt_until = r.time()?;

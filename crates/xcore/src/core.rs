@@ -933,30 +933,16 @@ impl Core {
         Some((dest, token))
     }
 
+    /// The live readings of the measurement channels, in microwatts.
+    pub fn probe_readings(&self) -> [u32; PROBE_CHANNELS] {
+        self.probe_readings
+    }
+
     /// Updates the live reading of one measurement channel, in microwatts
     /// (driven by the board's power tree; read by `in` on a probe).
     pub fn set_probe_reading(&mut self, channel: usize, microwatts: u32) {
         if channel < PROBE_CHANNELS {
             self.probe_readings[channel] = microwatts;
-        }
-    }
-
-    /// Test hook: allocates a chanend from outside (as a boot loader
-    /// would) and returns its id.
-    pub fn alloc_chanend(&mut self) -> Option<ResourceId> {
-        let idx = self.resources.alloc(ResType::Chanend)?;
-        self.drained |= 1 << idx;
-        Some(ResourceId::new(self.config.node, idx, ResType::Chanend))
-    }
-
-    /// Sets the destination of a chanend from outside (boot-time routing).
-    pub fn connect_chanend(&mut self, chanend: u8, dest: ResourceId) -> bool {
-        match self.resources.chanend_mut(chanend) {
-            Some(ch) => {
-                ch.dest = Some(dest);
-                true
-            }
-            None => false,
         }
     }
 

@@ -290,6 +290,97 @@ proptest! {
     }
 }
 
+/// One core of a sparse machine. Spins `spin` iterations, then by
+/// `role`: 0 finishes; 1 sleeps `ticks` timer ticks, sends one word to
+/// chanend 0 of `dest` (if any) and prints the timer; 2 prints the timer
+/// when a word arrives (never, unless a sleeper sends it one); 3 halts
+/// the core. Printed timer values pin when each wake and delivery
+/// happened.
+fn sparse_role(role: u8, spin: u32, ticks: u32, dest: Option<u16>) -> String {
+    let spin_loop = format!("ldc r1, {spin}\nspin:\nsub r1, r1, 1\nbt r1, spin\n");
+    let timer = "getr r5, timer\nin r6, r5\n";
+    match role {
+        0 => spin_loop + "ldc r2, 1\nprint r2\nfreet\n",
+        1 => {
+            let (open, send) = match dest {
+                Some(node) => (
+                    format!("getr r0, chanend\nldc r1, {node}\nshl r1, r1, 16\nadd r1, r1, 2\nsetd r0, r1\n"),
+                    "ldc r2, 7\nout r0, r2\noutct r0, end\n",
+                ),
+                None => (String::new(), ""),
+            };
+            format!(
+                "{open}{spin_loop}{timer}ldc r7, {ticks}\nadd r6, r6, r7\ntmwait r5, r6\n\
+                 {send}in r6, r5\nprint r6\nfreet\n"
+            )
+        }
+        2 => format!(
+            "getr r0, chanend\n{spin_loop}in r1, r0\nchkct r0, end\n{timer}print r6\nfreet\n"
+        ),
+        _ => spin_loop + "ldc r2, 4\nprint r2\nhalt\n",
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 8, // each case is three whole-machine runs
+        .. ProptestConfig::default()
+    })]
+
+    /// Sparse windows: on a 2×1 grid a spinner on each slice keeps
+    /// negotiated windows opening while up to eight random cores finish,
+    /// sleep on a timer and wake (sending a word to a listening core, if
+    /// one is left), listen, or halt the core, each after a random spin,
+    /// and the rest stay unloaded. A window visits only the cores that
+    /// are not quiescent when it opens, so cores that stop, wake or
+    /// emit at any instant inside one must leave windowed at one and two
+    /// threads matching lock-step exactly.
+    #[test]
+    fn sparse_windows_agree_under_every_engine(
+        anchors in ((0u16..16, 100u32..700), (16u16..32, 100u32..700)),
+        others in proptest::collection::vec((0u16..32, 0u8..4, 1u32..500, 1u32..900), 0..9),
+    ) {
+        let (left, right) = anchors;
+        let mut cores = vec![(left.0, 0, left.1, 0), (right.0, 0, right.1, 0)];
+        for &(node, role, spin, ticks) in &others {
+            if cores.iter().all(|c| c.0 != node) {
+                cores.push((node, role, spin, ticks));
+            }
+        }
+        // The n-th sleeper sends to the n-th listener.
+        let mut listeners = cores.iter().filter(|c| c.1 == 2).map(|c| c.0);
+        let programs: Vec<(u16, String)> = cores
+            .iter()
+            .map(|&(node, role, spin, ticks)| {
+                let dest = if role == 1 { listeners.next() } else { None };
+                (node, sparse_role(role, spin, ticks, dest))
+            })
+            .collect();
+        let run = |engine: EngineMode| {
+            let mut system = SystemBuilder::new()
+                .slices(2, 1)
+                .engine(engine)
+                .build()
+                .expect("builds");
+            for (node, src) in &programs {
+                let program = Assembler::new().assemble(src).expect("assembles");
+                system.load_program(NodeId(*node), &program).expect("fits");
+            }
+            let quiescent = system.run_until_quiescent(TimeDelta::from_us(200));
+            let windows = system.machine().negotiation_stats().0;
+            (Fingerprint::of(&system, quiescent), windows)
+        };
+        let (ls, _) = run(EngineMode::LockStep);
+        prop_assert!(ls.quiescent, "every program stops");
+        for threads in [1, 2] {
+            let engine = EngineMode::Windowed { threads };
+            let (got, windows) = run(engine);
+            prop_assert!(windows > 0, "{:?} opened no window", engine);
+            assert_equivalent(&format!("{engine:?}"), &got, &ls);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 10, // each case is two whole-machine runs
