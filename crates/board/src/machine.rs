@@ -22,30 +22,27 @@
 //!   lock-step would. When a window cannot open — tokens in flight,
 //!   pending output, bridge backlog, fewer than two runnable cores — the
 //!   engine takes one serial fast-forward step instead: it jumps `now`
-//!   to the next instant anything can happen and charges the skipped
-//!   idle energy analytically (edge by edge over a wait on a busy link
-//!   or a ready core's idle issue slots, see `ff_advance`). All
-//!   processing stays on the base-clock grid, so results are
-//!   bit-identical run to run and equal to lock-step within f64
-//!   association error. See DESIGN.md §3.7, §3.8.
+//!   to the next instant anything can happen (see `ff_advance`). All
+//!   processing stays on the base-clock grid and every engine charges
+//!   each idle clock edge with lock-step's own additions, so results,
+//!   energy included, equal lock-step's bit for bit at every thread
+//!   count. See DESIGN.md §3.7, §3.8.
 //!
 //! Every grid instant, whichever engine reaches it, is processed by one
 //! routine, `process_edge`: lock-step steps, fast-forward jumps, window
-//! commits and the instants a reconciliation replays all go through it.
-//! The fast-forward step and the window commit share one jump
-//! (`jump_to`), and `run_for` and `run_until_quiescent` share one
-//! advance loop.
+//! commits and the instants a reconciliation replays all go through it,
+//! and `run_for` and `run_until_quiescent` share one advance loop.
 //!
 //! Inside an advance the per-edge passes visit only *awake* cores. A core
 //! parks when an edge leaves it quiescent (halted, or every thread
 //! blocked on input) with no pending output; until a token arrives it can
 //! only tick idle, so the core pass, the activity scan, the window
-//! preconditions and `is_quiescent` skip it. Wherever anything
-//! other than an idle tick touches a parked core — a delivery, a fault,
-//! a quarantine, the power monitor, a fast-forward jump, a window — it is
-//! first caught up with `Core::run_until`, which charges the idle edges
-//! it missed in closed form: the very f64 additions ticking them would
-//! have made, in the same order.
+//! preconditions, the windows themselves and `is_quiescent` skip it.
+//! Wherever anything other than an idle tick touches a parked core — a
+//! delivery, a fault, a quarantine, the power monitor — it is first
+//! caught up with `Core::run_until`, which charges the idle edges it
+//! missed in closed form: the very f64 additions ticking them would have
+//! made, in the same order.
 //! Every public advance ends with all cores caught up and awake, so
 //! lock-step still runs every core on every edge and nothing outside an
 //! advance can tell.
@@ -91,8 +88,7 @@ pub enum EngineMode {
     /// falling back to serial fast-forward steps whenever a window cannot
     /// open. `threads == 0` means one thread per available host CPU; one
     /// thread runs entirely on the calling thread. Deterministic and
-    /// cycle-exact with respect to lock-step (energy within f64
-    /// association error).
+    /// equal to lock-step bit for bit, energy included.
     Windowed {
         /// Host worker threads (0 = available parallelism).
         threads: usize,
@@ -684,8 +680,8 @@ impl Machine {
         // when the plan is empty. A fault may re-clock, stall or kill any
         // core, so every core first stands where lock-step has it: at the
         // previous grid edge, on the clock it ran at up to there. (A jump
-        // over a parked wait reaches a fault instant from further back;
-        // its awake cores idle up to that edge as one-edge steps would.)
+        // reaches a fault instant from further back; its awake cores idle
+        // up to that edge as one-edge steps would.)
         if self.faults.pending(self.now) {
             let before = self.now - self.base_period;
             debug_assert!(before >= prev);
@@ -772,20 +768,16 @@ impl Machine {
     /// A core with a ready thread counts from its next issue slot
     /// ([`Core::next_issue_at`]), not its next tick: on the edges before,
     /// no core issues, so nothing changes but the clocks and the idle
-    /// energy. The second value says the edges before the answer would
-    /// otherwise be stepped one at a time — a ready core ticks on every
-    /// grid edge, or a head is parked — which is what keeps the jump over
-    /// them bit-identical; see [`Self::ff_advance`]. Otherwise a ready
-    /// core slower than the grid counts from its next tick, where the
-    /// one-edge steps it replaces would each have stopped.
-    fn next_activity_at(&self) -> (Time, bool) {
+    /// energy, which the jump charges edge by edge (see
+    /// [`Self::ff_advance`]).
+    fn next_activity_at(&self) -> Time {
         let immediate = self.now + self.base_period;
         let mut earliest = self.monitor.next_update();
         // Scheduled faults (and the end of an active brownout) are
         // activity: fast-forward must land on their grid instants.
         if let Some(at) = self.faults.next_at() {
             if at <= immediate {
-                return (immediate, true);
+                return immediate;
             }
             earliest = earliest.min(at);
         }
@@ -794,28 +786,19 @@ impl Machine {
         // O(cores) scan below.
         if let Some(at) = self.fabric.next_event_at(self.now) {
             if at <= immediate {
-                return (immediate, true);
+                return immediate;
             }
             earliest = earliest.min(at);
         }
-        let mut stepped = self.fabric.parked_heads() > 0;
-        let mut slow_tick = Time::MAX;
         for i in self.eps.awake.iter() {
             let core = &self.eps.cores[i];
             let pending = core.tx_pending_count();
             if pending > 0 && !self.fabric.tx_all_parked(NodeId(i as u16), pending) {
-                return (immediate, true);
-            }
-            if core.ready_threads() > 0 {
-                if core.period() <= self.base_period {
-                    stepped = true;
-                } else {
-                    slow_tick = slow_tick.min(core.next_tick_at());
-                }
+                return immediate;
             }
             if let Some(at) = core.next_issue_at() {
                 if at <= immediate {
-                    return (immediate, true);
+                    return immediate;
                 }
                 earliest = earliest.min(at);
             }
@@ -824,15 +807,12 @@ impl Machine {
             if bridge.tx_backlog() > 0 && !self.fabric.tx_all_parked(node, 1) {
                 let at = bridge.next_tx_at();
                 if at <= immediate {
-                    return (immediate, true);
+                    return immediate;
                 }
                 earliest = earliest.min(at);
             }
         }
-        if !stepped {
-            earliest = earliest.min(slow_tick);
-        }
-        (earliest, stepped)
+        earliest
     }
 
     /// First base-clock grid instant at or after `target` (and strictly
@@ -851,47 +831,13 @@ impl Machine {
     /// anything can happen (capped at `deadline`). This is the serial
     /// step the windowed engine takes when a window cannot open.
     ///
-    /// Where the one-edge steps this jump replaces would each have run
-    /// with `skip == false` — a ready core ticks on every grid edge, or a
-    /// head is parked (see [`Self::next_activity_at`]) — the jump passes
-    /// `skip == false` too, so its energy arithmetic is theirs: awake
-    /// cores tick every edge inside `run_until(target)` (a core with
-    /// nothing ready or sleeping charges them in closed form, the same
+    /// The edges before the target cost what one-edge steps would: the
+    /// awake cores' `run_until(target)` ticks each edge a core could act
+    /// on and charges the runs before a wake in closed form (the same
     /// additions), parked cores catch up the same way when next touched,
-    /// and the fabric has nothing to do before the target. Otherwise the
-    /// jump ends where those steps would have, and its idle edges are
-    /// charged analytically as theirs were. Where an idle span is split
-    /// into analytic chunks therefore depends neither on parking nor on
-    /// the issue wheel, and every energy bit is what stepping edge by
-    /// edge gives.
+    /// and the fabric has nothing to do before the target.
     fn ff_advance(&mut self, deadline: Time) {
-        let (at, stepped) = self.next_activity_at();
-        let target = self.grid_align(at.min(deadline));
-        let skip = !stepped && target > self.now + self.base_period;
-        self.jump_to(target, skip);
-    }
-
-    /// Jumps to the grid instant `target` and processes its edge; serves
-    /// both the fast-forward step and the commit after a window. With
-    /// `skip`, the idle edges before `target` are first charged
-    /// analytically, from where lock-step has every core: parked cores
-    /// catch up to `now`, then every core without pending output skips
-    /// to `target` (a core holding output stopped where it emitted and
-    /// injects on this edge). Without it the edges before `target` cost
-    /// what one-edge steps would: the awake cores' `run_until(target)`
-    /// ticks each of them (charging the runs where nothing is ready or
-    /// sleeping in closed form), and parked cores catch up when next
-    /// touched. A jump over a parked wait or a ready core's idle issue
-    /// slots takes that path, so it never runs the O(cores) skip loop.
-    fn jump_to(&mut self, target: Time, skip: bool) {
-        if skip {
-            self.catch_up(self.now);
-            for core in &mut self.eps.cores {
-                if !core.has_tx_pending() {
-                    core.skip_idle_until(target);
-                }
-            }
-        }
+        let target = self.grid_align(self.next_activity_at().min(deadline));
         self.process_edge(target, true);
     }
 
@@ -1030,9 +976,9 @@ impl Machine {
             self.ff_advance(deadline);
             return;
         }
-        // Windows open on caught-up cores, every one of them awake: the
-        // window and its replay visit the whole machine.
-        self.wake_all(self.now);
+        // Parked cores stay parked and behind: they are quiescent, so the
+        // shards leave them out of the window (shard module docs, "Live
+        // cores"), and a delivery in the replay catches one up.
         self.refresh_pair_latency();
         let outcome = {
             let st = self.par.as_mut().expect("parallel state initialised");
@@ -1072,11 +1018,9 @@ impl Machine {
             self.reconcile(target);
         }
         // Cores frozen below the commit (externally blocked, or idle the
-        // whole window) catch up analytically before the edge runs, always:
-        // the chunk boundaries are the committed targets, a pure function
-        // of the simulation, so the energy split is thread-count
-        // independent and does not depend on how far a replay moved `now`.
-        self.jump_to(target, true);
+        // whole window) catch up on this edge's core pass; parked cores,
+        // which the window never visited, when next touched.
+        self.process_edge(target, true);
     }
 
     /// Serial replay of the grid instants inside a window where a core
@@ -1149,8 +1093,8 @@ impl Machine {
     /// Runs until every core is quiescent and the network has drained, or
     /// the budget expires. Returns true when quiescent.
     ///
-    /// Quiescence is a scan of per-core counters, idle spans are skipped
-    /// analytically, and the fabric reuses its injection buffer.
+    /// Quiescence is a scan of per-core counters, idle spans are charged
+    /// in closed form, and the fabric reuses its injection buffer.
     pub fn run_until_quiescent(&mut self, budget: TimeDelta) -> bool {
         self.advance(self.now + budget, true);
         self.is_quiescent()

@@ -33,8 +33,10 @@
 //! Every cross-thread read is of a *round slot* `(shard, round)` that is
 //! written exactly once, so the values a shard consumes are a pure
 //! function of the simulation state, never of host timing. A shard's
-//! horizon sequence — and therefore where each core's idle-energy spans
-//! are chunked — is identical run after run at a given thread count.
+//! horizon sequence is identical run after run at a given thread count;
+//! the horizons decide where a core's run stops, never what it adds to
+//! its ledger (every idle edge is charged with lock-step's additions),
+//! so results equal lock-step's at every thread count.
 //! Emission stops propagate through the same slots: a shard that stops
 //! (own emission, or a peer's stop flag) publishes its stop flag into the
 //! next round slot, so every waiter observes it at a deterministic round
@@ -56,9 +58,9 @@
 //! [`Core::run_epoch`] on it would return at once without touching it,
 //! and its watermark is `u64::MAX`, the identity of the minimum. A live
 //! core that halts or blocks partway through stays on the list and
-//! reports `u64::MAX` itself. Horizons, round counts, the `drained`
-//! verdict and where idle spans are chunked are therefore those of a
-//! pass over every core.
+//! reports `u64::MAX` itself. Horizons, round counts and the `drained`
+//! verdict are therefore those of a pass over every core. The machine's
+//! parked cores are quiescent too, so a window opens without waking them.
 //!
 //! # Why the protocol is safe
 //!

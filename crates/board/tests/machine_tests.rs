@@ -389,15 +389,20 @@ fn parallel_engine_is_deterministic_across_runs_and_thread_counts() {
     for n in 8..16 {
         assert_eq!(reference.2[n], format!("{}\n", 992 + n));
     }
-    // Same thread count: bit-identical. Different shard counts: identical
-    // up to energy association (the ledger sums over the same charges).
+    // Bit-identical at the same and at every other thread count, energy
+    // included: each core's ledger gets lock-step's additions whatever
+    // the shard split.
     assert_eq!(run(4), reference);
     for threads in [1usize, 2, 7] {
         let other = run(threads);
         assert_eq!(other.0, reference.0, "time differs at {threads} threads");
         assert_eq!(other.1, reference.1, "instret differs at {threads} threads");
         assert_eq!(other.2, reference.2, "output differs at {threads} threads");
-        assert!((other.3 - reference.3).abs() <= 1e-9 * reference.3);
+        assert_eq!(
+            other.3.to_bits(),
+            reference.3.to_bits(),
+            "energy differs at {threads} threads"
+        );
     }
 }
 
@@ -407,7 +412,7 @@ fn windowed_engine_negotiates_and_lands_on_lockstep_quiescence() {
     // is exactly the shape the pairwise negotiation exists for: the
     // windowed engine must actually run windows (not fall back to
     // fast-forward steps), and its results must match lock-step
-    // bit-for-bit in time/instret/output and to 1e-9 in energy. Every
+    // bit-for-bit in time, instret, output and energy. Every
     // core halts on the same edge, so `run_until_quiescent` must land on
     // the exact quiescence instant lock-step reports — the drained-window
     // commit rule.
@@ -449,7 +454,11 @@ fn windowed_engine_negotiates_and_lands_on_lockstep_quiescence() {
     assert_eq!(win.0, reference.0, "windowed must stop at lock-step's t_q");
     assert_eq!(win.1, reference.1, "instret differs from lock-step");
     assert_eq!(win.2, reference.2, "outputs differ from lock-step");
-    assert!((win.3 - reference.3).abs() <= 1e-9 * reference.3.max(f64::MIN_POSITIVE));
+    assert_eq!(
+        win.3.to_bits(),
+        reference.3.to_bits(),
+        "energy differs from lock-step"
+    );
     // Determinism: repeat runs are bit-identical, energy included.
     let again = run(windowed);
     assert_eq!(win, again, "windowed runs must be bit-identical");
@@ -527,7 +536,7 @@ fn restored_machine_continues_bit_identically() {
     assert_eq!(restored.core(NodeId(0)).output(), "120\n");
     let a = original.machine_ledger().total().as_joules();
     let b = restored.machine_ledger().total().as_joules();
-    assert!((a - b).abs() <= 1e-9 * a.abs().max(f64::MIN_POSITIVE));
+    assert_eq!(a.to_bits(), b.to_bits(), "energy {a} J vs {b} J");
 }
 
 #[test]

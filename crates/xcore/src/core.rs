@@ -360,11 +360,6 @@ impl Core {
         self.config.frequency
     }
 
-    /// The core clock period.
-    pub fn period(&self) -> TimeDelta {
-        self.period
-    }
-
     /// Changes the core clock (dynamic frequency scaling, §III.B).
     pub fn set_frequency(&mut self, f: Frequency) {
         self.config.frequency = f;
@@ -641,57 +636,19 @@ impl Core {
         self.next_interesting_at().map_or(u64::MAX, |t| t.as_ps())
     }
 
-    /// Fast-forwards over clock edges that provably do nothing: advances
-    /// `now`/`cycle`/the issue wheel over every edge strictly before
-    /// `limit` (capped at the earliest wake instant) and charges the
-    /// leakage + clock-tree energy those edges would have accrued,
-    /// analytically. No-op unless the core is idle (no ready thread).
-    ///
-    /// The wheel and cycle counters advance exactly as `tick` would have
-    /// advanced them, so thread scheduling after the skip is bit-identical
-    /// to the lock-step engine.
-    pub fn skip_idle_until(&mut self, limit: Time) {
-        if self.halted || !self.rotation.is_empty() {
-            return;
-        }
-        let mut stop = limit;
-        if let Some(wake) = self.next_wake() {
-            stop = stop.min(wake);
-        }
-        let span = stop.saturating_since(self.now).as_ps();
-        let period = self.period.as_ps();
-        if span <= period {
-            return;
-        }
-        // Edges at now + k·period for k = 1..=skipped are all < stop.
-        let skipped = (span - 1) / period;
-        let elapsed = TimeDelta::from_ps(skipped * period);
-        self.ledger.charge(
-            NodeCategory::Static,
-            self.config.power.static_power() * elapsed,
-        );
-        let clk = self.config.power.idle_cycle_energy() * skipped as f64;
-        self.ledger
-            .charge(NodeCategory::Static, clk * (1.0 - IDLE_NETWORK_FRACTION));
-        self.ledger
-            .charge(NodeCategory::Network, clk * IDLE_NETWORK_FRACTION);
-        self.now += elapsed;
-        self.cycle += skipped;
-        self.wheel += skipped;
-    }
-
     /// Runs every clock edge due at or before `until` (the batched inner
     /// loop of the machine's step). Stops immediately if the core halts.
     ///
-    /// Once no thread is ready and none sleeps — from the start, or after
-    /// a thread blocks partway through — the remaining edges can only
-    /// charge `static_cycle` and `clk_net` and turn the clocks, so they
-    /// are charged with [`EnergyLedger::charge_repeated`] (the very f64
-    /// additions the ticks would make, in closed form) and `now`, `cycle`
-    /// and the issue wheel advance at once. A core blocked on external
-    /// input therefore catches up in O(1) per call: the machine relies on
-    /// this for the cores it stopped visiting while they wait for a token
-    /// (DESIGN.md §3.7).
+    /// While no thread is ready — from the start, or after a thread
+    /// blocks partway through — the edges before the next wake edge can
+    /// only charge `static_cycle` and `clk_net` and turn the clocks, so
+    /// they are charged with [`EnergyLedger::charge_repeated`] (the very
+    /// f64 additions the ticks would make, in closed form) and `now`,
+    /// `cycle` and the issue wheel advance at once; the wake edge itself
+    /// is ticked. A core blocked on external input or asleep on a timer
+    /// or divider therefore catches up in O(1) per call: the machine
+    /// relies on this for the cores it stopped visiting while they wait
+    /// for a token (DESIGN.md §3.7).
     #[inline]
     pub fn run_until(&mut self, until: Time) {
         if self.halted {
@@ -699,10 +656,12 @@ impl Core {
         }
         let mut at = self.now + self.period;
         while at <= until {
-            if self.rotation.is_empty() && self.sleepers == 0 {
-                let edges = 1 + until.since(at).as_ps() / self.period.as_ps();
-                self.idle_edges(edges);
-                return;
+            if self.rotation.is_empty() {
+                self.idle_until_wake(until);
+                at = self.now + self.period;
+                if at > until {
+                    return;
+                }
             }
             self.tick(at);
             if self.halted {
@@ -712,10 +671,16 @@ impl Core {
         }
     }
 
-    /// Charges `edges` idle clock edges and turns the clocks: the state
-    /// `edges` calls of [`Core::tick`] leave on a core with nothing ready
-    /// or sleeping.
-    fn idle_edges(&mut self, edges: u64) {
+    /// With no thread ready, charges every edge at or before `until` that
+    /// comes before the wake edge ([`Core::next_interesting_at`]) and
+    /// turns the clocks: the state as many calls of [`Core::tick`] leave,
+    /// since none of those edges wakes or issues anything.
+    fn idle_until_wake(&mut self, until: Time) {
+        let period = self.period.as_ps();
+        let mut edges = until.saturating_since(self.now).as_ps() / period;
+        if let Some(wake) = self.wake_edge() {
+            edges = edges.min(wake.since(self.now).as_ps() / period - 1);
+        }
         let TickEnergy {
             static_cycle,
             clk_net,
@@ -725,7 +690,7 @@ impl Core {
             .charge_repeated(NodeCategory::Static, static_cycle, edges);
         self.ledger
             .charge_repeated(NodeCategory::Network, clk_net, edges);
-        self.now += TimeDelta::from_ps(edges * self.period.as_ps());
+        self.now += TimeDelta::from_ps(edges * period);
         self.cycle += edges;
         self.wheel += edges;
     }
@@ -740,9 +705,10 @@ impl Core {
 
     /// Advances one conservative epoch in *isolation*: processes every
     /// clock edge due at or before `until` exactly like [`Core::run_until`],
-    /// fast-forwarding analytically over idle spans, but **stops at the
-    /// first edge that enqueues network output** and returns `true` if it
-    /// did. Returns `false` when the core reached `until` cleanly.
+    /// charging the idle edges before a wake in closed form, but **stops
+    /// at the first edge that enqueues network output** and returns
+    /// `true` if it did. Returns `false` when the core reached `until`
+    /// cleanly.
     ///
     /// The epoch contract (the conservative-PDES argument): between two
     /// machine-level grid instants no token can be *delivered* to this
@@ -770,11 +736,10 @@ impl Core {
                     // engine instead of smeared up to the epoch bound.
                     return false;
                 }
-                // No ready thread: skip the provably idle edges in one
-                // analytic step, then process the wake edge (if any is
-                // due within the epoch) below.
-                self.skip_idle_until(until);
-                if self.halted || self.next_tick_at() > until {
+                // Nothing ready: charge the edges before the wake, then
+                // tick the wake edge below if the epoch reaches it.
+                self.idle_until_wake(until);
+                if self.next_tick_at() > until {
                     break;
                 }
             }

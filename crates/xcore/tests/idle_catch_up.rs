@@ -1,15 +1,17 @@
 //! `Core::run_until` against ticking edge by edge.
 //!
-//! `run_until` charges every run of edges on which nothing is ready or
-//! sleeping in closed form, and the board relies on it to catch up the
-//! cores it stopped visiting while they waited for a token. That is only
-//! sound if it leaves exactly the state per-edge `Core::tick` calls
-//! would: the same clocks, the same issue-wheel position and the same
-//! energy ledger, bit for bit. Each case builds two identical cores,
+//! `run_until` charges every run of edges on which nothing is ready and
+//! nothing wakes in closed form, and the board relies on it to catch up
+//! the cores it stopped visiting while they waited for a token, and to
+//! jump sleeping cores to their wake edge. That is only sound if it
+//! leaves exactly the state per-edge `Core::tick` calls would: the same
+//! clocks, the same issue-wheel position and the same energy ledger, bit
+//! for bit. Each case builds two identical cores,
 //! drives them through the same random prefix, then advances one with
 //! `run_until` and the other with one `tick` per edge over random spans,
 //! and compares their `encode_state` images. The spans cross a thread
-//! blocking partway through, a sleeper waking, a stall ending and a
+//! blocking partway through, long timer sleeps and runs of divider
+//! sleeps with nothing else ready, a sleeper waking, a stall ending and a
 //! clock derated between spans.
 
 use swallow_isa::{Assembler, NodeId};
@@ -25,18 +27,23 @@ enum Shape {
     Blocked,
     /// Thread 0 spins forever: every edge is ticked.
     Ready,
-    /// Thread 0 sleeps on a long timer: ticked until it wakes.
+    /// Thread 0 sleeps on a long timer: charged in closed form up to the
+    /// wake edge, which is ticked.
     Sleeping,
+    /// Thread 0 divides in a loop, asleep on the divider for 32 cycles
+    /// of every iteration, then blocks on an empty chanend.
+    Dividing,
     /// Thread 0 sleeps briefly, wakes, then blocks on an empty chanend.
     Wakes,
     /// The core executes `halt`: nothing happens after it.
     Halted,
 }
 
-const SHAPES: [Shape; 5] = [
+const SHAPES: [Shape; 6] = [
     Shape::Blocked,
     Shape::Ready,
     Shape::Sleeping,
+    Shape::Dividing,
     Shape::Wakes,
     Shape::Halted,
 ];
@@ -51,6 +58,9 @@ fn program(shape: Shape, busy: u32, sleep: u32) -> String {
         Shape::Blocked => block.to_owned(),
         Shape::Ready => "forever:\nadd r6, r6, 1\nbu forever".to_owned(),
         Shape::Sleeping => nap(60_000) + "freet",
+        Shape::Dividing => format!(
+            "ldc r4, 7\nldc r5, {sleep}\ndiv:\ndivu r6, r5, r4\nsub r5, r5, 1\nbt r5, div\n{block}"
+        ),
         Shape::Wakes => nap(sleep) + block,
         Shape::Halted => "halt".to_owned(),
     };
@@ -85,7 +95,7 @@ fn tick_until(core: &mut Core, until: Time) {
 /// A span end relative to `core`'s clock: zero, under one period, a
 /// non-multiple of the period, or long (up to ~100k edges).
 fn span_end(core: &Core, kind: u8, edges: u64, frac: u64) -> Time {
-    let period = core.period().as_ps();
+    let period = core.frequency().period().as_ps();
     let rem = frac % period;
     let ps = match kind {
         0 => 0,
@@ -101,7 +111,7 @@ proptest! {
 
     #[test]
     fn run_until_is_bit_identical_to_ticking_edge_by_edge(
-        shape in 0u8..5,
+        shape in 0u8..6,
         busy in 1u32..400,
         sleep in 1u32..2_000,
         hz in 10_000_000u64..=1_000_000_000,
@@ -116,7 +126,7 @@ proptest! {
         let mut ticked = core(shape, busy, sleep, hz);
         // The prefix may end inside the busy loop, so the first span can
         // see the thread block, sleep or halt partway through.
-        let prefix = Time::ZERO + TimeDelta::from_ps(lead * batched.period().as_ps());
+        let prefix = Time::ZERO + TimeDelta::from_ps(lead * batched.frequency().period().as_ps());
         batched.run_until(prefix);
         tick_until(&mut ticked, prefix);
         prop_assert_eq!(image(&batched), image(&ticked));
@@ -131,7 +141,7 @@ proptest! {
                 }
                 2 => {
                     let stall = batched.local_now()
-                        + TimeDelta::from_ps(u64::from(permille) * batched.period().as_ps());
+                        + TimeDelta::from_ps(u64::from(permille) * batched.frequency().period().as_ps());
                     batched.fault_stall_until(stall);
                     ticked.fault_stall_until(stall);
                 }

@@ -87,7 +87,7 @@ proptest! {
             core.set_frequency(Frequency::from_hz(hz.max(1)));
         }
         if stall.0 {
-            let until = core.local_now() + TimeDelta::from_ps(stall.1 * core.period().as_ps());
+            let until = core.local_now() + TimeDelta::from_ps(stall.1 * core.frequency().period().as_ps());
             core.fault_stall_until(until);
         }
         for _ in 0..24 {

@@ -70,12 +70,6 @@ fn busy_core(decode_cache: bool) -> Core {
     core
 }
 
-/// One relative-tolerance energy comparison (1e-9, the differential
-/// suites' bound; in practice the two runs are bitwise identical).
-fn energy_close(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(f64::MIN_POSITIVE)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
@@ -129,10 +123,8 @@ proptest! {
             prop_assert_eq!(on.is_quiescent(), off.is_quiescent());
             prop_assert!(on.sram() == off.sram(), "architectural SRAM diverged");
             prop_assert!(
-                energy_close(
-                    on.ledger().total().as_joules(),
-                    off.ledger().total().as_joules()
-                ),
+                on.ledger().total().as_joules().to_bits()
+                    == off.ledger().total().as_joules().to_bits(),
                 "energy diverged: {} vs {} J",
                 on.ledger().total().as_joules(),
                 off.ledger().total().as_joules()

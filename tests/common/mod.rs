@@ -22,11 +22,6 @@ const WINDOWED_THREADS: [usize; 5] = [1, 2, 4, 7, 8];
 /// (on) first, then the cache-off reference.
 pub const DECODE_CACHE: [bool; 2] = [true, false];
 
-/// Relative per-category energy tolerance between runs that may differ
-/// only in f64 association (`n` idle-tick charges summed one by one
-/// versus multiplied out in one shot).
-const ENERGY_RTOL: f64 = 1e-9;
-
 /// The engines each scenario runs under and compares with lock-step.
 pub fn engines_under_test() -> Vec<EngineMode> {
     WINDOWED_THREADS
@@ -80,8 +75,9 @@ impl Fingerprint {
 }
 
 /// Requires `got` to match `reference` exactly in quiescence, final
-/// instant, retired instructions, outputs and fault counters, and in
-/// every energy category within [`ENERGY_RTOL`]. `who` names the run.
+/// instant, retired instructions, outputs, fault counters and every
+/// energy category, bit for bit: each engine makes lock-step's ledger
+/// additions in lock-step's order. `who` names the run.
 pub fn assert_equivalent(who: &str, got: &Fingerprint, reference: &Fingerprint) {
     assert_eq!(
         got.quiescent, reference.quiescent,
@@ -104,9 +100,8 @@ pub fn assert_equivalent(who: &str, got: &Fingerprint, reference: &Fingerprint) 
         "{who}: fault/resilience counters differ"
     );
     for (&(cat, a), &(_, b)) in got.energy.iter().zip(&reference.energy) {
-        let scale = a.abs().max(b.abs()).max(f64::MIN_POSITIVE);
         assert!(
-            (a - b).abs() <= ENERGY_RTOL * scale,
+            a.to_bits() == b.to_bits(),
             "{who}: {cat} energy diverged: {a} J vs reference {b} J"
         );
     }

@@ -1,9 +1,9 @@
 //! Differential tests for the predecoded-instruction cache: with the
 //! cache on vs off, every engine must produce *bit-identical* quiescence
 //! verdicts, final simulated time, retired-instruction counts, program
-//! outputs and fault counters, and energy equal to 1e-9 relative (the ledgers are
-//! charged from identical per-instruction values, so in practice they
-//! match exactly).
+//! outputs, fault counters and energy (the ledgers are charged from
+//! identical per-instruction values in the same order, and every engine
+//! charges idle edges with lock-step's additions).
 //!
 //! The cache entries are pure functions of the SRAM words they were
 //! decoded from, and every SRAM write funnel invalidates, so the only
@@ -85,7 +85,7 @@ fn farm_is_cache_invariant_under_every_engine() {
 #[test]
 fn timer_sleeps_are_cache_invariant() {
     // Mostly idle machine: the cache changes nothing, and fast-forward's
-    // analytic skips must land on the same instants either way.
+    // jumps must land on the same instants either way.
     let fp = run_cache_differential(TimeDelta::from_ms(10), |system| {
         for (node, ticks) in [(0u16, 40_000u32), (9, 55_555)] {
             let program = Assembler::new()

@@ -5,15 +5,14 @@
 //! Both engines process exactly the same grid-aligned instants at which
 //! anything can happen (core ticks, wake-ups, fabric hops, bridge pacing,
 //! monitor updates); the windowed engine's fast-forward steps merely skip
-//! the provably idle instants in between and charge their energy
-//! analytically, and its windows batch independent spans onto host
-//! threads. These tests pin that equivalence down for representative
-//! workloads: identical retired instruction counts, identical final
-//! simulated time, identical program outputs, and energy ledgers equal to
-//! within floating-point association error (the only permitted
-//! difference: `n` idle-tick charges summed one by one versus multiplied
-//! out in one shot). The windowed engine is additionally required to be
-//! *bit-identical* across repeated runs at every tested thread count.
+//! the provably idle instants in between, charging each skipped core
+//! edge with lock-step's own additions, and its windows batch
+//! independent spans onto host threads. These tests pin that equivalence
+//! down for representative workloads: identical retired instruction
+//! counts, identical final simulated time, identical program outputs, and
+//! energy ledgers equal bit for bit. The windowed engine is additionally
+//! required to be *bit-identical* across repeated runs at every tested
+//! thread count.
 //!
 //! Every scenario runs with the predecoded-instruction cache on and
 //! again with it off: each windowed run is compared against lock-step
@@ -129,8 +128,8 @@ fn long_timer_sleeps_fast_forward_to_the_same_instant() {
 
 #[test]
 fn idle_machine_burns_identical_energy() {
-    // A fully idle slice for 200 µs: every tick of every core is skipped
-    // analytically, and the ledgers must still agree to 1e-9.
+    // A fully idle slice for 200 µs: every tick of every core is charged
+    // in closed form, and the ledgers must still agree bit for bit.
     let run = |engine: EngineMode, cache: bool| {
         let mut system = SystemBuilder::new()
             .engine(engine)

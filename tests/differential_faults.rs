@@ -1,6 +1,6 @@
 //! Differential tests for the fault-injection subsystem: a scheduled
 //! fault plan must produce the *same* fault timeline, program outputs,
-//! resilience counters and (within f64 association) energy under both
+//! resilience counters and energy (bit for bit) under both
 //! engines — lock-step and windowed at several thread counts — and an
 //! empty plan must perturb nothing at all.
 //!

@@ -3,8 +3,7 @@
 //! it — under *any* engine — must continue bit-identically with the
 //! original run. The fingerprint is the one every differential suite
 //! uses, `common::Fingerprint` (final instant, retired instructions,
-//! program outputs, fault counters all exact; energy within f64
-//! association), plus one
+//! program outputs, fault counters and energy all exact), plus one
 //! extra obligation unique to snapshots: `restore(snapshot())` must
 //! re-emit the very same bytes, proving the codec is lossless.
 //!
@@ -290,6 +289,10 @@ proptest! {
         prop_assert_eq!(&got.outputs, &reference.outputs);
         prop_assert_eq!(got.now_ps, reference.now_ps);
         prop_assert_eq!(got.instret, reference.instret);
+        let bits = |f: &Fingerprint| -> Vec<u64> {
+            f.energy.iter().map(|&(_, e)| e.to_bits()).collect()
+        };
+        prop_assert_eq!(bits(&got), bits(&reference));
     }
 }
 
