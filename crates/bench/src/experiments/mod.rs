@@ -16,9 +16,6 @@ pub mod table1;
 
 use swallow::{Assembler, Program};
 
-/// Issue slots per iteration of the calibrated heavy-mix loop.
-pub const HEAVY_MIX_SLOTS: u32 = 20;
-
 /// A program whose steady-state instruction mix matches the power model's
 /// calibrated heavy load (`swallow_energy::core_power::HEAVY_MIX`): per 20
 /// issue slots — 9 ALU, 5 memory, 1 multiply, 2 communication (timer

@@ -60,7 +60,6 @@ pub struct EthernetBridge {
     now: Time,
     next_tx: Time,
     tx: VecDeque<(ResourceId, Token)>,
-    rx: Vec<Token>,
     /// Machine tag stamped on reassembled ingress frames.
     tag: u32,
     /// Admission bound on the transmit queue, in tokens.
@@ -80,7 +79,6 @@ impl EthernetBridge {
             now: Time::ZERO,
             next_tx: Time::ZERO,
             tx: VecDeque::new(),
-            rx: Vec::new(),
             tag: 0,
             capacity: u64::MAX,
             stats: BridgeStats::default(),
@@ -181,32 +179,6 @@ impl EthernetBridge {
         self.next_tx
     }
 
-    /// Everything received from the network so far.
-    pub fn received(&self) -> &[Token] {
-        &self.rx
-    }
-
-    /// Received payload reassembled into words (control tokens skipped).
-    pub fn received_words(&self) -> Vec<u32> {
-        let bytes: Vec<u8> = self.rx.iter().filter_map(|t| t.data()).collect();
-        bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]))
-            .collect()
-    }
-
-    /// Clears the receive archive, returning its length.
-    pub fn drain_received(&mut self) -> usize {
-        let n = self.rx.len();
-        self.rx.clear();
-        n
-    }
-
-    /// Completed ingress frames not yet taken by the host.
-    pub fn pending_frames(&self) -> usize {
-        self.frames.len()
-    }
-
     /// Takes the oldest completed ingress frame.
     pub fn pop_frame(&mut self) -> Option<BridgeFrame> {
         self.frames.pop_front()
@@ -248,7 +220,6 @@ impl EthernetBridge {
             });
             self.stats.frames_received += 1;
         }
-        self.rx.push(token);
     }
 
     // Snapshot codec (the node id is topology-derived, not serialized).
@@ -259,10 +230,6 @@ impl EthernetBridge {
         w.u64(self.tx.len() as u64);
         for &(dest, token) in &self.tx {
             w.u32(dest.raw());
-            w.u16(u16::from(token));
-        }
-        w.u64(self.rx.len() as u64);
-        for &token in &self.rx {
             w.u16(u16::from(token));
         }
         w.u32(self.tag);
@@ -294,10 +261,6 @@ impl EthernetBridge {
             let dest = ResourceId::from_raw(r.u32()?);
             let token = Token::try_from(r.u16()?)?;
             self.tx.push_back((dest, token));
-        }
-        self.rx.clear();
-        for _ in 0..r.len_prefixed(2)? {
-            self.rx.push(Token::try_from(r.u16()?)?);
         }
         self.tag = r.u32()?;
         self.capacity = r.u64()?;
@@ -355,9 +318,8 @@ mod tests {
             b.ep_deliver(t);
         }
         b.ep_deliver(Token::Ctrl(ControlToken::END));
-        assert_eq!(b.received_words(), vec![0x0102_0304]);
-        assert_eq!(b.drain_received(), 5);
-        assert!(b.received().is_empty());
+        assert_eq!(b.pop_frame().expect("framed").words, vec![0x0102_0304]);
+        assert!(b.pop_frame().is_none());
     }
 
     #[test]
@@ -380,7 +342,6 @@ mod tests {
         }
         b.set_now(Time::from_ps(5_000));
         b.ep_deliver(Token::Ctrl(ControlToken::END));
-        assert_eq!(b.pending_frames(), 1);
         let frame = b.pop_frame().expect("framed");
         assert_eq!(frame.tag, 7);
         assert_eq!(frame.words, vec![41, 42]);
@@ -435,8 +396,9 @@ mod tests {
         assert_eq!(restored.tag(), 3);
         assert_eq!(restored.stats(), b.stats());
         assert_eq!(restored.tx_backlog(), b.tx_backlog());
-        assert_eq!(restored.pending_frames(), 1);
-        assert_eq!(restored.pop_frame(), b.pop_frame());
+        let frame = restored.pop_frame();
+        assert!(frame.is_some());
+        assert_eq!(frame, b.pop_frame());
         // The partial frame closes identically on both sides.
         restored.ep_deliver(Token::Ctrl(ControlToken::END));
         b.ep_deliver(Token::Ctrl(ControlToken::END));

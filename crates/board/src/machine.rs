@@ -404,18 +404,17 @@ struct ParState {
 /// assert_eq!(machine.core_count(), 16);
 /// ```
 pub struct Machine {
-    /// The configuration the machine was built from, kept verbatim: a
-    /// snapshot embeds it so [`Machine::restore`] can rebuild the same
-    /// deterministic topology before overlaying the mutable state.
+    /// The configuration the machine was built from, with the live
+    /// engine: a snapshot embeds it so [`Machine::restore`] can rebuild
+    /// the same deterministic topology before overlaying the mutable
+    /// state. It is the only copy of the grid, engine and metrics switch.
     config: MachineConfig,
-    spec: GridSpec,
     eps: Endpoints,
     fabric: Fabric,
     monitor: PowerMonitor,
     now: Time,
     base_period: TimeDelta,
     faulted_cables: usize,
-    engine: EngineMode,
     par: Option<ParState>,
     metrics: MetricsHub,
     /// Link descriptions as built — the basis for recomputing routes
@@ -432,7 +431,6 @@ pub struct Machine {
 impl Machine {
     /// Builds and wires a machine.
     pub fn new(config: MachineConfig) -> Self {
-        let saved_config = config.clone();
         let topo = build_topology(
             config.grid,
             &TopologyOptions {
@@ -487,8 +485,6 @@ impl Machine {
         let mut awake = IndexSet::new(cores.len());
         awake.fill();
         let mut machine = Machine {
-            config: saved_config,
-            spec: config.grid,
             eps: Endpoints {
                 cores,
                 bridge: bridge_node.map(EthernetBridge::new),
@@ -502,15 +498,15 @@ impl Machine {
             now: Time::ZERO,
             base_period,
             faulted_cables: topo.faulted_cables,
-            engine: config.engine,
             par: None,
             metrics: MetricsHub::new(config.grid, config.metrics),
             descs,
-            faults: FaultEngine::new(config.faults),
+            faults: FaultEngine::new(config.faults.clone()),
             tracer: Tracer::Off,
             escalated_scratch: Vec::new(),
+            config,
         };
-        if let Some(capacity) = config.trace_capacity {
+        if let Some(capacity) = machine.config.trace_capacity {
             machine.set_tracing(capacity);
         }
         machine
@@ -525,7 +521,7 @@ impl Machine {
 
     /// The machine's slice layout.
     pub fn spec(&self) -> GridSpec {
-        self.spec
+        self.config.grid
     }
 
     /// Inter-slice cables lost to fault injection.
@@ -553,7 +549,7 @@ impl Machine {
 
     /// All core node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
-        self.spec.nodes()
+        self.config.grid.nodes()
     }
 
     /// The network fabric (statistics, link inspection).
@@ -631,14 +627,14 @@ impl Machine {
 
     /// The active simulation engine.
     pub fn engine(&self) -> EngineMode {
-        self.engine
+        self.config.engine
     }
 
     /// Switches the simulation engine. Safe at any instant: both engines
     /// process the same grid instants; the windowed engine merely skips
     /// the empty ones and batches independent spans into windows.
     pub fn set_engine(&mut self, engine: EngineMode) {
-        self.engine = engine;
+        self.config.engine = engine;
     }
 
     /// Advances the whole machine by one base clock period (the lock-step
@@ -856,7 +852,7 @@ impl Machine {
         // Affinity-aware plan: shard boundaries land on the slow
         // inter-slice cables, which is what keeps the negotiation's
         // pair-latency matrix sparse (long horizons between shards).
-        let plan = ShardPlan::affinity(self.spec, threads);
+        let plan = ShardPlan::affinity(self.config.grid, threads);
         let pool = EpochPool::new(&plan);
         self.par = Some(ParState {
             threads,
@@ -1105,11 +1101,11 @@ impl Machine {
     /// `deadline`, or until the machine is quiescent when
     /// `until_quiescent` is set.
     fn advance(&mut self, deadline: Time, until_quiescent: bool) {
-        if let EngineMode::Windowed { threads } = self.engine {
+        if let EngineMode::Windowed { threads } = self.config.engine {
             self.ensure_par(threads);
         }
         while self.now < deadline && !(until_quiescent && self.is_quiescent()) {
-            match self.engine {
+            match self.config.engine {
                 EngineMode::LockStep => self.step(),
                 EngineMode::Windowed { .. } => self.windowed_advance(deadline),
             }
@@ -1387,7 +1383,7 @@ impl Machine {
     pub fn node_ledger(&self, node: NodeId) -> EnergyLedger {
         let mut ledger = *self.core(node).ledger();
         ledger.charge(NodeCategory::Network, self.fabric.energy_from_node(node));
-        let slice = self.spec.slice_of(node);
+        let slice = self.config.grid.slice_of(node);
         let per_node = 1.0 / crate::topology::CORES_PER_SLICE as f64;
         ledger.charge(
             NodeCategory::Supply,
@@ -1452,11 +1448,6 @@ impl Machine {
         &self.metrics
     }
 
-    /// Mutable metrics hub (to enable sampling).
-    pub fn metrics_mut(&mut self) -> &mut MetricsHub {
-        &mut self.metrics
-    }
-
     /// Closes the metrics time series at the current instant: forces a
     /// final (possibly partial-window) power-monitor update so loss and
     /// support energy are integrated up to `now`, then records the
@@ -1481,20 +1472,15 @@ impl Machine {
         (&self.eps.cores, &self.fabric, &self.monitor)
     }
 
-    /// The configuration the machine was built from.
-    pub fn config(&self) -> &MachineConfig {
-        &self.config
-    }
-
     // --- snapshot / restore -------------------------------------------------
 
     /// Serializes the complete architectural state of the machine into
     /// the versioned `SWLWSNAP` binary format (DESIGN.md §3.13): a
     /// magic-plus-version header followed by checksummed sections —
-    /// CONF (the build configuration, fault plan included), MACH
-    /// (clock, engine), one CORE per core, FABR (links, in-flight
-    /// tokens, sticky flows), BRDG (the Ethernet bridge, when fitted),
-    /// PMON, METR and FALT in that order.
+    /// CONF (the build configuration with the live engine, fault plan
+    /// included), MACH (clock, cable count), one CORE per core, FABR
+    /// (links, in-flight tokens, sticky flows), BRDG (the Ethernet
+    /// bridge, when fitted), PMON, METR and FALT in that order.
     ///
     /// Call between engine advances (any instant `run_for` or
     /// `run_until_quiescent` can stop at). Trace rings and ADC boards
@@ -1510,7 +1496,6 @@ impl Machine {
         w.begin_section(*b"MACH");
         w.time(self.now);
         w.u64(self.faulted_cables as u64);
-        write_engine(&mut w, self.engine);
         w.end_section();
         for core in &self.eps.cores {
             w.begin_section(*b"CORE");
@@ -1572,7 +1557,6 @@ impl Machine {
         if mach.u64()? != machine.faulted_cables as u64 {
             return Err(CodecError::Invalid("assembly-fault cable count mismatch"));
         }
-        machine.engine = read_engine(&mut mach)?;
         mach.expect_end()?;
         for core in &mut machine.eps.cores {
             let mut sec = r.section(*b"CORE")?;
@@ -1624,7 +1608,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SWLWSNAP";
 /// Version 3 dropped the epoch-mode byte from CONF and MACH and re-tagged
 /// the engine as 0 = lock-step, 1 = windowed.
 /// Version 4 dropped the fault-counter copy from the end of METR.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// Version 5 dropped the engine from MACH (CONF carries the live one),
+/// the enabled flag from METR (CONF's metrics switch is the only one)
+/// and the received-token archive from BRDG.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Engine tag plus the windowed engine's thread count (0 for lock-step).
 fn write_engine(w: &mut ByteWriter, engine: EngineMode) {
@@ -1815,7 +1802,7 @@ impl fmt::Debug for Machine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Machine")
             .field("cores", &self.core_count())
-            .field("slices", &self.spec.slice_count())
+            .field("slices", &self.config.grid.slice_count())
             .field("now", &self.now)
             .field("links", &self.fabric.link_count())
             .finish()

@@ -93,11 +93,6 @@ impl MetricsHub {
         self.enabled
     }
 
-    /// Enables or disables sampling.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
     /// Recorded rows, oldest first (one per slice per monitor firing).
     pub fn rows(&self) -> &[SupplyRow] {
         &self.rows
@@ -189,12 +184,11 @@ impl MetricsHub {
         self.last_sample_at = now;
     }
 
-    // Snapshot codec. The per-slice vector lengths follow from the grid
-    // spec (already restored via the machine's CONF section); only the
+    // Snapshot codec. The per-slice vector lengths and the enabled switch
+    // follow from the machine's CONF section (already restored); only the
     // row count is dynamic.
 
     pub(crate) fn encode_state(&self, w: &mut ByteWriter) {
-        w.bool(self.enabled);
         w.time(self.last_sample_at);
         for rails in &self.last_rail {
             for &e in rails {
@@ -217,7 +211,6 @@ impl MetricsHub {
     }
 
     pub(crate) fn restore_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        self.enabled = r.bool()?;
         self.last_sample_at = r.time()?;
         for rails in &mut self.last_rail {
             for e in rails.iter_mut() {
@@ -249,6 +242,11 @@ impl MetricsHub {
                 loss,
             });
         }
+        // A hub with metrics off never samples, so samples in the image
+        // contradict CONF's switch.
+        if !self.enabled && (self.last_sample_at != Time::ZERO || !self.rows.is_empty()) {
+            return Err(CodecError::Invalid("metrics samples with metrics off"));
+        }
         Ok(())
     }
 }
@@ -273,8 +271,10 @@ mod tests {
 
     #[test]
     fn rows_telescope_to_cumulative_totals() {
-        let mut machine = crate::Machine::new(crate::MachineConfig::one_slice());
-        machine.metrics_mut().set_enabled(true);
+        let mut machine = crate::Machine::new(crate::MachineConfig {
+            metrics: true,
+            ..crate::MachineConfig::one_slice()
+        });
         machine.run_for(TimeDelta::from_us(5));
         machine.flush_metrics();
         let hub = machine.metrics();
@@ -284,6 +284,25 @@ mod tests {
         assert!(
             conservation_rel(metered, ledger) <= 1e-9,
             "metered {metered} vs ledger {ledger}"
+        );
+    }
+
+    #[test]
+    fn samples_on_a_disabled_hub_are_refused() {
+        let mut machine = crate::Machine::new(crate::MachineConfig {
+            metrics: true,
+            ..crate::MachineConfig::one_slice()
+        });
+        machine.run_for(TimeDelta::from_us(3));
+        let mut w = ByteWriter::new();
+        machine.metrics().encode_state(&mut w);
+        let bytes = w.finish();
+        let mut on = MetricsHub::new(GridSpec::ONE_SLICE, true);
+        assert_eq!(on.restore_state(&mut ByteReader::new(&bytes)), Ok(()));
+        let mut off = MetricsHub::new(GridSpec::ONE_SLICE, false);
+        assert_eq!(
+            off.restore_state(&mut ByteReader::new(&bytes)),
+            Err(CodecError::Invalid("metrics samples with metrics off"))
         );
     }
 }

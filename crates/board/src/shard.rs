@@ -121,8 +121,6 @@ pub struct ShardPlan {
     /// node-id runs, each chip-aligned, ascending within the shard.
     /// Together the runs of all shards cover `0..cores` exactly once.
     runs: Vec<Vec<(usize, usize)>>,
-    /// Node id → owning shard.
-    owner: Vec<usize>,
 }
 
 impl ShardPlan {
@@ -164,7 +162,6 @@ impl ShardPlan {
         let per = chips / shards;
         let extra = chips % shards;
         let mut runs = Vec::with_capacity(shards);
-        let mut owner = vec![0usize; cores];
         let mut next = 0usize;
         for s in 0..shards {
             let take = per + usize::from(s < extra);
@@ -182,11 +179,10 @@ impl ShardPlan {
                     Some(last) if last.1 == lo => last.1 = hi,
                     _ => shard_runs.push((lo, hi)),
                 }
-                owner[lo..hi].fill(s);
             }
             runs.push(shard_runs);
         }
-        ShardPlan { runs, owner }
+        ShardPlan { runs }
     }
 
     /// Number of shards (== worker threads in the pool).
@@ -202,16 +198,6 @@ impl ShardPlan {
     /// Number of cores in one shard.
     pub fn len(&self, shard: usize) -> usize {
         self.runs[shard].iter().map(|&(lo, hi)| hi - lo).sum()
-    }
-
-    /// True when a shard owns no cores (never produced by the planners).
-    pub fn is_empty(&self, shard: usize) -> bool {
-        self.runs[shard].is_empty()
-    }
-
-    /// Which shard a node belongs to. O(1).
-    pub fn shard_of(&self, node: usize) -> usize {
-        self.owner[node]
     }
 }
 
@@ -763,7 +749,6 @@ mod tests {
                 for n in lo..hi {
                     assert!(!covered[n], "node {n} covered twice");
                     covered[n] = true;
-                    assert_eq!(plan.shard_of(n), s);
                 }
             }
         }
@@ -778,8 +763,9 @@ mod tests {
                 assert!(plan.shard_count() <= threads.max(1));
                 assert!(plan.shard_count() <= cores.div_ceil(2));
                 flat_cover(&plan, cores);
-                assert_eq!(plan.shard_of(0), 0);
-                assert_eq!(plan.shard_of(cores - 1), plan.shard_count() - 1);
+                let last = plan.shard_count() - 1;
+                assert_eq!(plan.runs(0)[0].0, 0);
+                assert_eq!(plan.runs(last).last().map(|r| r.1), Some(cores));
             }
         }
     }
@@ -813,13 +799,13 @@ mod tests {
         let plan = ShardPlan::affinity(spec, 2);
         assert_eq!(plan.shard_count(), 2);
         flat_cover(&plan, 32);
-        for node in 0..32usize {
-            let slice = spec.slice_of(swallow_isa::NodeId(node as u16));
-            assert_eq!(
-                plan.shard_of(node),
-                slice,
-                "node {node} must shard with its slice"
-            );
+        for s in 0..2 {
+            for &(lo, hi) in plan.runs(s) {
+                for node in lo..hi {
+                    let slice = spec.slice_of(swallow_isa::NodeId(node as u16));
+                    assert_eq!(slice, s, "node {node} must shard with its slice");
+                }
+            }
         }
     }
 

@@ -265,8 +265,8 @@ fn bridge_streams_data_both_ways() {
         bridge.send_ct(core_chan, swallow_isa::ControlToken::END);
     }
     assert!(machine.run_until_quiescent(TimeDelta::from_us(200)));
-    let words = machine.bridge().expect("fitted").received_words();
-    assert_eq!(words, vec![42]);
+    let reply = machine.bridge_mut().expect("fitted").pop_frame();
+    assert_eq!(reply.expect("one reply frame").words, vec![42]);
 }
 
 #[test]

@@ -9,8 +9,7 @@
 //! The model is the standard first-order one: a fixed controller overhead
 //! plus a load-proportional conversion loss.
 
-use crate::units::{Energy, Power};
-use swallow_sim::TimeDelta;
+use crate::units::Power;
 
 /// Conversion efficiency of the slice SMPS at typical load. Calibrated
 /// so a fully loaded slice (3.1 W of core power, §III.A) draws ≈4.5 W at
@@ -89,12 +88,6 @@ impl Smps {
     /// The conversion loss alone (input minus output).
     pub fn loss(&self, output: Power) -> Power {
         self.input_power(output) - output
-    }
-
-    /// Input-side energy for `output` energy delivered over `span` — the
-    /// 5 V-bus view of a rail, as the measurement daughter board sees it.
-    pub fn input_energy(&self, output: Energy, span: TimeDelta) -> Energy {
-        self.input_power(output.over(span)) * span
     }
 }
 

@@ -29,11 +29,6 @@ impl Energy {
         Energy(j)
     }
 
-    /// Creates an energy from picojoules.
-    pub fn from_picojoules(pj: f64) -> Self {
-        Energy(pj * 1e-12)
-    }
-
     /// Creates an energy from nanojoules.
     pub fn from_nanojoules(nj: f64) -> Self {
         Energy(nj * 1e-9)
@@ -301,7 +296,7 @@ mod tests {
 
     #[test]
     fn display_scales_units() {
-        assert_eq!(Energy::from_picojoules(5.6).to_string(), "5.600pJ");
+        assert_eq!(Energy::from_joules(5.6e-12).to_string(), "5.600pJ");
         assert_eq!(Energy::from_nanojoules(212.8).to_string(), "212.800nJ");
         assert_eq!(Power::from_milliwatts(193.0).to_string(), "193.000mW");
         assert_eq!(Power::from_watts(134.0).to_string(), "134.000W");

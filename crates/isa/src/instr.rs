@@ -482,44 +482,6 @@ pub enum Instr {
     },
 }
 
-impl Instr {
-    /// True for instructions that may transfer control.
-    pub fn is_branch(&self) -> bool {
-        matches!(
-            self,
-            Instr::Bu { .. }
-                | Instr::Bt { .. }
-                | Instr::Bf { .. }
-                | Instr::Bl { .. }
-                | Instr::Bau { .. }
-                | Instr::Ret
-        )
-    }
-
-    /// True for instructions that touch a resource (channel/timer/lock/...).
-    pub fn is_resource_op(&self) -> bool {
-        matches!(
-            self,
-            Instr::GetR { .. }
-                | Instr::FreeR { .. }
-                | Instr::MSync { .. }
-                | Instr::SSync { .. }
-                | Instr::SetD { .. }
-                | Instr::Out { .. }
-                | Instr::OutT { .. }
-                | Instr::OutCt { .. }
-                | Instr::In { .. }
-                | Instr::InT { .. }
-                | Instr::ChkCt { .. }
-                | Instr::TestCt { .. }
-                | Instr::TmWait { .. }
-                | Instr::SetV { .. }
-                | Instr::Eeu { .. }
-                | Instr::Edu { .. }
-        )
-    }
-}
-
 /// Formats a word-offset branch target as it appears in assembly when no
 /// label is available: `.+N` / `.-N` relative to the *next* instruction.
 fn fmt_off(f: &mut fmt::Formatter<'_>, off: i32) -> fmt::Result {
@@ -645,24 +607,6 @@ mod tests {
         assert_eq!(ControlToken::END.to_string(), "end");
         assert_eq!(ControlToken::PAUSE.to_string(), "pause");
         assert_eq!(ControlToken(0x17).to_string(), "23");
-    }
-
-    #[test]
-    fn branch_classification() {
-        assert!(Instr::Ret.is_branch());
-        assert!(Instr::Bu { off: -1 }.is_branch());
-        assert!(!Instr::Nop.is_branch());
-        assert!(Instr::Out {
-            r: Reg::R0,
-            s: Reg::R1
-        }
-        .is_resource_op());
-        assert!(!Instr::Add {
-            d: Reg::R0,
-            a: Reg::R0,
-            b: Reg::R0
-        }
-        .is_resource_op());
     }
 
     #[test]

@@ -98,15 +98,6 @@ impl DetRng {
             items.swap(i, j);
         }
     }
-
-    /// Picks a uniformly random element, or `None` for an empty slice.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.below(items.len() as u64) as usize])
-        }
-    }
 }
 
 #[cfg(test)]
@@ -172,14 +163,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn choose_handles_empty_and_singleton() {
-        let mut rng = DetRng::seed_from(7);
-        let empty: [u8; 0] = [];
-        assert_eq!(rng.choose(&empty), None);
-        assert_eq!(rng.choose(&[42]), Some(&42));
     }
 
     #[test]

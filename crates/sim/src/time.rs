@@ -97,23 +97,6 @@ impl Time {
         let span = self.0 - anchor.0;
         Time(anchor.0 + span.div_ceil(period.0) * period.0)
     }
-
-    /// Last instant of the form `anchor + k·period` (integer `k ≥ 0`) at
-    /// or before `self`; `anchor` itself when `self` precedes it — the
-    /// way to cap an instant strictly below a lookahead horizon without
-    /// leaving the clock grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds when `period` is zero.
-    pub fn align_down_to(self, anchor: Time, period: TimeDelta) -> Time {
-        debug_assert!(period.0 > 0, "grid period must be non-zero");
-        if self.0 <= anchor.0 {
-            return anchor;
-        }
-        let span = self.0 - anchor.0;
-        Time(anchor.0 + (span / period.0) * period.0)
-    }
 }
 
 impl fmt::Display for Time {
@@ -417,23 +400,19 @@ mod tests {
     }
 
     #[test]
-    fn grid_alignment_round_trips() {
+    fn grid_alignment_rounds_up_onto_the_grid() {
         let anchor = Time::from_ps(100);
         let period = TimeDelta::from_ps(7);
         for raw in 0..260 {
             let t = Time::from_ps(raw);
             let up = t.align_up_to(anchor, period);
-            let down = t.align_down_to(anchor, period);
             assert!(up >= t.max(anchor));
-            assert!(down <= t.max(anchor) && down >= anchor);
             assert_eq!((up.as_ps() - anchor.as_ps()) % 7, 0);
-            assert_eq!((down.as_ps() - anchor.as_ps()) % 7, 0);
-            // Off-grid instants straddle one period; on-grid map to
-            // themselves in both directions.
-            assert!(up.as_ps() - down.as_ps() <= 7);
+            // Off-grid instants round up by less than one period; on-grid
+            // ones map to themselves.
+            assert!(up.as_ps() - t.max(anchor).as_ps() < 7);
             if raw >= 100 && (raw - 100) % 7 == 0 {
                 assert_eq!(up, t);
-                assert_eq!(down, t);
             }
         }
     }

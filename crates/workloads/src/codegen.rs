@@ -86,15 +86,6 @@ impl Placement {
         self.programs.is_empty()
     }
 
-    /// The first node in the placement (by insertion order).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty placement.
-    pub fn first_node(&self) -> NodeId {
-        self.programs.first().expect("non-empty placement").0
-    }
-
     /// The last node in the placement (by insertion order) — generators
     /// put the result-collecting core last.
     ///
@@ -154,7 +145,6 @@ mod tests {
         p.assign(NodeId(2), "nop\nfreet").expect("assembles");
         p.assign(NodeId(5), "freet").expect("assembles");
         assert_eq!(p.len(), 2);
-        assert_eq!(p.first_node(), NodeId(2));
         assert_eq!(p.last_node(), NodeId(5));
     }
 

@@ -125,11 +125,6 @@ impl Sram {
         self.cache.is_enabled()
     }
 
-    /// Live predecoded entries (test/observability hook).
-    pub fn decode_cache_entries(&self) -> usize {
-        self.cache.live_entries()
-    }
-
     /// Fetches and decodes the instruction at byte address `pc`,
     /// predecode-cached: the steady-state path is a single array load.
     /// On a miss, reads one word (retrying with a second on a truncated

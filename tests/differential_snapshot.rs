@@ -225,6 +225,35 @@ fn mid_fault_window_checkpoints_continue_bit_identically() {
     assert!(reference.faults.reroutes >= 2);
 }
 
+#[test]
+fn engine_switched_mid_run_travels_in_the_image() {
+    // The image carries the live engine, not the one the machine was
+    // built with: a pipeline built windowed and switched to lock-step
+    // mid-run restores under lock-step with no override, and its
+    // continuation matches the uninterrupted run bit for bit.
+    let budget = TimeDelta::from_ms(20);
+    let mut original = SystemBuilder::new()
+        .engine(EngineMode::Windowed { threads: 1 })
+        .build()
+        .expect("builds");
+    load_pipeline(&mut original);
+    original.run_for(TimeDelta::from_us(4));
+    original.machine_mut().set_engine(EngineMode::LockStep);
+    original.run_for(TimeDelta::from_us(4));
+    let bytes = original.snapshot();
+    let mut restored = SwallowSystem::restore(&bytes).expect("snapshot restores");
+    assert_eq!(restored.machine().engine(), EngineMode::LockStep);
+    let quiescent = original.run_until_quiescent(budget);
+    let reference = Fingerprint::of(&original, quiescent);
+    let quiescent = restored.run_until_quiescent(budget);
+    assert_equivalent(
+        "restored under the image's engine",
+        &Fingerprint::of(&restored, quiescent),
+        &reference,
+    );
+    assert!(reference.quiescent, "pipeline must drain");
+}
+
 /// A snapshot of a busy machine, built once and shared by the corruption
 /// property below (the bytes themselves are deterministic).
 fn busy_snapshot() -> &'static [u8] {
@@ -337,14 +366,18 @@ proptest! {
 
 #[test]
 fn older_format_versions_are_rejected_by_version() {
-    // A version-2 image (the format before the engine collapse) must be
-    // refused by its header alone, with the version it carries.
-    let mut bytes = busy_snapshot().to_vec();
+    // A version-2 image (the format before the engine collapse) and a
+    // version-4 one (the format that still carried the bridge's token
+    // archive and second engine and metrics copies) must be refused by
+    // their header alone, with the version they carry.
     let at = SNAPSHOT_MAGIC.len();
-    assert_eq!(bytes[at..at + 4], SNAPSHOT_VERSION.to_le_bytes());
-    bytes[at..at + 4].copy_from_slice(&2u32.to_le_bytes());
-    assert_eq!(
-        SwallowSystem::restore(&bytes).err(),
-        Some(CodecError::BadVersion { found: 2 })
-    );
+    for found in [2u32, 4] {
+        let mut bytes = busy_snapshot().to_vec();
+        assert_eq!(bytes[at..at + 4], SNAPSHOT_VERSION.to_le_bytes());
+        bytes[at..at + 4].copy_from_slice(&found.to_le_bytes());
+        assert_eq!(
+            SwallowSystem::restore(&bytes).err(),
+            Some(CodecError::BadVersion { found })
+        );
+    }
 }
