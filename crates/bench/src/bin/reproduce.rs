@@ -58,7 +58,11 @@
 //! <file>` resumes one (under any engine — the continuation is
 //! bit-identical regardless), and performs the same always-on
 //! conservation check as a cold run.
+//!
+//! Output may be piped into a reader that stops early (`reproduce | head
+//! -3`): once stdout is closed the run ends quietly with exit code 0.
 
+use std::io::Write;
 use std::path::Path;
 use std::time::Instant;
 use swallow::{EngineMode, FaultPlan, Frequency, SystemBuilder, TimeDelta};
@@ -69,6 +73,25 @@ use swallow_bench::experiments::{
 use swallow_bench::survey;
 use swallow_fleet::{ArrivalKind, FleetSpec};
 use swallow_workloads::pipeline::{self, PipelineSpec};
+
+/// `println!` for the report stream, through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// Writes one line to stdout. A closed stdout (the reader has exited)
+/// ends the process quietly with exit code 0; any other write error
+/// exits 2.
+fn emit(line: std::fmt::Arguments<'_>) {
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        die(&format!("could not write to stdout: {e}"));
+    }
+}
 
 const ALL: [&str; 16] = [
     "table1",
@@ -221,7 +244,7 @@ fn run_observability(overrides: &EngineOverride) {
             if let Some(engine) = overrides.engine {
                 system.machine_mut().set_engine(engine);
             }
-            println!(
+            outln!(
                 "restored {path} at t = {} ps ({} cores, {:?})",
                 system.now().as_ps(),
                 system.core_count(),
@@ -261,7 +284,7 @@ fn run_observability(overrides: &EngineOverride) {
         let image = system.snapshot();
         let path = &overrides.snapshot_out;
         match std::fs::write(path, &image) {
-            Ok(()) => println!(
+            Ok(()) => outln!(
                 "  wrote {path} ({} bytes at t = {} ps)",
                 image.len(),
                 system.now().as_ps()
@@ -277,13 +300,13 @@ fn run_observability(overrides: &EngineOverride) {
     let quiescent = system.run_until_quiescent(TimeDelta::from_ms(20));
     system.flush_metrics();
 
-    println!("observability run ({engine:?}, {w}x{h} slices, quiescent: {quiescent}):");
+    outln!("observability run ({engine:?}, {w}x{h} slices, quiescent: {quiescent}):");
     let report = system.run_report();
-    println!("{report}");
+    outln!("{report}");
     if let Some(path) = overrides.trace.as_deref() {
         let log = system.trace_log();
         match swallow::write_chrome_trace(Path::new(path), &log) {
-            Ok(()) => println!(
+            Ok(()) => outln!(
                 "  wrote {path} ({} trace records, {} dropped)",
                 log.len(),
                 log.dropped
@@ -294,7 +317,7 @@ fn run_observability(overrides: &EngineOverride) {
     if let Some(path) = overrides.metrics.as_deref() {
         let rows = system.machine().metrics().rows();
         match swallow::write_supply_csv(Path::new(path), rows) {
-            Ok(()) => println!("  wrote {path} ({} supply rows)", rows.len()),
+            Ok(()) => outln!("  wrote {path} ({} supply rows)", rows.len()),
             Err(e) => die(&format!("could not write {path}: {e}")),
         }
     }
@@ -306,14 +329,14 @@ fn run_observability(overrides: &EngineOverride) {
         let metered = report.metered_energy.as_joules();
         let ledger = report.ledger.total().as_joules();
         let rel = report.conservation_rel();
-        println!(
+        outln!(
             "  conservation: integrated {metered:.9e} J vs ledger {ledger:.9e} J (rel {rel:.2e})"
         );
         if rel > 1e-9 {
             die("metered supply series does not integrate back to the energy ledger");
         }
     } else {
-        println!("  conservation: skipped (snapshot was taken without the metrics hub enabled)");
+        outln!("  conservation: skipped (snapshot was taken without the metrics hub enabled)");
     }
 }
 
@@ -329,7 +352,7 @@ fn host_parallelism() -> usize {
 /// it cannot.
 fn write_bench(name: &str, json: &str) {
     match std::fs::write(name, json) {
-        Ok(()) => println!("  wrote {name}"),
+        Ok(()) => outln!("  wrote {name}"),
         Err(e) => die(&format!("could not write {name}: {e}")),
     }
 }
@@ -380,53 +403,51 @@ fn main() {
             continue;
         }
         let t0 = Instant::now();
-        println!("==================================================================");
+        outln!("==================================================================");
         match name {
-            "table1" => println!("{}", table1::run(if quick { 128 } else { 512 })),
-            "fig2" => println!(
+            "table1" => outln!("{}", table1::run(if quick { 128 } else { 512 })),
+            "fig2" => outln!(
                 "{}",
                 fig2::run(TimeDelta::from_us(if quick { 20 } else { 60 }))
             ),
-            "fig3" => println!("{}", fig3::run(if quick { 6_000 } else { 30_000 })),
-            "fig4" => println!("{}", fig4::run(if quick { 4_000 } else { 20_000 })),
+            "fig3" => outln!("{}", fig3::run(if quick { 6_000 } else { 30_000 })),
+            "fig4" => outln!("{}", fig4::run(if quick { 4_000 } else { 20_000 })),
             "table2" => {
-                println!("Table II — candidate Swallow processors:");
-                println!("{}", survey::Table2(survey::table2_candidates()));
+                outln!("Table II — candidate Swallow processors:");
+                outln!("{}", survey::Table2(survey::table2_candidates()));
             }
-            "eq2" => println!(
+            "eq2" => outln!(
                 "{}",
                 eq2::run(
                     Frequency::from_mhz(500),
                     if quick { 12_000 } else { 48_000 }
                 )
             ),
-            "latency" => println!("{}", latency::run(if quick { 16 } else { 64 })),
-            "overhead" => println!("{}", overhead::run(if quick { 128 } else { 512 })),
-            "ec" => println!("{}", ec_ratio::run(if quick { 64 } else { 256 })),
+            "latency" => outln!("{}", latency::run(if quick { 16 } else { 64 })),
+            "overhead" => outln!("{}", overhead::run(if quick { 128 } else { 512 })),
+            "ec" => outln!("{}", ec_ratio::run(if quick { 64 } else { 256 })),
             "table3" => {
-                println!(
-                    "Table III — many-core system survey (Swallow row derived from the model):"
-                );
-                println!("{}", survey::Table3(survey::table3_systems()));
+                outln!("Table III — many-core system survey (Swallow row derived from the model):");
+                outln!("{}", survey::Table3(survey::table3_systems()));
             }
-            "system" => println!(
+            "system" => outln!(
                 "{}",
                 system_power::run(TimeDelta::from_us(if quick { 10 } else { 40 }))
             ),
-            "proportionality" => println!(
+            "proportionality" => outln!(
                 "{}",
                 proportionality::run(Frequency::from_mhz(500), if quick { 6_000 } else { 24_000 })
             ),
-            "ablation" => println!(
+            "ablation" => outln!(
                 "{}",
                 ablation::run(if quick { 64 } else { 256 }, if quick { 16 } else { 64 })
             ),
             "system480" => {
-                println!("§III.A — direct 480-core machine run (6×5 slices, fully loaded):");
+                outln!("§III.A — direct 480-core machine run (6×5 slices, fully loaded):");
                 let span = TimeDelta::from_ns(if quick { 500 } else { 2_000 });
                 let (gips, watts) = system_power::run_480(span);
-                println!("  measured: {gips:.1} GIPS, {watts:.1} W at the 5 V inputs");
-                println!("  paper:    240 GIPS, 134 W");
+                outln!("  measured: {gips:.1} GIPS, {watts:.1} W at the 5 V inputs");
+                outln!("  paper:    240 GIPS, 134 W");
             }
             "fleet" => {
                 let rates: &[f64] = if quick {
@@ -452,7 +473,7 @@ fn main() {
                 // run_sweep gates conservation per machine per load point.
                 match fleet::run_sweep(&base, rates) {
                     Ok(bench) => {
-                        println!("{bench}");
+                        outln!("{bench}");
                         write_bench("BENCH_fleet.json", &bench.to_json());
                     }
                     Err(e) => die(&format!("fleet sweep failed: {e}")),
@@ -460,11 +481,11 @@ fn main() {
             }
             "resilience" => {
                 let r = resilience::run(quick);
-                println!("{r}");
+                outln!("{r}");
                 write_bench("BENCH_resilience.json", &r.to_json());
             }
             other => unreachable!("`{other}` is in ALL but has no runner"),
         }
-        println!("[{name} took {:.2?}]", t0.elapsed());
+        outln!("[{name} took {:.2?}]", t0.elapsed());
     }
 }

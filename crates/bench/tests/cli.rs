@@ -65,3 +65,25 @@ fn unwritable_bench_file_exits_two() {
     assert_eq!(stderr.trim().lines().count(), 1, "{stderr}");
     assert!(stderr.contains("BENCH_resilience.json"), "{stderr}");
 }
+
+#[test]
+fn closed_stdout_ends_the_run_quietly() {
+    // The read end is closed before the run starts, so every line the
+    // run prints meets a broken pipe, as under `reproduce ... | head -3`
+    // once `head` has exited.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let dir = std::env::temp_dir().join(format!("reproduce-pipe-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["--snapshot-at", "3000000", "--snapshot-out", "s.snap"])
+        .current_dir(&dir)
+        .stdout(writer)
+        .output()
+        .expect("reproduce runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.is_empty(), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+}

@@ -35,14 +35,16 @@
 //!
 //! Inside an advance the per-edge passes visit only *awake* cores. A core
 //! parks when an edge leaves it quiescent (halted, or every thread
-//! blocked on input) with no pending output; until a token arrives it can
-//! only tick idle, so the core pass, the activity scan, the window
-//! preconditions, the windows themselves and `is_quiescent` skip it.
-//! Wherever anything other than an idle tick touches a parked core — a
-//! delivery, a fault, a quarantine, the power monitor — it is first
-//! caught up with `Core::run_until`, which charges the idle edges it
-//! missed in closed form: the very f64 additions ticking them would have
-//! made, in the same order.
+//! blocked on input or output) with no pending output, or with every
+//! pending chanend parked in the fabric; until a token arrives or the
+//! fabric takes its output it can only tick idle, so the core pass, the
+//! activity scan, the injection pass, the window preconditions, the
+//! windows themselves and `is_quiescent` skip it. Wherever anything
+//! other than an idle tick touches a parked core — a delivery, a pop of
+//! its output, a wake of one of its heads, a fault, a quarantine, the
+//! power monitor — it is first caught up with `Core::run_until`, which
+//! charges the idle edges it missed in closed form: the very f64
+//! additions ticking them would have made, in the same order.
 //! Every public advance ends with all cores caught up and awake, so
 //! lock-step still runs every core on every edge and nothing outside an
 //! advance can tell.
@@ -200,20 +202,23 @@ struct Endpoints {
     /// lock-step would. Lock-step and fast-forward steps keep every core
     /// at `now`, so the gate never hides anything there.
     tx_gate_ps: u64,
-    /// Core nodes with pending output, ascending, collected by the core
-    /// pass that runs right before every `Fabric::step` (a fabric step
-    /// never gives a core new output). `for_each_tx_node` re-checks each
-    /// against the gate, so the fabric injects from exactly the nodes a
-    /// full scan would find — without the scan.
+    /// Awake core nodes with pending output, ascending, collected by the
+    /// core pass that runs right before every `Fabric::step` (a fabric
+    /// step never gives a core new output). `for_each_tx_node` re-checks
+    /// each against the gate; the fabric's injection worklist adds the
+    /// parked cores whose output it unparks, so it injects from exactly
+    /// the nodes a full scan would find — without the scan.
     tx_nodes: Vec<NodeId>,
     /// Cores the per-edge passes visit (DESIGN.md §3.7). A core *parks*
     /// — leaves the set — when the core pass leaves it quiescent with no
-    /// pending output: until a token arrives it can only tick idle, has
-    /// nothing to inject and no interesting instant, so skipping it is
-    /// invisible to every pass. A parked core's clock lags; it is caught
-    /// up with [`Core::run_until`] (bit-identical to the ticks it
-    /// missed, and O(1) for an idle core) wherever anything but an idle
-    /// tick touches it.
+    /// pending output, or with every pending chanend parked in the
+    /// fabric: until a token arrives or the fabric takes its output it
+    /// can only tick idle, has nothing the injection pass could move and
+    /// no interesting instant, so skipping it is invisible to every pass.
+    /// A parked core's clock lags; it is caught up with
+    /// [`Core::run_until`] (bit-identical to the ticks it missed, and
+    /// O(1) for an idle core) wherever anything but an idle tick touches
+    /// it.
     awake: IndexSet,
 }
 
@@ -230,18 +235,37 @@ impl Endpoints {
     }
 
     /// Debug-build invariant, checked at every catch-up point: a parked
-    /// core is quiescent, has no pending output and has not run past
-    /// `edge`, the grid instant being processed.
-    fn check_parked(&self, edge: Time) {
+    /// core is quiescent, has no pending output or all of it parked in
+    /// `fabric`, and has not run past `edge`, the grid instant being
+    /// processed.
+    fn check_parked(&self, edge: Time, fabric: &Fabric) {
         if cfg!(debug_assertions) {
             for (i, core) in self.cores.iter().enumerate() {
                 if !self.awake.contains(i) {
+                    let pending = core.tx_pending_count();
                     assert!(
-                        core.is_quiescent() && !core.has_tx_pending() && core.local_now() <= edge,
+                        core.is_quiescent()
+                            && (pending == 0 || fabric.tx_all_parked(NodeId(i as u16), pending))
+                            && core.local_now() <= edge,
                         "parked core {i} is not idle at or before {edge:?}"
                     );
                 }
             }
+        }
+    }
+
+    /// Catches parked core `i` up to the gate instant and wakes it, before
+    /// the fabric changes its state: a delivery can wake a thread blocked
+    /// on input, and a pop one blocked on a full `out` buffer. The fabric
+    /// steps at the gate instant, where the core pass left every awake
+    /// core, so the core joins them there.
+    fn wake_at_gate(&mut self, i: usize) {
+        if !self.awake.contains(i) {
+            let gate = Time::from_ps(self.tx_gate_ps);
+            let core = &mut self.cores[i];
+            debug_assert!(core.is_quiescent() && core.local_now() <= gate);
+            core.run_until(gate);
+            self.awake.insert(i);
         }
     }
 
@@ -326,7 +350,12 @@ impl CoreEndpoints for Endpoints {
         if Some(node) == self.bridge_node {
             return self.bridge.as_mut()?.ep_tx_pop();
         }
-        self.cores.get_mut(node.raw() as usize)?.tx_pop(chanend)
+        let i = node.raw() as usize;
+        if i >= self.cores.len() {
+            return None;
+        }
+        self.wake_at_gate(i);
+        self.cores[i].tx_pop(chanend)
     }
 
     fn can_accept(&self, node: NodeId, chanend: u8, n: usize) -> bool {
@@ -359,21 +388,11 @@ impl CoreEndpoints for Endpoints {
             return false;
         }
         let i = node.raw() as usize;
-        match self.cores.get_mut(i) {
-            Some(core) => {
-                // The fabric steps at the gate instant, where the core
-                // pass left every awake core: a parked core joins them
-                // before the token can wake a thread.
-                if !self.awake.contains(i) {
-                    let gate = Time::from_ps(self.tx_gate_ps);
-                    debug_assert!(core.is_quiescent() && core.local_now() <= gate);
-                    core.run_until(gate);
-                    self.awake.insert(i);
-                }
-                core.deliver(chanend, token).is_ok()
-            }
-            None => false,
+        if i >= self.cores.len() {
+            return false;
         }
+        self.wake_at_gate(i);
+        self.cores[i].deliver(chanend, token).is_ok()
     }
 }
 
@@ -650,7 +669,7 @@ impl Machine {
     /// Catches the parked cores up to `until` (they stay parked), after
     /// checking the parked-core invariant against the current edge.
     fn catch_up(&mut self, until: Time) {
-        self.eps.check_parked(self.now);
+        self.eps.check_parked(self.now, &self.fabric);
         self.eps.catch_up(until);
     }
 
@@ -689,6 +708,7 @@ impl Machine {
             self.apply_due_faults();
         }
         let now = self.now;
+        let fabric = &self.fabric;
         let Endpoints {
             cores,
             awake,
@@ -701,26 +721,36 @@ impl Machine {
             // edges only. `run_until` also stops if the core halts
             // mid-span rather than spinning on a dead core.
             core.run_until(now);
-            if core.has_tx_pending() {
-                tx_nodes.push(NodeId(i as u16));
-                return true;
+            let node = NodeId(i as u16);
+            let pending = core.tx_pending_count();
+            // A quiescent core only wakes on a token or on the fabric
+            // taking its output: park it until one of them happens when
+            // it has no output the injection pass could move.
+            let parks = park
+                && core.is_quiescent()
+                && (pending == 0 || fabric.tx_all_parked(node, pending));
+            if pending > 0 && !parks {
+                tx_nodes.push(node);
             }
-            // A quiescent core only wakes on a token: park it until one
-            // arrives.
-            !park || !core.is_quiescent()
+            !parks
         });
         if let Some(bridge) = self.eps.bridge.as_mut() {
             bridge.set_now(self.now);
         }
         // The fabric scan is pure bookkeeping when nothing is in the
-        // network and nothing wants to inject; skipping it then is
-        // behaviour-preserving in both engines.
-        if !self.fabric.is_idle() || self.bridge_backlog() || !self.eps.tx_nodes.is_empty() {
+        // network, no head is parked and nothing wants to inject; skipping
+        // it then is behaviour-preserving in both engines.
+        if !self.fabric.is_idle()
+            || self.fabric.parked_heads() > 0
+            || self.bridge_backlog()
+            || !self.eps.tx_nodes.is_empty()
+        {
             // Gate injections at the edge instant: a core that ran ahead
             // under the windowed engine and emitted later must not have
             // its token picked up now (see `Endpoints::tx_gate_ps`).
             self.eps.tx_gate_ps = self.now.as_ps();
             self.fabric.step(self.now, &mut self.eps);
+            self.wake_tx_ready();
             // A link that exhausted its retry budget during this step is
             // dead: account for it and route around it immediately.
             if self.fabric.has_escalations() {
@@ -737,6 +767,22 @@ impl Machine {
                 &self.fabric,
                 &mut self.metrics,
             );
+        }
+    }
+
+    /// Wakes the parked cores whose output the fabric left unparked (see
+    /// [`Fabric::tx_ready_nodes`]), caught up to `now`: a head woken
+    /// behind the injection cursor, or one that could not park again (a
+    /// down link, several candidate links). The next edge must visit
+    /// them, since the fabric retries that output there.
+    fn wake_tx_ready(&mut self) {
+        let Endpoints { cores, awake, .. } = &mut self.eps;
+        for node in self.fabric.tx_ready_nodes() {
+            let i = node.raw() as usize;
+            if i < cores.len() && !awake.contains(i) {
+                cores[i].run_until(self.now);
+                awake.insert(i);
+            }
         }
     }
 
@@ -938,7 +984,7 @@ impl Machine {
         // The O(1) preconditions first: communicating machines have
         // tokens in flight most of the time, and then the core scan below
         // would be wasted work on every fast-forward step.
-        if self.bridge_backlog() || !self.fabric.is_idle() {
+        if self.bridge_backlog() || !self.fabric.is_idle() || self.fabric.parked_heads() > 0 {
             self.ff_advance(deadline);
             return;
         }
@@ -1118,9 +1164,11 @@ impl Machine {
 
     /// True when no core can make progress and no token is in flight.
     /// O(awake cores): every per-core check is a cached counter, and a
-    /// parked core is quiescent by construction.
+    /// parked core is quiescent by construction. A parked core with
+    /// output has a parked head, so no head may be parked either.
     pub fn is_quiescent(&self) -> bool {
         self.fabric.is_idle()
+            && self.fabric.parked_heads() == 0
             && !self.bridge_backlog()
             && self.eps.awake.iter().all(|i| {
                 let core = &self.eps.cores[i];
@@ -1301,6 +1349,8 @@ impl Machine {
         // Quarantine may kill a parked core: it must have run to `now`.
         self.catch_up(self.now);
         self.reroute_and_quarantine();
+        // The new routes woke every parked head.
+        self.wake_tx_ready();
     }
 
     /// Rebuilds the routing table over the surviving links and
@@ -1806,5 +1856,102 @@ impl fmt::Debug for Machine {
             .field("now", &self.now)
             .field("links", &self.fabric.link_count())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use swallow_isa::Assembler;
+
+    fn asm(src: &str) -> Program {
+        Assembler::new().assemble(src).expect("assembles")
+    }
+
+    /// Sends `words` one-word packets back to back to chanend 0 of `sink`.
+    fn flooder(sink: u16, words: u32) -> Program {
+        asm(&format!(
+            "getr r0, chanend\nldc r1, {sink}\nshl r1, r1, 16\nadd r1, r1, 2\nsetd r0, r1\n\
+             ldc r3, {words}\nlp:\nout r0, r3\noutct r0, end\nsub r3, r3, 1\nbt r3, lp\nfreet"
+        ))
+    }
+
+    /// Reads `words` one-word packets, sleeping 100 timer ticks before each.
+    fn slow_sink(words: u32) -> Program {
+        asm(&format!(
+            "getr r0, chanend\ngetr r5, timer\nldc r3, {words}\n\
+             lp:\nin r6, r5\nldc r7, 100\nadd r6, r6, r7\ntmwait r5, r6\n\
+             in r1, r0\nchkct r0, end\nsub r3, r3, 1\nbt r3, lp\nfreet"
+        ))
+    }
+
+    /// Three sources flood one slow sink, so their threads block on full
+    /// `out` buffers behind heads the fabric holds parked. Driven one
+    /// fast-forward step at a time, the rule must park such sources —
+    /// some step has fewer awake cores than cores with pending output —
+    /// and after every edge each core whose output the fabric may move
+    /// (pending, not all parked) must be awake, or the engine would jump
+    /// past an edge where lock-step retries it. A link that escalates to
+    /// dead mid-run wakes parked heads the same pass cannot re-park.
+    #[test]
+    fn output_parked_sources_leave_the_awake_set() {
+        const SOURCES: [u16; 3] = [0, 5, 10];
+        const WORDS: u32 = 12;
+        let build = |faults: FaultPlan| {
+            let mut machine = Machine::new(MachineConfig {
+                faults,
+                ..MachineConfig::one_slice()
+            });
+            for src in SOURCES {
+                machine
+                    .load_program(NodeId(src), &flooder(15, WORDS))
+                    .expect("fits");
+            }
+            machine
+                .load_program(NodeId(15), &slow_sink(WORDS * SOURCES.len() as u32))
+                .expect("fits");
+            machine
+        };
+        // A corruption window on the first source's link escalates it to
+        // dead mid-run: the escalating launch and the reroute wake every
+        // parked head, including ones no later pass re-parks this edge.
+        let mut probe = build(FaultPlan::new());
+        probe.run_for(TimeDelta::from_us(1));
+        let taken = probe
+            .fabric
+            .link_stats()
+            .find(|l| l.from == NodeId(SOURCES[0]) && l.header_tokens > 0)
+            .expect("the first source has opened its route")
+            .id;
+        let at = Time::ZERO + TimeDelta::from_us(2);
+        let mut machine = build(FaultPlan::new().corrupt_window(at, taken, TimeDelta::from_us(5)));
+        let deadline = Time::ZERO + TimeDelta::from_us(300);
+        let mut fewer_awake = 0;
+        while machine.now < deadline && !machine.is_quiescent() {
+            let target = machine.grid_align(machine.next_activity_at().min(deadline));
+            machine.process_edge(target, true);
+            let mut with_output = 0;
+            for (i, core) in machine.eps.cores.iter().enumerate() {
+                let pending = core.tx_pending_count();
+                if pending == 0 {
+                    continue;
+                }
+                with_output += 1;
+                assert!(
+                    machine.eps.awake.contains(i)
+                        || machine.fabric.tx_all_parked(NodeId(i as u16), pending),
+                    "core {i} is parked with output the fabric may move at {:?}",
+                    machine.now
+                );
+            }
+            if machine.eps.awake.len() < with_output {
+                fewer_awake += 1;
+            }
+        }
+        assert!(fewer_awake > 0, "no step parked a core with pending output");
+        assert!(
+            machine.fault_counters().link_downs > 0,
+            "the link escalated"
+        );
     }
 }

@@ -7,12 +7,19 @@
 //! at them — a delivery right after a power-monitor catch-up, a core
 //! fault, a quarantine after a link escalates, a snapshot mid-run — and
 //! checks the windowed engine at one and two threads against the
-//! lock-step oracle (instret, cycles, `now` and energy exact), and that
-//! a repeated windowed run is bit-identical (whole snapshot image). A
+//! lock-step oracle (instret, cycles, `now` and energy exact), and that a
+//! repeated windowed run is bit-identical (whole snapshot image). A
 //! two-slice scenario whose sources queue behind one shared cable does
-//! the same for fast-forward jumps over heads parked on a busy link, and a one-slice scenario whose sources flood a slow
-//! sink for heads parked on a link's release, on credit and on a full
-//! chanend. A last test pins one ledger total per scenario, bit for bit
+//! the same for fast-forward jumps over heads parked on a busy link, and
+//! a one-slice scenario whose sources flood a slow sink for heads parked
+//! on a link's release, on credit and on a full chanend. Output-parked
+//! cores — quiescent, with every pending chanend parked in the fabric —
+//! are parked too: flooders blocked on full `out` buffers meet a time
+//! wake, releases by flows from lower- and higher-numbered nodes, credit
+//! returns, escalations that wake heads ahead of and behind the injection
+//! cursor, a core stall, monitor fires and a snapshot, and a circuit that
+//! never closes and a retried launch leave parked output with the network
+//! empty. A last test pins one ledger total per scenario, bit for bit
 //! under every engine, which is what catches a catch-up — or a jump —
 //! that adds the right energy in the wrong order, and the windowed
 //! engine's window and round counts on a sparse grid, which catch a
@@ -469,6 +476,339 @@ fn backpressured_sink_agrees_under_every_engine() {
     assert!(oracle.quiescent);
     let total = FLOODERS.len() as u32 * (1..=FLOOD_ITEMS).sum::<u32>();
     assert_eq!(oracle.outputs[SLOW_SINK as usize], format!("{total}\n"));
+}
+
+/// Number of lock-step edges, until quiescence or 200 µs, on which
+/// `node` is *output-parked*: quiescent (its thread blocked on a full
+/// `out` buffer, or finished) with pending output whose every chanend
+/// is parked in the fabric. The windowed engine stops visiting such a
+/// core until the fabric wakes one of its heads.
+fn output_parked_edges(build: &dyn Fn(EngineMode) -> Machine, node: u16) -> usize {
+    let mut machine = build(EngineMode::LockStep);
+    let node = NodeId(node);
+    let mut edges = 0;
+    while machine.now() < t(200) && !machine.is_quiescent() {
+        machine.step();
+        let core = machine.core(node);
+        let pending = core.tx_pending_count();
+        if core.is_quiescent() && machine.fabric().tx_all_parked(node, pending) {
+            edges += 1;
+        }
+    }
+    edges
+}
+
+/// Flooders, each sending `FLOOD_ITEMS` one-word packets back to back
+/// to chanend 0 of its sink, which sums them reading one word every
+/// `gap` timer ticks, on a one-slice machine built with `config`.
+fn flood_machine(config: MachineConfig, flows: &[(u16, u16)], gap: u32) -> Machine {
+    let mut machine = Machine::new(config);
+    for &(src, dst) in flows {
+        machine
+            .load_program(NodeId(src), &flooder(dst))
+            .expect("fits");
+        machine
+            .load_program(NodeId(dst), &slow_sink(FLOOD_ITEMS, gap))
+            .expect("fits");
+    }
+    machine
+}
+
+/// A lone flooder two chips away from a sink that reads as fast as it
+/// can. Its thread fills the `out` buffer and blocks, and its head waits
+/// on its own flow's busy link: time-parked, so the core is
+/// output-parked until `wake_due` returns the head on the edge the link
+/// frees, where it injects at once — and that pop wakes the thread.
+const LONE_FLOW: [(u16, u16); 1] = [(0, 15)];
+
+fn lone_flooder(engine: EngineMode) -> Machine {
+    flood_machine(
+        MachineConfig {
+            engine,
+            ..MachineConfig::one_slice()
+        },
+        &LONE_FLOW,
+        1,
+    )
+}
+
+#[test]
+fn time_parked_output_injects_on_its_wake_edge() {
+    assert!(output_parked_edges(&lone_flooder, LONE_FLOW[0].0) > 0);
+    let oracle = assert_engines_agree(&lone_flooder);
+    assert!(oracle.quiescent);
+    let total = (1..=FLOOD_ITEMS).sum::<u32>();
+    assert_eq!(
+        oracle.outputs[LONE_FLOW[0].1 as usize],
+        format!("{total}\n")
+    );
+}
+
+/// Four flooders whose routes share links. The flow from node 1 crosses
+/// node 9's switch and the flow from node 15 node 13's, each on the very
+/// link that node's own flow leaves by, so the sources at 9 and 13 wait
+/// for the release of their first link by a flow from a lower- and from
+/// a higher-numbered node; the sinks read slowly, so credit backs up
+/// along the shared links and each pop in the forward pass returns one.
+const CROSSING_FLOWS: [(u16, u16); 4] = [(1, 14), (9, 12), (15, 8), (13, 10)];
+
+fn crossing_flooders(engine: EngineMode) -> Machine {
+    flood_machine(
+        MachineConfig {
+            engine,
+            ..MachineConfig::one_slice()
+        },
+        &CROSSING_FLOWS,
+        40,
+    )
+}
+
+#[test]
+fn released_and_credited_output_wakes_parked_sources() {
+    for (src, _) in CROSSING_FLOWS {
+        assert!(output_parked_edges(&crossing_flooders, src) > 0, "{src}");
+    }
+    let oracle = assert_engines_agree(&crossing_flooders);
+    assert!(oracle.quiescent);
+    let total = (1..=FLOOD_ITEMS).sum::<u32>();
+    for (_, dst) in CROSSING_FLOWS {
+        assert_eq!(oracle.outputs[dst as usize], format!("{total}\n"));
+    }
+}
+
+/// The crossing flooders with a fault plan and a monitor cadence that
+/// land while sources are output-parked: a stall of the source at node
+/// 9, monitor fires every `monitor_ns` and, with `escalate = Some((from,
+/// to))`, a corruption window on the link from `from` to `to` that the
+/// flows have taken, long enough to escalate it to dead. The escalating
+/// launch wakes every parked head in mid-pass — a source's own first
+/// link wakes the heads of higher-numbered sources ahead of the
+/// injection cursor and of lower-numbered ones behind it — and the
+/// reroute wakes them all again after the step.
+fn faulted_flooders(engine: EngineMode, monitor_ns: u64, escalate: Option<(u16, u16)>) -> Machine {
+    let config = |faults: FaultPlan| MachineConfig {
+        engine,
+        monitor_window: TimeDelta::from_ns(monitor_ns),
+        faults,
+        ..MachineConfig::one_slice()
+    };
+    let mut plan = FaultPlan::new().stall_core(t(3), NodeId(9), TimeDelta::from_ns(900));
+    if let Some((from, to)) = escalate {
+        let mut probe = flood_machine(config(FaultPlan::new()), &CROSSING_FLOWS, 40);
+        probe.run_for(TimeDelta::from_us(1));
+        let taken = probe
+            .fabric()
+            .link_stats()
+            .find(|l| l.from == NodeId(from) && l.to == NodeId(to) && l.header_tokens > 0)
+            .expect("a flow has opened a route over the link")
+            .id;
+        plan = plan.corrupt_window(t(2), taken, TimeDelta::from_us(5));
+    }
+    flood_machine(config(plan), &CROSSING_FLOWS, 40)
+}
+
+#[test]
+fn faults_and_monitor_fires_land_on_output_parked_cores() {
+    let cases = [
+        (1_000, None),
+        (1_000, Some((1, 0))),
+        (6, None),
+        (4, Some((9, 11))),
+        (1_000, Some((15, 13))),
+    ];
+    for (monitor_ns, escalate) in cases {
+        let build = |engine| faulted_flooders(engine, monitor_ns, escalate);
+        let oracle = assert_engines_agree(&build);
+        let (machine, _) = drive(&build, EngineMode::Windowed { threads: 1 });
+        let faults = machine.fault_counters();
+        assert_eq!(faults.core_stalls, 1, "{faults:?}");
+        assert_eq!(faults.link_downs > 0, escalate.is_some(), "{faults:?}");
+        if escalate.is_none() {
+            assert!(oracle.quiescent);
+            let total = (1..=FLOOD_ITEMS).sum::<u32>();
+            for (_, dst) in CROSSING_FLOWS {
+                assert_eq!(oracle.outputs[dst as usize], format!("{total}\n"));
+            }
+        }
+    }
+}
+
+#[test]
+fn snapshot_with_output_parked_cores_continues_bit_identically() {
+    // 2.5 µs in, the crossing sources are blocked on full `out` buffers.
+    let at = TimeDelta::from_ns(2_500);
+    let mut probe = crossing_flooders(EngineMode::LockStep);
+    probe.run_for(at);
+    assert!(CROSSING_FLOWS.iter().any(|&(src, _)| {
+        let core = probe.core(NodeId(src));
+        core.is_quiescent()
+            && probe
+                .fabric()
+                .tx_all_parked(NodeId(src), core.tx_pending_count())
+    }));
+    for engine in [
+        EngineMode::LockStep,
+        EngineMode::Windowed { threads: 1 },
+        EngineMode::Windowed { threads: 2 },
+    ] {
+        let mut original = crossing_flooders(engine);
+        original.run_for(at);
+        let image = original.snapshot();
+        let mut restored = Machine::restore(&image).expect("own snapshot restores");
+        assert_eq!(restored.snapshot(), image);
+        for machine in [&mut original, &mut restored] {
+            machine.run_for(TimeDelta::from_us(3));
+            machine.run_until_quiescent(TimeDelta::from_us(150));
+        }
+        assert_eq!(
+            outcome(&restored, false),
+            outcome(&original, false),
+            "{engine:?}"
+        );
+        assert!(restored.snapshot() == original.snapshot(), "{engine:?}");
+    }
+    let oracle = assert_engines_agree(&|engine| {
+        let mut machine = crossing_flooders(engine);
+        machine.run_for(at);
+        Machine::restore(&machine.snapshot()).expect("own snapshot restores")
+    });
+    assert!(oracle.quiescent);
+}
+
+/// Sleeps `ticks` timer ticks, then sends a one-word packet to `next`
+/// and finishes with the output still queued.
+fn late_sender(next: u16, ticks: u32) -> Program {
+    asm(&format!(
+        "getr r0, chanend\n{}setd r0, r1\ngetr r5, timer\nin r6, r5\nldc r7, {ticks}\n\
+         add r6, r6, r7\ntmwait r5, r6\nldc r2, 5\nout r0, r2\noutct r0, end\nfreet",
+        dest("r1", next)
+    ))
+}
+
+/// Prints the one word of one packet.
+fn one_word_sink() -> Program {
+    asm("getr r0, chanend\nin r1, r0\nchkct r0, end\nprint r1\nfreet")
+}
+
+/// A circuit that never closes: node 1 opens a route to node 14 with one
+/// word, sends no END and blocks on input forever, so its flow owns every
+/// link of the route once the word is delivered and the network is
+/// empty. Node 9 then sends a packet whose only link out of its switch is
+/// on that route: its head waits for a release that never comes, and its
+/// core is output-parked. Lock-step never calls this machine quiescent.
+fn circuit_machine(engine: EngineMode) -> Machine {
+    let mut machine = Machine::new(MachineConfig {
+        engine,
+        ..MachineConfig::one_slice()
+    });
+    let holder = format!(
+        "getr r0, chanend\n{}setd r0, r1\nldc r2, 7\nout r0, r2\n\
+         getr r3, chanend\nin r4, r3\nfreet",
+        dest("r1", 14)
+    );
+    machine
+        .load_program(NodeId(1), &asm(&holder))
+        .expect("fits");
+    machine
+        .load_program(
+            NodeId(14),
+            &asm("getr r0, chanend\nin r1, r0\nprint r1\nin r1, r0\nfreet"),
+        )
+        .expect("fits");
+    machine
+        .load_program(NodeId(9), &late_sender(12, 200))
+        .expect("fits");
+    machine
+        .load_program(NodeId(12), &one_word_sink())
+        .expect("fits");
+    machine
+}
+
+/// A lone packet that meets a corruption window on its first link while
+/// two spinners run: every failed launch leaves the link busy for a
+/// token time with nothing on the wire, so the head time-parks with the
+/// network empty and the finished sender output-parked, while two
+/// runnable cores would otherwise let a window open over the wake.
+fn retry_machine(engine: EngineMode) -> Machine {
+    let build = |engine: EngineMode, faults: FaultPlan| {
+        let mut machine = Machine::new(MachineConfig {
+            engine,
+            faults,
+            ..MachineConfig::one_slice()
+        });
+        machine
+            .load_program(NodeId(0), &late_sender(15, 100))
+            .expect("fits");
+        machine
+            .load_program(NodeId(15), &one_word_sink())
+            .expect("fits");
+        for &s in &SPINNERS {
+            machine
+                .load_program(
+                    NodeId(s),
+                    &asm("ldc r1, 750\nlp:\nsub r1, r1, 1\nbt r1, lp\nfreet"),
+                )
+                .expect("fits");
+        }
+        machine
+    };
+    let mut probe = build(EngineMode::LockStep, FaultPlan::new());
+    probe.run_for(TimeDelta::from_us(3));
+    let first = probe
+        .fabric()
+        .link_stats()
+        .find(|l| l.from == NodeId(0) && l.header_tokens > 0)
+        .expect("the packet has left node 0")
+        .id;
+    let plan = FaultPlan::new().corrupt_window(t(1), first, TimeDelta::from_ns(300));
+    build(engine, plan)
+}
+
+/// Lock-step edges, until quiescence or 200 µs, on which the network is
+/// empty while some head is parked.
+fn parked_with_empty_network(build: &dyn Fn(EngineMode) -> Machine) -> usize {
+    let mut machine = build(EngineMode::LockStep);
+    let mut edges = 0;
+    while machine.now() < t(200) && !machine.is_quiescent() {
+        machine.step();
+        let fabric = machine.fabric();
+        if fabric.tokens_in_network() == 0 && fabric.parked_heads() > 0 {
+            edges += 1;
+        }
+    }
+    edges
+}
+
+#[test]
+fn parked_output_with_an_empty_network_is_neither_quiescent_nor_windowed() {
+    assert!(output_parked_edges(&circuit_machine, 9) > 0);
+    assert!(parked_with_empty_network(&circuit_machine) > 0);
+    let oracle = assert_engines_agree(&circuit_machine);
+    assert!(!oracle.quiescent, "node 9's packet waits forever");
+    assert_eq!(oracle.now, t(201));
+    assert_eq!(oracle.outputs[14], "7\n");
+    // Inside one advance, too, the parked output keeps the machine from
+    // counting as quiescent.
+    for engine in [
+        EngineMode::LockStep,
+        EngineMode::Windowed { threads: 1 },
+        EngineMode::Windowed { threads: 2 },
+    ] {
+        let mut machine = circuit_machine(engine);
+        assert!(!machine.run_until_quiescent(TimeDelta::from_us(50)));
+        assert_eq!(machine.now(), t(50), "{engine:?}");
+    }
+
+    assert!(parked_with_empty_network(&retry_machine) > 0);
+    let oracle = assert_engines_agree(&retry_machine);
+    assert!(oracle.quiescent);
+    assert_eq!(oracle.outputs[15], "5\n");
+    let (machine, _) = drive(&retry_machine, EngineMode::Windowed { threads: 1 });
+    let faults = machine.fault_counters();
+    assert!(
+        faults.retransmits > 0 && faults.link_downs == 0,
+        "{faults:?}"
+    );
 }
 
 /// The relay chain with both spinners on a 200 MHz clock. While tokens

@@ -30,9 +30,11 @@
 //!   [`Fabric::next_event_at`] reads the calendar's head.
 //! * **Forwarding** walks a bitset of the links with tokens queued at
 //!   their receiving switch, in the switches' service order (node-major,
-//!   then input port); **injection** visits only the nodes the
-//!   [`CoreEndpoints`] name as having output; **loopback** delivery walks
-//!   a bitset of the nodes with non-empty loopback queues.
+//!   then input port); **injection** walks a bitset of the nodes that
+//!   may have output to move — the ones the [`CoreEndpoints`] name as
+//!   having output, plus any whose chanend a wake unparked — and drops a
+//!   node once all its pending output is parked; **loopback** delivery
+//!   walks a bitset of the nodes with non-empty loopback queues.
 //! * **Parked heads.** A switch receive queue or a core chanend whose
 //!   head fails to move leaves its worklist and *parks* on the one event
 //!   that can unblock it, so no step retries it to no effect:
@@ -70,7 +72,9 @@
 //!   event or core activity, which bound the engines' horizon already.
 //!   [`Fabric::tx_all_parked`] tells the board which nodes' pending
 //!   output waits only on a parked head, so the engines can jump over a
-//!   parked wait instead of visiting each of its edges.
+//!   parked wait instead of visiting each of its edges, and
+//!   [`Fabric::tx_ready_nodes`] which nodes a step left with output that
+//!   may move on the next edge.
 //! * **Flow tables.** The sticky link bindings and the final-hop
 //!   ownerships, looked up on every launch and delivery attempt, are
 //!   keyed by small simulation integers and hashed with a multiplicative
@@ -405,6 +409,7 @@ impl FabricBuilder {
             fwd_pos,
             arrivals: BinaryHeap::new(),
             tx_parked: vec![0; self.nodes],
+            tx_ready: IndexSet::new(self.nodes),
             wakes: BinaryHeap::new(),
             event_parked: 0,
             chanend_waiters: vec![Vec::new(); self.nodes],
@@ -418,7 +423,6 @@ impl FabricBuilder {
             unroutable: 0,
             in_network: 0,
             tx_scratch: Vec::new(),
-            tx_nodes: Vec::new(),
             tracer: Tracer::Off,
             escalated: Vec::new(),
             delivered_data: 0,
@@ -453,6 +457,14 @@ pub struct Fabric {
     rx_parked: IndexSet,
     /// Per node, the mask of chanends whose output head is parked.
     tx_parked: Vec<u32>,
+    /// Worklist of the injection pass: nodes that may hold pending output
+    /// that is not parked. Each pass first adds the nodes the endpoints
+    /// name ([`CoreEndpoints::for_each_tx_node`]); an unparked chanend
+    /// adds its node. A visited node leaves when it has no visible
+    /// pending output or all of it is parked, so what a step leaves here
+    /// is output that may move on the next edge
+    /// ([`Fabric::tx_ready_nodes`]).
+    tx_ready: IndexSet,
     /// The wake calendar: one `(wake, head, blocking link)` entry per
     /// time-parked head, waking it at the earliest `busy_until` among
     /// the links it could take. Kept apart from `arrivals`, which only
@@ -490,11 +502,9 @@ pub struct Fabric {
     /// idleness checks and the fast-forward event query are O(1) when
     /// the network is empty.
     in_network: usize,
-    /// Reusable buffers for the injection pass: one node's pending
-    /// chanends, and the nodes the endpoints name as injecting (no heap
-    /// allocation per step).
+    /// Reusable buffer for the injection pass: one node's pending
+    /// chanends (no heap allocation per step).
     tx_scratch: Vec<u8>,
-    tx_nodes: Vec<NodeId>,
     /// Trace sink for [`TraceEvent::LinkTransit`] records. The fabric is
     /// only stepped from the control thread (serially, even under the
     /// windowed engine), so one sink covers every link deterministically.
@@ -734,6 +744,16 @@ impl Fabric {
                 .filter(|&node| !self.loopback[node].is_empty())
                 .collect(),
         }
+    }
+
+    /// The nodes the last injection pass left with pending output that is
+    /// not parked, plus any whose chanend was unparked since: output that
+    /// may move on the next edge. A node whose every pending chanend was
+    /// parked when the pass visited it is absent until a wake unparks one,
+    /// so an engine that stops visiting such a node can use this list to
+    /// find it again.
+    pub fn tx_ready_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.tx_ready.iter().map(|node| NodeId(node as u16))
     }
 
     /// Number of tokens currently inside the network. O(1).
@@ -1056,7 +1076,10 @@ impl Fabric {
                 self.rx_parked.remove(pos as usize);
                 self.rx_ready.insert(pos as usize);
             }
-            Head::Tx(node, chanend) => self.tx_parked[node.raw() as usize] &= !(1 << chanend),
+            Head::Tx(node, chanend) => {
+                self.tx_parked[node.raw() as usize] &= !(1 << chanend);
+                self.tx_ready.insert(node.raw() as usize);
+            }
         }
     }
 
@@ -1386,24 +1409,22 @@ impl Fabric {
         }
     }
 
+    /// Injects core output, walking `tx_ready` in node order. A chanend
+    /// unparked during the pass re-enters the list: its node is served
+    /// in this pass when it is still ahead of the cursor and stays listed
+    /// for the next step when it is not — exactly the retries a walk over
+    /// every node with output would make.
     fn inject_from_cores<E: CoreEndpoints>(&mut self, now: Time, cores: &mut E) {
-        let mut nodes = std::mem::take(&mut self.tx_nodes);
-        nodes.clear();
-        cores.for_each_tx_node(self.nodes, &mut |node| nodes.push(node));
+        let ready = &mut self.tx_ready;
+        cores.for_each_tx_node(self.nodes, &mut |node| ready.insert(node.raw() as usize));
         let mut pending = std::mem::take(&mut self.tx_scratch);
-        for &node_id in &nodes {
-            let node = node_id.raw() as usize;
-            let parked = self.tx_parked[node];
-            if parked != 0 {
-                debug_assert!(
-                    (0..32u8)
-                        .filter(|&ch| parked >> ch & 1 == 1)
-                        .all(|ch| cores.tx_front(node_id, ch).is_some()),
-                    "node {node} has a parked chanend with nothing to send"
-                );
-                if parked.count_ones() as usize == cores.tx_pending_count(node_id) {
-                    continue; // every pending chanend is parked
-                }
+        let mut next = self.tx_ready.next_from(0);
+        while let Some(node) = next {
+            let node_id = NodeId(node as u16);
+            if self.tx_idle(node_id, cores) {
+                self.tx_ready.remove(node);
+                next = self.tx_ready.next_from(node + 1);
+                continue;
             }
             pending.clear();
             cores.for_each_tx_pending(node_id, &mut |ch| pending.push(ch));
@@ -1448,9 +1469,29 @@ impl Fabric {
                     }
                 }
             }
+            if self.tx_idle(node_id, cores) {
+                self.tx_ready.remove(node);
+            }
+            next = self.tx_ready.next_from(node + 1);
         }
         self.tx_scratch = pending;
-        self.tx_nodes = nodes;
+    }
+
+    /// True when `node` has nothing the injection pass could move: no
+    /// visible pending output, or every pending chanend parked.
+    fn tx_idle<E: CoreEndpoints>(&self, node: NodeId, cores: &E) -> bool {
+        if !cores.has_tx_pending(node) {
+            return true;
+        }
+        let parked = self.tx_parked[node.raw() as usize];
+        debug_assert!(
+            (0..32u8)
+                .filter(|&ch| parked >> ch & 1 == 1)
+                .all(|ch| cores.tx_front(node, ch).is_some()),
+            "node {} has a parked chanend with nothing to send",
+            node.raw()
+        );
+        parked != 0 && parked.count_ones() as usize == cores.tx_pending_count(node)
     }
 
     fn try_transmit(
