@@ -181,8 +181,15 @@ fn parse_engine_override(args: &mut Vec<String>) -> EngineOverride {
                 Some((w.parse().ok()?, h.parse().ok()?))
             };
             parse()
-                .filter(|&(w, h)| w > 0 && h > 0)
-                .unwrap_or_else(|| die("--grid wants WxH with both sides at least 1, e.g. 2x2"))
+                .filter(|&(w, h)| {
+                    w > 0 && h > 0 && usize::from(w) * usize::from(h) <= swallow::board::MAX_SLICES
+                })
+                .unwrap_or_else(|| {
+                    die(&format!(
+                        "--grid wants WxH with both sides at least 1 and at most {} slices, e.g. 2x2",
+                        swallow::board::MAX_SLICES
+                    ))
+                })
         })
         .unwrap_or((1, 1));
     let trace = take("--trace");

@@ -11,6 +11,9 @@ const HOSTILE: &[&[&str]] = &[
     &["throughput", "--grid", "1x0"],
     &["--grid", "0x0"],
     &["--grid", "1x0"],
+    // 4096 slices: more cores and bridge than 16-bit node ids name.
+    &["--grid", "64x64"],
+    &["--grid", "4096x1"],
     &["--engine", "fastforward"],
     &["--threads", "x"],
     &["--threads", "2", "--engine", "lockstep"],

@@ -43,4 +43,4 @@ pub use machine::{EngineMode, Machine, MachineConfig, RouterKind};
 pub use metrics::{conservation_rel, MetricsHub, SupplyRow};
 pub use power::PowerMonitor;
 pub use shard::{EpochPool, NegotiationOutcome, NegotiationParams, ShardPlan};
-pub use topology::{GridSpec, TopologyOptions, CORES_PER_SLICE};
+pub use topology::{GridSpec, TopologyOptions, CORES_PER_SLICE, MAX_SLICES};

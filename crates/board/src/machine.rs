@@ -764,7 +764,7 @@ impl Machine {
             self.monitor.update(
                 self.now,
                 &mut self.eps.cores,
-                &self.fabric,
+                &mut self.fabric,
                 &mut self.metrics,
             );
         }
@@ -911,43 +911,18 @@ impl Machine {
         });
     }
 
-    /// Rebuilds the shard-pair lookahead matrix from the live fabric:
-    /// `L[p][s]` is the minimum routed latency from any core of shard `p`
-    /// to any distinct core of shard `s` (ps; `u64::MAX` when the shards
-    /// are partitioned, which clears the pair from negotiation). Called
-    /// lazily when routes changed — a link-down between refreshes only
-    /// *lengthens* true latencies, so a stale matrix stays conservative,
-    /// and every `set_link_up` path funnels through
-    /// `reroute_and_quarantine`, which marks the matrix dirty before any
-    /// shortened path can exist.
+    /// Rebuilds the shard-pair lookahead matrix from the live fabric
+    /// ([`ShardPlan::latency_matrix_ps`]). Called lazily when routes
+    /// changed — a link-down between refreshes only *lengthens* true
+    /// latencies, so a stale matrix stays conservative, and every
+    /// `set_link_up` path funnels through `reroute_and_quarantine`, which
+    /// marks the matrix dirty before any shortened path can exist.
     fn refresh_pair_latency(&mut self) {
         let Some(st) = self.par.as_mut() else { return };
-        if !st.pair_latency_dirty {
-            return;
+        if st.pair_latency_dirty {
+            st.pair_latency_ps = st.plan.latency_matrix_ps(&self.fabric);
+            st.pair_latency_dirty = false;
         }
-        let node_dist = self.fabric.min_latency_matrix_ps();
-        let n = self.fabric.node_count();
-        let shards = st.plan.shard_count();
-        let mut matrix = vec![u64::MAX; shards * shards];
-        for p in 0..shards {
-            for s in 0..shards {
-                let mut best = u64::MAX;
-                for &(alo, ahi) in st.plan.runs(p) {
-                    for i in alo..ahi {
-                        for &(blo, bhi) in st.plan.runs(s) {
-                            for j in blo..bhi {
-                                if i != j {
-                                    best = best.min(node_dist[i * n + j]);
-                                }
-                            }
-                        }
-                    }
-                }
-                matrix[p * shards + s] = best;
-            }
-        }
-        st.pair_latency_ps = matrix;
-        st.pair_latency_dirty = false;
     }
 
     /// Negotiation observability: `(windows, rounds)` — pairwise windows
@@ -1511,7 +1486,7 @@ impl Machine {
         self.monitor.update(
             self.now,
             &mut self.eps.cores,
-            &self.fabric,
+            &mut self.fabric,
             &mut self.metrics,
         );
     }
@@ -1601,6 +1576,12 @@ impl Machine {
         let mut conf = r.section(*b"CONF")?;
         let config = read_config(&mut conf)?;
         conf.expect_end()?;
+        // Every core has a CORE section of at least its 20-byte frame
+        // (tag, length, checksum): refuse an image too short to hold them
+        // before building the machine its CONF asks for.
+        if r.remaining() / SECTION_FRAME_BYTES < config.grid.core_count() {
+            return Err(CodecError::Truncated);
+        }
         let mut machine = Machine::new(config);
         let mut mach = r.section(*b"MACH")?;
         machine.now = mach.time()?;
@@ -1649,6 +1630,10 @@ impl Machine {
         Ok(machine)
     }
 }
+
+/// Bytes a section takes beyond its payload: the 4-byte tag, the 8-byte
+/// length and the 8-byte checksum ([`ByteReader::section`]).
+const SECTION_FRAME_BYTES: usize = 20;
 
 /// Leading bytes of every snapshot image.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SWLWSNAP";
@@ -1784,8 +1769,8 @@ fn write_config(w: &mut ByteWriter, c: &MachineConfig) {
 fn read_config(r: &mut ByteReader<'_>) -> Result<MachineConfig, CodecError> {
     let slices_x = r.u16()?;
     let slices_y = r.u16()?;
-    let slice_count = u32::from(slices_x) * u32::from(slices_y);
-    if !(1..=4096).contains(&slice_count) {
+    let slice_count = usize::from(slices_x) * usize::from(slices_y);
+    if !(1..=crate::topology::MAX_SLICES).contains(&slice_count) {
         return Err(CodecError::Invalid("grid size out of range"));
     }
     let hz = r.u64()?;

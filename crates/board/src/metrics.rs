@@ -15,7 +15,7 @@
 //! `metrics_conservation` tests. Sampling only *reads* simulation state,
 //! so enabling metrics can never perturb a run.
 
-use crate::power::{LinkSink, PowerMonitor, IO_RAIL, RAILS};
+use crate::power::{PowerMonitor, IO_RAIL, RAILS};
 use crate::snapshot;
 use crate::topology::GridSpec;
 use swallow_energy::Energy;
@@ -122,8 +122,11 @@ impl MetricsHub {
         }
         let map = monitor.map();
         debug_assert_eq!(map.links.len(), fabric.link_count());
-        for (&sink, energy) in map.links.iter().zip(fabric.link_energies()) {
-            self.add_link(sink, energy);
+        let energies = fabric.link_energies();
+        for (slice, rails) in self.scratch_rail.iter_mut().enumerate() {
+            for (rail, sum) in rails.iter_mut().enumerate() {
+                *sum = map.by_rail.sum(slice * RAILS + rail, energies);
+            }
         }
         for (&(slice, rail), core) in map.nodes.iter().zip(cores) {
             self.add_node(slice, rail, core.ledger().total());
@@ -132,10 +135,10 @@ impl MetricsHub {
     }
 
     /// Opens a sample at `now`: false (and nothing to do) when sampling
-    /// is off or `now` is not past the last sample. The caller then feeds
-    /// every link's energy to [`Self::add_link`] in link-id order, every
-    /// core's ledger total to [`Self::add_node`] in node order, and closes
-    /// with [`Self::finish_sample`].
+    /// is off or `now` is not past the last sample. The caller then sets
+    /// the link energy per rail with [`Self::set_link_sums`], feeds every
+    /// core's ledger total to [`Self::add_node`] in node order, and
+    /// closes with [`Self::finish_sample`].
     pub(crate) fn begin_sample(&mut self, now: Time) -> bool {
         if !self.enabled || now <= self.last_sample_at {
             return false;
@@ -144,14 +147,12 @@ impl MetricsHub {
         true
     }
 
-    /// Adds one link's cumulative energy to the rail it is metered on.
-    #[inline]
-    pub(crate) fn add_link(&mut self, sink: LinkSink, energy: Energy) {
-        match sink {
-            LinkSink::Core { slice, rail, .. } => self.scratch_rail[slice][rail] += energy,
-            LinkSink::Io { slice } => self.scratch_rail[slice][IO_RAIL] += energy,
-            LinkSink::Host => {} // bridge-originated tokens: host powered
-        }
+    /// Starts each rail's cumulative sum at the link energy metered on
+    /// it: per slice and rail, the rail's links' energies added from zero
+    /// in link-id order (bridge-originated links are host powered and
+    /// metered nowhere).
+    pub(crate) fn set_link_sums(&mut self, sums: &[[Energy; RAILS]]) {
+        self.scratch_rail.copy_from_slice(sums);
     }
 
     /// Adds one core's cumulative ledger total to its package rail.

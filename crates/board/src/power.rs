@@ -20,7 +20,9 @@ use crate::snapshot;
 use crate::topology::{GridSpec, CHIP_COLS, CHIP_ROWS};
 use swallow_energy::{AdcBoard, Energy, Power, Smps};
 use swallow_noc::{Direction, Fabric, LinkDesc};
-use swallow_sim::{ByteReader, ByteWriter, CodecError, Time, TimeDelta, TraceEvent, Tracer};
+use swallow_sim::{
+    ByteReader, ByteWriter, CodecError, IndexSet, Time, TimeDelta, TraceEvent, Tracer,
+};
 use swallow_xcore::Core;
 
 /// Default monitor cadence: the ADC's 1 MS/s all-channel rate.
@@ -51,6 +53,51 @@ pub(crate) enum LinkSink {
     Host,
 }
 
+/// Link ids grouped by the sum they feed, each group in link-id order:
+/// group `g` holds `links[start[g]..start[g + 1]]`.
+pub(crate) struct LinkGroups {
+    start: Vec<u32>,
+    links: Vec<u32>,
+}
+
+impl LinkGroups {
+    /// `groups` groups over the links of `sinks` (in link-id order), each
+    /// link in the group `group_of` names for its sink, if any.
+    fn new(
+        groups: usize,
+        sinks: &[LinkSink],
+        group_of: impl Fn(LinkSink) -> Option<usize>,
+    ) -> Self {
+        let mut start = vec![0u32; groups + 1];
+        for g in sinks.iter().filter_map(|&sink| group_of(sink)) {
+            start[g + 1] += 1;
+        }
+        for g in 0..groups {
+            start[g + 1] += start[g];
+        }
+        let mut next = start.clone();
+        let mut links = vec![0; start[groups] as usize];
+        for (link, &sink) in sinks.iter().enumerate() {
+            if let Some(g) = group_of(sink) {
+                links[next[g] as usize] = link as u32;
+                next[g] += 1;
+            }
+        }
+        LinkGroups { start, links }
+    }
+
+    /// Group `g`'s link energies added from zero in link-id order: the
+    /// additions a walk over every link makes into that group's sum.
+    pub(crate) fn sum(&self, g: usize, energies: &[Energy]) -> Energy {
+        let members = &self.links[self.start[g] as usize..self.start[g + 1] as usize];
+        let mut sum = Energy::ZERO;
+        for &link in members {
+            sum += energies[link as usize];
+        }
+        sum
+    }
+}
+
 /// Where every core's and link's energy is metered, derived once from the
 /// topology so a monitor fire does no division chains per node or link.
 pub(crate) struct SupplyMap {
@@ -58,6 +105,12 @@ pub(crate) struct SupplyMap {
     pub(crate) nodes: Vec<(usize, usize)>,
     /// Per link, in link-id order.
     pub(crate) links: Vec<LinkSink>,
+    /// The monitor's on-chip link groups, one per source node.
+    by_node: LinkGroups,
+    /// The monitor's board and FFC link groups, one per source slice.
+    by_slice: LinkGroups,
+    /// The metrics hub's link groups, one per `slice * RAILS + rail`.
+    pub(crate) by_rail: LinkGroups,
 }
 
 impl SupplyMap {
@@ -66,7 +119,7 @@ impl SupplyMap {
             .nodes()
             .map(|node| (spec.slice_of(node), rail_of(spec, node)))
             .collect();
-        let links = links
+        let links: Vec<LinkSink> = links
             .iter()
             .map(|d| match nodes.get(d.from.raw() as usize) {
                 None => LinkSink::Host,
@@ -78,7 +131,26 @@ impl SupplyMap {
                 Some(&(slice, _)) => LinkSink::Io { slice },
             })
             .collect();
-        SupplyMap { nodes, links }
+        let by_node = LinkGroups::new(nodes.len(), &links, |sink| match sink {
+            LinkSink::Core { node, .. } => Some(node),
+            _ => None,
+        });
+        let by_slice = LinkGroups::new(spec.slice_count(), &links, |sink| match sink {
+            LinkSink::Io { slice } => Some(slice),
+            _ => None,
+        });
+        let by_rail = LinkGroups::new(spec.slice_count() * RAILS, &links, |sink| match sink {
+            LinkSink::Core { slice, rail, .. } => Some(slice * RAILS + rail),
+            LinkSink::Io { slice } => Some(slice * RAILS + IO_RAIL),
+            LinkSink::Host => None,
+        });
+        SupplyMap {
+            nodes,
+            links,
+            by_node,
+            by_slice,
+            by_rail,
+        }
     }
 }
 
@@ -107,14 +179,28 @@ pub struct PowerMonitor {
     adc: Vec<Option<AdcBoard>>,
     smps_core: Smps,
     smps_io: Smps,
-    /// Reusable window scratch: fresh on-chip link energy per source node.
-    /// `update` is on every engine's hot path (it runs once per monitor
-    /// window, and the windowed engine bounds every window by it), so all
-    /// three scratch buffers are sized once at construction and only ever
-    /// `fill`ed — the update itself performs no heap allocation.
-    scratch_internal_by_node: Vec<Energy>,
-    /// Reusable window scratch: fresh board/FFC link energy per slice.
-    scratch_external_by_slice: Vec<Energy>,
+    /// On-chip link energy per source node: its `by_node` group's sum,
+    /// cached. `update` is on every engine's hot path (it runs once per
+    /// monitor window, and the windowed engine bounds every window by
+    /// it), so a fire re-sums only the groups `stale_nodes` names — those
+    /// with a link in [`Fabric::energy_moved`] — each from zero in
+    /// link-id order, as a walk over every link would. Every buffer here
+    /// is sized once at construction: the update performs no heap
+    /// allocation.
+    internal_by_node: Vec<Energy>,
+    /// Board/FFC link energy per source slice: its `by_slice` group's sum.
+    external_by_slice: Vec<Energy>,
+    /// Link energy per slice and rail, as the metrics hub meters it: the
+    /// `by_rail` groups' sums.
+    links_by_rail: Vec<[Energy; RAILS]>,
+    /// Groups whose cached sum is out of date. The caches are derived:
+    /// they are not in a snapshot, and a restored fabric's
+    /// `energy_moved` makes every group stale.
+    stale_nodes: IndexSet,
+    stale_slices: IndexSet,
+    /// Stale hub groups (`slice * RAILS + rail`); re-summed only on fires
+    /// that sample.
+    stale_rails: IndexSet,
     /// Reusable window scratch: fresh energy per rail per slice.
     scratch_rail_energy: Vec<[Energy; RAILS]>,
     /// Reusable window scratch: each slice's probe readings (µW).
@@ -143,8 +229,12 @@ impl PowerMonitor {
             adc: (0..slices).map(|_| None).collect(),
             smps_core: Smps::swallow_core_rail(),
             smps_io: Smps::swallow_io_rail(),
-            scratch_internal_by_node: vec![Energy::ZERO; spec.core_count()],
-            scratch_external_by_slice: vec![Energy::ZERO; slices],
+            internal_by_node: vec![Energy::ZERO; spec.core_count()],
+            external_by_slice: vec![Energy::ZERO; slices],
+            links_by_rail: vec![[Energy::ZERO; RAILS]; slices],
+            stale_nodes: IndexSet::new(spec.core_count()),
+            stale_slices: IndexSet::new(slices),
+            stale_rails: IndexSet::new(slices * RAILS),
             scratch_rail_energy: vec![[Energy::ZERO; RAILS]; slices],
             scratch_readings: vec![[0; RAILS]; slices],
             tracer: Tracer::Off,
@@ -239,16 +329,18 @@ impl PowerMonitor {
     /// powers, samples ADCs and pushes probe readings into the cores, then
     /// lets `metrics` take its sample at `now` ([`MetricsHub::sample`]).
     ///
-    /// Both read the same link and core energies, so one pass over the
-    /// links and one over the cores feed the monitor's per-window deltas
-    /// and the hub's cumulative sums together. Each accumulator still
-    /// receives its additions in the order of a separate pass: link-id
-    /// order, then node order.
+    /// Both read the same link and core energies. The link side is one
+    /// cached sum per metering group, re-summed only when a link of the
+    /// group is in [`Fabric::energy_moved`] (which the fire then clears);
+    /// one pass over the cores feeds the monitor's per-window deltas and
+    /// the hub's cumulative sums together. Each accumulator still
+    /// receives its additions in the order of a separate walk over every
+    /// link and core: link-id order, then node order.
     pub fn update(
         &mut self,
         now: Time,
         cores: &mut [Core],
-        fabric: &Fabric,
+        fabric: &mut Fabric,
         metrics: &mut MetricsHub,
     ) {
         let span = now.saturating_since(self.next_update - self.window);
@@ -260,36 +352,54 @@ impl PowerMonitor {
         let sample = metrics.begin_sample(now);
         let slices = self.spec.slice_count();
         let core_count = self.spec.core_count();
-        // Allocation-free invariant: the scratch buffers were sized at
+        // Allocation-free invariant: the buffers were sized at
         // construction and are only refilled here; if these lengths ever
         // drift, something resized them (and therefore reallocated).
-        debug_assert_eq!(self.scratch_internal_by_node.len(), core_count);
-        debug_assert_eq!(self.scratch_external_by_slice.len(), slices);
+        debug_assert_eq!(self.internal_by_node.len(), core_count);
+        debug_assert_eq!(self.external_by_slice.len(), slices);
         debug_assert_eq!(self.scratch_rail_energy.len(), slices);
         debug_assert_eq!(self.map.links.len(), fabric.link_count());
-        self.scratch_internal_by_node.fill(Energy::ZERO);
-        self.scratch_external_by_slice.fill(Energy::ZERO);
         self.scratch_rail_energy.fill([Energy::ZERO; RAILS]);
 
         // Split fresh link energy: on-chip links charge their source
         // node's 1 V rail; board/FFC links charge the slice I/O rail.
-        for (&sink, energy) in self.map.links.iter().zip(fabric.link_energies()) {
-            match sink {
-                LinkSink::Core { node, .. } => self.scratch_internal_by_node[node] += energy,
-                LinkSink::Io { slice } => self.scratch_external_by_slice[slice] += energy,
-                LinkSink::Host => continue,
+        for link in fabric.energy_moved().iter() {
+            match self.map.links[link] {
+                LinkSink::Core { node, slice, rail } => {
+                    self.stale_nodes.insert(node);
+                    self.stale_rails.insert(slice * RAILS + rail);
+                }
+                LinkSink::Io { slice } => {
+                    self.stale_slices.insert(slice);
+                    self.stale_rails.insert(slice * RAILS + IO_RAIL);
+                }
+                LinkSink::Host => {}
             }
-            if sample {
-                metrics.add_link(sink, energy);
+        }
+        fabric.clear_energy_moved();
+        let energies = fabric.link_energies();
+        for node in self.stale_nodes.iter() {
+            self.internal_by_node[node] = self.map.by_node.sum(node, energies);
+        }
+        self.stale_nodes.clear();
+        for slice in self.stale_slices.iter() {
+            self.external_by_slice[slice] = self.map.by_slice.sum(slice, energies);
+        }
+        self.stale_slices.clear();
+        if sample {
+            for g in self.stale_rails.iter() {
+                self.links_by_rail[g / RAILS][g % RAILS] = self.map.by_rail.sum(g, energies);
             }
+            self.stale_rails.clear();
+            metrics.set_link_sums(&self.links_by_rail);
         }
 
         for (i, (&(slice, rail), core)) in self.map.nodes.iter().zip(cores.iter()).enumerate() {
             let total = core.ledger().total();
             let core_delta = total - self.last_core_energy[i];
-            let link_delta = self.scratch_internal_by_node[i] - self.last_internal_by_node[i];
+            let link_delta = self.internal_by_node[i] - self.last_internal_by_node[i];
             self.last_core_energy[i] = total;
-            self.last_internal_by_node[i] = self.scratch_internal_by_node[i];
+            self.last_internal_by_node[i] = self.internal_by_node[i];
             self.scratch_rail_energy[slice][rail] += core_delta + link_delta;
             if sample {
                 metrics.add_node(slice, rail, total);
@@ -297,9 +407,8 @@ impl PowerMonitor {
         }
         let support = Power::from_milliwatts(SUPPORT_POWER_PER_SLICE_MW);
         for slice in 0..slices {
-            let ext_delta =
-                self.scratch_external_by_slice[slice] - self.last_external_by_slice[slice];
-            self.last_external_by_slice[slice] = self.scratch_external_by_slice[slice];
+            let ext_delta = self.external_by_slice[slice] - self.last_external_by_slice[slice];
+            self.last_external_by_slice[slice] = self.external_by_slice[slice];
             self.scratch_rail_energy[slice][IO_RAIL] += ext_delta + support * span;
             self.support_energy[slice] += support * span;
 
@@ -351,7 +460,9 @@ impl PowerMonitor {
     // Snapshot codec. The lengths of every vector are a pure function of
     // the grid spec (restored from the machine's CONF section before this
     // runs), so they are not re-encoded; the SMPS models, the metering
-    // tables and the scratch buffers are constants/derived, and ADC
+    // tables, the cached link sums and the scratch buffers are
+    // constants/derived (a restored fabric names every link in
+    // `energy_moved`, so the next fire re-sums every group), and ADC
     // daughter-boards are observational test fixtures that are not part
     // of a snapshot.
 

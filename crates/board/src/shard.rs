@@ -97,6 +97,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use swallow_noc::Fabric;
 use swallow_sim::{Time, TimeDelta};
 use swallow_xcore::Core;
 
@@ -198,6 +199,43 @@ impl ShardPlan {
     /// Number of cores in one shard.
     pub fn len(&self, shard: usize) -> usize {
         self.runs[shard].iter().map(|&(lo, hi)| hi - lo).sum()
+    }
+
+    /// The cores of one shard, ascending.
+    fn nodes(&self, shard: usize) -> impl Iterator<Item = usize> + '_ {
+        self.runs[shard].iter().flat_map(|&(lo, hi)| lo..hi)
+    }
+
+    /// The negotiation's lookahead matrix over `fabric`'s live links,
+    /// `shards × shards`, row-major by source shard: `L[p][s]` is the
+    /// minimum routed latency in ps from any core of shard `p` to any
+    /// *distinct* core of shard `s`, and `u64::MAX` when no live path
+    /// joins them, which clears the pair from negotiation.
+    ///
+    /// One multi-source search from shard `p`'s cores fills row `p`
+    /// ([`Fabric::nearest_sources_ps`]). For a core `j` the first label
+    /// whose source is not `j` is its distance from the nearest other
+    /// core of `p`: off the diagonal that is the nearest label, and on
+    /// it `j`'s own 0 ps label comes first and the second is taken. So
+    /// every entry is the exact minimum over core pairs, at
+    /// `O(shards · links · log links)`.
+    pub fn latency_matrix_ps(&self, fabric: &Fabric) -> Vec<u64> {
+        let shards = self.shard_count();
+        let mut matrix = vec![u64::MAX; shards * shards];
+        for (p, row) in matrix.chunks_exact_mut(shards).enumerate() {
+            let labels = fabric.nearest_sources_ps(self.nodes(p));
+            for (s, entry) in row.iter_mut().enumerate() {
+                *entry = self
+                    .nodes(s)
+                    .map(|j| match labels[j] {
+                        [(_, src), (other, _)] if src as usize == j => other,
+                        [(nearest, _), _] => nearest,
+                    })
+                    .min()
+                    .unwrap_or(u64::MAX);
+            }
+        }
+        matrix
     }
 }
 
@@ -394,7 +432,7 @@ pub struct NegotiationParams<'a> {
     /// Base clock period.
     pub period: TimeDelta,
     /// `shards × shards` minimum routed pair latencies in ps, row-major
-    /// by source shard (see `Machine::refresh_pair_latency`).
+    /// by source shard ([`ShardPlan::latency_matrix_ps`]).
     pub pair_latency_ps: &'a [u64],
 }
 

@@ -23,6 +23,11 @@ pub const CHIP_COLS: u16 = 4;
 pub const CHIP_ROWS: u16 = 2;
 /// Cores per slice (16: eight dual-core packages).
 pub const CORES_PER_SLICE: u16 = CHIP_COLS * CHIP_ROWS * 2;
+/// The most slices a machine may have. Core `i` is `NodeId(i)` and the
+/// bridge takes the id after the last core, so 4095 slices (65 520
+/// cores) is the largest grid whose cores and bridge all get distinct
+/// 16-bit ids; at 4096 the core count itself wraps to zero.
+pub const MAX_SLICES: usize = 4095;
 /// Internal link pairs between the two cores of a package (§V.A: "the
 /// internal links have four times more bandwidth than external links").
 pub const INTERNAL_LINK_PAIRS: usize = 4;

@@ -633,3 +633,53 @@ fn truncated_and_corrupt_snapshots_are_rejected() {
         assert!(Machine::restore(&bad).is_err(), "corrupt byte {at}");
     }
 }
+
+/// A one-slice image whose CONF section claims an `x`×`y` grid, resealed,
+/// with everything after CONF (16 CORE sections among the rest) kept or
+/// dropped.
+fn image_claiming_grid(x: u16, y: u16, keep_body: bool) -> Vec<u8> {
+    let mut image = Machine::new(MachineConfig::one_slice()).snapshot();
+    let at = 12; // magic + version, then CONF's tag
+    assert_eq!(&image[at..at + 4], b"CONF");
+    let len = u64::from_le_bytes(image[at + 4..at + 12].try_into().expect("8 bytes"));
+    let payload = at + 12..at + 12 + len as usize;
+    image[payload.start..payload.start + 2].copy_from_slice(&x.to_le_bytes());
+    image[payload.start + 2..payload.start + 4].copy_from_slice(&y.to_le_bytes());
+    let digest = fnv1a64(&image[payload.clone()]);
+    image[payload.end..payload.end + 8].copy_from_slice(&digest.to_le_bytes());
+    if !keep_body {
+        image.truncate(payload.end + 8);
+    }
+    image
+}
+
+#[test]
+fn oversized_grids_in_an_image_are_refused_before_building() {
+    // 4096 slices would give 65 536 cores 16-bit ids: out of range.
+    for (x, y) in [(64, 64), (4096, 1), (u16::MAX, u16::MAX)] {
+        assert_eq!(
+            Machine::restore(&image_claiming_grid(x, y, true)).err(),
+            Some(CodecError::Invalid("grid size out of range")),
+            "{x}x{y}"
+        );
+    }
+    // The largest legal grid, 4095 slices, needs 65 520 CORE sections of
+    // at least 20 bytes each; a one-slice image cannot hold them, and
+    // neither can a bare CONF. Both are refused before `Machine::new`
+    // would allocate 65 520 cores.
+    for keep_body in [true, false] {
+        let image = image_claiming_grid(4095, 1, keep_body);
+        assert!(image.len() < 65_520 * 20);
+        assert_eq!(
+            Machine::restore(&image).err(),
+            Some(CodecError::Truncated),
+            "4095x1, {} bytes",
+            image.len()
+        );
+    }
+    // The resealing is sound: the one-slice image it started from, and a
+    // claim of two slices that the body then contradicts, still decode as
+    // far as they did before.
+    assert!(Machine::restore(&image_claiming_grid(1, 1, true)).is_ok());
+    assert!(Machine::restore(&image_claiming_grid(2, 1, true)).is_err());
+}

@@ -1,21 +1,27 @@
 //! The monitor fire against a two-pass oracle, bit for bit.
 //!
-//! [`PowerMonitor::update`] and the [`MetricsHub`] sample it takes share
-//! one pass over the links and one over the cores, driven by lookup
-//! tables. This file keeps the straightforward arithmetic they replace —
+//! [`PowerMonitor::update`] and the [`MetricsHub`] sample it takes keep
+//! one cached link sum per metering group, re-summed only when one of
+//! the group's links moved energy, and share one pass over the cores,
+//! driven by lookup tables. This file keeps the straightforward
+//! arithmetic they replace —
 //! the monitor's delta split and then the hub's cumulative split, each
 //! walking `Fabric::link_stats()` and calling `GridSpec::slice_of` and
 //! `PowerMonitor::rail_of` per link and node — and checks after every
 //! fire that each supply row, rail power, loss and support energy and
 //! every core's probe readings agree to the bit. The machine is a 2×1
 //! grid with a bridge whose traffic crosses on-chip, board and FFC links,
-//! and bridge-originated tokens that the meters must skip.
+//! and bridge-originated tokens that the meters must skip. A second test
+//! repeats the check, with a fire every 100 ns, where a cached sum could
+//! go stale: corrupt-window retries, unplugged links and their reroute,
+//! and a restore mid-run.
 
 use swallow_board::power::{IO_RAIL, RAILS, SUPPORT_POWER_PER_SLICE_MW};
 use swallow_board::{EngineMode, Machine, MachineConfig, SupplyRow};
 use swallow_energy::{Energy, Power, Smps};
+use swallow_faults::FaultPlan;
 use swallow_isa::{Assembler, ControlToken, NodeId, Program, ResType, ResourceId};
-use swallow_noc::Direction;
+use swallow_noc::{Direction, LinkDesc};
 use swallow_sim::{Time, TimeDelta};
 
 /// Words each source sends.
@@ -53,10 +59,16 @@ fn sink(words: u32) -> Program {
 }
 
 fn machine(engine: EngineMode) -> Machine {
+    machine_with(engine, FaultPlan::new(), TimeDelta::from_us(1))
+}
+
+fn machine_with(engine: EngineMode, faults: FaultPlan, monitor_window: TimeDelta) -> Machine {
     let mut machine = Machine::new(MachineConfig {
         engine,
         bridge: true,
         metrics: true,
+        faults,
+        monitor_window,
         ..MachineConfig::grid(2, 1)
     });
     for (src, dst) in FLOWS {
@@ -260,27 +272,32 @@ fn assert_fire_matches(machine: &Machine, oracle: &mut Oracle, rows_seen: usize,
     }
 }
 
+/// Runs `machine` fire by fire for 12 µs, checking each against the
+/// oracle; with `restore_at`, the machine is replaced by a restore of its
+/// own snapshot right after that fire, and the oracle carries on.
+fn fire_through(machine: &mut Machine, oracle: &mut Oracle, restore_at: Option<usize>, what: &str) {
+    let window = machine.monitor().window();
+    let mut fires = 0;
+    while machine.now() < Time::ZERO + TimeDelta::from_us(12) {
+        let rows_seen = machine.metrics().rows().len();
+        let due = machine.monitor().next_update();
+        machine.run_for(due.since(machine.now()));
+        assert_eq!(machine.now(), due, "{what}: stopped on the fire");
+        assert_eq!(machine.monitor().next_update(), due + window);
+        fires += 1;
+        assert_fire_matches(machine, oracle, rows_seen, &format!("{what} fire {fires}"));
+        if restore_at == Some(fires) {
+            *machine = Machine::restore(&machine.snapshot()).expect("own image restores");
+        }
+    }
+}
+
 #[test]
 fn every_fire_matches_the_two_pass_oracle() {
     for engine in [EngineMode::LockStep, EngineMode::Windowed { threads: 2 }] {
         let mut machine = machine(engine);
         let mut oracle = Oracle::new(&machine);
-        let window = machine.monitor().window();
-        let mut fires = 0;
-        while machine.now() < Time::ZERO + TimeDelta::from_us(12) {
-            let rows_seen = machine.metrics().rows().len();
-            let due = machine.monitor().next_update();
-            machine.run_for(due.since(machine.now()));
-            assert_eq!(machine.now(), due, "{engine:?}: stopped on the fire");
-            assert_eq!(machine.monitor().next_update(), due + window);
-            fires += 1;
-            assert_fire_matches(
-                &machine,
-                &mut oracle,
-                rows_seen,
-                &format!("{engine:?} fire {fires}"),
-            );
-        }
+        fire_through(&mut machine, &mut oracle, None, &format!("{engine:?}"));
         // A flush between fires takes a partial-window update.
         machine.run_for(TimeDelta::from_ns(370));
         let rows_seen = machine.metrics().rows().len();
@@ -335,5 +352,74 @@ fn every_fire_matches_the_two_pass_oracle() {
             machine.core(NodeId(BRIDGE_SINK)).output(),
             format!("{frame}\n")
         );
+    }
+}
+
+/// One link of each class the fault-free flows put energy on by 3 µs: an
+/// on-chip link, a board link and an FFC cable.
+fn busy_links() -> [LinkDesc; 3] {
+    let mut probe = machine(EngineMode::LockStep);
+    probe.run_for(TimeDelta::from_us(3));
+    let (cores, fabric, _) = probe.parts();
+    let spec = probe.spec();
+    let core = |n: NodeId| (n.raw() as usize) < cores.len();
+    let used: Vec<LinkDesc> = fabric
+        .link_stats()
+        .filter(|s| s.energy > Energy::ZERO && core(s.from) && core(s.to))
+        .map(|s| probe.link_descs()[s.id.raw() as usize])
+        .collect();
+    let find = |pred: &dyn Fn(&LinkDesc) -> bool| *used.iter().find(|d| pred(d)).expect("used");
+    [
+        find(&|d| d.dir == Direction::Internal),
+        find(&|d| d.dir != Direction::Internal && spec.slice_of(d.from) == spec.slice_of(d.to)),
+        find(&|d| spec.slice_of(d.from) != spec.slice_of(d.to)),
+    ]
+}
+
+/// The cases in which a cached link sum could go stale, each against the
+/// oracle's walk over every link after every fire: corrupt windows, whose
+/// retries charge link energy without a launch; links unplugged mid-run
+/// and the reroute around them; and a restore mid-run, after which every
+/// cached sum must be rebuilt from the restored energies. The monitor
+/// fires every 100 ns, so some windows see a link's retries and nothing
+/// else.
+#[test]
+fn cached_link_sums_never_go_stale() {
+    let links = busy_links();
+    let at = |ns: u64| Time::ZERO + TimeDelta::from_ns(ns);
+    let mut corrupt = FaultPlan::new();
+    for d in &links {
+        corrupt = corrupt.corrupt_window(at(300), d.id, TimeDelta::from_ns(450));
+    }
+    let unplugged = FaultPlan::new()
+        .link_down(at(1_500), links[0].id)
+        .link_down(at(1_500), links[2].id);
+    let cases: [(&str, FaultPlan, Option<usize>); 4] = [
+        ("corrupt", corrupt.clone(), None),
+        ("kill-link", unplugged, None),
+        ("restore", FaultPlan::new(), Some(20)),
+        ("corrupt, restore", corrupt, Some(5)),
+    ];
+    for (name, plan, restore_at) in cases {
+        for engine in [EngineMode::LockStep, EngineMode::Windowed { threads: 2 }] {
+            let mut machine = machine_with(engine, plan.clone(), TimeDelta::from_ns(100));
+            let mut oracle = Oracle::new(&machine);
+            fire_through(
+                &mut machine,
+                &mut oracle,
+                restore_at,
+                &format!("{name}, {engine:?}"),
+            );
+            let faults = machine.fault_counters();
+            if name.starts_with("corrupt") {
+                assert!(faults.retransmits > 0, "{name}: {faults:?}");
+            }
+            if name == "kill-link" {
+                assert!(
+                    faults.link_downs == 2 && faults.reroutes > 0,
+                    "{name}: {faults:?}"
+                );
+            }
+        }
     }
 }

@@ -28,6 +28,7 @@
 use swallow_board::{EngineMode, Machine, MachineConfig, RouterKind};
 use swallow_faults::{FaultKind, FaultPlan};
 use swallow_isa::{Assembler, NodeId, Program};
+use swallow_noc::Direction;
 use swallow_sim::{Frequency, Time, TimeDelta};
 
 /// Words the source pushes down the chain.
@@ -828,8 +829,13 @@ fn slow_spinners_machine(engine: EngineMode) -> Machine {
 /// halts partway through one, and 28 unloaded cores. Windows open over
 /// both shards while most cores have nothing to do.
 fn sparse_machine(engine: EngineMode) -> Machine {
+    sparse_with(engine, FaultPlan::new())
+}
+
+fn sparse_with(engine: EngineMode, faults: FaultPlan) -> Machine {
     let mut machine = Machine::new(MachineConfig {
         engine,
+        faults,
         ..MachineConfig::grid(2, 1)
     });
     let spin = asm("ldc r1, 900\nlp:\nsub r1, r1, 1\nbt r1, lp\nfreet");
@@ -847,7 +853,36 @@ fn sparse_machine(engine: EngineMode) -> Machine {
     machine
 }
 
-/// Ledger totals of eight scenarios, one value each, the same bits under
+/// The sparse grid with an inter-slice cable and an on-chip link
+/// hot-unplugged at 4.5 µs, inside a monitor window: the reroute marks
+/// the lookahead stale, and the windows after it negotiate on the
+/// refreshed matrix. No traffic crosses either link, so the ledger
+/// total is the sparse row's; the fault only splits one window.
+fn rerouted_sparse_machine(engine: EngineMode) -> Machine {
+    let probe = Machine::new(MachineConfig::grid(2, 1));
+    let spec = probe.spec();
+    let cores = probe.core_count();
+    let descs = probe.link_descs();
+    let cable = descs
+        .iter()
+        .find(|d| {
+            (d.from.raw() as usize) < cores
+                && (d.to.raw() as usize) < cores
+                && spec.slice_of(d.from) != spec.slice_of(d.to)
+        })
+        .expect("an FFC cable");
+    let on_chip = descs
+        .iter()
+        .find(|d| d.dir == Direction::Internal)
+        .expect("an on-chip link");
+    let at = Time::ZERO + TimeDelta::from_ns(4_500);
+    let plan = FaultPlan::new()
+        .link_down(at, cable.id)
+        .link_down(at, on_chip.id);
+    sparse_with(engine, plan)
+}
+
+/// Ledger totals of nine scenarios, one value each, the same bits under
 /// lock-step and windowed at one and two threads. Every engine adds each
 /// core's per-edge charges in lock-step's order (a catch-up or a
 /// closed-form run of idle edges performs the very additions of the
@@ -855,12 +890,13 @@ fn sparse_machine(engine: EngineMode) -> Machine {
 /// the arithmetic. The sparse row also pins `negotiation_stats()`: not
 /// waking parked cores when a window opens, and skipping cores with
 /// nothing to do inside it, must leave which windows open and how many
-/// watermark rounds each shard runs unchanged.
+/// watermark rounds each shard runs unchanged. The rerouted row pins them
+/// across a lookahead refresh forced by a reroute mid-run.
 #[test]
 fn ledger_totals_are_pinned_bit_for_bit() {
     type Build = Box<dyn Fn(EngineMode) -> Machine>;
     type Stats = Option<[(u64, u64); 3]>;
-    let scenarios: [(&str, Build, u64, Stats); 8] = [
+    let scenarios: [(&str, Build, u64, Stats); 9] = [
         (
             "compute",
             Box::new(compute_machine),
@@ -911,6 +947,12 @@ fn ledger_totals_are_pinned_bit_for_bit() {
             Box::new(sparse_machine),
             0x3f14f49d84c62bc3,
             Some([(0, 0), (15, 434), (15, 826)]),
+        ),
+        (
+            "rerouted",
+            Box::new(rerouted_sparse_machine),
+            0x3f14f49d84c62bc3,
+            Some([(0, 0), (16, 434), (16, 823)]),
         ),
     ];
     let engines = [

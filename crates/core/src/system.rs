@@ -14,6 +14,9 @@ pub enum BuildError {
     EmptyGrid,
     /// Fault rate outside `[0, 1]`.
     BadFaultRate(f64),
+    /// More slices than [`MAX_SLICES`](swallow_board::MAX_SLICES): some
+    /// cores would share a node id.
+    TooManySlices(usize),
 }
 
 impl fmt::Display for BuildError {
@@ -21,6 +24,11 @@ impl fmt::Display for BuildError {
         match self {
             BuildError::EmptyGrid => write!(f, "grid must have at least one slice"),
             BuildError::BadFaultRate(r) => write!(f, "fault rate {r} outside [0, 1]"),
+            BuildError::TooManySlices(n) => write!(
+                f,
+                "{n} slices is more than the {} a machine may have",
+                swallow_board::MAX_SLICES
+            ),
         }
     }
 }
@@ -162,10 +170,15 @@ impl SystemBuilder {
     ///
     /// # Errors
     ///
-    /// [`BuildError`] for an empty grid or out-of-range fault rate.
+    /// [`BuildError`] for an empty or oversized grid or an out-of-range
+    /// fault rate.
     pub fn build(self) -> Result<SwallowSystem, BuildError> {
         if self.config.grid.slices_x == 0 || self.config.grid.slices_y == 0 {
             return Err(BuildError::EmptyGrid);
+        }
+        let slices = self.config.grid.slice_count();
+        if slices > swallow_board::MAX_SLICES {
+            return Err(BuildError::TooManySlices(slices));
         }
         if !(0.0..=1.0).contains(&self.config.ffc_fault_rate) {
             return Err(BuildError::BadFaultRate(self.config.ffc_fault_rate));
@@ -335,6 +348,19 @@ impl fmt::Debug for SwallowSystem {
 mod tests {
     use super::*;
     use swallow_isa::Assembler;
+
+    #[test]
+    fn grids_beyond_the_node_id_space_are_refused() {
+        // Refused before `Machine::new`, so none of these builds a core.
+        for (x, y) in [(64, 64), (4096, 1), (u16::MAX, u16::MAX)] {
+            let slices = usize::from(x) * usize::from(y);
+            assert_eq!(
+                SystemBuilder::new().slices(x, y).build().err(),
+                Some(BuildError::TooManySlices(slices)),
+                "{x}x{y}"
+            );
+        }
+    }
 
     #[test]
     fn builder_validates() {

@@ -185,6 +185,8 @@ pub struct LinkStats {
     pub dropped_tokens: u64,
     /// True while the link is unplugged.
     pub down: bool,
+    /// Wire time of one token (`3·Ts + Tt` link-clock cycles, §V.C).
+    pub token_time: TimeDelta,
 }
 
 impl LinkStats {
@@ -401,6 +403,7 @@ impl FabricBuilder {
         Fabric {
             nodes: self.nodes,
             link_energy: vec![Energy::ZERO; self.links.len()],
+            energy_moved: IndexSet::new(self.links.len()),
             rx_ready: IndexSet::new(self.links.len()),
             rx_parked: IndexSet::new(self.links.len()),
             links: self.links,
@@ -432,14 +435,21 @@ impl FabricBuilder {
     }
 }
 
+/// A [`Fabric::nearest_sources_ps`] label that no source reached.
+pub const NO_SOURCE: (u64, u32) = (u64::MAX, u32::MAX);
+
 /// The live network.
 pub struct Fabric {
     nodes: usize,
     links: Vec<Link>,
     /// Per link, by id: the wire energy dissipated so far. Kept out of
-    /// [`Link`] so the power monitor's read on every fire walks one dense
-    /// array instead of every link's queues and counters.
+    /// [`Link`] so the power monitor reads one dense array instead of
+    /// every link's queues and counters.
     link_energy: Vec<Energy>,
+    /// Links whose `link_energy` changed since the power monitor last
+    /// cleared the set (every link after a restore): the monitor re-sums
+    /// only the metering groups these touch.
+    energy_moved: IndexSet,
     outgoing: Vec<Vec<LinkId>>,
     /// Every link in forward order: node-major by receiving switch, then
     /// link id — the order in which switches serve their input ports.
@@ -784,65 +794,64 @@ impl Fabric {
                 .is_some_and(|&mask| mask.count_ones() as usize == pending)
     }
 
-    /// All-pairs minimum routed token latency between switches, in
-    /// picoseconds: entry `i * node_count + j` is the smallest sum of
-    /// per-hop token times over any path of *live* (not-down) links from
-    /// `i` to `j`, `0` on the diagonal and `u64::MAX` when no live path
-    /// exists. A token leaving `i` cannot land at `j` earlier than
-    /// `dist(i, j)` after its emission, whatever route the router picks,
-    /// because every hop costs at least its link's token time (`3·Ts + Tt`
-    /// link-clock cycles, §V.C) and forwarding only adds delay — the
-    /// windowed engine's lookahead. Off-board FFC hops (4× the on-chip
-    /// token time, Table I) therefore give distant pairs far longer
+    /// The two nearest distinct sources of every switch, by minimum
+    /// routed token latency in picoseconds: entry `v` holds `(ps, source)`
+    /// for the node of `sources` with the smallest sum of per-hop token
+    /// times over any path of *live* (not-down) links to `v`, then for the
+    /// nearest *other* source, and [`NO_SOURCE`] where fewer sources reach
+    /// `v`. A source is its own nearest, at 0 ps. A token leaving a source
+    /// cannot land at `v` earlier than that sum after its emission,
+    /// whatever route the router picks, because every hop costs at least
+    /// its link's token time (`3·Ts + Tt` link-clock cycles, §V.C) and
+    /// forwarding only adds delay — the windowed engine's lookahead, taken
+    /// per shard (DESIGN.md §3.12). Off-board FFC hops (4× the on-chip
+    /// token time, Table I) therefore give distant groups far longer
     /// conservative horizons than near ones.
     ///
-    /// The matrix is a property of the live topology only — it must be
+    /// The answer is a property of the live topology only — it must be
     /// recomputed whenever a link goes down or comes back up (fault
     /// injection, retry escalation, recovery), alongside the route
-    /// recompute the board layer already performs. A *stale-down* matrix
+    /// recompute the board layer already performs. A *stale-down* answer
     /// (computed before a link died) is still conservative — removing a
     /// link can only lengthen real latencies — but a stale-up one is not.
     ///
-    /// Cost: one Dijkstra per source over the live adjacency, so roughly
-    /// `O(nodes · links · log nodes)`; intended for topology-change
-    /// cadence, not per-window use.
-    pub fn min_latency_matrix_ps(&self) -> Vec<u64> {
-        let n = self.nodes;
-        // Live adjacency, cheapest parallel link per (from, to) pair.
-        let mut adj: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
-        for link in &self.links {
-            if link.down {
+    /// Cost: one multi-source Dijkstra in which each node settles at most
+    /// two labels and each settled label relaxes the node's live links
+    /// once, so `O(links · log links)`; intended for topology-change
+    /// cadence, not per-window use. Out-of-range sources are ignored.
+    pub fn nearest_sources_ps(
+        &self,
+        sources: impl IntoIterator<Item = usize>,
+    ) -> Vec<[(u64, u32); 2]> {
+        let mut labels = vec![[NO_SOURCE; 2]; self.nodes];
+        let mut settled = vec![0u8; self.nodes];
+        let mut heap = BinaryHeap::new();
+        for src in sources.into_iter().filter(|&s| s < self.nodes) {
+            heap.push(Reverse((0u64, src as u32, src as u32)));
+        }
+        // Labels leave the heap in nondecreasing latency. A node keeps the
+        // first two with distinct sources; only those relax its links,
+        // which is enough: a third source reaching a node through `v` is
+        // beaten there by both of `v`'s, at least one of them distinct
+        // from that node's nearest.
+        while let Some(Reverse((d, v, src))) = heap.pop() {
+            let node = v as usize;
+            let k = settled[node] as usize;
+            if k == 2 || (k == 1 && labels[node][0].1 == src) {
                 continue;
             }
-            let from = link.from.raw() as usize;
-            let to = link.to.raw() as u32;
-            let w = link.params.token_time.as_ps();
-            match adj[from].iter_mut().find(|(t, _)| *t == to) {
-                Some((_, best)) => *best = (*best).min(w),
-                None => adj[from].push((to, w)),
-            }
-        }
-        let mut dist = vec![u64::MAX; n * n];
-        let mut heap = std::collections::BinaryHeap::new();
-        for src in 0..n {
-            let row = &mut dist[src * n..(src + 1) * n];
-            row[src] = 0;
-            heap.clear();
-            heap.push(std::cmp::Reverse((0u64, src as u32)));
-            while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
-                if d > row[u as usize] {
-                    continue;
-                }
-                for &(v, w) in &adj[u as usize] {
-                    let nd = d + w;
-                    if nd < row[v as usize] {
-                        row[v as usize] = nd;
-                        heap.push(std::cmp::Reverse((nd, v)));
-                    }
+            labels[node][k] = (d, src);
+            settled[node] += 1;
+            for &lid in &self.outgoing[node] {
+                let link = &self.links[lid.0 as usize];
+                let to = link.to.raw() as usize;
+                if !link.down && settled[to] < 2 {
+                    let nd = d.saturating_add(link.params.token_time.as_ps());
+                    heap.push(Reverse((nd, to as u32, src)));
                 }
             }
         }
-        dist
+        labels
     }
 
     /// The earliest instant at which the fabric itself has work to do,
@@ -920,14 +929,29 @@ impl Fabric {
             retransmits: l.retransmits,
             dropped_tokens: l.dropped_tokens,
             down: l.down,
+            token_time: l.params.token_time,
         })
     }
 
-    /// Each link's cumulative wire energy, in link-id order: the one
-    /// field of [`LinkStats`] the power monitor reads on every fire, from
-    /// a dense array and without building the rest.
-    pub fn link_energies(&self) -> impl ExactSizeIterator<Item = Energy> + '_ {
-        self.link_energy.iter().copied()
+    /// Each link's cumulative wire energy, indexed by link id: the one
+    /// field of [`LinkStats`] the power monitor reads, from a dense array
+    /// and without building the rest.
+    pub fn link_energies(&self) -> &[Energy] {
+        &self.link_energy
+    }
+
+    /// The links whose wire energy changed since the last
+    /// [`Fabric::clear_energy_moved`], by link id; every link after
+    /// [`Fabric::restore_state`]. A launch, a header and a corrupt retry
+    /// each add their link.
+    pub fn energy_moved(&self) -> &IndexSet {
+        &self.energy_moved
+    }
+
+    /// Empties [`Fabric::energy_moved`]: the caller has read every
+    /// energy it names.
+    pub fn clear_energy_moved(&mut self) {
+        self.energy_moved.clear();
     }
 
     /// Takes a link out of service ("hot-unplug"). New launches are
@@ -1574,6 +1598,7 @@ impl Fabric {
             self.retransmits += 1;
             link.retry_streak += 1;
             self.link_energy[lid.0 as usize] += link.params.token_energy();
+            self.energy_moved.insert(lid.0 as usize);
             link.busy_time += link.params.token_time;
             link.busy_until = now + link.params.token_time;
             let streak = link.retry_streak;
@@ -1684,6 +1709,7 @@ impl Fabric {
         header: bool,
     ) {
         let link = &mut self.links[lid.0 as usize];
+        self.energy_moved.insert(lid.0 as usize);
         let mut start = now;
         if header {
             // Three header tokens open the route at this hop (§V.B).
@@ -1864,6 +1890,7 @@ impl Fabric {
             link.retransmits = r.u64()?;
             link.dropped_tokens = r.u64()?;
         }
+        self.energy_moved.fill();
         let nodes = r.len_prefixed(1)?;
         if nodes != self.nodes {
             return Err(CodecError::Invalid("fabric node count mismatch"));
