@@ -1646,7 +1646,9 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SWLWSNAP";
 /// Version 5 dropped the engine from MACH (CONF carries the live one),
 /// the enabled flag from METR (CONF's metrics switch is the only one)
 /// and the received-token archive from BRDG.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// Version 6 stores a core's SRAM sparsely in CORE: only the 256-byte
+/// blocks that hold a non-zero byte, each behind its index.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Engine tag plus the windowed engine's thread count (0 for lock-step).
 fn write_engine(w: &mut ByteWriter, engine: EngineMode) {

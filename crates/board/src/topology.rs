@@ -377,6 +377,101 @@ mod tests {
         );
     }
 
+    /// The per-pair derivation `TableRouter::vertical_first` replaced:
+    /// re-filter `at`'s links for the direction the (at, dest) pair
+    /// needs.
+    fn vertical_first_oracle(
+        coords: &[Coord],
+        by_node: &[Vec<&swallow_noc::LinkDesc>],
+        at: usize,
+        dest: usize,
+    ) -> swallow_noc::Candidates {
+        if at == dest {
+            return swallow_noc::Candidates::EMPTY;
+        }
+        let (c, d) = (coords[at], coords[dest]);
+        let want = if d.y != c.y {
+            match c.layer {
+                Layer::Vertical if d.y < c.y => Direction::North,
+                Layer::Vertical => Direction::South,
+                Layer::Horizontal => Direction::Internal,
+            }
+        } else if d.x != c.x {
+            match c.layer {
+                Layer::Horizontal if d.x > c.x => Direction::East,
+                Layer::Horizontal => Direction::West,
+                Layer::Vertical => Direction::Internal,
+            }
+        } else {
+            Direction::Internal
+        };
+        by_node[at]
+            .iter()
+            .filter(|l| l.dir == want)
+            .map(|l| l.id)
+            .collect()
+    }
+
+    #[test]
+    fn vertical_first_tables_equal_the_per_pair_derivation() {
+        let grids = [
+            (GridSpec::ONE_SLICE, true, INTERNAL_LINK_PAIRS),
+            (
+                GridSpec {
+                    slices_x: 2,
+                    slices_y: 1,
+                },
+                false,
+                INTERNAL_LINK_PAIRS,
+            ),
+            // More parallel pairs than a direction holds: both
+            // derivations keep the first four.
+            (
+                GridSpec {
+                    slices_x: 2,
+                    slices_y: 1,
+                },
+                false,
+                6,
+            ),
+            (
+                GridSpec {
+                    slices_x: 6,
+                    slices_y: 5,
+                },
+                false,
+                INTERNAL_LINK_PAIRS,
+            ),
+        ];
+        for (spec, bridge, internal_link_pairs) in grids {
+            let topo = build_topology(
+                spec,
+                &TopologyOptions {
+                    bridge,
+                    internal_link_pairs,
+                    ..Default::default()
+                },
+            );
+            let links = topo.builder.link_descs();
+            let router = swallow_noc::TableRouter::vertical_first(&topo.coords, links);
+            let nodes = topo.coords.len();
+            let mut by_node = vec![Vec::new(); nodes];
+            for l in links {
+                by_node[l.from.raw() as usize].push(l);
+            }
+            let mut aggregated = 0;
+            for at in 0..nodes {
+                for dest in 0..nodes {
+                    let want = vertical_first_oracle(&topo.coords, &by_node, at, dest);
+                    let got = router.candidates(NodeId(at as u16), NodeId(dest as u16));
+                    assert_eq!(got, want, "{spec:?}: route {at} -> {dest}");
+                    aggregated += usize::from(got.len() > 1);
+                }
+            }
+            assert!(aggregated > 0, "{spec:?}: some routes aggregate links");
+        }
+    }
+
     #[test]
     fn bridge_is_last_node_on_south_edge() {
         let topo = build_topology(

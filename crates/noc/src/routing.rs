@@ -18,6 +18,10 @@ use crate::link::{Direction, LinkId};
 use std::collections::VecDeque;
 use swallow_isa::NodeId;
 
+/// Number of [`Direction`] variants (a per-node table of candidates is
+/// indexed by `Direction as usize`).
+const DIRECTIONS: usize = 5;
+
 /// Up to four candidate output links, in preference order. Multiple
 /// candidates model link aggregation: "multiple links can be assigned to
 /// the same routing direction, where a new communication will use the
@@ -175,52 +179,21 @@ impl TableRouter {
     /// 3. otherwise (same package) → internal to reach the partner core.
     pub fn vertical_first(coords: &[Coord], links: &[LinkDesc]) -> Self {
         let nodes = coords.len();
-        let mut by_dir: Vec<Vec<(Direction, LinkId)>> = vec![Vec::new(); nodes];
+        // Each node's candidates per direction, in link order: the table
+        // is then filled by lookup rather than by re-filtering the node's
+        // links for every destination.
+        let mut by_dir = vec![[Candidates::EMPTY; DIRECTIONS]; nodes];
         for l in links {
-            by_dir[l.from.raw() as usize].push((l.dir, l.id));
+            // Truncation past four is the hardware's aggregation cap.
+            let _ = by_dir[l.from.raw() as usize][l.dir as usize].push(l.id);
         }
-        let pick = |node: usize, want: Direction| -> Candidates {
-            by_dir[node]
-                .iter()
-                .filter(|&&(d, _)| d == want)
-                .map(|&(_, id)| id)
-                .collect()
-        };
         let mut table = vec![Candidates::EMPTY; nodes * nodes];
-        for at in 0..nodes {
+        for (at, row) in table.chunks_exact_mut(nodes.max(1)).enumerate() {
             let c = coords[at];
-            for dest in 0..nodes {
-                if at == dest {
-                    continue;
+            for (dest, slot) in row.iter_mut().enumerate() {
+                if at != dest {
+                    *slot = by_dir[at][vertical_first_step(c, coords[dest]) as usize];
                 }
-                let d = coords[dest];
-                let want = if d.y != c.y {
-                    match c.layer {
-                        Layer::Vertical => {
-                            if d.y < c.y {
-                                Direction::North
-                            } else {
-                                Direction::South
-                            }
-                        }
-                        Layer::Horizontal => Direction::Internal,
-                    }
-                } else if d.x != c.x {
-                    match c.layer {
-                        Layer::Horizontal => {
-                            if d.x > c.x {
-                                Direction::East
-                            } else {
-                                Direction::West
-                            }
-                        }
-                        Layer::Vertical => Direction::Internal,
-                    }
-                } else {
-                    // Same package, other layer.
-                    Direction::Internal
-                };
-                table[at * nodes + dest] = pick(at, want);
             }
         }
         TableRouter { nodes, table }
@@ -265,6 +238,27 @@ impl TableRouter {
             return Candidates::EMPTY;
         }
         self.table[at * self.nodes + dest]
+    }
+}
+
+/// The direction vertical-first routing takes at `at` for traffic to
+/// `dest` (the rule on [`TableRouter::vertical_first`]).
+fn vertical_first_step(at: Coord, dest: Coord) -> Direction {
+    if dest.y != at.y {
+        match at.layer {
+            Layer::Vertical if dest.y < at.y => Direction::North,
+            Layer::Vertical => Direction::South,
+            Layer::Horizontal => Direction::Internal,
+        }
+    } else if dest.x != at.x {
+        match at.layer {
+            Layer::Horizontal if dest.x > at.x => Direction::East,
+            Layer::Horizontal => Direction::West,
+            Layer::Vertical => Direction::Internal,
+        }
+    } else {
+        // Same package, other layer.
+        Direction::Internal
     }
 }
 

@@ -1384,7 +1384,8 @@ impl Core {
                 Outcome::Advance(words)
             }
             Sext { r, bits } => {
-                if bits < 32 {
+                // A zero-bit field leaves `r` alone, like one of 32 or more.
+                if (1..32).contains(&bits) {
                     let shift = 32 - bits as u32;
                     let v = ((get!(r) << shift) as i32 >> shift) as u32;
                     set!(r, v);
@@ -2079,7 +2080,7 @@ impl Core {
         w.u32(self.config.sram_bytes);
         w.u32(self.config.stack_bytes);
         w.bool(self.sram.decode_cache_enabled());
-        w.bytes_prefixed(self.sram.snapshot_bytes());
+        self.sram.encode_blocks(w);
         for t in &self.threads {
             snapshot::write_thread(w, t);
         }
@@ -2142,10 +2143,7 @@ impl Core {
             return Err(CodecError::Invalid("core memory geometry mismatch"));
         }
         let cache_enabled = r.bool()?;
-        let image = r.bytes_prefixed()?;
-        if !self.sram.restore_bytes(image) {
-            return Err(CodecError::Invalid("SRAM image size mismatch"));
-        }
+        self.sram.restore_blocks(r)?;
         self.sram.set_decode_cache(cache_enabled);
         let dims = snapshot::TableDims::of(&self.resources);
         for i in 0..MAX_THREADS {

@@ -33,11 +33,13 @@
 //! path, which is irrelevant for performance (the thread is about to
 //! die) and keeps entries unconditionally trustworthy.
 //!
-//! The cache is allocated lazily on the first fill, so the 480 idle
-//! cores of a big machine never pay for it, and it can be disabled
-//! entirely — per core via [`crate::Core::set_decode_cache`] or
-//! machine-wide via `SystemBuilder::decode_cache(false)` — as the
-//! cache-off reference the differential suites compare against.
+//! The table grows with the code: its length is one past the highest
+//! word index a fetch has filled, so idle cores hold nothing and a
+//! loaded core holds slots only up to the highest word it has executed,
+//! not one per word of its SRAM. The cache can be disabled entirely —
+//! per core via [`crate::Core::set_decode_cache`] or machine-wide via
+//! `SystemBuilder::decode_cache(false)` — as the cache-off reference
+//! the differential suites compare against.
 
 use swallow_isa::{EnergyClass, Instr, Predecoded};
 
@@ -49,20 +51,23 @@ const EMPTY: Predecoded = Predecoded {
     class: EnergyClass::Idle,
 };
 
+/// Slots the table reserves at its first fill: a 1 KiB program's worth
+/// (3 KiB). A restored core refills its table inside the measured run,
+/// so a small program allocates once there instead of doubling up from
+/// four slots.
+const FIRST_SLOTS: usize = 256;
+
 /// Lazily-filled map from SRAM word index to predecoded entry.
 #[derive(Clone, Debug)]
 pub struct DecodeCache {
-    /// One slot per SRAM word; empty until the first fill (idle cores
-    /// and disabled caches allocate nothing).
-    entries: Box<[Predecoded]>,
-    /// Slots to allocate on first fill (SRAM bytes / 4).
+    /// One slot per word index up to the highest one filled since the
+    /// last full invalidation (empty for idle cores and disabled
+    /// caches). A store at word `w` can only hit a live entry when
+    /// `w <= entries.len()` (the entry at `w`, or a two-word entry at
+    /// `w - 1`), so data stores above the code cost exactly one compare.
+    entries: Vec<Predecoded>,
+    /// SRAM size in words: fills at or beyond it are ignored.
     words: usize,
-    /// Exclusive upper bound of the word indices ever filled since the
-    /// last full invalidation. A store at word `w` can only hit a live
-    /// entry when `w <= filled_hi` (the entry at `w`, or a two-word
-    /// entry at `w - 1`), so data stores above the code high-water mark
-    /// cost exactly one compare.
-    filled_hi: usize,
     enabled: bool,
 }
 
@@ -70,9 +75,8 @@ impl DecodeCache {
     /// A cache for an SRAM of `bytes` bytes, honouring `enabled`.
     pub fn new(bytes: u32, enabled: bool) -> Self {
         DecodeCache {
-            entries: Box::new([]),
+            entries: Vec::new(),
             words: (bytes / 4) as usize,
-            filled_hi: 0,
             enabled,
         }
     }
@@ -87,53 +91,44 @@ impl DecodeCache {
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
         if !enabled {
-            self.entries = Box::new([]);
-            self.filled_hi = 0;
-        }
-    }
-
-    /// Allocates the slot table up front (no-op when disabled or already
-    /// allocated). Called at program load so the one-time `vec!` zeroing
-    /// of 16 Ki slots happens at boot, not inside the measured hot loop;
-    /// cores that never load a program never allocate.
-    pub fn ensure_allocated(&mut self) {
-        if self.enabled && self.entries.is_empty() {
-            self.entries = vec![EMPTY; self.words].into_boxed_slice();
+            self.entries = Vec::new();
         }
     }
 
     /// The entry for word index `widx`, if cached.
     #[inline]
     pub fn lookup(&self, widx: usize) -> Option<Predecoded> {
-        // An unallocated or disabled cache has no entries, so the
-        // single `get` covers every off path.
+        // An empty or disabled cache has no entries, so the single `get`
+        // covers every off path.
         match self.entries.get(widx) {
             Some(e) if e.words != 0 => Some(*e),
             _ => None,
         }
     }
 
-    /// Caches `entry` at word index `widx` (no-op when disabled).
+    /// Caches `entry` at word index `widx`, growing the table to reach
+    /// it (no-op when disabled or when `widx` is past the SRAM).
     pub fn fill(&mut self, widx: usize, entry: Predecoded) {
         debug_assert!(entry.words == 1 || entry.words == 2);
-        if !self.enabled {
+        if !self.enabled || widx >= self.words {
             return;
         }
-        self.ensure_allocated();
-        if let Some(slot) = self.entries.get_mut(widx) {
-            *slot = entry;
-            self.filled_hi = self.filled_hi.max(widx + 1);
+        if widx >= self.entries.len() {
+            if self.entries.capacity() == 0 {
+                self.entries.reserve_exact(FIRST_SLOTS.min(self.words));
+            }
+            self.entries.resize(widx + 1, EMPTY);
         }
+        self.entries[widx] = entry;
     }
 
     /// Invalidates the entries that could have read word index `widx`:
     /// the entry at `widx` and a two-word instruction starting at
-    /// `widx - 1`. Stores above the code high-water mark (`filled_hi`)
-    /// provably hit nothing and return after one compare, so ordinary
-    /// data stores cost ~nothing.
+    /// `widx - 1`. Stores past the table's end provably hit nothing and
+    /// return after one compare, so ordinary data stores cost ~nothing.
     #[inline]
     pub fn invalidate_word(&mut self, widx: usize) {
-        if widx > self.filled_hi {
+        if widx > self.entries.len() {
             return;
         }
         if let Some(e) = self.entries.get_mut(widx) {
@@ -146,14 +141,10 @@ impl DecodeCache {
         }
     }
 
-    /// Drops every entry (bulk rewrite: program load). Only the filled
-    /// prefix needs clearing.
+    /// Drops every entry (bulk rewrite: program load, restore). The
+    /// allocation is kept for the refill.
     pub fn invalidate_all(&mut self) {
-        let hi = self.filled_hi.min(self.entries.len());
-        for e in self.entries[..hi].iter_mut() {
-            e.words = 0;
-        }
-        self.filled_hi = 0;
+        self.entries.clear();
     }
 
     /// Number of live entries (test/observability hook).
@@ -214,13 +205,95 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_all_empties_the_cache() {
+    fn invalidate_all_empties_the_table_but_keeps_its_capacity() {
         let mut cache = DecodeCache::new(64, true);
         for i in 0..8 {
             cache.fill(i, entry_of(Instr::Nop));
         }
         assert_eq!(cache.live_entries(), 8);
+        let capacity = cache.entries.capacity();
         cache.invalidate_all();
         assert_eq!(cache.live_entries(), 0);
+        assert!(cache.entries.is_empty());
+        assert_eq!(cache.entries.capacity(), capacity, "refills reuse it");
+        for i in 0..8 {
+            assert_eq!(cache.lookup(i), None);
+        }
+    }
+
+    #[test]
+    fn fills_grow_the_table_to_the_highest_index() {
+        let mut cache = DecodeCache::new(64 * 1024, true);
+        assert!(cache.entries.is_empty(), "a fresh cache holds nothing");
+        let nop = entry_of(Instr::Nop);
+        cache.fill(2, nop);
+        assert_eq!(cache.entries.len(), 3);
+        assert!(cache.entries.capacity() >= FIRST_SLOTS, "one allocation");
+        // A lower fill lands inside the table without growing it.
+        cache.fill(0, nop);
+        assert_eq!(cache.entries.len(), 3);
+        // A fill far above the code grows the table to reach it, and
+        // the slots in between stay empty.
+        cache.fill(100, nop);
+        assert_eq!(cache.entries.len(), 101);
+        assert_eq!(cache.live_entries(), 3);
+        assert_eq!(cache.lookup(1), None);
+        assert_eq!(cache.lookup(50), None);
+        assert_eq!(cache.lookup(100), Some(nop));
+        assert_eq!(cache.lookup(101), None, "past the end is a miss");
+    }
+
+    #[test]
+    fn a_store_just_past_the_table_clears_a_spanning_entry() {
+        let mut cache = DecodeCache::new(64, true);
+        let wide = entry_of(Instr::Ldc {
+            d: Reg::R0,
+            imm: 0x1234_5678,
+        });
+        // The two-word entry at index 4 is the table's last slot, so its
+        // extension word (index 5) is exactly `len`.
+        cache.fill(4, wide);
+        assert_eq!(cache.entries.len(), 5);
+        cache.invalidate_word(5);
+        assert_eq!(cache.lookup(4), None);
+        // Stores further up hit nothing and leave live entries alone.
+        cache.fill(4, wide);
+        cache.invalidate_word(6);
+        assert_eq!(cache.lookup(4), Some(wide));
+    }
+
+    #[test]
+    fn fills_past_the_sram_are_ignored() {
+        // 64 bytes hold 16 words: indices 16 and up do not exist.
+        let mut cache = DecodeCache::new(64, true);
+        let nop = entry_of(Instr::Nop);
+        cache.fill(16, nop);
+        cache.fill(usize::MAX, nop);
+        assert!(cache.entries.is_empty());
+        assert_eq!(cache.lookup(16), None);
+        cache.fill(15, nop);
+        assert_eq!(cache.entries.len(), 16);
+        assert_eq!(cache.lookup(15), Some(nop));
+        assert!(
+            cache.entries.capacity() < FIRST_SLOTS,
+            "a small SRAM reserves no more slots than it has words"
+        );
+    }
+
+    #[test]
+    fn a_disabled_cache_allocates_nothing() {
+        let mut cache = DecodeCache::new(64 * 1024, false);
+        for i in [0, 7, 1000] {
+            cache.fill(i, entry_of(Instr::Nop));
+        }
+        cache.invalidate_word(0);
+        cache.invalidate_all();
+        assert_eq!(cache.entries.capacity(), 0);
+        // Disabling a warm cache releases its table too.
+        cache.set_enabled(true);
+        cache.fill(1000, entry_of(Instr::Nop));
+        assert!(cache.entries.capacity() > 1000);
+        cache.set_enabled(false);
+        assert_eq!(cache.entries.capacity(), 0);
     }
 }

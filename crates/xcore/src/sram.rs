@@ -16,9 +16,29 @@
 use crate::decode_cache::DecodeCache;
 use std::fmt;
 use swallow_isa::{predecode, DecodeError, Predecoded};
+use swallow_sim::{ByteReader, ByteWriter, CodecError};
 
 /// Default SRAM size per core (64 KiB, §IV.A).
 pub const DEFAULT_SRAM_BYTES: u32 = 64 * 1024;
+
+/// Granule of the sparse SRAM image a snapshot stores
+/// ([`Sram::encode_blocks`]): only blocks holding a non-zero byte are
+/// written.
+const SNAPSHOT_BLOCK_BYTES: usize = 256;
+
+/// True when every byte is zero, read a machine word at a time.
+fn all_zero(bytes: &[u8]) -> bool {
+    let (words, tail) = bytes.as_chunks::<8>();
+    words.iter().fold(0, |acc, w| acc | u64::from_ne_bytes(*w)) == 0 && tail.iter().all(|&b| b == 0)
+}
+
+/// Zeroes `bytes`, writing only when one is set, so restoring into a
+/// fresh SRAM touches none of the pages that stay zero.
+fn clear(bytes: &mut [u8]) {
+    if !all_zero(bytes) {
+        bytes.fill(0);
+    }
+}
 
 /// A memory access fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -254,24 +274,68 @@ impl Sram {
         Ok(())
     }
 
-    /// The architectural byte contents (the snapshot codec's view; the
-    /// decode cache is derived state and not part of it).
-    pub fn snapshot_bytes(&self) -> &[u8] {
-        &self.bytes
+    /// Writes the architectural bytes in the snapshot's sparse form: a
+    /// `u64` count, then for each 256-byte block that holds a non-zero
+    /// byte its `u32` index and its bytes, indices
+    /// strictly increasing (the last block is short when the SRAM size
+    /// is not a multiple of the block). The decode cache is derived
+    /// state and not part of it.
+    pub(crate) fn encode_blocks(&self, w: &mut ByteWriter) {
+        let live: Vec<(usize, &[u8])> = self
+            .bytes
+            .chunks(SNAPSHOT_BLOCK_BYTES)
+            .enumerate()
+            .filter(|(_, block)| !all_zero(block))
+            .collect();
+        w.u64(live.len() as u64);
+        for (index, block) in live {
+            w.u32(index as u32);
+            w.raw(block);
+        }
     }
 
-    /// Restores the architectural bytes from a snapshot image of the same
-    /// size, dropping every predecoded entry — the cache refills on
-    /// demand, exactly as after [`Sram::load_words`]. Returns `false`
-    /// (and copies nothing) when the image size does not match.
-    pub fn restore_bytes(&mut self, image: &[u8]) -> bool {
-        if image.len() != self.bytes.len() {
-            return false;
-        }
-        self.bytes.copy_from_slice(image);
+    /// Restores the architectural bytes from [`Sram::encode_blocks`]'
+    /// form: the listed blocks are written in place and every other
+    /// block is left zero. Drops every predecoded entry — the cache
+    /// refills on demand, exactly as after [`Sram::load_words`].
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`] when the count exceeds what the
+    /// remaining bytes can hold (checked before any block is read);
+    /// [`CodecError::Invalid`] for indices that are not strictly
+    /// increasing or that lie past the SRAM, and for an all-zero block,
+    /// which the writer never lists (so an accepted image re-encodes
+    /// byte-identically). On error the SRAM is left partly written.
+    pub(crate) fn restore_blocks(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         self.cache.invalidate_all();
-        self.cache.ensure_allocated();
-        true
+        let len = self.bytes.len();
+        let smallest = match len % SNAPSHOT_BLOCK_BYTES {
+            0 => SNAPSHOT_BLOCK_BYTES,
+            tail => tail,
+        };
+        let count = r.len_prefixed(4 + smallest)?;
+        // Start of the first byte no listed block has covered yet.
+        let mut done = 0;
+        for _ in 0..count {
+            let start = (r.u32()? as usize).saturating_mul(SNAPSHOT_BLOCK_BYTES);
+            if start < done {
+                return Err(CodecError::Invalid("SRAM block indices not increasing"));
+            }
+            if start >= len {
+                return Err(CodecError::Invalid("SRAM block past the end of SRAM"));
+            }
+            let end = (start + SNAPSHOT_BLOCK_BYTES).min(len);
+            let block = r.take(end - start)?;
+            if all_zero(block) {
+                return Err(CodecError::Invalid("SRAM block is all zeros"));
+            }
+            clear(&mut self.bytes[done..start]);
+            self.bytes[start..end].copy_from_slice(block);
+            done = end;
+        }
+        clear(&mut self.bytes[done..]);
+        Ok(())
     }
 
     /// Copies a program image (32-bit words) to address 0.
@@ -285,10 +349,6 @@ impl Sram {
             self.bytes[i * 4..i * 4 + 4].copy_from_slice(&w.to_le_bytes());
         }
         self.cache.invalidate_all();
-        // A core that loads a program is about to execute: allocate the
-        // slot table now so the one-time zeroing happens at boot rather
-        // than on the first fetch of a measured run.
-        self.cache.ensure_allocated();
         true
     }
 }
@@ -347,6 +407,129 @@ mod tests {
         assert!(m.load_words(&[0x1111_1111, 0x2222_2222]));
         assert_eq!(m.read_u32(4), Ok(0x2222_2222));
         assert!(!m.load_words(&[0; 5]));
+    }
+
+    /// The sparse image of `m`.
+    fn image_of(m: &Sram) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        m.encode_blocks(&mut w);
+        w.finish()
+    }
+
+    /// A hand-made image: `count`, then each `(index, fill byte)` as a
+    /// full block.
+    fn forged(count: u64, blocks: &[(u32, u8)]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.u64(count);
+        for &(index, fill) in blocks {
+            w.u32(index);
+            w.raw(&[fill; SNAPSHOT_BLOCK_BYTES]);
+        }
+        w.finish()
+    }
+
+    fn restore(m: &mut Sram, image: &[u8]) -> Result<(), CodecError> {
+        let mut r = ByteReader::new(image);
+        m.restore_blocks(&mut r)?;
+        r.expect_end()
+    }
+
+    #[test]
+    fn sparse_images_hold_only_non_zero_blocks() {
+        let mut m = Sram::new(DEFAULT_SRAM_BYTES);
+        assert_eq!(image_of(&m), 0u64.to_le_bytes(), "a zero SRAM is a count");
+        m.write_u8(3, 1).expect("in bounds");
+        m.write_u32(0xFFFC, 0xDEAD_BEEF).expect("in bounds");
+        let image = image_of(&m);
+        assert_eq!(image.len(), 8 + 2 * (4 + SNAPSHOT_BLOCK_BYTES));
+        // Restoring into a dirty SRAM clears every unlisted block.
+        let mut other = Sram::new(DEFAULT_SRAM_BYTES);
+        other.write_u32(0x100, 7).expect("in bounds");
+        other.write_u32(0x8000, 7).expect("in bounds");
+        restore(&mut other, &image).expect("restores");
+        assert!(other == m);
+        assert_eq!(image_of(&other), image, "re-encodes byte-identically");
+    }
+
+    #[test]
+    fn a_short_last_block_round_trips() {
+        // 300 bytes: one full block and a 44-byte tail.
+        let mut m = Sram::new(300);
+        m.write_u32(296, 0x0102_0304).expect("in bounds");
+        let image = image_of(&m);
+        assert_eq!(image.len(), 8 + 4 + 44);
+        let mut other = Sram::new(300);
+        restore(&mut other, &image).expect("restores");
+        assert!(other == m);
+    }
+
+    #[test]
+    fn restore_drops_cached_code() {
+        let mut m = Sram::new(1024);
+        let nop = swallow_isa::encode(&swallow_isa::Instr::Nop).expect("encodes");
+        assert!(m.load_words(nop.words()));
+        m.fetch(0).expect("decodes");
+        assert_eq!(m.cache.live_entries(), 1);
+        restore(&mut m, &image_of(&Sram::new(1024))).expect("restores");
+        assert_eq!(m.cache.live_entries(), 0);
+        assert_eq!(m.read_u32(0), Ok(0));
+    }
+
+    #[test]
+    fn unsorted_block_indices_are_refused() {
+        let image = forged(2, &[(5, 1), (4, 1)]);
+        assert_eq!(
+            restore(&mut Sram::new(DEFAULT_SRAM_BYTES), &image),
+            Err(CodecError::Invalid("SRAM block indices not increasing"))
+        );
+    }
+
+    #[test]
+    fn duplicate_block_indices_are_refused() {
+        let image = forged(2, &[(4, 1), (4, 2)]);
+        assert_eq!(
+            restore(&mut Sram::new(DEFAULT_SRAM_BYTES), &image),
+            Err(CodecError::Invalid("SRAM block indices not increasing"))
+        );
+    }
+
+    #[test]
+    fn block_indices_past_the_sram_are_refused() {
+        let blocks = (DEFAULT_SRAM_BYTES as usize / SNAPSHOT_BLOCK_BYTES) as u32;
+        for index in [blocks, u32::MAX] {
+            let image = forged(1, &[(index, 1)]);
+            assert_eq!(
+                restore(&mut Sram::new(DEFAULT_SRAM_BYTES), &image),
+                Err(CodecError::Invalid("SRAM block past the end of SRAM")),
+                "index {index}"
+            );
+        }
+        // The last real block is accepted.
+        let image = forged(1, &[(blocks - 1, 1)]);
+        assert!(restore(&mut Sram::new(DEFAULT_SRAM_BYTES), &image).is_ok());
+    }
+
+    #[test]
+    fn all_zero_blocks_are_refused() {
+        let image = forged(2, &[(1, 1), (2, 0)]);
+        assert_eq!(
+            restore(&mut Sram::new(DEFAULT_SRAM_BYTES), &image),
+            Err(CodecError::Invalid("SRAM block is all zeros"))
+        );
+    }
+
+    #[test]
+    fn counts_the_bytes_cannot_hold_are_truncated() {
+        // Two blocks' worth of bytes behind a count of three, and a
+        // count no image could hold.
+        for count in [3, u64::MAX] {
+            let image = forged(count, &[(1, 1), (2, 1)]);
+            assert_eq!(
+                restore(&mut Sram::new(DEFAULT_SRAM_BYTES), &image),
+                Err(CodecError::Truncated),
+                "count {count}"
+            );
+        }
     }
 
     #[test]

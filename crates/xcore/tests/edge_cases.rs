@@ -2,7 +2,7 @@
 //! scheduler boundaries. These pin down behaviours the architectural
 //! contract implies but ordinary programs rarely exercise.
 
-use swallow_isa::{Assembler, NodeId, ThreadId};
+use swallow_isa::{encode, Assembler, Instr, NodeId, Reg, ThreadId};
 use swallow_xcore::{Core, CoreConfig, ThreadState, TrapCause};
 
 fn run_src(src: &str) -> Core {
@@ -67,6 +67,65 @@ fn mkmsk_and_extension_extremes() {
         ",
     );
     assert_eq!(out, "0\n-1\n-1\n128\n-1\n");
+}
+
+#[test]
+fn zero_bit_extensions_are_decodable_and_harmless() {
+    // The assembler refuses a zero-bit field, but the decoder accepts any
+    // 8-bit one, so a raw word or a code store can run `sext r, 0`: it
+    // leaves `r` alone (as a field of 32 or more does), and `zext r, 0`
+    // clears it.
+    let program = Assembler::new()
+        .assemble(
+            "
+                ldc   r1, 0x80
+                sext  r1, 8
+                print r1
+                zext  r1, 8
+                print r1
+                freet
+            ",
+        )
+        .expect("assembles");
+    let mut core = Core::new(CoreConfig::swallow(NodeId(0)));
+    core.load_program(&program).expect("fits");
+    let word = |instr: Instr| encode(&instr).expect("encodes").words()[0];
+    for (from, to) in [
+        (
+            Instr::Sext {
+                r: Reg::R1,
+                bits: 8,
+            },
+            Instr::Sext {
+                r: Reg::R1,
+                bits: 0,
+            },
+        ),
+        (
+            Instr::Zext {
+                r: Reg::R1,
+                bits: 8,
+            },
+            Instr::Zext {
+                r: Reg::R1,
+                bits: 0,
+            },
+        ),
+    ] {
+        let at = program
+            .words()
+            .iter()
+            .position(|&w| w == word(from))
+            .expect("instruction in the image");
+        core.sram_mut()
+            .write_u32(4 * at as u32, word(to))
+            .expect("in bounds");
+    }
+    while !core.is_quiescent() {
+        core.tick(core.next_tick_at());
+    }
+    assert!(core.trap().is_none(), "unexpected trap: {:?}", core.trap());
+    assert_eq!(core.output(), "128\n0\n");
 }
 
 #[test]

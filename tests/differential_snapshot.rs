@@ -366,18 +366,68 @@ proptest! {
 
 #[test]
 fn older_format_versions_are_rejected_by_version() {
-    // A version-2 image (the format before the engine collapse) and a
+    // A version-2 image (the format before the engine collapse), a
     // version-4 one (the format that still carried the bridge's token
-    // archive and second engine and metrics copies) must be refused by
-    // their header alone, with the version they carry.
+    // archive and second engine and metrics copies) and a version-5 one
+    // (every core's full SRAM) must be refused by their header alone,
+    // with the version they carry.
     let at = SNAPSHOT_MAGIC.len();
-    for found in [2u32, 4] {
+    for found in [2u32, 4, 5] {
         let mut bytes = busy_snapshot().to_vec();
         assert_eq!(bytes[at..at + 4], SNAPSHOT_VERSION.to_le_bytes());
         bytes[at..at + 4].copy_from_slice(&found.to_le_bytes());
         assert_eq!(
             SwallowSystem::restore(&bytes).err(),
             Some(CodecError::BadVersion { found })
+        );
+    }
+}
+
+/// The 480-stage pipeline on all 30 slices of the 6×5 grid.
+const PIPE_480: pipeline::PipelineSpec = pipeline::PipelineSpec {
+    stages: 480,
+    items: 16,
+    work_per_item: 1,
+};
+
+#[test]
+fn full_grid_images_stay_small_and_continue_bit_identically() {
+    // Every core of the 480-core machine is loaded and running, yet its
+    // image holds only the SRAM blocks the cores' code, data and stacks
+    // touch: 2 MiB is ample headroom (a full-SRAM image is 32 MB).
+    let build = || {
+        let mut system = SystemBuilder::new().slices(6, 5).build().expect("builds");
+        pipeline::generate(&PIPE_480, system.machine().spec())
+            .expect("generates")
+            .apply(&mut system)
+            .expect("loads");
+        system
+    };
+    let mut original = build();
+    original.run_for(TimeDelta::from_us(20));
+    let bytes = original.snapshot();
+    assert!(
+        bytes.len() <= 2 << 20,
+        "480-core image is {} bytes, over 2 MiB",
+        bytes.len()
+    );
+    let reread = SwallowSystem::restore(&bytes).expect("snapshot restores");
+    assert!(
+        bytes == reread.snapshot(),
+        "restore→snapshot is not byte-identical"
+    );
+    let span = TimeDelta::from_us(20);
+    original.run_for(span);
+    let reference = Fingerprint::of(&original, false);
+    assert!(reference.instret > 0);
+    for engine in [EngineMode::LockStep, EngineMode::Windowed { threads: 2 }] {
+        let mut restored = SwallowSystem::restore(&bytes).expect("snapshot restores");
+        restored.machine_mut().set_engine(engine);
+        restored.run_for(span);
+        assert_equivalent(
+            &format!("480-core restore under {engine:?}"),
+            &Fingerprint::of(&restored, false),
+            &reference,
         );
     }
 }
