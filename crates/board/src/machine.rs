@@ -33,21 +33,27 @@
 //! commits and the instants a reconciliation replays all go through it,
 //! and `run_for` and `run_until_quiescent` share one advance loop.
 //!
-//! Inside an advance the per-edge passes visit only *awake* cores. A core
-//! parks when an edge leaves it quiescent (halted, or every thread
-//! blocked on input or output) with no pending output, or with every
-//! pending chanend parked in the fabric; until a token arrives or the
-//! fabric takes its output it can only tick idle, so the core pass, the
-//! activity scan, the injection pass, the window preconditions, the
-//! windows themselves and `is_quiescent` skip it. Wherever anything
-//! other than an idle tick touches a parked core — a delivery, a pop of
-//! its output, a wake of one of its heads, a fault, a quarantine, the
-//! power monitor — it is first caught up with `Core::run_until`, which
-//! charges the idle edges it missed in closed form: the very f64
-//! additions ticking them would have made, in the same order.
-//! Every public advance ends with all cores caught up and awake, so
-//! lock-step still runs every core on every edge and nothing outside an
-//! advance can tell.
+//! The per-edge passes visit only *awake* cores. A core parks when an
+//! edge leaves it quiescent (halted, or every thread blocked on input or
+//! output) with no pending output, or with every pending chanend parked
+//! in the fabric; until one of its threads can run or the fabric can move
+//! its output it can only tick idle, so the core pass, the activity scan,
+//! the injection pass, the window preconditions, the windows themselves
+//! and `is_quiescent` skip it. Wherever anything other than an idle tick
+//! touches a parked core — a delivery, a pop of its output, a wake of one
+//! of its heads, a fault, a quarantine, the power monitor — it is first
+//! caught up with `Core::run_until`, which charges the idle edges it
+//! missed in closed form: the very f64 additions ticking them would have
+//! made, in the same order. A delivery or pop wakes it only when that
+//! readied a thread (a 32-bit `in` waits for four tokens), and a pop
+//! that leaves its output movable wakes it after the fabric step.
+//!
+//! Every public advance ends with the parked cores caught up to `now`
+//! but still parked, so accessors and snapshots see eager state and the
+//! next advance does not revisit them. [`Machine::core_mut`] wakes the
+//! core it returns (the caller may give it work), loading programs wakes
+//! the cores loaded, and [`Machine::step`] wakes every core first, so
+//! lock-step still runs every core on every edge.
 
 use crate::ethernet::EthernetBridge;
 use crate::metrics::MetricsHub;
@@ -218,7 +224,9 @@ struct Endpoints {
     /// A parked core's clock lags; it is caught up with
     /// [`Core::run_until`] (bit-identical to the ticks it missed, and
     /// O(1) for an idle core) wherever anything but an idle tick touches
-    /// it.
+    /// it. It rejoins the set when a touch readies one of its threads,
+    /// when the fabric can move its output again, or when
+    /// [`Machine::core_mut`] hands it out.
     awake: IndexSet,
 }
 
@@ -254,17 +262,26 @@ impl Endpoints {
         }
     }
 
-    /// Catches parked core `i` up to the gate instant and wakes it, before
-    /// the fabric changes its state: a delivery can wake a thread blocked
-    /// on input, and a pop one blocked on a full `out` buffer. The fabric
-    /// steps at the gate instant, where the core pass left every awake
-    /// core, so the core joins them there.
-    fn wake_at_gate(&mut self, i: usize) {
+    /// Catches parked core `i` up to the gate instant before the fabric
+    /// changes its state. The fabric steps at the gate instant, where the
+    /// core pass left every awake core, so the core stands there too.
+    fn catch_up_at_gate(&mut self, i: usize) {
         if !self.awake.contains(i) {
             let gate = Time::from_ps(self.tx_gate_ps);
             let core = &mut self.cores[i];
             debug_assert!(core.is_quiescent() && core.local_now() <= gate);
             core.run_until(gate);
+        }
+    }
+
+    /// Wakes core `i` when the fabric's last touch — a delivery that
+    /// completed a thread's `in`, a pop that made room for a blocked `out`
+    /// — readied one of its threads. A touch that readies none leaves it
+    /// parked: it is still quiescent, and output the pop left unparked
+    /// keeps its node in the fabric's injection worklist, which
+    /// [`Machine::wake_tx_ready`] reads after the step.
+    fn wake_if_runnable(&mut self, i: usize) {
+        if !self.awake.contains(i) && !self.cores[i].is_quiescent() {
             self.awake.insert(i);
         }
     }
@@ -324,9 +341,7 @@ impl CoreEndpoints for Endpoints {
             return;
         }
         if let Some(core) = self.cores.get(node.raw() as usize) {
-            for chanend in core.tx_pending() {
-                visit(chanend);
-            }
+            core.tx_pending().for_each(visit);
         }
     }
 
@@ -354,8 +369,10 @@ impl CoreEndpoints for Endpoints {
         if i >= self.cores.len() {
             return None;
         }
-        self.wake_at_gate(i);
-        self.cores[i].tx_pop(chanend)
+        self.catch_up_at_gate(i);
+        let popped = self.cores[i].tx_pop(chanend);
+        self.wake_if_runnable(i);
+        popped
     }
 
     fn can_accept(&self, node: NodeId, chanend: u8, n: usize) -> bool {
@@ -391,8 +408,10 @@ impl CoreEndpoints for Endpoints {
         if i >= self.cores.len() {
             return false;
         }
-        self.wake_at_gate(i);
-        self.cores[i].deliver(chanend, token).is_ok()
+        self.catch_up_at_gate(i);
+        let accepted = self.cores[i].deliver(chanend, token).is_ok();
+        self.wake_if_runnable(i);
+        accepted
     }
 }
 
@@ -557,13 +576,28 @@ impl Machine {
         &self.eps.cores[node.raw() as usize]
     }
 
-    /// Mutable access to one core.
+    /// Mutable access to one core. The core is woken: whatever the
+    /// caller changes, the next edge visits it.
     ///
     /// # Panics
     ///
     /// Panics if `node` is not a core node.
     pub fn core_mut(&mut self, node: NodeId) -> &mut Core {
-        &mut self.eps.cores[node.raw() as usize]
+        let i = node.raw() as usize;
+        let Endpoints { cores, awake, .. } = &mut self.eps;
+        let core = &mut cores[i];
+        awake.insert(i);
+        core
+    }
+
+    /// True when `node`'s core is parked: the per-edge passes skip it
+    /// until one of its threads can run or the fabric can move its output
+    /// (see the module docs). Observability only — between advances a
+    /// parked core stands at `now` like any other. False for a node that
+    /// is not a core.
+    pub fn is_parked(&self, node: NodeId) -> bool {
+        let i = node.raw() as usize;
+        i < self.core_count() && !self.eps.awake.contains(i)
     }
 
     /// All core node ids.
@@ -618,6 +652,7 @@ impl Machine {
     ///
     /// [`LoadError`] if the image exceeds a core's SRAM.
     pub fn load_program_all(&mut self, program: &Program) -> Result<(), LoadError> {
+        self.eps.awake.fill();
         for core in &mut self.eps.cores {
             core.load_program(program)?;
         }
@@ -660,8 +695,11 @@ impl Machine {
     /// primitive; both engines funnel through the same edge processing).
     /// Every core is visited on every step.
     pub fn step(&mut self) {
-        // Every core is awake between public advances, and this edge
-        // parks none, so every core runs on every lock-step edge.
+        // Wake the cores a windowed advance left parked; this edge parks
+        // none, so every core runs on every lock-step edge.
+        if self.eps.awake.len() < self.core_count() {
+            self.wake_all(self.now);
+        }
         self.process_edge(self.now + self.base_period, false);
         debug_assert_eq!(self.eps.awake.len(), self.core_count());
     }
@@ -772,9 +810,10 @@ impl Machine {
 
     /// Wakes the parked cores whose output the fabric left unparked (see
     /// [`Fabric::tx_ready_nodes`]), caught up to `now`: a head woken
-    /// behind the injection cursor, or one that could not park again (a
-    /// down link, several candidate links). The next edge must visit
-    /// them, since the fabric retries that output there.
+    /// behind the injection cursor, one that could not park again (a
+    /// down link, several candidate links), or a chanend a pop left with
+    /// tokens the fabric did not take. The next edge must visit them,
+    /// since the fabric retries that output there.
     fn wake_tx_ready(&mut self) {
         let Endpoints { cores, awake, .. } = &mut self.eps;
         for node in self.fabric.tx_ready_nodes() {
@@ -1131,10 +1170,10 @@ impl Machine {
                 EngineMode::Windowed { .. } => self.windowed_advance(deadline),
             }
         }
-        // A public advance ends with every core at `now` and awake:
-        // accessors, snapshots and whatever the caller does to cores
-        // before the next advance see eager state.
-        self.wake_all(self.now);
+        // A public advance ends with every core at `now`: accessors and
+        // snapshots see eager state. Parked cores stay parked, and
+        // `core_mut` wakes any core the caller may change.
+        self.catch_up(self.now);
     }
 
     /// True when no core can make progress and no token is in flight.
@@ -1849,10 +1888,157 @@ impl fmt::Debug for Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swallow_isa::Assembler;
+    use swallow_isa::{Assembler, ThreadId};
+    use swallow_xcore::{Block, ThreadState, CHANEND_BUF_TOKENS};
 
     fn asm(src: &str) -> Program {
         Assembler::new().assemble(src).expect("assembles")
+    }
+
+    /// Points the chanend in `r0` at chanend 0 of `node`, via `reg`.
+    fn dest(reg: &str, node: u16) -> String {
+        format!("ldc {reg}, {node}\nshl {reg}, {reg}, 16\nadd {reg}, {reg}, 2\nsetd r0, {reg}\n")
+    }
+
+    /// What must agree with lock-step: `now`, instructions, every core's
+    /// cycles and output, and the machine's energy bits.
+    fn fingerprint(machine: &Machine) -> (Time, u64, Vec<u64>, Vec<String>, u64) {
+        let cores = &machine.eps.cores;
+        (
+            machine.now,
+            machine.total_instret(),
+            cores.iter().map(Core::cycles).collect(),
+            cores.iter().map(|c| c.output().to_owned()).collect(),
+            machine.machine_ledger().total().as_joules().to_bits(),
+        )
+    }
+
+    /// Drives a fresh one-slice machine loaded by `load` with
+    /// fast-forward edges until it is quiescent, calling `each` after
+    /// every edge, and checks the result against lock-step's.
+    fn drive_edges(load: impl Fn(&mut Machine), mut each: impl FnMut(&Machine)) {
+        let budget = TimeDelta::from_us(200);
+        let mut oracle = Machine::new(MachineConfig {
+            engine: EngineMode::LockStep,
+            ..MachineConfig::one_slice()
+        });
+        load(&mut oracle);
+        assert!(oracle.run_until_quiescent(budget), "the scenario finishes");
+        let mut machine = Machine::new(MachineConfig::one_slice());
+        load(&mut machine);
+        let deadline = Time::ZERO + budget;
+        while machine.now < deadline && !machine.is_quiescent() {
+            let target = machine.grid_align(machine.next_activity_at().min(deadline));
+            machine.process_edge(target, true);
+            each(&machine);
+        }
+        // Catch the parked cores up, as the end of an advance does.
+        machine.run_for(TimeDelta::ZERO);
+        assert_eq!(fingerprint(&machine), fingerprint(&oracle));
+    }
+
+    /// Tokens waiting in chanend 0's input buffer of `core`.
+    fn buffered(core: &Core) -> usize {
+        let space = (0..=CHANEND_BUF_TOKENS)
+            .take_while(|&n| core.can_accept(0, n))
+            .last()
+            .expect("chanend 0 is allocated");
+        CHANEND_BUF_TOKENS - space
+    }
+
+    /// A 32-bit `in` needs four byte tokens. The receiver parks as soon
+    /// as it blocks, takes the first three deliveries without waking,
+    /// and the fourth — which readies its thread — wakes it on that very
+    /// edge.
+    #[test]
+    fn a_receiver_parks_through_three_byte_tokens_and_wakes_on_the_fourth() {
+        const RECEIVER: usize = 5;
+        let load = |machine: &mut Machine| {
+            let sender = format!(
+                "getr r0, chanend\n{}getr r5, timer\nin r6, r5\nldc r7, 50\nadd r6, r6, r7\n\
+                 tmwait r5, r6\nldc r2, 0x1234567\nout r0, r2\noutct r0, end\nfreet",
+                dest("r1", RECEIVER as u16)
+            );
+            machine
+                .load_program(NodeId(0), &asm(&sender))
+                .expect("fits");
+            let receiver = "getr r0, chanend\nin r1, r0\nchkct r0, end\nprint r1\nfreet";
+            machine
+                .load_program(NodeId(RECEIVER as u16), &asm(receiver))
+                .expect("fits");
+        };
+        let mut parked_with = [false; 4];
+        let mut woke_on_fourth = false;
+        drive_edges(load, |machine| {
+            let core = &machine.eps.cores[RECEIVER];
+            let waiting = core.thread_state(ThreadId(0))
+                == ThreadState::Blocked(Block::RecvTokens {
+                    chanend: 0,
+                    need: 4,
+                });
+            let awake = machine.eps.awake.contains(RECEIVER);
+            match buffered(core) {
+                n @ 0..=3 if waiting => {
+                    assert!(!awake, "woken with {n} of 4 tokens at {:?}", machine.now);
+                    parked_with[n] = true;
+                }
+                4 if !woke_on_fourth => {
+                    assert!(awake && !waiting, "the fourth token readies the thread");
+                    woke_on_fourth = true;
+                }
+                _ => {}
+            }
+        });
+        assert_eq!(parked_with, [true; 4], "parked with 0, 1, 2 and 3 tokens");
+        assert!(woke_on_fourth);
+    }
+
+    /// A sender that finished with its packet still queued is
+    /// output-parked behind its own busy link. Every later token is a
+    /// pop that readies no thread: the sender stays parked through each.
+    #[test]
+    fn pops_that_ready_no_thread_leave_the_sender_parked() {
+        const SENDER: usize = 0;
+        let load = |machine: &mut Machine| {
+            let sender = format!(
+                "getr r0, chanend\n{}ldc r2, 0x1234567\nout r0, r2\nout r0, r2\n\
+                 outct r0, end\nfreet",
+                dest("r1", 15)
+            );
+            machine
+                .load_program(NodeId(SENDER as u16), &asm(&sender))
+                .expect("fits");
+            let sink = "getr r0, chanend\nin r1, r0\nin r2, r0\nchkct r0, end\n\
+                        add r1, r1, r2\nprint r1\nfreet";
+            machine.load_program(NodeId(15), &asm(sink)).expect("fits");
+        };
+        let launched = |machine: &Machine| -> u64 {
+            machine
+                .fabric
+                .link_stats()
+                .filter(|l| l.from == NodeId(SENDER as u16))
+                .map(|l| l.data_tokens + l.ctrl_tokens)
+                .sum()
+        };
+        let (mut was_parked, mut sent) = (false, 0);
+        let mut parked_pops = 0;
+        drive_edges(load, |machine| {
+            let now_sent = launched(machine);
+            let parked = !machine.eps.awake.contains(SENDER);
+            if was_parked && now_sent > sent {
+                assert!(
+                    parked,
+                    "a pop woke the finished sender at {:?}",
+                    machine.now
+                );
+                parked_pops += 1;
+            }
+            (was_parked, sent) = (parked, now_sent);
+        });
+        assert!(
+            parked_pops >= 3,
+            "only {parked_pops} pops from a parked sender"
+        );
     }
 
     /// Sends `words` one-word packets back to back to chanend 0 of `sink`.

@@ -24,10 +24,16 @@
 //! that adds the right energy in the wrong order, and the windowed
 //! engine's window and round counts on a sparse grid, which catch a
 //! window that visits fewer cores but negotiates differently.
+//!
+//! Parked cores stay parked across public advances: a 480-stage relay
+//! pipeline must leave cores parked after every `run_for` chunk and still
+//! match lock-step chunk by chunk, and `core_mut`, `set_core_frequency`
+//! and `load_program` on a core parked across an advance must wake it
+//! exactly as lock-step, which never parks, sees the change.
 
 use swallow_board::{EngineMode, Machine, MachineConfig, RouterKind};
 use swallow_faults::{FaultKind, FaultPlan};
-use swallow_isa::{Assembler, NodeId, Program};
+use swallow_isa::{Assembler, NodeId, Program, Token};
 use swallow_noc::Direction;
 use swallow_sim::{Frequency, Time, TimeDelta};
 
@@ -977,5 +983,129 @@ fn ledger_totals_are_pinned_bit_for_bit() {
                 );
             }
         }
+    }
+}
+
+/// Words the 480-stage pipeline carries.
+const PIPELINE_ITEMS: u32 = 2;
+
+/// Sends `PIPELINE_ITEMS` words to `next` (values 1, 2, …).
+fn pipeline_source(next: u16) -> Program {
+    asm(&format!(
+        "getr r0, chanend\n{}setd r0, r1\nldc r3, {PIPELINE_ITEMS}\nldc r2, 1\n\
+         lp:\nout r0, r2\noutct r0, end\nadd r2, r2, 1\nsub r3, r3, 1\nbt r3, lp\nfreet",
+        dest("r1", next)
+    ))
+}
+
+/// Forwards `PIPELINE_ITEMS` words to `next`, adding one to each.
+fn pipeline_relay(next: u16) -> Program {
+    asm(&format!(
+        "getr r0, chanend\ngetr r8, chanend\n{}setd r8, r1\nldc r3, {PIPELINE_ITEMS}\n\
+         lp:\nin r4, r0\nchkct r0, end\nadd r4, r4, 1\nout r8, r4\noutct r8, end\n\
+         sub r3, r3, 1\nbt r3, lp\nfreet",
+        dest("r1", next)
+    ))
+}
+
+/// A relay pipeline through every core of the 6×5 grid in node order:
+/// a source at node 0, 478 relays and a sink at node 479. Almost every
+/// stage waits on its input for most of the run.
+fn pipeline_480(engine: EngineMode) -> Machine {
+    let mut machine = Machine::new(MachineConfig {
+        engine,
+        ..MachineConfig::grid(6, 5)
+    });
+    let last = machine.core_count() as u16 - 1;
+    machine
+        .load_program(NodeId(0), &pipeline_source(1))
+        .expect("fits");
+    for node in 1..last {
+        machine
+            .load_program(NodeId(node), &pipeline_relay(node + 1))
+            .expect("fits");
+    }
+    let sink = asm(&format!(
+        "getr r0, chanend\nldc r3, {PIPELINE_ITEMS}\nldc r4, 0\n\
+         lp:\nin r1, r0\nchkct r0, end\nadd r4, r4, r1\nsub r3, r3, 1\nbt r3, lp\n\
+         print r4\nfreet"
+    ));
+    machine.load_program(NodeId(last), &sink).expect("fits");
+    machine
+}
+
+/// Public advances end with the parked cores caught up but still
+/// parked: after every 2 µs chunk of the 480-stage pipeline most stages
+/// are parked under the windowed engine (lock-step parks none), and the
+/// machine still matches lock-step exactly at every chunk boundary.
+#[test]
+fn pipeline_stages_stay_parked_across_run_for_chunks() {
+    let chunk = TimeDelta::from_us(2);
+    let mut oracle = pipeline_480(EngineMode::LockStep);
+    let mut machines: Vec<Machine> = [1, 2]
+        .map(|threads| pipeline_480(EngineMode::Windowed { threads }))
+        .into();
+    for _ in 0..4 {
+        oracle.run_for(chunk);
+        assert!(oracle.nodes().all(|n| !oracle.is_parked(n)));
+        let want = outcome(&oracle, false);
+        for machine in &mut machines {
+            machine.run_for(chunk);
+            let parked = machine.nodes().filter(|&n| machine.is_parked(n)).count();
+            assert!(
+                parked > machine.core_count() / 2,
+                "only {parked} of {} cores parked at {:?}",
+                machine.core_count(),
+                machine.now()
+            );
+            assert_eq!(outcome(machine, false), want);
+        }
+    }
+}
+
+/// A change to a parked core between advances: deliver a word straight
+/// into a waiter's chanend through `core_mut` (its `in` completes), slow
+/// it with `set_core_frequency`, or give it a new program. The waiter
+/// stayed parked across the advance before, and each change must leave
+/// every engine matching lock-step.
+#[test]
+fn changes_to_a_core_parked_across_an_advance_match_lock_step() {
+    const WAITER: NodeId = NodeId(WAITERS[0]);
+    type Change = fn(&mut Machine);
+    let changes: [(&str, Change); 3] = [
+        ("core_mut", |machine| {
+            for byte in [0, 0, 0, 42] {
+                machine
+                    .core_mut(WAITER)
+                    .deliver(0, Token::Data(byte))
+                    .expect("the waiter's chanend has room");
+            }
+        }),
+        ("set_core_frequency", |machine| {
+            machine.set_core_frequency(WAITER, Frequency::from_mhz(200));
+        }),
+        ("load_program", |machine| {
+            let spin = asm("ldc r1, 300\nlp:\nsub r1, r1, 1\nbt r1, lp\nfreet");
+            machine.load_program(WAITER, &spin).expect("fits");
+        }),
+    ];
+    for (name, change) in changes {
+        let build = |engine: EngineMode| {
+            let mut machine = chain_machine(MachineConfig {
+                engine,
+                ..MachineConfig::one_slice()
+            });
+            machine.run_for(TimeDelta::from_ns(2_000));
+            let parks = engine != EngineMode::LockStep;
+            assert_eq!(machine.is_parked(WAITER), parks, "{name} under {engine:?}");
+            change(&mut machine);
+            assert!(!machine.is_parked(WAITER), "{name} woke the waiter");
+            machine
+        };
+        let oracle = assert_engines_agree(&build);
+        assert_eq!(oracle.outputs[CHAIN[3] as usize], sink_output(), "{name}");
+        let (machine, _) = drive(&build, EngineMode::Windowed { threads: 1 });
+        let finished = machine.core(WAITER).live_threads() == 0;
+        assert_eq!(finished, name != "set_core_frequency", "{name}");
     }
 }

@@ -180,9 +180,14 @@ fn add_repeated(mut x: f64, a: f64, mut n: u64) -> f64 {
             let top = (xb & !(EXP_ONE - 1)) + EXP_ONE;
             if yb < top && (xb & 1 == 0 || !is_tie(x, a, y)) {
                 // Each further addition adds `step` ulps; stop before the
-                // one whose result would reach `top`.
+                // one whose result would reach `top`. When all `n` fit,
+                // `min(room / step, n)` is `n` without the divide.
                 let step = yb - xb;
-                let runs = ((top - 1 - yb) / step).min(n);
+                let room = top - 1 - yb;
+                let runs = match n.checked_mul(step) {
+                    Some(span) if span <= room => n,
+                    _ => (room / step).min(n),
+                };
                 n -= runs;
                 x = f64::from_bits(yb + runs * step);
                 continue;
@@ -287,13 +292,41 @@ mod tests {
         (x, a)
     }
 
+    /// When `add_repeated` batches from `x` (normal, `0 < a <= x`, the
+    /// first sum inside `x`'s binade and not a tie from an odd `x`): the
+    /// number of additions that stay inside the binade, and the ulps each
+    /// one adds.
+    fn binade_run(x: f64, a: f64) -> Option<(u64, u64)> {
+        if !(x.is_normal() && a > 0.0 && x >= a) {
+            return None;
+        }
+        let y = x + a;
+        let (xb, yb) = (x.to_bits(), y.to_bits());
+        let top = (xb & !((1 << 52) - 1)) + (1 << 52);
+        if yb == xb || yb >= top || (xb & 1 == 1 && is_tie(x, a, y)) {
+            return None;
+        }
+        let step = yb - xb;
+        Some((1 + (top - 1 - yb) / step, step))
+    }
+
+    /// Largest run the property loops over.
+    const MAX_RUN: u64 = 1_000_000;
+
     proptest! {
         /// `charge_repeated`'s closed form against the plain loop of
         /// `charge` calls, bit for bit, over every regime it handles:
         /// zero and subnormal totals, normal totals at every exponent,
         /// addends above the total and below half its ulp, non-positive
         /// addends, runs of up to a million charges, and the binade in
-        /// which every addition is an exact tie.
+        /// which every addition is an exact tie. `end` aims the run: 0
+        /// draws its length; 1–3 take a positive addend one to 17
+        /// binades below `x` and end the run one short of, exactly at and
+        /// one past the end of `x`'s binade (where the batched run fits
+        /// the room left, fills it, and misses it by one addition); 4
+        /// takes a million additions of an addend two to four binades
+        /// below an `x` near the bottom of its binade, so the run's span
+        /// in ulps overflows `u64`.
         #[test]
         fn repeated_charges_equal_the_charge_loop_bit_for_bit(
             shape in 0u8..5,
@@ -301,9 +334,24 @@ mod tests {
             mant in any::<u64>(),
             gap in -3i32..90,
             a_mant in any::<u64>(),
-            n in 0u64..=1_000_000,
+            n in 0u64..=MAX_RUN,
+            end in 0u8..5,
         ) {
-            let (x, a) = operands(shape, exp, mant, gap, a_mant);
+            let positive = a_mant | 1 << 63;
+            let (x, a) = match end {
+                0 => operands(shape, exp, mant, gap, a_mant),
+                1..=3 => operands(2, exp, mant, gap.rem_euclid(17) + 1, positive),
+                _ => operands(2, exp, (mant % (1 << 20)) & !1, gap.rem_euclid(3) + 2, positive),
+            };
+            let n = match (end, binade_run(x, a)) {
+                (1..=3, Some((k, _))) if k < MAX_RUN => k + u64::from(end) - 2,
+                (4, run) => {
+                    let (_, step) = run.expect("x + a stays in x's binade");
+                    prop_assert!(MAX_RUN.checked_mul(step).is_none(), "step {step}");
+                    MAX_RUN
+                }
+                _ => n,
+            };
             let mut looped = EnergyLedger::new();
             looped.charge(NodeCategory::Static, Energy::from_joules(x));
             looped.charge(NodeCategory::Network, Energy::from_joules(x * 0.75));

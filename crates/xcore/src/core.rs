@@ -275,9 +275,11 @@ pub struct Core {
     /// Threads blocked on a self-waking condition (timer, divider, or a
     /// timed event). Maintained incrementally so quiescence is O(1).
     sleepers: u32,
-    /// Chanends with a non-empty output buffer. Maintained incrementally
-    /// so the network-injection scan can be skipped when zero.
-    tx_pending_count: u32,
+    /// Mask of the chanends with a non-empty output buffer (bit `i` for
+    /// chanend `i`; there are [`CHANEND_COUNT`] = 32). Maintained at every
+    /// push and pop, so the injection pass walks its bits instead of
+    /// scanning the chanends, and the pending count is its popcount.
+    tx_pending: u32,
     /// Chanends whose input buffer gained space (a read, or a fresh
     /// allocation) since the fabric last asked ([`Core::take_drained`]).
     /// Derived, not snapshotted: a restored fabric wakes every parked
@@ -320,7 +322,7 @@ impl Core {
             rotation: Vec::new(),
             wheel: 0,
             sleepers: 0,
-            tx_pending_count: 0,
+            tx_pending: 0,
             drained: 0,
             resources: ResourceTable::new(
                 CHANEND_COUNT,
@@ -745,7 +747,7 @@ impl Core {
             }
             let at = self.next_tick_at();
             self.tick(at);
-            if self.tx_pending_count > 0 {
+            if self.tx_pending != 0 {
                 return true;
             }
         }
@@ -836,39 +838,42 @@ impl Core {
         Ok(())
     }
 
-    /// Channel ends with tokens waiting to be transmitted, as an
-    /// allocation-free iterator. Returns nothing (without scanning) when
-    /// the cached pending count is zero.
-    pub fn tx_pending(&self) -> impl Iterator<Item = u8> + '_ {
-        let any = self.tx_pending_count > 0;
-        (0..CHANEND_COUNT).filter(move |&i| {
-            any && self
-                .resources
-                .chanend(i)
-                .map(|ch| !ch.out_buf.is_empty())
-                .unwrap_or(false)
+    /// Channel ends with tokens waiting to be transmitted, ascending, as
+    /// an allocation-free walk over the pending mask's bits.
+    pub fn tx_pending(&self) -> impl Iterator<Item = u8> {
+        let mut mask = self.tx_pending;
+        std::iter::from_fn(move || {
+            let i = mask.trailing_zeros();
+            mask &= mask.wrapping_sub(1);
+            (i < 32).then_some(i as u8)
         })
+    }
+
+    /// The pending mask recomputed from the output buffers (the
+    /// definition the incremental mask must equal).
+    fn tx_pending_recount(&self) -> u32 {
+        (0..CHANEND_COUNT)
+            .filter(|&i| {
+                self.resources
+                    .chanend(i)
+                    .is_some_and(|ch| !ch.out_buf.is_empty())
+            })
+            .fold(0, |mask, i| mask | 1 << i)
     }
 
     /// True when any chanend has tokens waiting to be transmitted. O(1).
     pub fn has_tx_pending(&self) -> bool {
         debug_assert_eq!(
-            self.tx_pending_count as usize,
-            (0..CHANEND_COUNT)
-                .filter(|&i| self
-                    .resources
-                    .chanend(i)
-                    .map(|ch| !ch.out_buf.is_empty())
-                    .unwrap_or(false))
-                .count(),
-            "tx-pending counter out of sync"
+            self.tx_pending,
+            self.tx_pending_recount(),
+            "tx-pending mask out of sync"
         );
-        self.tx_pending_count > 0
+        self.tx_pending != 0
     }
 
     /// Number of chanends with tokens waiting to be transmitted. O(1).
     pub fn tx_pending_count(&self) -> usize {
-        self.tx_pending_count as usize
+        self.tx_pending.count_ones() as usize
     }
 
     /// The mask of chanends whose input buffer gained space since the
@@ -892,7 +897,7 @@ impl Core {
         let (token, dest) = ch.out_buf.pop_front()?;
         let space = ch.out_space();
         if ch.out_buf.is_empty() {
-            self.tx_pending_count -= 1;
+            self.tx_pending &= !(1 << chanend);
         }
         self.wake_senders(chanend, space);
         Some((dest, token))
@@ -1655,11 +1660,8 @@ impl Core {
                         need: 4,
                     });
                 }
-                let was_empty = ch.out_buf.is_empty();
                 ch.out_buf.extend(word_to_tokens(value).map(|t| (t, dest)));
-                if was_empty {
-                    self.tx_pending_count += 1;
-                }
+                self.tx_pending |= 1 << idx;
                 self.trace_send(idx, dest, 4, false);
                 Outcome::Advance(words)
             }
@@ -1679,10 +1681,8 @@ impl Core {
                         need: 1,
                     });
                 }
-                if ch.out_buf.is_empty() {
-                    self.tx_pending_count += 1;
-                }
                 ch.out_buf.push_back((Token::Data(value), dest));
+                self.tx_pending |= 1 << idx;
                 self.trace_send(idx, dest, 1, false);
                 Outcome::Advance(words)
             }
@@ -1701,10 +1701,8 @@ impl Core {
                         need: 1,
                     });
                 }
-                if ch.out_buf.is_empty() {
-                    self.tx_pending_count += 1;
-                }
                 ch.out_buf.push_back((Token::Ctrl(ct), dest));
+                self.tx_pending |= 1 << idx;
                 self.trace_send(idx, dest, 1, true);
                 Outcome::Advance(words)
             }
@@ -2070,7 +2068,7 @@ impl Core {
     /// Serializes the complete architectural state of this core into `w`.
     ///
     /// Derived state — the decode cache, the cached per-tick energy
-    /// constants, the sleeper and pending-transmit counters — is
+    /// constants, the sleeper counter and the pending-output mask — is
     /// deliberately omitted: [`Core::restore_state`] recomputes all of
     /// it, bit-identically, because each is a pure function of what *is*
     /// written.
@@ -2226,13 +2224,7 @@ impl Core {
             .iter()
             .filter(|t| Self::state_is_sleeper(&t.state))
             .count() as u32;
-        self.tx_pending_count = self
-            .resources
-            .chanends
-            .iter()
-            .flatten()
-            .filter(|ch| !ch.out_buf.is_empty())
-            .count() as u32;
+        self.tx_pending = self.tx_pending_recount();
         Ok(())
     }
 }
@@ -2248,5 +2240,71 @@ impl fmt::Debug for Core {
             .field("halted", &self.halted)
             .field("trap", &self.trap)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use swallow_isa::Assembler;
+
+    /// The pending mask must equal a recount of the output buffers after
+    /// every `out`, `outt` and `outct`, every `tx_pop` and every restore,
+    /// and `tx_pending`/`tx_pending_count` must read it.
+    #[test]
+    fn pending_mask_matches_a_recount_across_pushes_pops_and_restores() {
+        // Four chanends; only 1 (`out`, four tokens), 3 (`outt`) and 0
+        // (`outct`) send, towards chanend 0 of node 1.
+        let program = Assembler::new()
+            .assemble(
+                "getr r0, chanend\ngetr r1, chanend\ngetr r2, chanend\ngetr r3, chanend\n\
+                 ldc r4, 1\nshl r4, r4, 16\nadd r4, r4, 2\n\
+                 setd r0, r4\nsetd r1, r4\nsetd r3, r4\nldc r5, 7\n\
+                 out r1, r5\noutt r3, r5\noutct r0, end\nfreet",
+            )
+            .expect("assembles");
+        let mut core = Core::new(CoreConfig::swallow(NodeId(0)));
+        core.load_program(&program).expect("fits");
+        let check = |core: &Core, want: u32| {
+            assert_eq!(core.tx_pending, core.tx_pending_recount());
+            assert_eq!(core.tx_pending, want);
+            assert_eq!(core.tx_pending_count(), want.count_ones() as usize);
+            let walked = core.tx_pending().fold(0u32, |mask, ch| mask | 1 << ch);
+            assert_eq!(walked, want);
+        };
+        let mut seen = vec![0];
+        while !core.is_quiescent() {
+            core.tick(core.next_tick_at());
+            check(&core, core.tx_pending_recount());
+            if seen.last() != Some(&core.tx_pending) {
+                seen.push(core.tx_pending);
+            }
+        }
+        assert_eq!(seen, [0, 0b0010, 0b1010, 0b1011], "out, outt, outct");
+        let restored = |core: &Core| {
+            let mut w = ByteWriter::new();
+            core.encode_state(&mut w);
+            let bytes = w.finish();
+            let mut copy = Core::new(CoreConfig::swallow(NodeId(0)));
+            copy.restore_state(&mut ByteReader::new(&bytes))
+                .expect("restores");
+            copy
+        };
+        check(&restored(&core), 0b1011);
+        let pops: [(u8, u32); 6] = [
+            (3, 0b0011),
+            (1, 0b0011),
+            (1, 0b0011),
+            (1, 0b0011),
+            (1, 0b0001),
+            (0, 0),
+        ];
+        for (chanend, want) in pops {
+            assert!(core.tx_pop(chanend).is_some());
+            check(&core, want);
+            check(&restored(&core), want);
+        }
+        assert!(core.tx_pop(0).is_none());
+        check(&core, 0);
     }
 }

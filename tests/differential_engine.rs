@@ -27,6 +27,7 @@ use swallow_repro::swallow::{
     Assembler, EngineMode, FaultPlan, Frequency, NodeId, RouterKind, SwallowSystem, SystemBuilder,
     Time, TimeDelta,
 };
+use swallow_repro::swallow_workloads::serve::{self, ServeSpec};
 use swallow_repro::swallow_workloads::{client_server, farm, pipeline};
 use swallow_testkit::proptest::prelude::*;
 
@@ -571,6 +572,119 @@ proptest! {
         for threads in [1, 2] {
             let engine = EngineMode::Windowed { threads };
             assert_equivalent(&format!("{engine:?}"), &run(engine), &ls);
+        }
+    }
+}
+
+/// The grid period of the machines [`chunked_run`] builds (500 MHz).
+const CHUNK_PERIOD_PS: u64 = 2_000;
+
+/// Runs a fresh system from `build` under `engine`: one `run_for` per
+/// span, then to quiescence. Reply frames are drained from the bridge,
+/// if fitted, after every advance, as a host would.
+fn chunked_run(
+    build: &dyn Fn() -> SwallowSystem,
+    engine: EngineMode,
+    spans: &[TimeDelta],
+) -> (Fingerprint, Vec<Vec<u32>>) {
+    let mut system = build();
+    system.machine_mut().set_engine(engine);
+    let mut replies = Vec::new();
+    let mut drain = |system: &mut SwallowSystem| {
+        if let Some(bridge) = system.machine_mut().bridge_mut() {
+            while let Some(frame) = bridge.pop_frame() {
+                replies.push(frame.words);
+            }
+        }
+    };
+    for &span in spans {
+        system.run_for(span);
+        drain(&mut system);
+    }
+    let quiescent = system.run_until_quiescent(TimeDelta::from_ms(2));
+    drain(&mut system);
+    (Fingerprint::of(&system, quiescent), replies)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 6, // each case is fourteen whole-machine runs
+        .. ProptestConfig::default()
+    })]
+
+    /// A public advance ends with the parked cores caught up to `now` but
+    /// still parked, so where a run is cut into advances must not matter:
+    /// a pipeline, and a bridged serve machine with every request queued
+    /// at the bridge up front, run once as one `run_for` and once as
+    /// random grid-aligned chunks of the same total, then to quiescence,
+    /// must agree exactly — energy bits and bridge replies included —
+    /// under lock-step and windowed at one and two threads, and each
+    /// windowed run must match lock-step.
+    #[test]
+    fn chunked_advances_agree_with_one_advance(
+        periods in proptest::collection::vec(1u64..1_500, 1..16),
+        requests in 1u32..8,
+    ) {
+        let spans: Vec<TimeDelta> = periods
+            .iter()
+            .map(|&k| TimeDelta::from_ps(k * CHUNK_PERIOD_PS))
+            .collect();
+        let whole = [TimeDelta::from_ps(periods.iter().sum::<u64>() * CHUNK_PERIOD_PS)];
+        let piped = || {
+            let spec = pipeline::PipelineSpec {
+                stages: 8,
+                items: 6,
+                work_per_item: 2,
+            };
+            let mut system = SystemBuilder::new().frequency_mhz(500).build().expect("builds");
+            pipeline::generate(&spec, system.machine().spec())
+                .expect("generates")
+                .apply(&mut system)
+                .expect("loads");
+            system
+        };
+        let service = ServeSpec {
+            workers: 4,
+            max_requests: requests,
+            work: 3,
+        };
+        let served = || {
+            let mut system = SystemBuilder::new()
+                .frequency_mhz(500)
+                .bridge()
+                .build()
+                .expect("builds");
+            serve::generate(&service, system.machine().spec())
+                .expect("generates")
+                .apply(&mut system)
+                .expect("loads");
+            let bridge = system.machine_mut().bridge_mut().expect("a bridge is fitted");
+            for tag in 0..requests {
+                let queued = bridge.send_frame(serve::ingress_rid(), &[tag, tag + 3]);
+                assert!(queued, "the bridge queues request {tag}");
+            }
+            system
+        };
+        let scenarios: [(&str, &dyn Fn() -> SwallowSystem); 2] =
+            [("pipeline", &piped), ("serve", &served)];
+        for (name, build) in scenarios {
+            let (oracle, oracle_replies) = chunked_run(build, EngineMode::LockStep, &whole);
+            prop_assert!(oracle.quiescent, "{} drains", name);
+            if name == "serve" {
+                prop_assert_eq!(oracle_replies.len(), requests as usize);
+            }
+            for engine in [
+                EngineMode::LockStep,
+                EngineMode::Windowed { threads: 1 },
+                EngineMode::Windowed { threads: 2 },
+            ] {
+                let (one, one_replies) = chunked_run(build, engine, &whole);
+                let (chunked, chunked_replies) = chunked_run(build, engine, &spans);
+                prop_assert_eq!(&chunked, &one, "{} under {:?}: chunks changed the run", name, engine);
+                prop_assert_eq!(&chunked_replies, &one_replies, "{} under {:?}: replies", name, engine);
+                assert_equivalent(&format!("{name} under {engine:?}"), &one, &oracle);
+                prop_assert_eq!(&one_replies, &oracle_replies, "{} under {:?}: replies", name, engine);
+            }
         }
     }
 }
