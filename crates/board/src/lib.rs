@@ -12,8 +12,8 @@
 //!   ADC daughter-boards and the probe feedback loop (§II),
 //! * [`machine`] — [`Machine`]: everything assembled and clocked, under
 //!   the lock-step reference engine or the windowed engine,
-//! * [`shard`] — the chip-granular shard plan and host thread pool
-//!   behind the windowed engine,
+//! * `shard` — the chip-granular shard plan, host thread pool and
+//!   watermark negotiation behind the windowed engine (DESIGN.md §3.12),
 //! * [`metrics`] — [`MetricsHub`]: per-supply energy time series sampled
 //!   on the power-monitor cadence (the observability layer's numbers),
 //! * `resilience` — the scheduled-fault cursor and recovery bookkeeping
@@ -34,7 +34,7 @@ pub mod machine;
 pub mod metrics;
 pub mod power;
 mod resilience;
-pub mod shard;
+mod shard;
 mod snapshot;
 pub mod topology;
 
@@ -42,5 +42,4 @@ pub use ethernet::{BridgeFrame, BridgeStats, EthernetBridge};
 pub use machine::{EngineMode, Machine, MachineConfig, RouterKind};
 pub use metrics::{conservation_rel, MetricsHub, SupplyRow};
 pub use power::PowerMonitor;
-pub use shard::{EpochPool, NegotiationOutcome, NegotiationParams, ShardPlan};
 pub use topology::{GridSpec, TopologyOptions, CORES_PER_SLICE, MAX_SLICES};

@@ -11,14 +11,14 @@
 //!   subsystem visited every step — the reference semantics and the
 //!   single oracle every other configuration is tested against.
 //! * **Windowed** (default, one thread): cores are sharded
-//!   (chip-granular, see [`crate::shard`]) across a fixed pool of host
+//!   (chip-granular, see the `shard` module) across a fixed pool of host
 //!   threads, and each shard advances independently through a window
 //!   that ends at the next instant the machine must process serially
 //!   (power monitor, deadline, scheduled fault). Shards negotiate their
-//!   horizons pairwise from the routed shard-to-shard token latency
-//!   (DESIGN.md §3.12), so no core runs past an instant a token could
-//!   have reached it. A core that *emits* stops the window and a serial
-//!   reconciliation replays the affected grid instants exactly as
+//!   horizons from each other's progress plus the fastest link's token
+//!   time (DESIGN.md §3.12), so no core runs past an instant a token
+//!   could have reached it. A core that *emits* stops the window and a
+//!   serial reconciliation replays the affected grid instants exactly as
 //!   lock-step would. When a window cannot open — tokens in flight,
 //!   pending output, bridge backlog, fewer than two runnable cores — the
 //!   engine takes one serial fast-forward step instead: it jumps `now`
@@ -59,7 +59,7 @@ use crate::ethernet::EthernetBridge;
 use crate::metrics::MetricsHub;
 use crate::power::{PowerMonitor, DEFAULT_MONITOR_WINDOW};
 use crate::resilience::FaultEngine;
-use crate::shard::{EpochPool, ShardPlan};
+use crate::shard::{EpochPool, NegotiationParams, ShardPlan};
 use crate::topology::{build_topology, GridSpec, TopologyOptions};
 use std::fmt;
 use swallow_energy::{DvfsTable, EnergyLedger, NodeCategory};
@@ -92,11 +92,11 @@ pub enum EngineMode {
     LockStep,
     /// Negotiated-window execution: shard the cores chip-granularly
     /// across `threads` host threads and advance each shard through
-    /// windows bounded by the routed shard-to-shard token latency,
-    /// falling back to serial fast-forward steps whenever a window cannot
-    /// open. `threads == 0` means one thread per available host CPU; one
-    /// thread runs entirely on the calling thread. Deterministic and
-    /// equal to lock-step bit for bit, energy included.
+    /// windows bounded by the shards' progress plus the fastest link's
+    /// token time, falling back to serial fast-forward steps whenever a
+    /// window cannot open. `threads == 0` means one thread per available
+    /// host CPU; one thread runs entirely on the calling thread.
+    /// Deterministic and equal to lock-step bit for bit, energy included.
     Windowed {
         /// Host worker threads (0 = available parallelism).
         threads: usize,
@@ -415,20 +415,14 @@ impl CoreEndpoints for Endpoints {
     }
 }
 
-/// Lazily built state of the windowed engine: the shard plan, the worker
-/// pool and the negotiation's lookahead matrix.
+/// Lazily built state of the windowed engine: the worker pool and the
+/// negotiation's lookahead.
 struct ParState {
-    /// The thread count the plan was built for (to detect engine swaps).
+    /// The thread count the pool was built for (to detect engine swaps).
     threads: usize,
-    plan: ShardPlan,
     pool: EpochPool,
-    /// `shards × shards` minimum routed pair latency in ps (row-major by
-    /// source shard): the negotiation's lookahead matrix. Rebuilt lazily
-    /// whenever routes change (see `Machine::refresh_pair_latency`).
-    pair_latency_ps: Vec<u64>,
-    /// The matrix reflects a stale topology and must be recomputed
-    /// before the next negotiated window.
-    pair_latency_dirty: bool,
+    /// [`Machine::lookahead`], fixed for the machine's life.
+    lookahead: TimeDelta,
     /// Negotiated windows run and watermark rounds summed (observability).
     windows: u64,
     rounds: u64,
@@ -924,8 +918,7 @@ impl Machine {
 
     // --- windowed engine -----------------------------------------------------
 
-    /// Builds (or rebuilds, after a thread-count change) the shard plan
-    /// and worker pool.
+    /// Builds (or rebuilds, after a thread-count change) the worker pool.
     fn ensure_par(&mut self, threads: usize) {
         let rebuild = match &self.par {
             Some(st) => st.threads != threads,
@@ -934,34 +927,32 @@ impl Machine {
         if !rebuild {
             return;
         }
-        // Affinity-aware plan: shard boundaries land on the slow
-        // inter-slice cables, which is what keeps the negotiation's
-        // pair-latency matrix sparse (long horizons between shards).
+        // Slice-major shards keep talking cores together and split a
+        // per-slice placement evenly; the lookahead does not depend on
+        // the plan, and token times never change, so it is read once.
         let plan = ShardPlan::affinity(self.config.grid, threads);
-        let pool = EpochPool::new(&plan);
         self.par = Some(ParState {
             threads,
-            plan,
-            pool,
-            pair_latency_ps: Vec::new(),
-            pair_latency_dirty: true,
+            pool: EpochPool::new(&plan),
+            lookahead: self.lookahead(),
             windows: 0,
             rounds: 0,
         });
     }
 
-    /// Rebuilds the shard-pair lookahead matrix from the live fabric
-    /// ([`ShardPlan::latency_matrix_ps`]). Called lazily when routes
-    /// changed — a link-down between refreshes only *lengthens* true
-    /// latencies, so a stale matrix stays conservative, and every
-    /// `set_link_up` path funnels through `reroute_and_quarantine`, which
-    /// marks the matrix dirty before any shortened path can exist.
-    fn refresh_pair_latency(&mut self) {
-        let Some(st) = self.par.as_mut() else { return };
-        if st.pair_latency_dirty {
-            st.pair_latency_ps = st.plan.latency_matrix_ps(&self.fabric);
-            st.pair_latency_dirty = false;
-        }
+    /// The windowed engine's lookahead: the smallest token time over the
+    /// fabric's links, up or down. Every hop costs at least its link's
+    /// token time (`3·Ts + Tt` link-clock cycles, §V.C), so no token
+    /// lands on another core sooner than this after it is sent, whatever
+    /// route it takes. Token times never change and a link going down
+    /// only lengthens paths, so the bound holds across every fault and
+    /// reroute. Unbounded on a machine without links.
+    pub fn lookahead(&self) -> TimeDelta {
+        self.fabric
+            .link_stats()
+            .map(|l| l.token_time)
+            .min()
+            .unwrap_or(TimeDelta::from_ps(u64::MAX))
     }
 
     /// Negotiation observability: `(windows, rounds)` — pairwise windows
@@ -1035,22 +1026,16 @@ impl Machine {
         // Parked cores stay parked and behind: they are quiescent, so the
         // shards leave them out of the window (shard module docs, "Live
         // cores"), and a delivery in the replay catches one up.
-        self.refresh_pair_latency();
-        let outcome = {
-            let st = self.par.as_mut().expect("parallel state initialised");
-            st.windows += 1;
-            let params = crate::shard::NegotiationParams {
-                serial_bound,
-                anchor: self.now,
-                period: self.base_period,
-                pair_latency_ps: &st.pair_latency_ps,
-            };
-            st.pool.run_negotiated(&mut self.eps.cores, &params)
+        let st = self.par.as_mut().expect("parallel state initialised");
+        let params = NegotiationParams {
+            serial_bound,
+            anchor: self.now,
+            period: self.base_period,
+            lookahead: st.lookahead,
         };
-        {
-            let st = self.par.as_mut().expect("parallel state initialised");
-            st.rounds += outcome.rounds;
-        }
+        let outcome = st.pool.run_negotiated(&mut self.eps.cores, &params);
+        st.windows += 1;
+        st.rounds += outcome.rounds;
         let mut target = outcome.target;
         if outcome.drained && !outcome.emitted {
             // The machine went quiescent *inside* the window: every core
@@ -1381,12 +1366,6 @@ impl Machine {
         self.faults.counters.reroutes += 1;
         self.tracer
             .emit(self.now, TraceEvent::RouteRecompute { dead_links: dead });
-        // The negotiation's lookahead matrix mirrors the routed topology;
-        // recompute it before the next window (lazily — fault storms may
-        // reroute many times between windows).
-        if let Some(st) = self.par.as_mut() {
-            st.pair_latency_dirty = true;
-        }
         let keep = crate::resilience::largest_mutual_component(n, &alive);
         for (i, core) in self.eps.cores.iter_mut().enumerate() {
             if !keep.get(i).copied().unwrap_or(false) && !core.is_halted() {

@@ -11,8 +11,8 @@
 //!   [`ShardPlan::affinity`] constructor additionally deals packages in
 //!   *slice-major* order, so each shard's packages sit inside as few
 //!   slices as possible and shard boundaries land on the slow
-//!   inter-slice FFC cables — which is what makes the pairwise lookahead
-//!   matrix sparse and the negotiated horizons long.
+//!   inter-slice FFC cables, so cores that talk to each other share a
+//!   shard and the shards carry even shares of a slice-local workload.
 //! * [`EpochPool`] — a persistent pool of worker threads. Spawning
 //!   threads per window would cost more than a short window simulates,
 //!   so workers park on a condvar between jobs.
@@ -22,11 +22,12 @@
 //!   serial window (typically the 1 µs power-monitor cadence), and the
 //!   shards advance through it in lock-free *rounds*: each round a shard
 //!   reads the watermarks its peers published for the previous round,
-//!   computes its private horizon `min over peers p of (W_p + L(p, s))`
-//!   from the routed pair-latency matrix `L`, runs its own cores to that
-//!   horizon, and publishes its new watermark. Workers stay hot (spin,
-//!   then yield) and only park once per window; the condvar is paid once
-//!   per window instead of once per round.
+//!   computes its private horizon `min over peers p of (W_p + L)` from
+//!   the machine's one lookahead `L` (the fastest link's token time),
+//!   runs its own cores to that horizon, and publishes its new
+//!   watermark. Workers stay hot (spin, then yield) and only park once
+//!   per window; the condvar is paid once per window instead of once per
+//!   round.
 //!
 //! # Why the protocol is deterministic
 //!
@@ -40,10 +41,10 @@
 //! Emission stops propagate through the same slots: a shard that stops
 //! (own emission, or a peer's stop flag) publishes its stop flag into the
 //! next round slot, so every waiter observes it at a deterministic round
-//! boundary. A peer whose horizon contribution `W_p + L(p, s)` has moved
+//! boundary. A peer whose horizon contribution `W_p + L` has moved
 //! past the window bound can never constrain this shard again (watermarks
 //! are monotone), so it is *cleared* and neither read nor waited on — an
-//! off-board peer four token-times away clears after a handful of rounds.
+//! idle peer clears in the first round.
 //!
 //! # Live cores
 //!
@@ -66,11 +67,14 @@
 //!
 //! A token emitted by shard `p` during round `k` is emitted no earlier
 //! than `W_p(k-1)` (the watermark is a lower bound on the shard's next
-//! action) and lands in shard `s` no earlier than `W_p(k-1) + L(p, s)`
-//! (every routed path costs at least the pair latency). Shard `s` ran
-//! round `k` only to `H_s(k) ≤ W_p(k-1) + L(p, s)`, so no core ever runs
-//! past an instant at which a token could have reached it. Cleared peers
-//! satisfy the same bound with the window end in place of `H_s`.
+//! action) and lands on another core no earlier than `W_p(k-1) + L`:
+//! every hop costs at least its link's token time (`3·Ts + Tt` link-clock
+//! cycles, §V.C), and `L` is the smallest over all links. Shard `s` ran
+//! round `k` only to `H_s(k) ≤ W_p(k-1) + L`, so no core ever runs past
+//! an instant at which a token could have reached it. Cleared peers
+//! satisfy the same bound with the window end in place of `H_s`. Token
+//! times never change and a link going down only lengthens paths, so `L`
+//! holds across every fault and reroute.
 //!
 //! # Observability under sharding
 //!
@@ -90,14 +94,12 @@
 //! done. Workers index the array only through their own shard's disjoint
 //! node runs, so no two threads ever touch the same `Core`, and the
 //! control thread touches only shard 0's runs while workers are running.
-//! The negotiation additionally shares the pair-latency matrix read-only
-//! for the duration of one job. This is the entire unsafe surface of the
-//! crate and it is contained in this module.
+//! This is the entire unsafe surface of the crate and it is contained in
+//! this module.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use swallow_noc::Fabric;
 use swallow_sim::{Time, TimeDelta};
 use swallow_xcore::Core;
 
@@ -129,6 +131,7 @@ impl ShardPlan {
     /// packages in raw index order — each shard is one contiguous range.
     /// The effective shard count is capped at the package count; passing
     /// `threads == 0` asks for one shard per available host CPU.
+    #[cfg(test)]
     pub fn new(cores: usize, threads: usize) -> Self {
         let chips = cores.div_ceil(CORES_PER_CHIP).max(1);
         let order: Vec<usize> = (0..chips).collect();
@@ -139,9 +142,12 @@ impl ShardPlan {
     /// affinity: packages are dealt in slice-major order (see
     /// [`GridSpec::packages_slice_major`]), so each shard's packages sit
     /// inside as few slices as possible and the cross-shard boundaries
-    /// coincide with the slow inter-slice FFC cables. On a single slice
-    /// this degenerates to [`ShardPlan::new`]. The plan is a
-    /// deterministic function of `(spec, threads)`.
+    /// coincide with the slow inter-slice FFC cables: cores that talk to
+    /// each other share a shard, and a per-slice placement (such as
+    /// `compute-480`'s busy half of every slice) splits evenly across
+    /// shards. Horizons do not depend on the plan. On a single slice
+    /// this degenerates to dealing packages in index order. The plan is
+    /// a deterministic function of `(spec, threads)`.
     pub fn affinity(spec: GridSpec, threads: usize) -> Self {
         let order = spec.packages_slice_major();
         Self::from_chip_order(&order, spec.core_count(), threads)
@@ -200,43 +206,6 @@ impl ShardPlan {
     pub fn len(&self, shard: usize) -> usize {
         self.runs[shard].iter().map(|&(lo, hi)| hi - lo).sum()
     }
-
-    /// The cores of one shard, ascending.
-    fn nodes(&self, shard: usize) -> impl Iterator<Item = usize> + '_ {
-        self.runs[shard].iter().flat_map(|&(lo, hi)| lo..hi)
-    }
-
-    /// The negotiation's lookahead matrix over `fabric`'s live links,
-    /// `shards × shards`, row-major by source shard: `L[p][s]` is the
-    /// minimum routed latency in ps from any core of shard `p` to any
-    /// *distinct* core of shard `s`, and `u64::MAX` when no live path
-    /// joins them, which clears the pair from negotiation.
-    ///
-    /// One multi-source search from shard `p`'s cores fills row `p`
-    /// ([`Fabric::nearest_sources_ps`]). For a core `j` the first label
-    /// whose source is not `j` is its distance from the nearest other
-    /// core of `p`: off the diagonal that is the nearest label, and on
-    /// it `j`'s own 0 ps label comes first and the second is taken. So
-    /// every entry is the exact minimum over core pairs, at
-    /// `O(shards · links · log links)`.
-    pub fn latency_matrix_ps(&self, fabric: &Fabric) -> Vec<u64> {
-        let shards = self.shard_count();
-        let mut matrix = vec![u64::MAX; shards * shards];
-        for (p, row) in matrix.chunks_exact_mut(shards).enumerate() {
-            let labels = fabric.nearest_sources_ps(self.nodes(p));
-            for (s, entry) in row.iter_mut().enumerate() {
-                *entry = self
-                    .nodes(s)
-                    .map(|j| match labels[j] {
-                        [(_, src), (other, _)] if src as usize == j => other,
-                        [(nearest, _), _] => nearest,
-                    })
-                    .min()
-                    .unwrap_or(u64::MAX);
-            }
-        }
-        matrix
-    }
 }
 
 /// A raw pointer to the core array, made `Send` so a job can cross into
@@ -245,12 +214,6 @@ impl ShardPlan {
 #[derive(Clone, Copy)]
 struct CoresPtr(*mut Core);
 unsafe impl Send for CoresPtr {}
-
-/// A read-only view of the shard-pair latency matrix for one job (kept
-/// alive by the control thread, which blocks until the job completes).
-#[derive(Clone, Copy)]
-struct LatencyPtr(*const u64);
-unsafe impl Send for LatencyPtr {}
 
 /// Inputs of one negotiated window, shared with every shard runner.
 #[derive(Clone, Copy)]
@@ -262,19 +225,8 @@ struct NegJob {
     anchor_ps: u64,
     /// Base clock period (grid pitch).
     period_ps: u64,
-    /// `shards × shards` matrix of minimum routed pair latencies, ps.
-    latency: LatencyPtr,
-    shards: usize,
-}
-
-impl NegJob {
-    /// Minimum routed latency from any core of shard `p` to any
-    /// *distinct* core of shard `s`, in ps (`u64::MAX` when unreachable).
-    fn latency_of(&self, p: usize, s: usize) -> u64 {
-        debug_assert!(p < self.shards && s < self.shards);
-        // SAFETY: the matrix outlives the job (module-level protocol).
-        unsafe { *self.latency.0.add(p * self.shards + s) }
-    }
+    /// Earliest a token can land on another core after its emission, ps.
+    lookahead_ps: u64,
 }
 
 /// One pairwise-negotiated window (see module docs) over the core array.
@@ -424,16 +376,34 @@ pub struct NegotiationOutcome {
 }
 
 /// Parameters of one negotiated window (control-thread side).
-pub struct NegotiationParams<'a> {
+pub struct NegotiationParams {
     /// Grid-aligned end of the window; shards never run past it.
     pub serial_bound: Time,
     /// Machine `now`: the base-clock grid anchor.
     pub anchor: Time,
     /// Base clock period.
     pub period: TimeDelta,
-    /// `shards × shards` minimum routed pair latencies in ps, row-major
-    /// by source shard ([`ShardPlan::latency_matrix_ps`]).
-    pub pair_latency_ps: &'a [u64],
+    /// The earliest a token can land on another core after it is sent:
+    /// the smallest token time over the fabric's links.
+    pub lookahead: TimeDelta,
+}
+
+/// One shard's per-window buffers, sized once and reused so a window
+/// allocates nothing.
+struct ShardScratch {
+    /// The shard's live cores of the current window.
+    live: Vec<usize>,
+    /// Per shard: cleared from the current window's negotiation.
+    cleared: Vec<bool>,
+}
+
+impl ShardScratch {
+    fn new(cores: usize, shards: usize) -> Self {
+        ShardScratch {
+            live: Vec::with_capacity(cores),
+            cleared: vec![false; shards],
+        }
+    }
 }
 
 /// A persistent pool of window workers. Shard 0 always runs inline on the
@@ -446,9 +416,8 @@ pub struct EpochPool {
     shards: usize,
     /// Shard 0's runs, run inline.
     inline_runs: Vec<(usize, usize)>,
-    /// Shard 0's live cores of the current window (each worker keeps its
-    /// own): refilled per window, never reallocated once full size.
-    inline_live: Vec<usize>,
+    /// Shard 0's buffers (each worker keeps its own).
+    inline_scratch: ShardScratch,
 }
 
 impl EpochPool {
@@ -466,22 +435,24 @@ impl EpochPool {
             done: Condvar::new(),
             board: Board::new(plan.shard_count()),
         });
-        let handles = (1..plan.shard_count())
+        let shards = plan.shard_count();
+        let handles = (1..shards)
             .map(|s| {
                 let shared = Arc::clone(&shared);
                 let runs = plan.runs(s).to_vec();
+                let scratch = ShardScratch::new(plan.len(s), shards);
                 std::thread::Builder::new()
                     .name(format!("swallow-shard-{s}"))
-                    .spawn(move || worker(&shared, s, &runs))
+                    .spawn(move || worker(&shared, s, &runs, scratch))
                     .expect("spawn window worker")
             })
             .collect();
         EpochPool {
             shared,
             handles,
-            shards: plan.shard_count(),
+            shards,
             inline_runs: plan.runs(0).to_vec(),
-            inline_live: Vec::with_capacity(plan.len(0)),
+            inline_scratch: ShardScratch::new(plan.len(0), shards),
         }
     }
 
@@ -536,23 +507,16 @@ impl EpochPool {
     /// # Panics
     ///
     /// Re-raises a worker panic on the calling thread, naming the shard.
-    /// Panics if the latency matrix does not match the shard count.
     pub fn run_negotiated(
         &mut self,
         cores: &mut [Core],
-        params: &NegotiationParams<'_>,
+        params: &NegotiationParams,
     ) -> NegotiationOutcome {
-        assert_eq!(
-            params.pair_latency_ps.len(),
-            self.shards * self.shards,
-            "pair-latency matrix must be shards x shards"
-        );
         let job = NegJob {
             serial_bound_ps: params.serial_bound.as_ps(),
             anchor_ps: params.anchor.as_ps(),
             period_ps: params.period.as_ps(),
-            latency: LatencyPtr(params.pair_latency_ps.as_ptr()),
-            shards: self.shards,
+            lookahead_ps: params.lookahead.as_ps(),
         };
         self.dispatch(cores, job);
         // SAFETY: shard 0's runs are disjoint from every worker's.
@@ -563,7 +527,7 @@ impl EpochPool {
                 cores.len(),
                 0,
                 &self.inline_runs,
-                &mut self.inline_live,
+                &mut self.inline_scratch,
                 &self.shared.board,
             );
         }
@@ -614,10 +578,10 @@ fn align_down_ps(x: u64, anchor: u64, period: u64) -> u64 {
 }
 
 /// One shard's side of the negotiation protocol (module docs): collects
-/// the shard's live cores into `live`, publishes the round-0 watermark,
-/// then loops rounds of read-peers → compute horizon → run live cores →
-/// publish, until the window bound, an emission (own or a peer's), or
-/// round exhaustion.
+/// the shard's live cores into `scratch.live`, publishes the round-0
+/// watermark, then loops rounds of read-peers → compute horizon → run
+/// live cores → publish, until the window bound, an emission (own or a
+/// peer's), or round exhaustion.
 ///
 /// # Safety
 ///
@@ -630,9 +594,10 @@ unsafe fn negotiate_shard(
     len: usize,
     shard: usize,
     runs: &[(usize, usize)],
-    live: &mut Vec<usize>,
+    scratch: &mut ShardScratch,
     board: &Board,
 ) {
+    let ShardScratch { live, cleared } = scratch;
     // Only the cores that are not quiescent now can do anything in this
     // window (module docs, "Live cores"); every round visits just them.
     live.clear();
@@ -654,7 +619,7 @@ unsafe fn negotiate_shard(
     let sb = job.serial_bound_ps;
     let mut last_w = watermark();
     board.publish(shard, 0, last_w, false);
-    let mut cleared = vec![false; job.shards];
+    cleared.fill(false);
     let mut last_h = job.anchor_ps;
     let mut emitted = false;
     let mut max_round = 0usize;
@@ -677,7 +642,7 @@ unsafe fn negotiate_shard(
                 peer_stopped = true;
                 break;
             }
-            let arrival = w.saturating_add(job.latency_of(p, shard));
+            let arrival = w.saturating_add(job.lookahead_ps);
             if arrival >= sb {
                 // Monotone watermarks: once a peer cannot reach us
                 // inside the window it never can again — stop reading
@@ -715,9 +680,8 @@ unsafe fn negotiate_shard(
     board.set_result(shard, last_h, last_w, emitted, max_round);
 }
 
-fn worker(shared: &Shared, shard: usize, runs: &[(usize, usize)]) {
+fn worker(shared: &Shared, shard: usize, runs: &[(usize, usize)], mut scratch: ShardScratch) {
     let mut seen = 0u64;
-    let mut live = Vec::with_capacity(runs.iter().map(|&(lo, hi)| hi - lo).sum());
     loop {
         let job = {
             let mut g = shared.ctrl.lock().expect("pool lock");
@@ -741,7 +705,7 @@ fn worker(shared: &Shared, shard: usize, runs: &[(usize, usize)]) {
                 job.len,
                 shard,
                 runs,
-                &mut live,
+                &mut scratch,
                 &shared.board,
             );
         }));
@@ -847,22 +811,20 @@ mod tests {
         }
     }
 
-    /// Runs one window from time zero to `bound` with every shard pair
-    /// (and every shard to itself) `latency` apart.
+    /// Runs one window from time zero to `bound` with a `lookahead`.
     fn window(
         pool: &mut EpochPool,
         cores: &mut [Core],
         bound: Time,
-        latency: TimeDelta,
+        lookahead: TimeDelta,
     ) -> NegotiationOutcome {
-        let matrix = vec![latency.as_ps(); pool.shards * pool.shards];
         pool.run_negotiated(
             cores,
             &NegotiationParams {
                 serial_bound: bound,
                 anchor: Time::ZERO,
                 period: TimeDelta::from_ps(2000),
-                pair_latency_ps: &matrix,
+                lookahead,
             },
         )
     }

@@ -1,22 +1,22 @@
 //! The windowed engine's lookahead against a brute-force oracle.
 //!
-//! [`ShardPlan::latency_matrix_ps`] derives the shard-pair latency matrix
-//! from one multi-source search per shard, keeping each node's two
-//! nearest distinct sources. The oracle here is the straightforward
-//! all-pairs computation it replaces: one Dijkstra from every node over
-//! the live links, then the minimum over every pair of distinct cores of
-//! the two shards. On random small grids — one to four slices, one to
-//! four aggregated link pairs per package, with or without the bridge,
-//! with up to nine in ten links unplugged at random, partitions included
-//! — every entry must be the same integer under [`ShardPlan::affinity`]
-//! at one to eight threads, eight threads on one slice giving one
-//! package per shard.
+//! [`Machine::lookahead`] is one constant, the smallest token time over
+//! the fabric's links, and the negotiation adds it to every shard's
+//! watermark. It is safe only if no token can reach another core sooner.
+//! The oracle here is the routed latency itself: one Dijkstra from every
+//! node over the live links. On random small machines — one to four
+//! slices, one to four aggregated link pairs per package, with or
+//! without the bridge, with up to nine in ten links unplugged at random
+//! by the fault engine mid-run, partitions included — the lookahead must
+//! be at most the latency of every pair of distinct cores a live path
+//! joins, and must stay the on-chip token time through every reroute.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use swallow_board::topology::{build_topology, TopologyOptions};
-use swallow_board::{GridSpec, ShardPlan};
-use swallow_noc::{Fabric, LinkId, TableRouter};
+use swallow_board::{GridSpec, Machine, MachineConfig};
+use swallow_faults::FaultPlan;
+use swallow_noc::{Direction, Fabric, LinkId};
+use swallow_sim::{Time, TimeDelta};
 use swallow_testkit::proptest::prelude::*;
 
 /// All-pairs minimum routed token latency over the live links: entry
@@ -54,35 +54,23 @@ fn all_pairs_ps(fabric: &Fabric) -> Vec<u64> {
     dist
 }
 
-/// The shard-pair matrix reduced from [`all_pairs_ps`] pair by pair.
-fn brute_force_matrix(plan: &ShardPlan, fabric: &Fabric) -> Vec<u64> {
-    let n = fabric.node_count();
-    let dist = all_pairs_ps(fabric);
-    let nodes =
-        |s: usize| -> Vec<usize> { plan.runs(s).iter().flat_map(|&(lo, hi)| lo..hi).collect() };
-    let shards = plan.shard_count();
-    let mut matrix = vec![u64::MAX; shards * shards];
-    for p in 0..shards {
-        for s in 0..shards {
-            for &i in &nodes(p) {
-                for &j in &nodes(s) {
-                    if i != j {
-                        let entry = &mut matrix[p * shards + s];
-                        *entry = (*entry).min(dist[i * n + j]);
-                    }
-                }
-            }
-        }
-    }
-    matrix
+/// The token time of a package's internal link: 3·Ts + Tt = 8 cycles of
+/// the 250 MHz on-chip link clock (§V.C), the fastest wire in the machine.
+fn on_chip_token_time(fabric: &Fabric) -> TimeDelta {
+    fabric
+        .link_stats()
+        .find(|l| l.dir == Direction::Internal)
+        .expect("an on-chip link")
+        .token_time
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    /// The per-shard matrix equals the all-pairs oracle, entry for entry.
+    /// The constant lookahead never exceeds a routed latency between two
+    /// distinct cores, before or after the fault engine unplugs links.
     #[test]
-    fn shard_lookahead_matches_the_all_pairs_oracle(
+    fn lookahead_bounds_every_routed_core_pair(
         slices_x in 1u16..3,
         slices_y in 1u16..3,
         pairs in 1usize..5,
@@ -90,59 +78,67 @@ proptest! {
         down_per_mille in 0u64..900,
         seed in any::<u64>(),
     ) {
-        let spec = GridSpec { slices_x, slices_y };
-        let topo = build_topology(
-            spec,
-            &TopologyOptions {
-                bridge,
-                internal_link_pairs: pairs,
-                ..TopologyOptions::default()
-            },
-        );
-        let nodes = topo.builder.node_count();
-        let router = TableRouter::shortest_paths(nodes, topo.builder.link_descs());
-        let mut fabric = topo.builder.build(router);
+        let config = MachineConfig {
+            grid: GridSpec { slices_x, slices_y },
+            bridge,
+            internal_link_pairs: pairs,
+            ..MachineConfig::one_slice()
+        };
+        let links = Machine::new(config.clone()).fabric().link_count();
+        let at = Time::ZERO + TimeDelta::from_us(1);
         let mut rng = TestRng::seed_from(seed);
-        let mut downed = 0;
-        for lid in 0..fabric.link_count() {
+        let mut faults = FaultPlan::new();
+        for lid in 0..links {
             if rng.below(1000) < down_per_mille {
-                fabric.set_link_down(LinkId::from_raw(lid as u32));
-                downed += 1;
+                faults = faults.link_down(at, LinkId::from_raw(lid as u32));
             }
         }
-        for threads in 1..=8 {
-            let plan = ShardPlan::affinity(spec, threads);
-            prop_assert_eq!(
-                plan.latency_matrix_ps(&fabric),
-                brute_force_matrix(&plan, &fabric),
-                "{}x{} grid, {} pairs, bridge {}, {} links down, {} threads",
-                slices_x, slices_y, pairs, bridge, downed, threads
-            );
+        let downed = faults.len();
+        let mut machine = Machine::new(MachineConfig { faults, ..config });
+        let before = machine.lookahead();
+        machine.run_for(TimeDelta::from_us(2));
+        let fabric = machine.fabric();
+        prop_assert_eq!(fabric.link_stats().filter(|l| l.down).count(), downed);
+        let lookahead = machine.lookahead();
+        prop_assert_eq!(lookahead, before);
+        prop_assert_eq!(lookahead, on_chip_token_time(fabric));
+        prop_assert_eq!(lookahead, TimeDelta::from_ns(32));
+        let n = fabric.node_count();
+        let dist = all_pairs_ps(fabric);
+        for i in 0..machine.core_count() {
+            for j in (0..machine.core_count()).filter(|&j| j != i) {
+                let d = dist[i * n + j];
+                prop_assert!(
+                    d == u64::MAX || lookahead.as_ps() <= d,
+                    "{}x{} grid, {} pairs, bridge {}, {} links down: {} -> {} in {} ps",
+                    slices_x, slices_y, pairs, bridge, downed, i, j, d
+                );
+            }
         }
     }
 }
 
-/// Eight threads on one slice put each package in a shard of its own: the
-/// diagonal is the package's internal link, the two cores' only pair.
+/// A package's two cores are one internal hop apart, so the bound is
+/// tight: on a fault-free slice some core pair is exactly the lookahead
+/// apart.
 #[test]
-fn single_package_shards_see_their_internal_link() {
-    let spec = GridSpec::ONE_SLICE;
-    let topo = build_topology(spec, &TopologyOptions::default());
-    let nodes = topo.builder.node_count();
-    let router = TableRouter::shortest_paths(nodes, topo.builder.link_descs());
-    let fabric = topo.builder.build(router);
-    let plan = ShardPlan::affinity(spec, 8);
-    assert_eq!(plan.shard_count(), 8);
-    let matrix = plan.latency_matrix_ps(&fabric);
-    let on_chip = fabric
-        .link_stats()
-        .find(|l| l.dir == swallow_noc::Direction::Internal)
-        .expect("an on-chip link")
-        .token_time
-        .as_ps();
-    for p in 0..8 {
-        assert_eq!(plan.len(p), 2);
-        assert_eq!(matrix[p * 8 + p], on_chip, "shard {p}");
-    }
-    assert_eq!(matrix, brute_force_matrix(&plan, &fabric));
+fn the_internal_hop_meets_the_lookahead() {
+    let machine = Machine::new(MachineConfig::one_slice());
+    let fabric = machine.fabric();
+    let n = fabric.node_count();
+    let dist = all_pairs_ps(fabric);
+    let nearest = (0..machine.core_count())
+        .flat_map(|i| {
+            (0..machine.core_count())
+                .filter(move |&j| j != i)
+                .map(move |j| (i, j))
+        })
+        .map(|(i, j)| dist[i * n + j])
+        .min();
+    assert_eq!(nearest, Some(machine.lookahead().as_ps()));
+    assert_eq!(
+        dist[1],
+        machine.lookahead().as_ps(),
+        "cores 0 and 1 share a package"
+    );
 }

@@ -860,10 +860,11 @@ fn sparse_with(engine: EngineMode, faults: FaultPlan) -> Machine {
 }
 
 /// The sparse grid with an inter-slice cable and an on-chip link
-/// hot-unplugged at 4.5 µs, inside a monitor window: the reroute marks
-/// the lookahead stale, and the windows after it negotiate on the
-/// refreshed matrix. No traffic crosses either link, so the ledger
-/// total is the sparse row's; the fault only splits one window.
+/// hot-unplugged at 4.5 µs, inside a monitor window. The reroute leaves
+/// the lookahead as it was (token times never change), so the windows
+/// after it negotiate exactly as before. No traffic crosses either link,
+/// so the ledger total is the sparse row's; the fault only splits one
+/// window.
 fn rerouted_sparse_machine(engine: EngineMode) -> Machine {
     let probe = Machine::new(MachineConfig::grid(2, 1));
     let spec = probe.spec();
@@ -897,7 +898,8 @@ fn rerouted_sparse_machine(engine: EngineMode) -> Machine {
 /// waking parked cores when a window opens, and skipping cores with
 /// nothing to do inside it, must leave which windows open and how many
 /// watermark rounds each shard runs unchanged. The rerouted row pins them
-/// across a lookahead refresh forced by a reroute mid-run.
+/// across a reroute mid-run, which splits one window and changes no
+/// horizon: its two-thread rounds equal the sparse row's.
 #[test]
 fn ledger_totals_are_pinned_bit_for_bit() {
     type Build = Box<dyn Fn(EngineMode) -> Machine>;
@@ -952,13 +954,13 @@ fn ledger_totals_are_pinned_bit_for_bit() {
             "sparse",
             Box::new(sparse_machine),
             0x3f14f49d84c62bc3,
-            Some([(0, 0), (15, 434), (15, 826)]),
+            Some([(0, 0), (15, 434), (15, 868)]),
         ),
         (
             "rerouted",
             Box::new(rerouted_sparse_machine),
             0x3f14f49d84c62bc3,
-            Some([(0, 0), (16, 434), (16, 823)]),
+            Some([(0, 0), (16, 434), (16, 868)]),
         ),
     ];
     let engines = [

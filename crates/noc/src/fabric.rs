@@ -435,9 +435,6 @@ impl FabricBuilder {
     }
 }
 
-/// A [`Fabric::nearest_sources_ps`] label that no source reached.
-pub const NO_SOURCE: (u64, u32) = (u64::MAX, u32::MAX);
-
 /// The live network.
 pub struct Fabric {
     nodes: usize,
@@ -792,66 +789,6 @@ impl Fabric {
                 .tx_parked
                 .get(node.raw() as usize)
                 .is_some_and(|&mask| mask.count_ones() as usize == pending)
-    }
-
-    /// The two nearest distinct sources of every switch, by minimum
-    /// routed token latency in picoseconds: entry `v` holds `(ps, source)`
-    /// for the node of `sources` with the smallest sum of per-hop token
-    /// times over any path of *live* (not-down) links to `v`, then for the
-    /// nearest *other* source, and [`NO_SOURCE`] where fewer sources reach
-    /// `v`. A source is its own nearest, at 0 ps. A token leaving a source
-    /// cannot land at `v` earlier than that sum after its emission,
-    /// whatever route the router picks, because every hop costs at least
-    /// its link's token time (`3·Ts + Tt` link-clock cycles, §V.C) and
-    /// forwarding only adds delay — the windowed engine's lookahead, taken
-    /// per shard (DESIGN.md §3.12). Off-board FFC hops (4× the on-chip
-    /// token time, Table I) therefore give distant groups far longer
-    /// conservative horizons than near ones.
-    ///
-    /// The answer is a property of the live topology only — it must be
-    /// recomputed whenever a link goes down or comes back up (fault
-    /// injection, retry escalation, recovery), alongside the route
-    /// recompute the board layer already performs. A *stale-down* answer
-    /// (computed before a link died) is still conservative — removing a
-    /// link can only lengthen real latencies — but a stale-up one is not.
-    ///
-    /// Cost: one multi-source Dijkstra in which each node settles at most
-    /// two labels and each settled label relaxes the node's live links
-    /// once, so `O(links · log links)`; intended for topology-change
-    /// cadence, not per-window use. Out-of-range sources are ignored.
-    pub fn nearest_sources_ps(
-        &self,
-        sources: impl IntoIterator<Item = usize>,
-    ) -> Vec<[(u64, u32); 2]> {
-        let mut labels = vec![[NO_SOURCE; 2]; self.nodes];
-        let mut settled = vec![0u8; self.nodes];
-        let mut heap = BinaryHeap::new();
-        for src in sources.into_iter().filter(|&s| s < self.nodes) {
-            heap.push(Reverse((0u64, src as u32, src as u32)));
-        }
-        // Labels leave the heap in nondecreasing latency. A node keeps the
-        // first two with distinct sources; only those relax its links,
-        // which is enough: a third source reaching a node through `v` is
-        // beaten there by both of `v`'s, at least one of them distinct
-        // from that node's nearest.
-        while let Some(Reverse((d, v, src))) = heap.pop() {
-            let node = v as usize;
-            let k = settled[node] as usize;
-            if k == 2 || (k == 1 && labels[node][0].1 == src) {
-                continue;
-            }
-            labels[node][k] = (d, src);
-            settled[node] += 1;
-            for &lid in &self.outgoing[node] {
-                let link = &self.links[lid.0 as usize];
-                let to = link.to.raw() as usize;
-                if !link.down && settled[to] < 2 {
-                    let nd = d.saturating_add(link.params.token_time.as_ps());
-                    heap.push(Reverse((nd, to as u32, src)));
-                }
-            }
-        }
-        labels
     }
 
     /// The earliest instant at which the fabric itself has work to do,

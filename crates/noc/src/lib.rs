@@ -33,6 +33,6 @@ pub mod link;
 pub mod routing;
 
 pub use endpoints::CoreEndpoints;
-pub use fabric::{Fabric, FabricBuilder, LinkStats, MAX_LINK_RETRIES, NO_SOURCE};
+pub use fabric::{Fabric, FabricBuilder, LinkStats, MAX_LINK_RETRIES};
 pub use link::{Direction, LinkId, LinkParams, HEADER_TOKENS};
 pub use routing::{Candidates, Coord, Layer, LinkDesc, TableRouter};

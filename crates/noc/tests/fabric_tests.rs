@@ -6,7 +6,7 @@ use swallow_isa::{ControlToken, NodeId, ResType, ResourceId, Token};
 use swallow_noc::endpoints::TestEndpoints;
 use swallow_noc::routing::LinkDesc;
 use swallow_noc::{
-    CoreEndpoints, Direction, Fabric, FabricBuilder, LinkId, LinkParams, TableRouter, NO_SOURCE,
+    CoreEndpoints, Direction, Fabric, FabricBuilder, LinkId, LinkParams, TableRouter,
 };
 use swallow_sim::{Time, TimeDelta, TraceEvent, TraceRecord, Tracer};
 
@@ -65,36 +65,6 @@ fn single_word_crosses_one_link() {
     assert_eq!(east.data_tokens, 4);
     assert_eq!(east.ctrl_tokens, 1);
     assert_eq!(east.header_tokens, 3);
-}
-
-#[test]
-fn min_latency_matrix_is_the_token_time() {
-    // The windowed engine's lookahead: a token needs 3·Ts + Tt = 8
-    // link-clock cycles per hop (§V.C) — 32 ns on the 250 MHz on-chip
-    // class, the fastest wire in the machine. A node reaches itself at
-    // zero cost. Row `i` is the nearest label of a search from `i` alone.
-    let matrix = |fabric: &Fabric| -> Vec<u64> {
-        (0..fabric.node_count())
-            .flat_map(|i| {
-                fabric
-                    .nearest_sources_ps([i])
-                    .into_iter()
-                    .map(|[(ps, _), _]| ps)
-            })
-            .collect()
-    };
-    let (fabric, _) = two_nodes(2);
-    let hop = TimeDelta::from_ns(32).as_ps();
-    assert_eq!(matrix(&fabric), vec![0, hop, hop, 0]);
-    let empty = FabricBuilder::new(1).build(TableRouter::shortest_paths(1, &[]));
-    assert_eq!(matrix(&empty), vec![0]);
-    // From both nodes at once, each is its own nearest source and the
-    // other its second, one hop away.
-    assert_eq!(
-        fabric.nearest_sources_ps([0, 1]),
-        vec![[(0, 0), (hop, 1)], [(0, 1), (hop, 0)]]
-    );
-    assert_eq!(empty.nearest_sources_ps([0]), vec![[(0, 0), NO_SOURCE]]);
 }
 
 #[test]
